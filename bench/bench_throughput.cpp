@@ -265,8 +265,8 @@ bool has_flag(int argc, char** argv, const char* flag) {
 /// resident checker state bounded by the open window instead of the
 /// history.  Everything below is measured against the unchecked fast run:
 ///   * the trace must stay byte-identical (the tap is observation-only),
-///   * the online verdict + witness must equal the offline segmented
-///     checker's at jobs 1/2/4 (byte-compared), and
+///   * the online verdict + witness must equal the offline checker's
+///     (byte-compared), and
 ///   * checker memory (max_resident_states) must stay structurally bounded:
 ///     < ops/100, enforced on every box (no thread-count waiver -- it is a
 ///     memory property, not a wall-clock one).
@@ -275,7 +275,7 @@ bool has_flag(int argc, char** argv, const char* flag) {
 struct CheckedRun {
   bool complete = false;
   bool tap_invisible = false;   ///< trace hash == unchecked run's
-  bool identical = false;       ///< verdict+witness == offline at jobs 1/2/4
+  bool identical = false;       ///< verdict+witness == offline checker's
   bool memory_ok = false;
   double run_s = 0;             ///< simulate + pipelined drain
   double finalize_s = 0;        ///< final-window search + witness assembly
@@ -283,7 +283,7 @@ struct CheckedRun {
   CheckResult live;
   std::size_t max_window = 0;
   std::size_t segments_retired = 0;
-  std::size_t offline_resident = 0;  ///< offline jobs=1 memo population
+  std::size_t offline_resident = 0;  ///< offline dead-memo population
 
   double total_s() const { return run_s + finalize_s; }
   double events_per_s() const {
@@ -299,7 +299,7 @@ CheckedRun run_checked(const std::shared_ptr<const ObjectModel>& model,
   for (ProcessId p = 0; p < kN; ++p) system.replica(p).reserve_pending(256);
   HeavyTrafficWorkload workload(system.sim(), shaped_workload(ops, shape));
 
-  StreamingCheckOptions so;
+  CheckOptions so;
   so.jobs = checker_jobs;
   so.ring_capacity = 8192;
   StreamingChecker checker(*model, so);
@@ -324,19 +324,13 @@ CheckedRun run_checked(const std::shared_ptr<const ObjectModel>& model,
   out.tap_invisible = hash_trace(trace) == unchecked_hash;
   out.memory_ok = out.live.max_resident_states < ops / 100;
 
-  // Offline reference: same trace through the segmented checker at jobs
-  // 1/2/4; verdict and witness must be byte-identical to the online run.
+  // Offline reference: the same trace through the offline checker; verdict
+  // and witness must be byte-identical to the online run.
   const auto [history, pending] = history_with_pending(trace);
-  out.identical = true;
-  for (const int jobs : {1, 2, 4}) {
-    CheckOptions co;
-    co.jobs = jobs;
-    const CheckResult off =
-        check_linearizable_with_pending(*model, history, pending, co);
-    out.identical = out.identical && off.ok == out.live.ok &&
-                    off.witness == out.live.witness;
-    if (jobs == 1) out.offline_resident = off.max_resident_states;
-  }
+  const CheckResult off =
+      check_linearizable_with_pending(*model, history, pending);
+  out.identical = off.ok == out.live.ok && off.witness == out.live.witness;
+  out.offline_resident = off.max_resident_states;
   return out;
 }
 
@@ -498,7 +492,7 @@ int main(int argc, char** argv) {
         checked_speedup, checked.complete ? "" : "  [INCOMPLETE]");
     std::printf(
         "verdict:   %s, %llu segments (%zu retired online), witness %s "
-        "offline at jobs 1/2/4\n",
+        "offline\n",
         checked.live.ok ? "linearizable" : "VIOLATION",
         static_cast<unsigned long long>(checked.live.segments),
         checked.segments_retired,

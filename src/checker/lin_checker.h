@@ -21,20 +21,30 @@
 // snapshots (spec/snapshot.h): branching is a refcount bump, pure accessors
 // apply without cloning at all, and memoized dead states are retained by
 // handle instead of by string.
+//
+// One search core: every entry point below, and the StreamingChecker's
+// final-window search, run detail::WglSearch.  It walks an explicit stack,
+// so a million-op history needs no deep thread stack, and it can start from
+// any object state with one dead memo kept across several starts.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "checker/history.h"
 #include "spec/object_model.h"
+#include "spec/snapshot.h"
 
 namespace linbound {
 
 struct CheckResult {
   bool ok = false;
-  /// On success: indices into history.ops() in linearization order.
+  /// On success: indices into history.ops() in linearization order.  (On a
+  /// failed single-process replay: the legal prefix before the mismatch.)
   std::vector<std::size_t> witness;
   /// On failure: a human-readable account of the first dead end.
   std::string explanation;
@@ -45,15 +55,10 @@ struct CheckResult {
   /// True when the trivial-history fast path (empty or single-process
   /// history: no interleaving to search) decided the verdict.
   bool early_exit = false;
-  /// Quiescent-cut segments the search was split into (1 when segmentation
-  /// is off, trivially decided, or the history has no cut).
+  /// Quiescent-cut segments the streaming checker split the run into (its
+  /// retired segments plus the final window).  Always 1 for the offline
+  /// entry points, which search the history whole.
   std::size_t segments = 1;
-  /// Subtree tasks dispatched to the worker pool (0 for a fully serial
-  /// search).
-  std::size_t parallel_tasks = 0;
-  /// states_explored attributed per segment (parallel subtree work counts
-  /// toward the segment it searches).  Empty on the non-segmented paths.
-  std::vector<std::size_t> per_segment_states;
   /// Peak count of search states the checker held resident at once.  For
   /// the offline checkers this is the dead-memo population, which only
   /// grows over a call -- the whole point of the streaming checker
@@ -81,36 +86,30 @@ struct CheckLimits {
   /// history into a loud error instead of an OOM.
   ///
   /// Semantics (normative for every checker entry point): the budget is
-  /// granted PER CHECKER CALL.  One check_linearizable* invocation gets one
-  /// fresh budget, shared across all of that call's quiescent-cut segments
-  /// and all of its worker threads (a single atomic counter), and it is
-  /// never replenished mid-call.  Harness sweeps check many histories, so
-  /// each history gets its own budget -- intentional: the budget bounds the
-  /// blast radius of a single pathological history, not the sweep.  The
-  /// exceeded-budget error message reports states explored, the segment
-  /// being searched, and the history size (see
-  /// detail::throw_state_budget_exceeded, the one throw site).
+  /// granted PER CHECKER CALL -- one check_linearizable* invocation, or one
+  /// StreamingChecker run from its first event through finalize(), gets one
+  /// fresh budget, a single counter that is never replenished mid-call.
+  /// Harness sweeps check many histories, so each history gets its own
+  /// budget -- intentional: the budget bounds the blast radius of a single
+  /// pathological history, not the sweep.  The exceeded-budget error
+  /// message reports states explored, the segment being searched, and the
+  /// history size (see detail::throw_state_budget_exceeded, the one throw
+  /// site).
   std::size_t max_states = 20'000'000;
 };
 
-/// Tuning knobs for the segmented / parallel checker entry points.  Every
-/// combination returns byte-identical verdict, witness and explanation --
-/// the knobs trade wall-clock and memory only (regression-tested in
-/// tests/test_segmented_checker.cpp).
+/// Checker configuration shared by the offline entry points and the
+/// StreamingChecker (checker/streaming_checker.h).  Every value returns the
+/// same verdict, witness and explanation; the knobs trade wall-clock and
+/// memory only.
 struct CheckOptions {
   CheckLimits limits;
-  /// Split the history at quiescent cuts (real-time points where no
-  /// operation is in flight and no pending invocation has been issued) and
-  /// check the segments in sequence, threading the object state across the
-  /// cut.  Sound and complete: every linearization of such a history is a
-  /// concatenation of per-segment linearizations (DESIGN.md section 10).
-  bool segment = true;
-  /// Worker threads for intra-segment subtree search; <= 1 searches
-  /// serially.  Resolve user input with resolve_jobs (common/parallel.h).
+  /// StreamingChecker only: <= 1 checks inline inside the simulator hooks;
+  /// > 1 pipelines the events through a bounded ring to one checker thread.
+  /// Offline checks always run on the caller's thread.
   int jobs = 1;
-  /// Split a segment's search across workers only when the fan-out at its
-  /// root (eligible first moves) reaches this many candidates.
-  std::size_t min_parallel_fanout = 3;
+  /// Bounded ring capacity (events) for the pipelined StreamingChecker.
+  std::size_t ring_capacity = 4096;
 };
 
 /// Is the history linearizable w.r.t. the model?
@@ -124,23 +123,16 @@ CheckResult check_sequentially_consistent(const ObjectModel& model,
 
 /// Linearizability of a history with pending invocations (crashed
 /// processes): each pending operation may be linearized at any point after
-/// everything that real-time-precedes its invocation -- with an
-/// unconstrained return value -- or omitted entirely (Herlihy-Wing's
-/// treatment of incomplete histories).
+/// everything that real-time-precedes its invocation or precedes it in its
+/// process's program order -- with an unconstrained return value -- or
+/// omitted entirely (Herlihy-Wing's treatment of incomplete histories).
 CheckResult check_linearizable_with_pending(
     const ObjectModel& model, const History& history,
     const std::vector<PendingInvocation>& pending, const CheckLimits& limits = {});
 
-/// Segmented / parallel linearizability check (checker/segmented_checker.cpp):
-/// quiescent-cut segmentation plus optional fan-out of the top of the WGL
-/// decision tree across a worker pool.  Byte-identical verdict, witness and
-/// explanation to the serial overloads above at any options value.
+/// The same checks under CheckOptions (only `limits` applies offline).
 CheckResult check_linearizable(const ObjectModel& model, const History& history,
                                const CheckOptions& options);
-
-/// Segmented / parallel counterpart of check_linearizable_with_pending.
-/// Cuts are only taken at points preceding every pending invocation, so a
-/// pending operation stays available to every segment that may linearize it.
 CheckResult check_linearizable_with_pending(
     const ObjectModel& model, const History& history,
     const std::vector<PendingInvocation>& pending, const CheckOptions& options);
@@ -156,11 +148,80 @@ namespace detail {
                                               std::size_t segment_count,
                                               std::size_t history_ops);
 
-/// Replay fast path shared by the serial and segmented checkers: a
-/// single-process history admits exactly one real-time-respecting
-/// permutation (program order), so replay decides the verdict.
-CheckResult replay_single_process(const ObjectModel& model,
-                                  const History& history);
+/// Where a search sits within its caller's run, for the budget message.
+struct SearchScope {
+  std::size_t segment_index = 0;
+  std::size_t segment_count = 1;
+  std::size_t history_ops = 0;
+};
+
+/// The one first-success WGL search behind every entry point above and the
+/// StreamingChecker's final window.  run() searches from a given start
+/// state; the dead-state memo persists across run() calls on one instance,
+/// so a caller trying several start states in order (the streaming
+/// checker's state set) never re-explores a node an earlier start proved
+/// dead.  The search walks an explicit stack, so history length never
+/// touches the thread stack.
+class WglSearch {
+ public:
+  /// `history` and `pending` must outlive the search.
+  WglSearch(const ObjectModel& model, const History& history,
+            bool real_time_order, const std::vector<PendingInvocation>& pending,
+            const CheckLimits& limits, const SearchScope& scope);
+
+  /// Is there a linearization of the whole history starting from `start`?
+  /// Accumulates into `result`: states_explored (also the budget counter,
+  /// so a caller can carry one budget across several searches), memo_hits,
+  /// early_exit, and the first mismatch into an empty explanation.  On
+  /// success result.witness holds the chosen history indices.
+  bool run(const Snapshot& start, CheckResult& result);
+
+  /// Dead-memo entries held (never shrinks): the resident search state.
+  std::size_t dead_states() const { return dead_count_; }
+
+ private:
+  struct DeadEntry {
+    std::vector<std::size_t> frontier;
+    std::vector<bool> pending_taken;
+    Snapshot state;
+  };
+  /// One open node of the depth-first search: its state, its memo hash,
+  /// and the next move to try (pending invocation q < pending.size(), then
+  /// process q - pending.size()).
+  struct Frame {
+    Snapshot state;
+    std::uint64_t hash = 0;
+    std::size_t next_move = 0;
+    bool any_candidate = false;
+  };
+  enum class Entered { kSolved, kDead, kOpen };
+
+  bool replay(const Snapshot& start, CheckResult& result);
+  bool search(const Snapshot& start, CheckResult& result);
+  Entered enter(Snapshot state, CheckResult& result);
+  void undo(std::size_t move);
+  void count_state(CheckResult& result) const;
+  std::optional<std::size_t> front(std::size_t p) const;
+  bool eligible_at(Tick inv, std::optional<std::size_t> self) const;
+  bool pending_eligible(const PendingInvocation& q) const;
+  std::uint64_t memo_hash(const Snapshot& state) const;
+  bool known_dead(std::uint64_t h, const Snapshot& state) const;
+  std::string mismatch_text(const HistoryOp& op, const Snapshot& before,
+                            const Value& determined) const;
+
+  const ObjectModel& model_;
+  const History& history_;
+  const bool real_time_order_;
+  const std::vector<PendingInvocation>& pending_;
+  const CheckLimits limits_;
+  const SearchScope scope_;
+  std::vector<std::size_t> frontier_;
+  std::vector<bool> pending_taken_;
+  std::vector<std::size_t> chosen_;
+  std::vector<Frame> stack_;
+  std::size_t dead_count_ = 0;
+  std::unordered_map<std::uint64_t, std::vector<DeadEntry>> dead_;
+};
 
 }  // namespace detail
 

@@ -26,9 +26,7 @@ MultiCheckReport check_shards(const ObjectModel& model,
     out.ops = history.size();
     out.pending = pending.size();
     if (options.streaming) {
-      StreamingCheckOptions so = options.streaming_options;
-      so.jobs = 1;  // the outer fan-out owns the pool
-      out.result = streaming_check_trace(model, *traces[i], so);
+      out.result = streaming_check_trace(model, *traces[i], check);
     } else {
       out.result = pending.empty()
                        ? check_linearizable(model, history, check)

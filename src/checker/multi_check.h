@@ -29,22 +29,18 @@ struct ShardCheck {
 };
 
 struct MultiCheckOptions {
-  /// Per-shard checker configuration.  CheckOptions::jobs is the
-  /// *intra-segment* parallelism and is forced to 1 here: with many shards
-  /// the outer fan-out already saturates the pool, and nested thread spawns
-  /// per segment would oversubscribe it.
+  /// Per-shard checker configuration, for either route.  Its `jobs` (the
+  /// streaming checker's pipelining) is forced to 1 here: with many shards
+  /// the outer fan-out already saturates the pool, and a checker thread per
+  /// shard would oversubscribe it.
   CheckOptions check;
   /// Worker threads across shards (resolve_jobs semantics).
   int jobs = 1;
   /// Route each shard's check through the streaming checker (replayed from
-  /// the trace) instead of the offline segmented one.  Verdict and witness
-  /// are identical either way (the streaming determinism contract); memory
-  /// per shard drops from O(history) to O(open window).  The streaming
-  /// checker's own pipelining stays off for the same reason check.jobs is
-  /// forced to 1: the outer fan-out owns the pool.
+  /// the trace) instead of the offline one.  Verdict and witness are
+  /// identical either way (the streaming determinism contract); memory per
+  /// shard drops from O(history) to O(open window).
   bool streaming = false;
-  /// Limits for the streaming route (`check.limits` is the offline one).
-  StreamingCheckOptions streaming_options;
 };
 
 struct MultiCheckReport {

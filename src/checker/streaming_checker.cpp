@@ -3,9 +3,10 @@
 //
 // Layout: Core is the single-threaded engine -- cut detection, eager segment
 // retirement via forward state-set threading, and the final-window search
-// that mirrors the offline Walker exactly.  EventRing + StreamingChecker::Impl
-// wrap it in the inline-vs-pipelined feeding modes; streaming_check_trace is
-// the replay driver used by tests and benches.
+// through the shared WGL core (detail::WglSearch, lin_checker.h).
+// EventRing + StreamingChecker::Impl wrap it in the inline-vs-pipelined
+// feeding modes; streaming_check_trace is the replay driver used by tests
+// and benches.
 #include "checker/streaming_checker.h"
 
 #include <algorithm>
@@ -237,7 +238,7 @@ class Core {
     return true;
   }
 
-  /// Same-segment real-time eligibility, the offline Walker's rule: no
+  /// Same-segment real-time eligibility, the offline search's rule: no
   /// other remaining frontier operation may have responded strictly before
   /// `inv`.  Confirmed segments hold no pending operations (every pending
   /// invocation lives in the final window -- nothing was in flight at any
@@ -307,7 +308,7 @@ class Core {
     bump_resident(e.ops.size() + e.visited_count + e.next.size());
     count_state();
 
-    // Candidate order mirrors the offline Walker: process fronts in pid
+    // Candidate order mirrors the offline search: process fronts in pid
     // order (there are no pending operations in a confirmed segment).
     bool any_candidate = false;
     for (std::size_t p = 0; p < e.ix.per_proc.size(); ++p) {
@@ -344,140 +345,6 @@ class Core {
     node->path = e.path;
     e.next.push_back(StateEntry{state, std::move(node)});
     bump_resident(e.ops.size() + e.visited_count + e.next.size());
-  }
-
-  // --- the final-window search (exact offline Walker mirror) ----------------
-
-  struct DeadEntry {
-    std::vector<std::size_t> frontier;
-    std::vector<bool> pending_taken;
-    Snapshot state;
-  };
-
-  /// Scratch for searching the final window: completed operations plus the
-  /// pending invocations, with the offline Walker's dead memo (post-order,
-  /// shared across state-set entries -- exactly the memo the offline search
-  /// keeps for its last segment across backtracks into earlier segments).
-  struct FinalCtx {
-    const std::vector<StreamOp>& comp;
-    const std::vector<StreamOp>& pend;
-    SegIndex ix;
-    std::vector<std::size_t> frontier;
-    std::vector<bool> pending_taken;
-    std::vector<std::int64_t> path;
-    std::unordered_map<std::uint64_t, std::vector<DeadEntry>> dead;
-    std::size_t dead_count = 0;
-
-    FinalCtx(const std::vector<StreamOp>& c, const std::vector<StreamOp>& q)
-        : comp(c), pend(q) {
-      ix.build(c);
-    }
-  };
-
-  static std::optional<std::size_t> fin_front(const FinalCtx& f,
-                                              std::size_t p) {
-    const std::vector<std::size_t>& idxs = f.ix.per_proc[p];
-    const std::size_t k = f.frontier[p];
-    if (k >= idxs.size()) return std::nullopt;
-    return idxs[k];
-  }
-
-  static bool fin_complete(const FinalCtx& f) {
-    for (std::size_t p = 0; p < f.ix.per_proc.size(); ++p) {
-      if (f.frontier[p] < f.ix.per_proc[p].size()) return false;
-    }
-    return true;
-  }
-
-  static bool fin_eligible_at(const FinalCtx& f, Tick inv,
-                              std::optional<std::size_t> self) {
-    // The final window is the last segment: no later segment exists, so the
-    // offline pending rule's later-segment suffix minimum is vacuous and
-    // eligibility reduces to the same-segment frontier scan for completed
-    // and pending candidates alike.
-    for (std::size_t p = 0; p < f.ix.per_proc.size(); ++p) {
-      auto fr = fin_front(f, p);
-      if (!fr || (self && *fr == *self)) continue;
-      if (f.comp[*fr].response < inv) return false;
-    }
-    return true;
-  }
-
-  std::uint64_t fin_hash(const FinalCtx& f, const Snapshot& state) const {
-    std::uint64_t h = kFnvOffset;
-    for (std::size_t fr : f.frontier) fnv_u64(h, fr);
-    std::uint64_t bits = 0;
-    for (std::size_t q = 0; q < f.pending_taken.size(); ++q) {
-      bits = (bits << 1) | (f.pending_taken[q] ? 1u : 0u);
-      if ((q & 63u) == 63u) {
-        fnv_u64(h, bits);
-        bits = 0;
-      }
-    }
-    if (!f.pending_taken.empty()) fnv_u64(h, bits);
-    fnv_u64(h, state.fingerprint());
-    return h;
-  }
-
-  bool fin_known_dead(const FinalCtx& f, std::uint64_t h,
-                      const Snapshot& state) const {
-    auto it = f.dead.find(h);
-    if (it == f.dead.end()) return false;
-    for (const DeadEntry& e : it->second) {
-      if (e.frontier == f.frontier && e.pending_taken == f.pending_taken &&
-          e.state.equals(state)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool fin_dfs(FinalCtx& f, Snapshot& state) {
-    if (fin_complete(f)) return true;  // pendings may stay untaken
-    const std::uint64_t h = fin_hash(f, state);
-    if (fin_known_dead(f, h, state)) {
-      ++memo_hits_;
-      return false;
-    }
-    count_state();
-
-    for (std::size_t q = 0; q < f.pend.size(); ++q) {
-      if (f.pending_taken[q]) continue;
-      if (!fin_eligible_at(f, f.pend[q].invoke, std::nullopt)) continue;
-      Snapshot next = state;
-      next.apply(f.pend[q].op);
-      f.pending_taken[q] = true;
-      if (fin_dfs(f, next)) return true;
-      f.pending_taken[q] = false;
-    }
-
-    bool any_candidate = false;
-    for (std::size_t p = 0; p < f.ix.per_proc.size(); ++p) {
-      auto fr = fin_front(f, p);
-      if (!fr) continue;
-      const StreamOp& op = f.comp[*fr];
-      if (!fin_eligible_at(f, op.invoke, fr)) continue;
-      any_candidate = true;
-      Snapshot next = state;
-      const bool accessor = model_.classify(op.op) == OpClass::kPureAccessor;
-      const Value determined =
-          accessor ? next.apply_accessor(op.op) : next.apply(op.op);
-      if (!(determined == op.ret)) {
-        record_explanation(mismatch_text(op, state, determined));
-        continue;
-      }
-      ++f.frontier[p];
-      f.path.push_back(op.token);
-      if (fin_dfs(f, next)) return true;
-      f.path.pop_back();
-      --f.frontier[p];
-    }
-
-    if (!any_candidate) record_explanation(kNoCandidateText);
-    f.dead[h].push_back(DeadEntry{f.frontier, f.pending_taken, state});
-    ++f.dead_count;
-    bump_resident(f.dead_count);
-    return false;
   }
 
   // --- shared plumbing ------------------------------------------------------
@@ -595,33 +462,54 @@ CheckResult Core::finalize_run() {
     return result;
   }
 
-  // Search the final window from each surviving state-set entry in order;
-  // the first success selects the same upstream final state -- and thus the
-  // same witness -- as the offline search's backtracking would.
-  std::vector<StreamOp> comp;
-  std::vector<StreamOp> pend;
-  for (StreamOp& rec : window_) {
-    (rec.completed() ? comp : pend).push_back(std::move(rec));
+  // Search the final window from each surviving state-set entry in order,
+  // with one dead memo across entries (the memo the offline search keeps
+  // for its last segment across backtracks into earlier segments); the
+  // first success selects the same upstream final state -- and thus the
+  // same witness -- as the offline search's backtracking would.  Pending
+  // invocations go in token order, the trace order history_with_pending
+  // gives them offline.
+  std::vector<HistoryOp> comp_ops;
+  std::vector<std::int64_t> comp_tokens;
+  std::vector<const StreamOp*> pend_recs;
+  for (const StreamOp& rec : window_) {
+    if (rec.completed()) {
+      comp_ops.push_back(
+          HistoryOp{rec.proc, rec.op, rec.ret, rec.invoke, rec.response});
+      comp_tokens.push_back(rec.token);
+    } else {
+      pend_recs.push_back(&rec);
+    }
   }
-  // Offline pending order is trace order == token order (tokens index the
-  // trace); window arrival order is invoke order, so re-sort.
-  std::sort(pend.begin(), pend.end(),
-            [](const StreamOp& a, const StreamOp& b) {
-              return a.token < b.token;
+  std::sort(pend_recs.begin(), pend_recs.end(),
+            [](const StreamOp* a, const StreamOp* b) {
+              return a->token < b->token;
             });
+  std::vector<PendingInvocation> pend;
+  pend.reserve(pend_recs.size());
+  for (const StreamOp* rec : pend_recs) {
+    pend.push_back(PendingInvocation{rec->proc, rec->op, rec->invoke});
+  }
+  const History final_window(std::move(comp_ops));
 
-  FinalCtx fc(comp, pend);
+  detail::WglSearch search(
+      model_, final_window, /*real_time_order=*/true, pend, limits_,
+      detail::SearchScope{segments_retired_, confirmed_cuts_ + 1, ops_seen_});
+  CheckResult acc;
+  acc.states_explored = states_;
+  acc.memo_hits = memo_hits_;
+  acc.explanation = std::move(explanation_);
   const StateEntry* winner = nullptr;
   for (const StateEntry& entry : alist_) {
-    fc.frontier.assign(fc.ix.per_proc.size(), 0);
-    fc.pending_taken.assign(pend.size(), false);
-    fc.path.clear();
-    Snapshot state = entry.state;
-    if (fin_dfs(fc, state)) {
+    if (search.run(entry.state, acc)) {
       winner = &entry;
       break;
     }
   }
+  states_ = acc.states_explored;
+  memo_hits_ = acc.memo_hits;
+  explanation_ = std::move(acc.explanation);
+  bump_resident(search.dead_states());
 
   if (winner != nullptr) {
     result.ok = true;
@@ -638,7 +526,7 @@ CheckResult Core::finalize_run() {
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       tokens.insert(tokens.end(), (*it)->path.begin(), (*it)->path.end());
     }
-    tokens.insert(tokens.end(), fc.path.begin(), fc.path.end());
+    for (std::size_t i : acc.witness) tokens.push_back(comp_tokens[i]);
     // Branch-local mismatches recorded on the way to a successful search
     // are not failures; report an explanation only without a witness.
     explanation_.clear();
@@ -740,7 +628,7 @@ struct StreamingChecker::Impl {
   std::exception_ptr error;  // worker -> finalize; join() orders the read
   bool finalized = false;
 
-  Impl(const ObjectModel& model, const StreamingCheckOptions& options)
+  Impl(const ObjectModel& model, const CheckOptions& options)
       : core(model, options.limits),
         pipelined(options.jobs > 1),
         ring(options.ring_capacity) {
@@ -797,7 +685,7 @@ struct StreamingChecker::Impl {
 };
 
 StreamingChecker::StreamingChecker(const ObjectModel& model,
-                                   StreamingCheckOptions options)
+                                   const CheckOptions& options)
     : impl_(std::make_unique<Impl>(model, options)) {}
 
 StreamingChecker::~StreamingChecker() = default;
@@ -860,7 +748,7 @@ std::size_t StreamingChecker::max_resident_states() const {
 }
 
 CheckResult streaming_check_trace(const ObjectModel& model, const Trace& trace,
-                                  const StreamingCheckOptions& options) {
+                                  const CheckOptions& options) {
   StreamingChecker checker(model, options);
   // Feed in (time, token, invoke-before-response) order.  Cut decisions are
   // insensitive to same-tick orderings, so any time-sorted replay matches

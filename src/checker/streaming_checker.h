@@ -1,13 +1,12 @@
 // Streaming online linearizability checking: bounded-memory verification of
 // million-op runs *during* simulation.
 //
-// The offline segmented checker (segmented_checker.cpp) needs the whole
-// history in RAM before it can even find the quiescent cuts.  The streaming
-// checker consumes the operation stream as the simulator produces it
-// (Simulator invoke/response hooks), detects quiescent cuts incrementally,
-// and retires each confirmed segment eagerly -- so its resident state is
-// O(open window), not O(history), and heavy-traffic runs get full
-// verification instead of bound spot-checks.
+// The offline checker (lin_checker.h) needs the whole history in RAM before
+// it can search it.  The streaming checker consumes the operation stream as
+// the simulator produces it (Simulator invoke/response hooks), detects
+// quiescent cuts incrementally, and retires each confirmed segment eagerly
+// -- so its resident state is O(open window), not O(history), and
+// heavy-traffic runs get full verification instead of bound spot-checks.
 //
 // How it works (soundness argument in DESIGN.md, streaming section):
 //
@@ -25,16 +24,19 @@
 //      back into the open window if invalid.  Confirmed streaming cuts are
 //      exactly segment_history's cuts.
 //
-//   2. Forward state-set threading.  The offline checker threads one object
+//   2. Forward state-set threading.  The offline search threads one object
 //      state across a cut and backtracks into earlier segments when a later
 //      one fails.  Retiring segments eagerly forbids backtracking, so the
 //      streaming checker carries the whole frontier forward instead: an
 //      ordered list of the *distinct* final states a prefix of segments can
 //      reach, each entry keeping a witness-chain backpointer.  A confirmed
 //      segment is fully enumerated from each entry in order (same candidate
-//      order as the offline DFS, with a cross-entry visited memo standing in
-//      for the offline dead memo); the run fails the moment a segment yields
-//      no successor state.  Because the offline search's dead memo at a
+//      order as the offline search, with a cross-entry visited memo
+//      standing in for its dead memo); the run fails the moment a segment
+//      yields no successor state.  The final window (with any pending
+//      invocations) goes through the offline search core itself
+//      (detail::WglSearch), once per state-set entry in order with one
+//      shared dead memo.  Because the offline search's dead memo at a
 //      downstream segment root deduplicates threaded states, it attempts
 //      downstream searches in exactly this list's order -- which is why the
 //      verdict and witness come out byte-identical to the offline checker.
@@ -63,19 +65,6 @@
 
 namespace linbound {
 
-struct StreamingCheckOptions {
-  /// One budget for the whole run, CheckLimits semantics (a single counter
-  /// across every segment enumeration and the final-window search; the one
-  /// throw site is detail::throw_state_budget_exceeded).
-  CheckLimits limits;
-  /// <= 1: check inline inside the hooks.  > 1: pipeline through the ring
-  /// and a checker worker thread.  Verdict/witness/explanation identical at
-  /// every value.
-  int jobs = 1;
-  /// Bounded SPSC ring capacity (events) for the pipelined mode.
-  std::size_t ring_capacity = 4096;
-};
-
 /// Online checker for one object (one Simulator's operation stream).
 /// Feed it with attach() -- which chains onto any hooks already installed
 /// (core/driver.h listens for responses too) -- or manually via
@@ -88,8 +77,12 @@ struct StreamingCheckOptions {
 /// operations in trace order).
 class StreamingChecker {
  public:
+  /// `options.limits` is one budget for the whole run (a single counter
+  /// across every segment enumeration and the final-window search);
+  /// `options.jobs` > 1 pipelines through a ring of `options.ring_capacity`
+  /// events and a checker worker thread.  Output identical at every value.
   explicit StreamingChecker(const ObjectModel& model,
-                            StreamingCheckOptions options = {});
+                            const CheckOptions& options = {});
   ~StreamingChecker();
 
   StreamingChecker(const StreamingChecker&) = delete;
@@ -132,8 +125,8 @@ class StreamingChecker {
 /// orderings; DESIGN.md).  The differential anchor for tests and benches:
 /// for any trace, verdict and witness equal
 /// check_linearizable[_with_pending](model, history_with_pending(trace)...)
-/// at every CheckOptions / StreamingCheckOptions value.
+/// at every CheckOptions value.
 CheckResult streaming_check_trace(const ObjectModel& model, const Trace& trace,
-                                  const StreamingCheckOptions& options = {});
+                                  const CheckOptions& options = {});
 
 }  // namespace linbound

@@ -1,9 +1,5 @@
 #include "common/parallel.h"
 
-#include <pthread.h>
-
-#include <limits.h>
-
 namespace linbound {
 
 int resolve_jobs(int requested) {
@@ -13,51 +9,6 @@ int resolve_jobs(int requested) {
     requested = hw ? static_cast<int>(hw) : 1;
   }
   return requested > kMaxJobs ? kMaxJobs : requested;
-}
-
-namespace {
-
-struct StackCall {
-  const std::function<void()>* fn;
-  std::exception_ptr error;
-};
-
-extern "C" void* stack_call_trampoline(void* arg) {
-  StackCall* call = static_cast<StackCall*>(arg);
-  try {
-    (*call->fn)();
-  } catch (...) {
-    call->error = std::current_exception();
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-void run_on_stack(std::size_t stack_bytes, const std::function<void()>& fn) {
-  StackCall call{&fn, nullptr};
-  bool spawned = false;
-  pthread_attr_t attr;
-  if (pthread_attr_init(&attr) == 0) {
-    std::size_t bytes = stack_bytes;
-#ifdef PTHREAD_STACK_MIN
-    if (bytes < static_cast<std::size_t>(PTHREAD_STACK_MIN)) {
-      bytes = static_cast<std::size_t>(PTHREAD_STACK_MIN);
-    }
-#endif
-    // pthread_attr_setstacksize wants page granularity.
-    constexpr std::size_t kPage = 4096;
-    bytes = (bytes + kPage - 1) & ~(kPage - 1);
-    pthread_t tid;
-    if (pthread_attr_setstacksize(&attr, bytes) == 0 &&
-        pthread_create(&tid, &attr, stack_call_trampoline, &call) == 0) {
-      pthread_join(tid, nullptr);
-      spawned = true;
-    }
-    pthread_attr_destroy(&attr);
-  }
-  if (!spawned) fn();  // best effort: the caller's own stack
-  if (call.error) std::rethrow_exception(call.error);
 }
 
 }  // namespace linbound

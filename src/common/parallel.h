@@ -1,15 +1,10 @@
 // Deterministic parallel execution of independent tasks.
 //
-// Two layers share this executor:
-//
-//   * the harness sweeps: each (config, seed) cell builds its own Rng,
-//     delay/fault policies and Simulator from values derived purely from
-//     the cell's indices, runs one deterministic simulation, and yields a
-//     result;
-//   * the segmented linearizability checker (checker/segmented_checker.cpp):
-//     each task explores one disjoint top-level prefix of the WGL decision
-//     tree with a private memo table, and the caller merges task results in
-//     canonical prefix order.
+// The harness sweeps share this executor: each (config, seed) cell builds
+// its own Rng, delay/fault policies and Simulator from values derived
+// purely from the cell's indices, runs one deterministic simulation, and
+// yields a result.  So do the sharded runtime's PDES windows and the
+// per-shard checks (checker/multi_check.h).
 //
 // The executor exploits exactly that shape and nothing more:
 //
@@ -19,11 +14,9 @@
 //   * callers aggregate the results serially, in canonical index order,
 //     *after* the map returns -- so the aggregate is byte-identical to the
 //     serial run at any --jobs value (regression-tested in
-//     tests/test_parallel_sweep.cpp and tests/test_segmented_checker.cpp);
+//     tests/test_parallel_sweep.cpp);
 //   * the only mutable state shared between workers is the string interning
-//     pool (common/intern.h), which is mutex-guarded and value-idempotent,
-//     plus whatever monotonic atomics (budget counters, cancellation
-//     flags) the caller threads through its task closures.
+//     pool (common/intern.h), which is mutex-guarded and value-idempotent.
 //
 // Exceptions: the first task exception (by completion order) is captured
 // and rethrown on the calling thread after all workers join.
@@ -33,7 +26,6 @@
 #include <atomic>
 #include <cstddef>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -48,39 +40,14 @@ inline constexpr int kMaxJobs = 256;
 
 /// Clamp a --jobs request to something sane: 0 means "one per hardware
 /// thread", negatives mean serial, anything above kMaxJobs is clamped to
-/// kMaxJobs.  Shared by the sweep harness and the segmented checker.
+/// kMaxJobs.
 int resolve_jobs(int requested);
-
-/// Run `fn` to completion on a freshly created thread carrying an explicitly
-/// sized stack, then rethrow its exception (if any) on the caller.  The
-/// deep-recursion escape hatch: the segmented linearizability checker
-/// recurses once per linearized operation (its dfs crosses segment
-/// boundaries), so a million-op history needs a few hundred MB of stack --
-/// far past the ~8 MB a default thread carries.  The reservation is virtual
-/// address space; pages commit only as the recursion actually deepens.
-/// Sizes below the platform minimum are rounded up, and if the thread
-/// cannot be created at all the function runs inline as a best effort.
-void run_on_stack(std::size_t stack_bytes, const std::function<void()>& fn);
-
-/// Stack bytes for a search whose recursion depth is proportional to `ops`,
-/// or 0 when the platform default thread stack suffices.  Budget is 2 KiB
-/// per operation: dfs frames measure ~250 bytes at -O2, so this carries 8x
-/// headroom -- enough for sanitizer builds, whose redzones inflate every
-/// frame severalfold.  The reservation is address space, not memory.
-inline std::size_t deep_search_stack_bytes(std::size_t ops) {
-  const std::size_t need = ops * 2048;
-  return need <= (std::size_t{4} << 20) ? 0 : need;
-}
 
 class ParallelSweepExecutor {
  public:
   /// jobs <= 1 runs everything inline on the calling thread (the serial
-  /// baseline, and the default for every sweep).  A nonzero
-  /// `worker_stack_bytes` gives every pool thread an explicitly sized stack
-  /// (see run_on_stack) -- required when tasks recurse proportionally to
-  /// their input, as the segmented checker's subtree tasks do.
-  explicit ParallelSweepExecutor(int jobs, std::size_t worker_stack_bytes = 0)
-      : jobs_(jobs < 1 ? 1 : jobs), worker_stack_bytes_(worker_stack_bytes) {}
+  /// baseline, and the default for every sweep).
+  explicit ParallelSweepExecutor(int jobs) : jobs_(jobs < 1 ? 1 : jobs) {}
 
   int jobs() const { return jobs_; }
 
@@ -112,16 +79,7 @@ class ParallelSweepExecutor {
         std::min(static_cast<std::size_t>(jobs_), count);
     std::vector<std::thread> pool;
     pool.reserve(threads);
-    if (worker_stack_bytes_ > 0) {
-      // The std::thread is only a launcher; the task loop runs on a pthread
-      // with the requested stack (worker already traps its own exceptions).
-      const std::size_t stack = worker_stack_bytes_;
-      for (std::size_t t = 0; t < threads; ++t) {
-        pool.emplace_back([stack, worker] { run_on_stack(stack, worker); });
-      }
-    } else {
-      for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-    }
+    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();
     if (first_error) std::rethrow_exception(first_error);
     return out;
@@ -129,7 +87,6 @@ class ParallelSweepExecutor {
 
  private:
   int jobs_;
-  std::size_t worker_stack_bytes_ = 0;
 };
 
 }  // namespace linbound

@@ -34,9 +34,8 @@ struct SweepOptions {
   /// Future-event-list implementation for every run's simulator; results
   /// are byte-identical at either value (sim/event_queue.h).
   EventQueueImpl queue_impl = EventQueueImpl::kCalendar;
-  /// Checker configuration for every cell's history (segmentation on,
-  /// checker-internal jobs serial by default: sweeps already parallelize
-  /// across cells, and any CheckOptions value yields identical verdicts).
+  /// Checker configuration for every cell's history (only the state budget
+  /// applies offline; any CheckOptions value yields identical verdicts).
   CheckOptions check;
 };
 

@@ -56,7 +56,6 @@ ShardSweepReport run_shard_sweep(const ShardSweepOptions& options) {
     mc.check = options.check_options;
     mc.jobs = options.jobs;
     mc.streaming = options.streaming;
-    mc.streaming_options = options.streaming_options;
     report.checks = check_shards(sim.model(), traces, mc);
   }
 

@@ -35,7 +35,6 @@ struct ShardSweepOptions {
   /// window) resident state per shard instead of O(history).  For checking
   /// *during* the run instead of after it, set shard.streaming_check.
   bool streaming = false;
-  StreamingCheckOptions streaming_options;
 };
 
 struct ShardSweepReport {

@@ -262,7 +262,7 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
       std::make_unique<HeavyTrafficWorkload>(state->sim(), std::move(w));
 
   if (opt_.streaming_check) {
-    StreamingCheckOptions co;
+    CheckOptions co;
     co.limits = opt_.streaming_check_limits;
     co.jobs = 1;  // inline: the PDES workers are the parallelism
     state->checker = std::make_unique<StreamingChecker>(*model_, co);

@@ -192,6 +192,10 @@ TEST(PendingChecker, BruteForceAgreesOnSyntheticCases) {
       // Pending invoked after the response: real time forbids inclusion.
       {History({{0, reg::read(), Value(3), 100, 200}}),
        {{1, reg::write(3), 300}}},
+      // Program order: a process's pending write, invoked at the tick its
+      // own read responded, cannot explain that read.
+      {History({{0, reg::read(), Value(3), 100, 200}}),
+       {{0, reg::write(3), 200}}},
       // Two pending, exactly one consistent subset.
       {History({{0, reg::read(), Value(1), 100, 200},
                 {0, reg::read(), Value(1), 300, 400}}),

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "types/queue_type.h"
 #include "types/register_type.h"
 #include "types/stack_type.h"
@@ -194,6 +197,40 @@ TEST(LinChecker, MultiProcessSearchIsNotEarlyExit) {
   EXPECT_TRUE(result.ok);
   EXPECT_FALSE(result.early_exit);
   EXPECT_GT(result.states_explored, 0u);
+}
+
+TEST(LinChecker, DeepOverlapChainOnDefaultThreadStack) {
+  // 300k rmw operations alternating between two processes, each overlapping
+  // the next: no quiescent cut anywhere, so the search holds one open node
+  // per linearized operation.  A depth-proportional recursive search
+  // overflows a default 8 MB thread stack here; the explicit-stack search
+  // must not.  Each rmw returns its predecessor's value, so the only
+  // linearization is index order and a wrong first choice fails at once.
+  constexpr int kOps = 300'000;
+  std::vector<HistoryOp> ops;
+  ops.reserve(kOps);
+  for (int i = 0; i < kOps; ++i) {
+    const Tick invoke = static_cast<Tick>(i) * 10;
+    ops.push_back({static_cast<ProcessId>(i % 2), reg::rmw(i + 1), Value(i),
+                   invoke, invoke + 15});
+  }
+  const History h(std::move(ops));
+  RegisterModel model;
+  CheckResult lin;
+  CheckResult sc;
+  std::thread worker([&] {
+    lin = check_linearizable(model, h);
+    sc = check_sequentially_consistent(model, h);
+  });
+  worker.join();
+  std::vector<std::size_t> in_order(kOps);
+  for (std::size_t i = 0; i < in_order.size(); ++i) in_order[i] = i;
+  for (const CheckResult* r : {&lin, &sc}) {
+    EXPECT_TRUE(r->ok);
+    EXPECT_FALSE(r->early_exit);
+    EXPECT_EQ(r->states_explored, static_cast<std::size_t>(kOps));
+    EXPECT_TRUE(r->witness == in_order);
+  }
 }
 
 }  // namespace

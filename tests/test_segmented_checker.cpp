@@ -1,16 +1,21 @@
-// The segmented / parallel checker's contract: byte-identical verdict,
-// witness and explanation to the serial seed checker at every CheckOptions
-// value -- segmentation on or off, any jobs count.  Differentially fuzzed
-// here over random histories (including pending invocations and
-// non-linearizable mutants), plus unit tests for quiescent-cut
-// segmentation and the shared state budget.
+// Quiescent-cut segmentation (segment_history, the reference the streaming
+// checker's online cut rule is tested against) and the one WGL search core
+// behind every offline entry point: differentially fuzzed against the
+// brute-force oracle over random histories with quiescent gaps, pending
+// invocations and non-linearizable mutants, with every witness replayed
+// for legality; plus the shared state budget, the trivial fast paths, and
+// the core's start-state / shared-memo interface the streaming checker
+// uses for its final window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "checker/brute_checker.h"
 #include "checker/history.h"
 #include "checker/lin_checker.h"
 #include "common/rng.h"
@@ -125,81 +130,128 @@ GeneratedHistory random_segmented_history(const ObjectModel& model,
   return out;
 }
 
-void expect_same_output(const CheckResult& expected, const CheckResult& got,
-                        const ObjectModel& model, const History& h,
-                        const char* label) {
-  EXPECT_EQ(expected.ok, got.ok) << label << "\n" << h.to_string(model);
-  EXPECT_EQ(expected.witness, got.witness) << label << "\n"
-                                           << h.to_string(model);
-  EXPECT_EQ(expected.explanation, got.explanation)
-      << label << "\n"
-      << h.to_string(model);
-}
-
-void fuzz_against_serial(const std::shared_ptr<ObjectModel>& model,
-                         const std::vector<Operation>& pool,
-                         std::uint64_t seed, bool allow_pending) {
-  Rng rng(seed);
-  for (int iter = 0; iter < 60; ++iter) {
-    GeneratedHistory g = random_segmented_history(*model, pool, 3, 9, rng,
-                                                  allow_pending);
-    const CheckResult serial =
-        check_linearizable_with_pending(*model, g.history, g.pending);
-    for (const bool segment : {true, false}) {
-      for (const int jobs : {1, 2, 4}) {
-        CheckOptions options;
-        options.segment = segment;
-        options.jobs = jobs;
-        // Fan out even at fuzz-test sizes.
-        options.min_parallel_fanout = 2;
-        const CheckResult got = check_linearizable_with_pending(
-            *model, g.history, g.pending, options);
-        expect_same_output(serial, got, *model, g.history,
-                           segment ? "segmented" : "unsegmented");
-        if (segment && !g.history.empty()) {
-          EXPECT_GE(got.segments, 1u);
+/// Does `witness` (completed-op indices) extend to a legal sequential run
+/// once some subset of `pending` is spliced in?  Each included pending
+/// invocation goes at a position after every completed op that responds
+/// before its invocation, with an unconstrained return -- the
+/// Herlihy-Wing reading the checker implements.  Exhaustive over
+/// placements and over the order of invocations sharing a slot, so only
+/// for the tiny fuzz histories.
+bool witness_replays(const ObjectModel& model, const History& h,
+                     const std::vector<PendingInvocation>& pending,
+                     const std::vector<std::size_t>& witness) {
+  // Program and real-time order among the completed operations.
+  for (std::size_t i = 0; i < witness.size(); ++i) {
+    for (std::size_t j = i + 1; j < witness.size(); ++j) {
+      if (h.ops()[witness[j]].response < h.ops()[witness[i]].invoke) {
+        return false;
+      }
+    }
+  }
+  // slot[q]: -1 omits pending q; k inserts it just before witness[k].
+  const std::size_t n = witness.size();
+  std::vector<long> slot(pending.size(), -1);
+  while (true) {
+    bool placeable = true;
+    for (std::size_t q = 0; q < pending.size() && placeable; ++q) {
+      if (slot[q] < 0) continue;
+      for (std::size_t k = static_cast<std::size_t>(slot[q]); k < n; ++k) {
+        if (h.ops()[witness[k]].response < pending[q].invoke) {
+          placeable = false;
+          break;
         }
       }
     }
-    // On success with no pending ops, the witness must replay legally.
-    if (serial.ok && g.pending.empty() && !serial.early_exit) {
-      auto state = model->initial_state();
-      ASSERT_EQ(serial.witness.size(), g.history.size());
-      for (std::size_t i : serial.witness) {
-        const HistoryOp& op = g.history.ops()[i];
-        EXPECT_EQ(state->apply(op.op), op.ret) << g.history.to_string(*model);
+    std::vector<std::size_t> order(pending.size());
+    std::iota(order.begin(), order.end(), 0);
+    do {
+      if (!placeable) break;
+      auto state = model.initial_state();
+      bool legal = true;
+      for (std::size_t k = 0; k <= n && legal; ++k) {
+        for (std::size_t q : order) {
+          if (slot[q] == static_cast<long>(k)) state->apply(pending[q].op);
+        }
+        if (k == n) break;
+        const HistoryOp& op = h.ops()[witness[k]];
+        legal = state->apply(op.op) == op.ret;
       }
+      if (legal) return true;
+    } while (std::next_permutation(order.begin(), order.end()));
+    // Next placement (odometer over -1..n per pending invocation).
+    std::size_t q = 0;
+    while (q < slot.size() && slot[q] == static_cast<long>(n)) slot[q++] = -1;
+    if (q == slot.size()) return false;
+    ++slot[q];
+  }
+}
+
+void fuzz_against_brute(const std::shared_ptr<ObjectModel>& model,
+                        const std::vector<Operation>& pool,
+                        std::uint64_t seed, bool allow_pending) {
+  Rng rng(seed);
+  // Sizes the brute-force oracle enumerates quickly: it walks every
+  // permutation of the completed ops plus each included pending one.
+  const int n_ops = allow_pending ? 6 : 7;
+  for (int iter = 0; iter < 150; ++iter) {
+    GeneratedHistory g = random_segmented_history(*model, pool, 3, n_ops, rng,
+                                                  allow_pending);
+    const CheckResult got =
+        check_linearizable_with_pending(*model, g.history, g.pending);
+    const bool brute =
+        g.pending.empty()
+            ? brute_force_linearizable(*model, g.history)
+            : brute_force_linearizable_with_pending(*model, g.history,
+                                                    g.pending);
+    EXPECT_EQ(brute, got.ok) << g.history.to_string(*model);
+    // Every overload is the same search: identical output.
+    CheckOptions options;
+    options.jobs = 4;  // offline checks ignore it
+    const CheckResult via_options = check_linearizable_with_pending(
+        *model, g.history, g.pending, options);
+    EXPECT_EQ(got.ok, via_options.ok);
+    EXPECT_EQ(got.witness, via_options.witness);
+    EXPECT_EQ(got.explanation, via_options.explanation);
+    if (got.ok) {
+      ASSERT_EQ(got.witness.size(), g.history.size());
+      std::vector<std::size_t> sorted = got.witness;
+      std::sort(sorted.begin(), sorted.end());
+      for (std::size_t i = 0; i < sorted.size(); ++i) ASSERT_EQ(sorted[i], i);
+      EXPECT_TRUE(witness_replays(*model, g.history, g.pending, got.witness))
+          << g.history.to_string(*model);
+    } else {
+      EXPECT_FALSE(got.explanation.empty()) << g.history.to_string(*model);
     }
   }
 }
 
-class SegmentedCheckerFuzz : public ::testing::TestWithParam<int> {};
+class SearchCoreFuzz : public ::testing::TestWithParam<int> {};
 
-TEST_P(SegmentedCheckerFuzz, RegisterHistoriesMatchSerial) {
+TEST_P(SearchCoreFuzz, RegisterHistoriesMatchBrute) {
   auto model = std::make_shared<RegisterModel>();
   std::vector<Operation> pool{reg::read(), reg::write(1), reg::write(2),
                               reg::rmw(3), reg::increment(1)};
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  fuzz_against_serial(model, pool, seed * 7919 + 3, /*allow_pending=*/false);
-  fuzz_against_serial(model, pool, seed * 15485863 + 7, /*allow_pending=*/true);
+  fuzz_against_brute(model, pool, seed * 7919 + 3, /*allow_pending=*/false);
+  fuzz_against_brute(model, pool, seed * 15485863 + 7, /*allow_pending=*/true);
 }
 
-TEST_P(SegmentedCheckerFuzz, QueueHistoriesMatchSerial) {
+TEST_P(SearchCoreFuzz, QueueHistoriesMatchBrute) {
   auto model = std::make_shared<QueueModel>();
   std::vector<Operation> pool{queue_ops::enqueue(1), queue_ops::enqueue(2),
                               queue_ops::dequeue(), queue_ops::peek()};
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  fuzz_against_serial(model, pool, seed * 104729 + 13, /*allow_pending=*/false);
-  fuzz_against_serial(model, pool, seed * 1299709 + 17, /*allow_pending=*/true);
+  fuzz_against_brute(model, pool, seed * 104729 + 13, /*allow_pending=*/false);
+  fuzz_against_brute(model, pool, seed * 1299709 + 17, /*allow_pending=*/true);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SegmentedCheckerFuzz, ::testing::Range(0, 4));
+INSTANTIATE_TEST_SUITE_P(Seeds, SearchCoreFuzz, ::testing::Range(0, 4));
 
-// --- targeted parallel / counter behavior ------------------------------------
+// --- budget, fast paths, start states ----------------------------------------
 
-/// The bench's wide-frontier shape, scaled down: `width` pairwise-concurrent
-/// distinct enqueues (every interleaving is a distinct state) plus a dequeue
-/// of a value never enqueued -- forces exhaustive search.
+/// `width` pairwise-concurrent distinct enqueues (every interleaving is a
+/// distinct state) plus a dequeue of a value never enqueued -- forces
+/// exhaustive search.
 History wide_frontier_history(int width) {
   std::vector<HistoryOp> ops;
   for (int p = 0; p < width; ++p) {
@@ -211,48 +263,7 @@ History wide_frontier_history(int width) {
   return History(std::move(ops));
 }
 
-TEST(SegmentedChecker, ParallelSearchActuallyFansOut) {
-  QueueModel model;
-  // Width 8: past the op_count >= 8 split heuristic, so tasks are spawned.
-  const History h = wide_frontier_history(8);
-  const CheckResult serial = check_linearizable(model, h);
-  CheckOptions options;
-  options.jobs = 4;
-  const CheckResult parallel = check_linearizable(model, h, options);
-  EXPECT_FALSE(parallel.ok);
-  EXPECT_EQ(serial.ok, parallel.ok);
-  EXPECT_EQ(serial.explanation, parallel.explanation);
-  EXPECT_GT(parallel.parallel_tasks, 0u);
-  EXPECT_EQ(parallel.segments, 2u);  // the enqueue burst, then the dequeue
-}
-
-TEST(SegmentedChecker, SerialCountersMatchSeedChecker) {
-  // At jobs <= 1 the counters (not just the verdict) are part of the
-  // contract: the unsegmented serial path is the seed algorithm.
-  QueueModel model;
-  const History h = wide_frontier_history(5);
-  const CheckResult seed = check_linearizable(model, h);
-  CheckOptions options;
-  options.segment = false;
-  options.jobs = 1;
-  const CheckResult same = check_linearizable(model, h, options);
-  EXPECT_EQ(seed.states_explored, same.states_explored);
-  EXPECT_EQ(seed.memo_hits, same.memo_hits);
-}
-
-TEST(SegmentedChecker, PerSegmentStatesSumToTotal) {
-  QueueModel model;
-  const History h = wide_frontier_history(5);
-  CheckOptions options;
-  options.jobs = 1;
-  const CheckResult result = check_linearizable(model, h, options);
-  ASSERT_EQ(result.per_segment_states.size(), result.segments);
-  std::size_t sum = 0;
-  for (std::size_t s : result.per_segment_states) sum += s;
-  EXPECT_EQ(sum, result.states_explored);
-}
-
-TEST(SegmentedChecker, StateBudgetIsSharedAcrossSegmentsAndWorkers) {
+TEST(SearchCore, StateBudgetIsOneCounterPerCall) {
   QueueModel model;
   const History h = wide_frontier_history(6);
   for (const int jobs : {1, 4}) {
@@ -271,30 +282,79 @@ TEST(SegmentedChecker, StateBudgetIsSharedAcrossSegmentsAndWorkers) {
   }
 }
 
-TEST(SegmentedChecker, TrivialFastPathsMatchSerial) {
+TEST(SearchCore, TrivialFastPaths) {
   RegisterModel model;
-  CheckOptions options;
-  options.jobs = 4;
   // Empty history.
-  const CheckResult empty = check_linearizable(model, History{}, options);
+  const CheckResult empty = check_linearizable(model, History{});
   EXPECT_TRUE(empty.ok);
   EXPECT_TRUE(empty.early_exit);
   // Single process: replay fast path.
   History solo({{0, reg::write(1), Value::unit(), 0, 10},
                 {0, reg::read(), Value(1), 20, 30}});
-  const CheckResult serial = check_linearizable(model, solo);
-  const CheckResult fast = check_linearizable(model, solo, options);
-  EXPECT_EQ(serial.ok, fast.ok);
-  EXPECT_EQ(serial.witness, fast.witness);
+  const CheckResult fast = check_linearizable(model, solo);
+  EXPECT_TRUE(fast.ok);
+  EXPECT_EQ(fast.witness, (std::vector<std::size_t>{0, 1}));
   EXPECT_TRUE(fast.early_exit);
-  // Only pending invocations, no completed ops.
+  // Only pending invocations, no completed ops: omitting them all works.
   std::vector<PendingInvocation> pending{{0, reg::write(1), 5}};
-  const CheckResult pend_serial =
+  const CheckResult pend =
       check_linearizable_with_pending(model, History{}, pending);
-  const CheckResult pend_fast =
-      check_linearizable_with_pending(model, History{}, pending, options);
-  EXPECT_EQ(pend_serial.ok, pend_fast.ok);
-  EXPECT_TRUE(pend_fast.ok);
+  EXPECT_TRUE(pend.ok);
+  EXPECT_TRUE(pend.witness.empty());
+}
+
+TEST(SearchCore, FastPathsStartFromTheGivenState) {
+  RegisterModel model;
+  Snapshot five = Snapshot::initial(model);
+  five.apply(reg::write(5));
+  const std::vector<PendingInvocation> none;
+  // Single process: the replay must start from `five`, not initial_state().
+  const History solo({{0, reg::read(), Value(5), 0, 10},
+                      {0, reg::write(6), Value::unit(), 20, 30},
+                      {0, reg::read(), Value(6), 40, 50}});
+  {
+    detail::WglSearch search(model, solo, true, none, CheckLimits{},
+                             detail::SearchScope{0, 1, solo.size()});
+    CheckResult r;
+    EXPECT_TRUE(search.run(five, r));
+    EXPECT_TRUE(r.early_exit);
+    EXPECT_EQ(r.witness, (std::vector<std::size_t>{0, 1, 2}));
+    CheckResult from_initial;
+    EXPECT_FALSE(search.run(Snapshot::initial(model), from_initial));
+    EXPECT_NE(from_initial.explanation.find("returned 5"), std::string::npos)
+        << from_initial.explanation;
+  }
+  // Two processes: the full search starts from `five` as well.
+  const History pair({{0, reg::read(), Value(5), 0, 10},
+                      {1, reg::read(), Value(5), 5, 15}});
+  detail::WglSearch search(model, pair, true, none, CheckLimits{},
+                           detail::SearchScope{0, 1, pair.size()});
+  CheckResult r;
+  EXPECT_TRUE(search.run(five, r));
+  EXPECT_FALSE(r.early_exit);
+  EXPECT_EQ(r.witness, (std::vector<std::size_t>{0, 1}));
+  CheckResult from_initial;
+  EXPECT_FALSE(search.run(Snapshot::initial(model), from_initial));
+}
+
+TEST(SearchCore, DeadMemoPersistsAcrossStarts) {
+  QueueModel model;
+  const History h = wide_frontier_history(4);
+  const std::vector<PendingInvocation> none;
+  detail::WglSearch search(model, h, true, none, CheckLimits{},
+                           detail::SearchScope{0, 1, h.size()});
+  const Snapshot start = Snapshot::initial(model);
+  CheckResult acc;
+  EXPECT_FALSE(search.run(start, acc));
+  const std::size_t states = acc.states_explored;
+  const std::size_t dead = search.dead_states();
+  EXPECT_EQ(check_linearizable(model, h).states_explored, states);
+  // The second start is the same node: one memo hit, nothing re-explored,
+  // and the budget counter carries over in the accumulator.
+  EXPECT_FALSE(search.run(start, acc));
+  EXPECT_EQ(acc.states_explored, states);
+  EXPECT_EQ(acc.memo_hits, 1u + check_linearizable(model, h).memo_hits);
+  EXPECT_EQ(search.dead_states(), dead);
 }
 
 }  // namespace

@@ -75,7 +75,7 @@ void expect_matches_offline(const ObjectModel& model, const Trace& trace,
   const CheckResult expected = offline(model, trace);
   CheckResult at_jobs1;
   for (const int jobs : {1, 2, 4}) {
-    StreamingCheckOptions so;
+    CheckOptions so;
     so.jobs = jobs;
     so.ring_capacity = 64;
     const CheckResult got = streaming_check_trace(model, trace, so);
@@ -219,8 +219,8 @@ TEST(StreamingChecker, StaleReadFlipsBothCheckersIdentically) {
   ASSERT_FALSE(off.ok);
   EXPECT_FALSE(got.ok);
   EXPECT_FALSE(got.explanation.empty());
-  // The failing segment is the last one here, where the streaming search
-  // mirrors the offline Walker exactly -- text and all.
+  // The failing segment is the last one here, which the streaming checker
+  // hands to the offline search core itself -- text and all.
   EXPECT_EQ(off.explanation, got.explanation);
 }
 
@@ -263,7 +263,7 @@ TEST(StreamingChecker, StateBudgetTripsAtEveryJobsValue) {
   QueueModel model;
   const Trace trace = wide_frontier_trace(6);
   for (const int jobs : {1, 2}) {
-    StreamingCheckOptions so;
+    CheckOptions so;
     so.jobs = jobs;
     so.limits.max_states = 50;
     try {
@@ -404,12 +404,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StreamingCheckerFuzz, ::testing::Range(0, 4));
 
 TEST(StreamingChecker, DeepSegmentChainsTearDownIteratively) {
   // 300k strictly gapped operations over two processes: every op is its own
-  // confirmed segment, so the streaming witness chain grows ~300k links and
-  // the offline search recurses ~300k frames deep.  Guards two regressions
-  // at once, both first hit on the million-op bench: the recursive
-  // shared_ptr chain teardown (stack overflow at segment counts past a few
-  // hundred thousand) and the offline checker's depth-proportional dfs on a
-  // default 8 MB thread stack (now sized by deep_search_stack_bytes).
+  // confirmed segment, so the streaming witness chain grows ~300k links.
+  // Guards the recursive shared_ptr chain teardown (stack overflow at
+  // segment counts past a few hundred thousand, first hit on the
+  // million-op bench).
   RegisterModel model;
   constexpr int kOps = 300'000;
   std::vector<OperationRecord> ops;
@@ -424,17 +422,11 @@ TEST(StreamingChecker, DeepSegmentChainsTearDownIteratively) {
   }
   const Trace trace = make_trace(std::move(ops));
 
-  // Offline reference through the segmented checker (the bench's oracle);
-  // jobs=2 routes any split through the sized worker stacks as well.
-  auto [history, pending] = history_with_pending(trace);
-  CheckOptions oo;
-  oo.jobs = 2;
-  const CheckResult off =
-      check_linearizable_with_pending(model, history, pending, oo);
+  const CheckResult off = offline(model, trace);
   ASSERT_TRUE(off.ok);
 
   for (const int jobs : {1, 2}) {
-    StreamingCheckOptions so;
+    CheckOptions so;
     so.jobs = jobs;
     const CheckResult got = streaming_check_trace(model, trace, so);
     EXPECT_TRUE(got.ok) << "jobs=" << jobs;
@@ -485,7 +477,7 @@ LiveRun run_heavy_checked(bool faulted, int streaming_jobs, bool attach) {
   auto model = std::make_shared<RegisterModel>();
   ReplicaSystem system(model, o);
   HeavyTrafficWorkload workload(system.sim(), w);
-  StreamingCheckOptions so;
+  CheckOptions so;
   so.jobs = streaming_jobs;
   so.ring_capacity = 256;
   StreamingChecker checker(*model, so);

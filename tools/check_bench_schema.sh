@@ -63,10 +63,8 @@ gate_keys=(
   streaming_checker_max_resident_states
   streaming_checker_speedup
   streaming_checker_speedup_gate_enforced
-  # Parallel-checker structural gate: the committed baseline once recorded
-  # checker_parallel_tasks = 0 (the measurement never split on a 1-thread
-  # box); bench_perf now forces >= 2 workers and records the task count.
-  checker_parallel_tasks
+  # Offline search core on the adversarial shapes (bench/bench_perf.cpp).
+  checker_verdicts_ok
   checker_max_resident_states
 )
 for key in "${gate_keys[@]}"; do
