@@ -269,7 +269,7 @@ int main(int argc, char** argv) {
   json.set("shard_scaling_speedup_threads", hardware_threads());
   json.set("shard_speedup_gate_enforced", speedup_enforced);
   json.set("shard_identity_ok", identity_ok);
-  // Allocation + delivery-batching picture of the best run.  Per-run heap
+  // Allocation picture of the best run.  Per-run heap
   // allocs are dominated by per-shard setup (each shard worker instantiates
   // its own PoolSet); the steady-state-zero contract itself is proven by
   // test_alloc_free, this records the whole-run footprint per op.
@@ -280,13 +280,6 @@ int main(int argc, char** argv) {
                ? static_cast<double>(best.allocs) /
                      static_cast<double>(best.report.total_ops)
                : 0.0);
-  const double shard_batch_mean =
-      best.report.deliver_batches > 0
-          ? static_cast<double>(best.report.batched_messages) /
-                static_cast<double>(best.report.deliver_batches)
-          : 0.0;
-  json.set("shard_deliver_batches", best.report.deliver_batches);
-  json.set("shard_batch_mean_size", shard_batch_mean);
   if (checked_mode) {
     json.set("shard_checked_run_s", checked_seconds);
     json.set("shard_checked_events_per_s",

@@ -1,27 +1,15 @@
 // Simulator-core throughput: a million-operation open-loop run through
-// Algorithm 1 (plus centralized / TOB baseline runs), measured end-to-end
-// and at the queue level, with a regression gate against the seed binary
-// heap.
+// Algorithm 1 (plus centralized / TOB baseline runs), measured end-to-end.
 //
 // What runs:
 //   * HeavyTrafficWorkload (core/workload.h) drives --ops (default 1M)
-//     register reads/writes through a 4-replica Algorithm 1 system, once
-//     in the tuned fast shape (calendar queue, flat pending tables, batched
-//     delivery, pools pre-sized from the workload bound) and once in the
-//     seed shape (binary heap, std::map reference tables, per-message
-//     delivery, cold pools).  The two traces are FNV-1a-hashed through
-//     write_trace and must be byte-identical -- the determinism contract,
-//     checked at full scale across every structural difference at once.
-//   * The fast run is split at a warm-up point (run_until + run, which
-//     produces the identical trace) and the operator-new interposer
+//     register reads/writes through a 4-replica Algorithm 1 system with
+//     every pool pre-sized from the workload bound.
+//   * The run is split at a warm-up point (run_until + run, which produces
+//     the identical trace) and the operator-new interposer
 //     (common/alloc_count.cpp, linked with COUNT_ALLOCS) counts its
 //     steady-state heap allocations -- recorded as
-//     throughput_allocs_steady_state, expected 0.
-//   * The calendar run records every queue push/pop via EventQueue::set_log;
-//     that exact interleaving is replayed through both queue
-//     implementations in isolation, timing the data structure alone
-//     (the end-to-end run also spends time in process logic, so the
-//     queue-level replay is where the structural speedup is visible).
+//     throughput_allocs_steady_state, required to be 0.
 //   * The same workload (at --baseline-ops, default 200k) runs through the
 //     centralized and TOB baselines for the cross-algorithm picture.
 //
@@ -32,11 +20,10 @@
 // (the folklore bound Algorithm 1 beats).
 //
 // Exit status is 0 only when
-//   * both replica runs complete (every operation answered, no event-cap
-//     trip) and their traces hash identically,
-//   * accessor/mutator worst-case latencies meet the paper's bounds, and
-//   * max(queue-replay speedup, end-to-end speedup) >= 3x over the seed
-//     shape -- the throughput-regression gate enforced by perf CI.
+//   * every run completes (every operation answered, no event-cap trip),
+//   * accessor/mutator worst-case latencies meet the paper's bounds,
+//   * the replica run's steady state allocates nothing (when counted), and
+//   * with --checked, the online check passes (see run_checked below).
 //
 // Results merge into BENCH_perf.json under throughput_* keys (JsonReport
 // preserves bench_perf's keys).
@@ -81,28 +68,6 @@ struct RunResult {
   double ops_per_s() const { return seconds > 0 ? ops / seconds : 0; }
 };
 
-/// The structural knobs the gate compares: the tuned fast shape (all
-/// defaults) vs the seed shape (every knob at the pre-optimization value).
-struct RunShape {
-  EventQueueImpl impl = EventQueueImpl::kCalendar;
-  TableMode table = TableMode::kFlat;
-  DeliveryMode delivery = DeliveryMode::kBatched;
-  /// Pre-size every pool from the workload bound and split the run at a
-  /// warm-up point to count steady-state heap allocations.
-  bool pooled = true;
-};
-
-RunShape fast_shape() { return RunShape{}; }
-
-RunShape seed_shape() {
-  RunShape s;
-  s.impl = EventQueueImpl::kBinaryHeap;
-  s.table = TableMode::kReference;
-  s.delivery = DeliveryMode::kPerMessage;
-  s.pooled = false;
-  return s;
-}
-
 HeavyTrafficOptions workload_options(std::size_t ops) {
   HeavyTrafficOptions w;
   w.clients = kN;
@@ -115,23 +80,22 @@ HeavyTrafficOptions workload_options(std::size_t ops) {
   return w;
 }
 
-SystemOptions system_options(std::size_t ops, const RunShape& shape) {
+SystemOptions system_options(std::size_t ops) {
   SystemOptions sys;
   sys.n = kN;
   sys.timing = default_timing();
   sys.x = 0;
-  sys.queue_impl = shape.impl;
-  sys.table_mode = shape.table;
-  sys.delivery_mode = shape.delivery;
   // Algorithm 1 costs ~3n+2 events per mutator (broadcast + per-replica
   // holdback timers); 40x leaves generous headroom for every system here.
   sys.max_events = ops * 40 + 100'000;
   return sys;
 }
 
-HeavyTrafficOptions shaped_workload(std::size_t ops, const RunShape& shape) {
+/// `pooled`: pre-size every pool from the workload bound (the replica runs;
+/// the baselines run cold -- they only supply the latency picture).
+HeavyTrafficOptions shaped_workload(std::size_t ops, bool pooled) {
   HeavyTrafficOptions w = workload_options(ops);
-  if (shape.pooled) {
+  if (pooled) {
     // Size every pool for the whole run (pool growth is monotonic; the
     // arena holds all payloads to end-of-run anyway, so reserving the full
     // volume only front-loads memory the run would reach regardless).
@@ -145,36 +109,27 @@ HeavyTrafficOptions shaped_workload(std::size_t ops, const RunShape& shape) {
   return w;
 }
 
-/// One open-loop run through `SystemT`; when `log` is non-null the queue
-/// records its push/pop stream into it (replica calendar run only -- the
-/// one extra branch per operation biases *against* the calendar, which is
-/// the conservative direction for the gate).
+/// One open-loop run through `SystemT`.
 template <typename SystemT>
 RunResult run_system(const std::shared_ptr<const ObjectModel>& model,
-                     std::size_t ops, RunShape shape,
-                     std::vector<std::int64_t>* log, std::size_t log_cap) {
-  const SystemOptions sys = system_options(ops, shape);
-  const HeavyTrafficOptions w = shaped_workload(ops, shape);
+                     std::size_t ops, bool pooled) {
+  const SystemOptions sys = system_options(ops);
+  const HeavyTrafficOptions w = shaped_workload(ops, pooled);
 
   SystemT system(model, sys);
   if constexpr (std::is_same_v<SystemT, ReplicaSystem>) {
-    if (shape.pooled) {
+    if (pooled) {
       for (ProcessId p = 0; p < kN; ++p) system.replica(p).reserve_pending(256);
     }
   }
   HeavyTrafficWorkload workload(system.sim(), w);
-  if (log) {
-    log->clear();
-    log->reserve(log_cap);
-    system.sim().event_queue().set_log(log, log_cap);
-  }
   system.sim().start();
   workload.arm();
 
   RunResult out;
   bool quiescent = false;
   const double t0 = now_seconds();
-  if (shape.pooled && alloc_counting_enabled()) {
+  if (pooled && alloc_counting_enabled()) {
     // Split run: run_until(t) + run() yields the identical trace to a
     // single run(), so the counter snapshot between the halves measures
     // the steady state of the real configuration.  ~15% of the schedule
@@ -202,33 +157,6 @@ RunResult run_system(const std::shared_ptr<const ObjectModel>& model,
   out.stats = trace.stats;
   out.latency.absorb(*model, trace);
   return out;
-}
-
-/// Replay a recorded push/pop interleaving through a bare EventQueue:
-/// the queue-level timing, free of process logic.  Returns seconds; sinks
-/// the popped (time, priority) stream into `sink` so the work cannot be
-/// optimized away (and so the two impls' pop streams can be compared).
-double replay_log(EventQueueImpl impl, const std::vector<std::int64_t>& log,
-                  std::uint64_t* sink) {
-  EventQueue queue(impl);
-  queue.reserve(4096);
-  std::uint64_t acc = 14695981039346656037ull;
-  const double t0 = now_seconds();
-  for (const std::int64_t entry : log) {
-    if (entry == EventQueue::kPopSentinel) {
-      if (queue.empty()) continue;  // guard: log truncated mid-stream
-      const SimEvent ev = queue.pop();
-      acc = (acc ^ static_cast<std::uint64_t>(ev.time)) * 1099511628211ull;
-      acc = (acc ^ static_cast<std::uint64_t>(ev.priority)) * 1099511628211ull;
-    } else {
-      SimEvent ev;
-      ev.kind = EventKind::kTimer;  // POD kind: pushing allocates nothing
-      queue.push_typed(entry >> 1, static_cast<EventPriority>(entry & 1), ev);
-    }
-  }
-  const double elapsed = now_seconds() - t0;
-  *sink = acc;
-  return elapsed;
 }
 
 std::string parse_flag(int argc, char** argv, const char* flag,
@@ -259,11 +187,11 @@ bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-/// The `--checked` mode: the fast-shape million-op run again, this time
+/// The `--checked` mode: the pooled million-op run again, this time
 /// with a StreamingChecker tapping the simulator's invoke/response hooks --
 /// the full history is verified linearizable *online*, during the run, with
 /// resident checker state bounded by the open window instead of the
-/// history.  Everything below is measured against the unchecked fast run:
+/// history.  Everything below is measured against the unchecked run:
 ///   * the trace must stay byte-identical (the tap is observation-only),
 ///   * the online verdict + witness must equal the offline checker's
 ///     (byte-compared), and
@@ -294,10 +222,9 @@ struct CheckedRun {
 CheckedRun run_checked(const std::shared_ptr<const ObjectModel>& model,
                        std::size_t ops, int checker_jobs,
                        std::uint64_t unchecked_hash) {
-  const RunShape shape = fast_shape();
-  ReplicaSystem system(model, system_options(ops, shape));
+  ReplicaSystem system(model, system_options(ops));
   for (ProcessId p = 0; p < kN; ++p) system.replica(p).reserve_pending(256);
-  HeavyTrafficWorkload workload(system.sim(), shaped_workload(ops, shape));
+  HeavyTrafficWorkload workload(system.sim(), shaped_workload(ops, true));
 
   CheckOptions so;
   so.jobs = checker_jobs;
@@ -368,97 +295,57 @@ int main(int argc, char** argv) {
   const std::size_t ops = parse_size(argc, argv, "--ops", 1'000'000);
   const std::size_t baseline_ops =
       parse_size(argc, argv, "--baseline-ops", 200'000);
-  const std::size_t log_cap = parse_size(argc, argv, "--log-cap", 8'000'000);
   const SystemTiming timing = default_timing();
   const Tick aop_bound = timing.d + timing.eps;  // d+eps-X with X=0
   const Tick mop_bound = timing.eps;             // eps+X with X=0
 
   auto model = std::make_shared<RegisterModel>();
 
-  // --- 1. Algorithm 1, tuned fast shape, with queue log -------------------
+  // --- 1. Algorithm 1, pools pre-sized --------------------------------------
   std::printf("replica run: %zu ops, n=%d, d=%lld u=%lld eps=%lld, X=0\n", ops,
               kN, static_cast<long long>(timing.d),
               static_cast<long long>(timing.u),
               static_cast<long long>(timing.eps));
-  std::vector<std::int64_t> queue_log;
-  const RunResult calendar = run_system<ReplicaSystem>(
-      model, ops, fast_shape(), &queue_log, log_cap);
+  const RunResult replica = run_system<ReplicaSystem>(model, ops, true);
   std::printf(
-      "fast:      %.3fs, %zu events (%.0f events/s, %.0f ops/s)%s\n",
-      calendar.seconds, calendar.events, calendar.events_per_s(),
-      calendar.ops_per_s(), calendar.complete ? "" : "  [INCOMPLETE]");
+      "replica:   %.3fs, %zu events (%.0f events/s, %.0f ops/s)%s\n",
+      replica.seconds, replica.events, replica.events_per_s(),
+      replica.ops_per_s(), replica.complete ? "" : "  [INCOMPLETE]");
   std::printf(
       "timers:    %llu set, %llu cancelled, %llu purged at dispatch\n",
-      static_cast<unsigned long long>(calendar.stats.timers_set),
-      static_cast<unsigned long long>(calendar.stats.timers_cancelled),
-      static_cast<unsigned long long>(calendar.stats.timers_purged));
-  const double batch_mean =
-      calendar.stats.deliver_batches > 0
-          ? static_cast<double>(calendar.stats.batched_messages) /
-                static_cast<double>(calendar.stats.deliver_batches)
-          : 0.0;
-  if (calendar.allocs_measured) {
+      static_cast<unsigned long long>(replica.stats.timers_set),
+      static_cast<unsigned long long>(replica.stats.timers_cancelled),
+      static_cast<unsigned long long>(replica.stats.timers_purged));
+  std::printf("trace:     fnv1a %016llx\n",
+              static_cast<unsigned long long>(replica.trace_hash));
+  const bool allocs_ok =
+      !replica.allocs_measured || replica.allocs_steady == 0;
+  if (replica.allocs_measured) {
     std::printf(
-        "pools:     %llu steady-state heap allocs, queue high water %zu, "
-        "mean delivery batch %.2f\n",
-        static_cast<unsigned long long>(calendar.allocs_steady),
-        calendar.queue_high_water, batch_mean);
+        "pools:     %llu steady-state heap allocs%s, queue high water %zu\n",
+        static_cast<unsigned long long>(replica.allocs_steady),
+        allocs_ok ? "" : " (NEED 0)", replica.queue_high_water);
   } else {
     std::printf(
         "pools:     steady-state allocs not measured (link linbound_alloccount)"
-        "; queue high water %zu, mean delivery batch %.2f\n",
-        calendar.queue_high_water, batch_mean);
+        "; queue high water %zu\n",
+        replica.queue_high_water);
   }
 
-  // --- 2. Algorithm 1, seed shape (the regression baseline): binary heap,
-  //        reference std::map tables, per-message delivery, cold pools ------
-  const RunResult heap = run_system<ReplicaSystem>(
-      model, ops, seed_shape(), nullptr, 0);
-  std::printf(
-      "seed:      %.3fs, %zu events (%.0f events/s, %.0f ops/s)%s\n",
-      heap.seconds, heap.events, heap.events_per_s(), heap.ops_per_s(),
-      heap.complete ? "" : "  [INCOMPLETE]");
-
-  const bool traces_identical = calendar.trace_hash == heap.trace_hash &&
-                                calendar.events == heap.events;
-  const double e2e_speedup =
-      calendar.seconds > 0 ? heap.seconds / calendar.seconds : 0;
-  std::printf("traces:    %s (fnv1a %016llx), end-to-end speedup %.2fx\n",
-              traces_identical ? "byte-identical" : "DIVERGED",
-              static_cast<unsigned long long>(calendar.trace_hash),
-              e2e_speedup);
-
-  // --- 3. Queue-level replay of the recorded interleaving -----------------
-  std::uint64_t sink_cal = 0, sink_heap = 0;
-  const double replay_cal_s =
-      replay_log(EventQueueImpl::kCalendar, queue_log, &sink_cal);
-  const double replay_heap_s =
-      replay_log(EventQueueImpl::kBinaryHeap, queue_log, &sink_heap);
-  const bool replay_identical = sink_cal == sink_heap;
-  const double replay_speedup =
-      replay_cal_s > 0 ? replay_heap_s / replay_cal_s : 0;
-  std::printf(
-      "replay:    %zu log entries; calendar %.3fs, heap %.3fs (%.2fx, pops %s)\n",
-      queue_log.size(), replay_cal_s, replay_heap_s, replay_speedup,
-      replay_identical ? "identical" : "DIVERGED");
-
-  // --- 4. Latency percentiles vs the paper's bounds ------------------------
+  // --- 2. Latency percentiles vs the paper's bounds ------------------------
   std::printf("\nlatency (replica, %zu ops):\n", ops);
-  print_class_latency("accessor", calendar.latency, OpClass::kPureAccessor,
+  print_class_latency("accessor", replica.latency, OpClass::kPureAccessor,
                       aop_bound);
-  print_class_latency("mutator", calendar.latency, OpClass::kPureMutator,
+  print_class_latency("mutator", replica.latency, OpClass::kPureMutator,
                       mop_bound);
   const bool bounds_met =
-      class_max(calendar.latency, OpClass::kPureAccessor) <= aop_bound &&
-      class_max(calendar.latency, OpClass::kPureMutator) <= mop_bound;
+      class_max(replica.latency, OpClass::kPureAccessor) <= aop_bound &&
+      class_max(replica.latency, OpClass::kPureMutator) <= mop_bound;
 
-  // --- 5. Centralized / TOB baselines (folklore ~2d latency) ---------------
-  RunShape baseline_shape = fast_shape();
-  baseline_shape.pooled = false;  // no replica pools; latency picture only
-  const RunResult central = run_system<CentralizedSystem>(
-      model, baseline_ops, baseline_shape, nullptr, 0);
-  const RunResult tob = run_system<TobSystem>(
-      model, baseline_ops, baseline_shape, nullptr, 0);
+  // --- 3. Centralized / TOB baselines (folklore ~2d latency) ---------------
+  const RunResult central =
+      run_system<CentralizedSystem>(model, baseline_ops, false);
+  const RunResult tob = run_system<TobSystem>(model, baseline_ops, false);
   std::printf("\nbaselines (%zu ops each, vs folklore 2d = %lld):\n",
               baseline_ops, static_cast<long long>(2 * timing.d));
   std::printf("  centralized: %.3fs (%.0f events/s), worst latency %lld%s\n",
@@ -472,7 +359,7 @@ int main(int argc, char** argv) {
                   class_max(tob.latency, OpClass::kPureAccessor)),
               tob.complete ? "" : "  [INCOMPLETE]");
 
-  // --- 6. Online (streaming) linearizability check at full scale ----------
+  // --- 4. Online (streaming) linearizability check at full scale ----------
   const bool checked_mode = has_flag(argc, argv, "--checked");
   const int checker_jobs = 2;  // one producer (the sim), one checker worker
   CheckedRun checked;
@@ -481,9 +368,9 @@ int main(int argc, char** argv) {
   if (checked_mode) {
     std::printf("\nchecked run: streaming checker tapped in, jobs=%d\n",
                 checker_jobs);
-    checked = run_checked(model, ops, checker_jobs, calendar.trace_hash);
-    checked_speedup = calendar.events_per_s() > 0
-                          ? checked.events_per_s() / calendar.events_per_s()
+    checked = run_checked(model, ops, checker_jobs, replica.trace_hash);
+    checked_speedup = replica.events_per_s() > 0
+                          ? checked.events_per_s() / replica.events_per_s()
                           : 0;
     std::printf(
         "checked:   %.3fs run + %.3fs finalize (%.0f events/s, %.2fx of "
@@ -514,32 +401,13 @@ int main(int argc, char** argv) {
   }
 
   // --- Verdict + JSON ------------------------------------------------------
-  // The gate compares the tuned fast shape against the seed shape (heap +
-  // reference tables + per-message delivery + cold pools), so it prices the
-  // whole data-oriented hot path, not just the queue swap.
-  //
   // Drift policy: every throughput number cited in prose (EXPERIMENTS.md,
   // README.md, ROADMAP.md) must be copied from the committed
   // BENCH_perf.json, and a PR that regenerates BENCH_perf.json must update
   // those citations in the same change.  tools/check_bench_schema.sh keeps
   // the JSON itself shaped; the prose follows the JSON, never the reverse.
-  const double gate_speedup = std::max(replay_speedup, e2e_speedup);
-  // Identity and latency bounds always gate; the wall-clock ratio only
-  // does on a box that can measure one (bench_common.h).
-  const bool speedup_enforced = bench::speedup_gates_enforced();
-  const bool speedup_ok = !speedup_enforced || gate_speedup >= 3.0;
-  if (speedup_enforced) {
-    std::printf("\nregression gate: max(replay %.2fx, end-to-end %.2fx) = "
-                "%.2fx (need >= 3x vs seed shape)\n",
-                replay_speedup, e2e_speedup, gate_speedup);
-  } else {
-    std::printf("\nregression gate waived (%u hardware threads < 4): "
-                "max(replay %.2fx, end-to-end %.2fx) recorded, not asserted\n",
-                bench::hardware_threads(), replay_speedup, e2e_speedup);
-  }
-  const bool ok = calendar.complete && heap.complete && central.complete &&
-                  tob.complete && traces_identical && replay_identical &&
-                  bounds_met && speedup_ok &&
+  const bool ok = replica.complete && central.complete && tob.complete &&
+                  bounds_met && allocs_ok &&
                   (!checked_mode ||
                    (checked.complete && checked.live.ok && checked.identical &&
                     checked.tap_invisible && checked.memory_ok &&
@@ -548,52 +416,34 @@ int main(int argc, char** argv) {
   JsonReport json(parse_flag(argc, argv, "--json", "BENCH_perf.json"));
   json.set("throughput_ops", ops);
   json.set("throughput_baseline_ops", baseline_ops);
-  json.set("throughput_replica_events", calendar.events);
-  json.set("throughput_calendar_s", calendar.seconds);
-  json.set("throughput_heap_s", heap.seconds);
-  json.set("throughput_calendar_events_per_s", calendar.events_per_s());
-  json.set("throughput_heap_events_per_s", heap.events_per_s());
-  json.set("throughput_calendar_ops_per_s", calendar.ops_per_s());
-  json.set("throughput_e2e_speedup", e2e_speedup);
-  json.set("throughput_replay_entries", queue_log.size());
-  json.set("throughput_replay_calendar_s", replay_cal_s);
-  json.set("throughput_replay_heap_s", replay_heap_s);
-  json.set("throughput_replay_speedup", replay_speedup);
-  json.set("throughput_gate_speedup", gate_speedup);
-  // Every *_speedup key carries a *_speedup_threads sibling recording the
-  // hardware parallelism behind the number (tools/check_bench_schema.sh).
-  json.set("throughput_e2e_speedup_threads", bench::hardware_threads());
-  json.set("throughput_replay_speedup_threads", bench::hardware_threads());
-  json.set("throughput_gate_speedup_threads", bench::hardware_threads());
-  json.set("throughput_speedup_gate_enforced", speedup_enforced);
-  json.set("throughput_allocs_steady_state", calendar.allocs_steady);
-  json.set("throughput_allocs_measured", calendar.allocs_measured);
-  json.set("throughput_pool_high_water", calendar.queue_high_water);
-  json.set("throughput_batch_mean_size", batch_mean);
-  json.set("throughput_deliver_batches",
-           static_cast<std::uint64_t>(calendar.stats.deliver_batches));
-  json.set("throughput_traces_identical", traces_identical);
-  json.set("throughput_replay_identical", replay_identical);
+  json.set("throughput_replica_events", replica.events);
+  json.set("throughput_calendar_s", replica.seconds);
+  json.set("throughput_calendar_events_per_s", replica.events_per_s());
+  json.set("throughput_calendar_ops_per_s", replica.ops_per_s());
+  json.set("throughput_allocs_steady_state", replica.allocs_steady);
+  json.set("throughput_allocs_measured", replica.allocs_measured);
+  json.set("throughput_pool_high_water", replica.queue_high_water);
   json.set("throughput_timers_set",
-           static_cast<std::uint64_t>(calendar.stats.timers_set));
+           static_cast<std::uint64_t>(replica.stats.timers_set));
   json.set("throughput_timers_cancelled",
-           static_cast<std::uint64_t>(calendar.stats.timers_cancelled));
+           static_cast<std::uint64_t>(replica.stats.timers_cancelled));
   json.set("throughput_timers_purged",
-           static_cast<std::uint64_t>(calendar.stats.timers_purged));
+           static_cast<std::uint64_t>(replica.stats.timers_purged));
   json.set("throughput_aop_bound", static_cast<long long>(aop_bound));
-  json.set("throughput_aop_p50", static_cast<long long>(class_pct(
-                                     calendar.latency, OpClass::kPureAccessor, 50)));
-  json.set("throughput_aop_p99", static_cast<long long>(class_pct(
-                                     calendar.latency, OpClass::kPureAccessor, 99)));
-  json.set("throughput_aop_max", static_cast<long long>(class_max(
-                                     calendar.latency, OpClass::kPureAccessor)));
+  const LatencyReport& lat = replica.latency;
+  json.set("throughput_aop_p50",
+           static_cast<long long>(class_pct(lat, OpClass::kPureAccessor, 50)));
+  json.set("throughput_aop_p99",
+           static_cast<long long>(class_pct(lat, OpClass::kPureAccessor, 99)));
+  json.set("throughput_aop_max",
+           static_cast<long long>(class_max(lat, OpClass::kPureAccessor)));
   json.set("throughput_mop_bound", static_cast<long long>(mop_bound));
-  json.set("throughput_mop_p50", static_cast<long long>(class_pct(
-                                     calendar.latency, OpClass::kPureMutator, 50)));
-  json.set("throughput_mop_p99", static_cast<long long>(class_pct(
-                                     calendar.latency, OpClass::kPureMutator, 99)));
-  json.set("throughput_mop_max", static_cast<long long>(class_max(
-                                     calendar.latency, OpClass::kPureMutator)));
+  json.set("throughput_mop_p50",
+           static_cast<long long>(class_pct(lat, OpClass::kPureMutator, 50)));
+  json.set("throughput_mop_p99",
+           static_cast<long long>(class_pct(lat, OpClass::kPureMutator, 99)));
+  json.set("throughput_mop_max",
+           static_cast<long long>(class_max(lat, OpClass::kPureMutator)));
   json.set("throughput_bounds_met", bounds_met);
   json.set("throughput_centralized_events_per_s", central.events_per_s());
   json.set("throughput_centralized_max_latency",

@@ -20,18 +20,13 @@
 //     live region (amortized O(1) per pop, bounds memory under sustained
 //     non-empty operation).
 //
-// FlatMap can also run in kReference mode, backed by the seed's std::map
-// -- bench_throughput's regression baseline runs the identical algorithm
-// on the seed containers so the gate measures the data-layout win, and
-// the flat/reference trace hashes must match bit for bit (iteration is
-// sorted either way).
+// tests/test_pending_tables.cpp fuzzes every table here against std::map /
+// std::set.
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -40,40 +35,18 @@
 
 namespace linbound {
 
-/// Which structure backs a replica's pending tables.
-enum class TableMode {
-  kFlat,       ///< sorted-vector tables: allocation-free once warm (default)
-  kReference,  ///< the seed's std::map nodes (regression baseline)
-};
-
 /// Sorted-vector map with a dead-prefix head cursor.  Keys must be totally
 /// ordered; insertion of a key larger than every live key (the common case
 /// on the replica hot path) is an append.
 template <typename K, typename V>
 class FlatMap {
  public:
-  /// Switch backing structures; only legal while empty (ReplicaSystem does
-  /// this right after construction, before any operation arrives).
-  void set_mode(TableMode mode) {
-    assert(empty());
-    mode_ = mode;
-  }
-  TableMode mode() const { return mode_; }
-
-  std::size_t size() const {
-    return mode_ == TableMode::kFlat ? items_.size() - head_ : ref_.size();
-  }
+  std::size_t size() const { return items_.size() - head_; }
   bool empty() const { return size() == 0; }
 
-  void reserve(std::size_t n) {
-    if (mode_ == TableMode::kFlat) items_.reserve(n);
-  }
+  void reserve(std::size_t n) { items_.reserve(n); }
 
   V* find(const K& key) {
-    if (mode_ == TableMode::kReference) {
-      auto it = ref_.find(key);
-      return it == ref_.end() ? nullptr : &it->second;
-    }
     auto it = live_lower_bound(key);
     return (it != items_.end() && it->key == key) ? &it->val : nullptr;
   }
@@ -83,10 +56,6 @@ class FlatMap {
 
   /// map[key] = value.
   void insert_or_assign(const K& key, V value) {
-    if (mode_ == TableMode::kReference) {
-      ref_.insert_or_assign(key, std::move(value));
-      return;
-    }
     if (items_.size() == head_ || items_.back().key < key) {
       items_.push_back(Entry{key, std::move(value)});
       return;
@@ -101,11 +70,6 @@ class FlatMap {
 
   /// Remove `key` and hand back its value; nullopt when absent.
   std::optional<V> extract(const K& key) {
-    if (mode_ == TableMode::kReference) {
-      auto node = ref_.extract(key);
-      if (node.empty()) return std::nullopt;
-      return std::move(node.mapped());
-    }
     auto it = live_lower_bound(key);
     if (it == items_.end() || !(it->key == key)) return std::nullopt;
     std::optional<V> out(std::move(it->val));
@@ -114,7 +78,6 @@ class FlatMap {
   }
 
   bool erase(const K& key) {
-    if (mode_ == TableMode::kReference) return ref_.erase(key) > 0;
     auto it = live_lower_bound(key);
     if (it == items_.end() || !(it->key == key)) return false;
     remove_at(it);
@@ -124,16 +87,11 @@ class FlatMap {
   void clear() {
     items_.clear();  // capacity kept: the steady-state pool
     head_ = 0;
-    ref_.clear();
   }
 
   /// Visit every live entry in ascending key order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    if (mode_ == TableMode::kReference) {
-      for (const auto& [k, v] : ref_) fn(k, v);
-      return;
-    }
     for (std::size_t i = head_; i < items_.size(); ++i) {
       fn(items_[i].key, items_[i].val);
     }
@@ -171,8 +129,6 @@ class FlatMap {
 
   std::vector<Entry> items_;  ///< sorted by key in [head_, size)
   std::size_t head_ = 0;      ///< dead-prefix cursor
-  std::map<K, V> ref_;        ///< kReference backing (empty in kFlat mode)
-  TableMode mode_ = TableMode::kFlat;
 };
 
 /// Sorted-vector set; append fast path for mostly-increasing keys.

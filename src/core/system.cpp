@@ -27,8 +27,6 @@ ObjectSystem::ObjectSystem(std::shared_ptr<const ObjectModel> model,
   config.delays = options.delays;
   config.faults = options.faults;
   config.max_events = options.max_events;
-  config.queue_impl = options.queue_impl;
-  config.delivery = options.delivery_mode;
   sim_ = std::make_unique<Simulator>(std::move(config));
 }
 
@@ -80,9 +78,6 @@ ReplicaSystem::ReplicaSystem(std::shared_ptr<const ObjectModel> model,
     } else {
       sim_->add_process(std::make_unique<ReplicaProcess>(model_, delays_));
     }
-  }
-  for (ProcessId p = 0; p < options.n; ++p) {
-    replica(p).set_table_mode(options.table_mode);
   }
 }
 

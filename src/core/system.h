@@ -48,19 +48,6 @@ struct SystemOptions {
   /// (std::invalid_argument).
   Tick give_up_after = 0;
   std::size_t max_events = 10'000'000;
-  /// Future-event-list implementation (sim/event_queue.h); both produce
-  /// byte-identical traces.  kBinaryHeap is the seed structure, used by the
-  /// differential tests and the bench_throughput regression baseline.
-  EventQueueImpl queue_impl = EventQueueImpl::kCalendar;
-  /// Pending-table backing for Algorithm 1 replicas
-  /// (core/pending_tables.h); both produce byte-identical traces.
-  /// kReference restores the seed's std::map nodes for the
-  /// bench_throughput regression baseline.
-  TableMode table_mode = TableMode::kFlat;
-  /// Delivery batching (sim/simulator.h DeliveryMode); both modes produce
-  /// byte-identical traces.  kPerMessage is the seed loop, used by the
-  /// differential tests and the bench_throughput regression baseline.
-  DeliveryMode delivery_mode = DeliveryMode::kBatched;
 };
 
 /// How a run ended.
@@ -93,6 +80,10 @@ struct RunOutcome {
 /// A simulator plus the shared-object processes living in it.
 class ObjectSystem {
  public:
+  /// Virtual: chaos/chaos.cpp owns concrete systems through
+  /// std::unique_ptr<ObjectSystem>.
+  virtual ~ObjectSystem() = default;
+
   Simulator& sim() { return *sim_; }
   const Simulator& sim() const { return *sim_; }
   const ObjectModel& model() const { return *model_; }

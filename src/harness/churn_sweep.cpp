@@ -56,7 +56,6 @@ OneChurnRun run_one(const std::shared_ptr<const ObjectModel>& model,
   sys.x = options.x;
   sys.delays = std::make_shared<UniformDelayPolicy>(options.timing, delay_seed);
   sys.recoverable = options.recoverable;
-  sys.queue_impl = options.queue_impl;
   ReplicaSystem system(model, sys);
 
   FaultConfig faults;

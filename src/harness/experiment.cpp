@@ -144,7 +144,6 @@ SweepRunOutcome run_sweep_task(const std::shared_ptr<const ObjectModel>& model,
   sys.x = options.x;
   sys.delays = make_policy(task.policy, options.timing, rng.next_u64());
   sys.clock_offsets = make_offsets(task.offset, options.n, options.timing, rng);
-  sys.queue_impl = options.queue_impl;
 
   SystemT system(model, sys);
 

@@ -31,9 +31,6 @@ struct SweepOptions {
   /// independent deterministic simulation and results are aggregated in
   /// canonical order, so any value produces byte-identical output.
   int jobs = 1;
-  /// Future-event-list implementation for every run's simulator; results
-  /// are byte-identical at either value (sim/event_queue.h).
-  EventQueueImpl queue_impl = EventQueueImpl::kCalendar;
   /// Checker configuration for every cell's history (only the state budget
   /// applies offline; any CheckOptions value yields identical verdicts).
   CheckOptions check;

@@ -35,7 +35,6 @@ OneRun run_one(const std::shared_ptr<const ObjectModel>& model,
   sys.timing = options.timing;
   sys.x = options.x;
   sys.delays = std::make_shared<UniformDelayPolicy>(options.timing, delay_seed);
-  sys.queue_impl = options.queue_impl;
   if (faults.any()) sys.faults = make_fault_policy(faults);
   if (hardened) {
     HardenedParams params = options.hardened;

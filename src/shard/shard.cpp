@@ -193,8 +193,6 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
   so.n = opt_.replicas;
   so.timing = opt_.timing;
   so.x = opt_.x;
-  so.queue_impl = opt_.queue_impl;
-  so.delivery_mode = opt_.delivery_mode;
   so.max_events = opt_.max_events_per_shard;
   if (s < opt_.shard_budget_override.size() && opt_.shard_budget_override[s]) {
     so.max_events = opt_.shard_budget_override[s];
@@ -335,8 +333,6 @@ ShardResult ShardedSimulation::finish_shard(const ShardState& state) const {
   r.events = state.sim().events_processed();
   r.ops = trace.ops.size();
   r.end_time = trace.end_time;
-  r.deliver_batches = trace.stats.deliver_batches;
-  r.batched_messages = trace.stats.batched_messages;
   if (state.check_done) {
     r.checked = true;
     r.check_ok = state.check_result.ok;
@@ -405,8 +401,6 @@ ShardRunReport ShardedSimulation::drive(
     report.beacons += states[i]->beacons_received;
     report.total_events += report.shards[i].events;
     report.total_ops += report.shards[i].ops;
-    report.deliver_batches += report.shards[i].deliver_batches;
-    report.batched_messages += report.shards[i].batched_messages;
     if (report.shards[i].status == RunStatus::kAborted) ++report.aborted;
     if (report.shards[i].checked) {
       ++report.checked;

@@ -106,10 +106,6 @@ struct ShardOptions {
   /// Conservative lookahead; 0 = auto: timing.min_delay() = d - u.  Must
   /// not exceed the minimum cross-shard delay or construction throws.
   Tick lookahead = 0;
-  EventQueueImpl queue_impl = EventQueueImpl::kCalendar;
-  /// Per-shard delivery batching (sim/simulator.h DeliveryMode); both modes
-  /// yield byte-identical per-shard traces at every job count.
-  DeliveryMode delivery_mode = DeliveryMode::kBatched;
 
   // --- planted-mutant knobs (tests only) ---
   /// Shard whose epoch-0 beacon is delivered *before* the window ends,
@@ -143,8 +139,6 @@ struct ShardResult {
   std::size_t events = 0;        ///< events processed by the shard's Simulator
   std::size_t ops = 0;           ///< trace ops (workload + received beacons)
   Tick end_time = 0;             ///< trace end time
-  std::uint64_t deliver_batches = 0;   ///< TraceStats: delivery batches run
-  std::uint64_t batched_messages = 0;  ///< TraceStats: deliveries in batches
 
   // --- streaming check (ShardOptions::streaming_check only) ---
   bool checked = false;   ///< a streaming verdict was produced
@@ -164,8 +158,10 @@ struct ShardRunReport {
   std::size_t beacons = 0;          ///< cross-shard beacons delivered
   std::size_t total_events = 0;
   std::size_t total_ops = 0;
-  std::uint64_t deliver_batches = 0;   ///< summed over shards (0 under kPerMessage)
-  std::uint64_t batched_messages = 0;  ///< summed over shards
+  /// Always 0 (delivery is per message); read only by perfbench/harness.cpp.
+  std::uint64_t deliver_batches = 0;
+  /// Always 0 (delivery is per message); read only by perfbench/harness.cpp.
+  std::uint64_t batched_messages = 0;
   int aborted = 0;                  ///< shards that ended kAborted
   int checked = 0;                  ///< shards with a streaming verdict
   int check_failures = 0;           ///< shards whose verdict was "not linearizable"

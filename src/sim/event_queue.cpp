@@ -1,175 +1,162 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace linbound {
 
-EventQueue::EventQueue(EventQueueImpl impl) : impl_(impl) {
-  if (impl_ == EventQueueImpl::kCalendar) {
-    buckets_.resize(kWindow);
-    l1_.resize(kL1);
-  }
+EventQueue::EventQueue(EventQueueImpl) {}
+
+void EventQueue::allocate_calendar() {
+  buckets_.resize(kWindow);
+  l1_.resize(kL1);
 }
 
 std::uint64_t EventQueue::push(Tick time, EventPriority priority,
                                std::function<void()> fire) {
   SimEvent ev;
   ev.kind = EventKind::kCall;
-  ev.fn = std::move(fire);
-  return push_typed(time, priority, std::move(ev));
+  if (free_fn_slots_.empty()) {
+    ev.fn_slot = static_cast<std::int32_t>(fn_pool_.size());
+    fn_pool_.push_back(std::move(fire));
+  } else {
+    ev.fn_slot = free_fn_slots_.back();
+    free_fn_slots_.pop_back();
+    fn_pool_[static_cast<std::size_t>(ev.fn_slot)] = std::move(fire);
+  }
+  return push_typed(time, priority, ev);
 }
 
 std::uint64_t EventQueue::push_typed(Tick time, EventPriority priority,
                                      SimEvent ev) {
-  const std::uint64_t seq = next_seq_++;
+  if (buckets_.empty()) allocate_calendar();
   ev.time = time;
-  ev.priority = static_cast<int>(priority);
-  ev.seq = seq;
+  ev.priority = static_cast<std::uint8_t>(priority);
+  ev.seq = next_seq_++;
   log_push(time, ev.priority);
   ++size_;
   if (size_ > high_water_) high_water_ = size_;
-  if (impl_ == EventQueueImpl::kBinaryHeap) {
-    heap_push(heap_, std::move(ev));
-  } else {
-    calendar_push(slim(std::move(ev)));
+  if (time < window_start_) {
+    // Behind the window (the window never moves back): the early rung.  All
+    // of its times are strictly below every bucketed/wheel/far time, so the
+    // global (time, priority, seq) order is preserved by draining it first.
+    heap_push(early_, ev);
+    return ev.seq;
   }
-  return seq;
+  const Tick off = time - window_start_;
+  if (off >= static_cast<Tick>(kWindow)) {
+    if (off < kSpan) {
+      l1_insert(ev);  // level-1 wheel
+    } else {
+      heap_push(far_, ev);  // beyond the wheel span
+    }
+    return ev.seq;
+  }
+  if (static_cast<std::size_t>(off) < cursor_) {
+    cursor_ = static_cast<std::size_t>(off);
+  }
+  bucket_insert(ev);
+  return ev.seq;
 }
 
 Tick EventQueue::next_time() const {
   if (size_ == 0) return kTimeInfinity;
-  if (impl_ == EventQueueImpl::kBinaryHeap) return heap_.front().time;
-  return calendar_next_time();
+  if (!early_.empty()) return early_.front().time;
+  if (calendar_live_ == 0) {
+    // The answer lives on the wheel or far rung; rotating realizes it in
+    // level 0 (chains are seq-ordered, not time-ordered, so only the
+    // migration can say which tick comes first).  Internal restructure
+    // only -- pop order and the push/pop log are untouched.
+    const_cast<EventQueue*>(this)->rotate();
+  }
+  const std::size_t off = next_populated(cursor_);
+  assert(off < kWindow);
+  return window_start_ + static_cast<Tick>(off);
 }
 
 SimEvent EventQueue::pop() {
   assert(size_ > 0 && "EventQueue::pop on an empty queue");
   log_pop();
   --size_;
-  if (impl_ == EventQueueImpl::kBinaryHeap) return heap_pop(heap_);
-  return fatten(calendar_pop_rec());
-}
-
-bool EventQueue::next_matches_delivery(Tick time, ProcessId pid) {
-  if (size_ == 0) return false;
-  if (impl_ == EventQueueImpl::kBinaryHeap) {
-    const SimEvent& next = heap_.front();
-    return next.kind == EventKind::kDeliver && next.time == time &&
-           next.pid == pid;
+  SimEvent out;
+  if (!early_.empty()) {
+    out = heap_pop(early_);
+  } else {
+    if (calendar_live_ == 0) rotate();
+    const std::size_t off = next_populated(cursor_);
+    assert(off < kWindow && "calendar queue lost track of a live bucket");
+    Bucket& bucket = buckets_[off];
+    const std::size_t lane = bucket.pos[0] < bucket.lane[0].size() ? 0 : 1;
+    assert(bucket.pos[lane] < bucket.lane[lane].size());
+    out = bucket.lane[lane][bucket.pos[lane]];
+    ++bucket.pos[lane];
+    --calendar_live_;
+    if (bucket.drained()) {
+      bucket.reset();  // clear() keeps capacity: buckets recycle allocations
+      words_[off / 64] &= ~(1ull << (off % 64));
+      if (words_[off / 64] == 0) summary_ &= ~(1ull << (off / 64));
+      cursor_ = off + 1;
+    } else {
+      cursor_ = off;
+    }
   }
-  const EventRec& next = calendar_front();
-  return next.kind == EventKind::kDeliver && next.time == time &&
-         next.pid == pid;
+  if (out.fn_slot >= 0) {
+    popped_call_ = std::move(fn_pool_[static_cast<std::size_t>(out.fn_slot)]);
+    free_fn_slots_.push_back(out.fn_slot);
+  }
+  return out;
 }
 
 void EventQueue::reserve(std::size_t events) {
-  // The heap impl and the calendar's wheel pool absorb scheduling bursts
-  // (batched open-loop invocations land far in the future), so each mode's
-  // contiguous storage is the one worth pre-sizing.
-  if (impl_ == EventQueueImpl::kBinaryHeap) {
-    if (heap_.capacity() < events) heap_.reserve(events);
-  } else {
-    if (l1_pool_.capacity() < events) {
-      l1_pool_.reserve(events);
-      l1_next_.reserve(events);
-    }
-    // Far-future bursts are kCall-scheduled workload invocations, each of
-    // which parks a closure; size the pool with them.
-    if (fn_pool_.capacity() < events) fn_pool_.reserve(events);
-    if (free_fn_slots_.capacity() < events) free_fn_slots_.reserve(events);
+  // The wheel pool absorbs scheduling bursts (batched open-loop invocations
+  // land far in the future), so it is the contiguous storage worth
+  // pre-sizing.
+  if (l1_pool_.capacity() < events) {
+    l1_pool_.reserve(events);
+    l1_next_.reserve(events);
   }
+  // Far-future bursts are kCall-scheduled workload invocations, each of
+  // which parks a closure; size the pool with them.
+  if (fn_pool_.capacity() < events) fn_pool_.reserve(events);
+  if (free_fn_slots_.capacity() < events) free_fn_slots_.reserve(events);
 }
 
 void EventQueue::warm_buckets(std::size_t per_lane) {
+  if (buckets_.empty()) allocate_calendar();
   for (Bucket& bucket : buckets_) {
     if (bucket.lane[0].capacity() < per_lane) bucket.lane[0].reserve(per_lane);
     if (bucket.lane[1].capacity() < per_lane) bucket.lane[1].reserve(per_lane);
   }
 }
 
-// --- fat <-> slim conversion ------------------------------------------------
+// --- binary-heap rungs ------------------------------------------------------
 
-EventQueue::EventRec EventQueue::slim(SimEvent&& ev) {
-  EventRec rec;
-  rec.time = ev.time;
-  rec.seq = ev.seq;
-  rec.a = ev.a;
-  rec.payload = ev.payload;
-  rec.tag_clock = ev.tag_ts.clock_time;
-  rec.pid = ev.pid;
-  rec.tag_pid = ev.tag_ts.pid;
-  rec.epoch = ev.epoch;
-  rec.tag_kind = ev.tag_kind;
-  rec.kind = ev.kind;
-  rec.priority = static_cast<std::uint8_t>(ev.priority);
-  if (ev.fn) {
-    if (free_fn_slots_.empty()) {
-      fn_pool_.push_back(std::move(ev.fn));
-      rec.fn_slot = static_cast<std::int32_t>(fn_pool_.size() - 1);
-    } else {
-      rec.fn_slot = free_fn_slots_.back();
-      free_fn_slots_.pop_back();
-      fn_pool_[static_cast<std::size_t>(rec.fn_slot)] = std::move(ev.fn);
-    }
-  }
-  return rec;
+void EventQueue::heap_push(std::vector<SimEvent>& heap, const SimEvent& ev) {
+  heap.push_back(ev);
+  std::push_heap(heap.begin(), heap.end(), later);
 }
 
-SimEvent EventQueue::fatten(EventRec&& rec) {
-  SimEvent ev;
-  ev.time = rec.time;
-  ev.priority = rec.priority;
-  ev.seq = rec.seq;
-  ev.kind = rec.kind;
-  ev.pid = rec.pid;
-  ev.a = rec.a;
-  ev.epoch = rec.epoch;
-  ev.tag_kind = rec.tag_kind;
-  ev.tag_ts = Timestamp{rec.tag_clock, rec.tag_pid};
-  ev.payload = rec.payload;
-  if (rec.fn_slot >= 0) {
-    ev.fn = std::move(fn_pool_[static_cast<std::size_t>(rec.fn_slot)]);
-    free_fn_slots_.push_back(rec.fn_slot);
-  }
-  return ev;
+SimEvent EventQueue::heap_pop(std::vector<SimEvent>& heap) {
+  assert(!heap.empty());
+  std::pop_heap(heap.begin(), heap.end(), later);
+  const SimEvent out = heap.back();
+  heap.pop_back();
+  return out;
 }
 
 // --- calendar machinery -----------------------------------------------------
 
-void EventQueue::calendar_push(EventRec rec) {
-  if (rec.time < window_start_) {
-    // Behind the window (the window never moves back): the early rung.  All
-    // of its times are strictly below every bucketed/wheel/far time, so the
-    // global (time, priority, seq) order is preserved by draining it first.
-    heap_push(early_, std::move(rec));
-    return;
-  }
-  const Tick off = rec.time - window_start_;
-  if (off >= static_cast<Tick>(kWindow)) {
-    if (off < kSpan) {
-      l1_insert(std::move(rec));  // level-1 wheel
-    } else {
-      heap_push(far_, std::move(rec));  // beyond the wheel span
-    }
-    return;
-  }
-  if (static_cast<std::size_t>(off) < cursor_) {
-    cursor_ = static_cast<std::size_t>(off);
-  }
-  bucket_insert(std::move(rec));
-}
-
-void EventQueue::l1_insert(EventRec rec) {
-  const std::size_t idx = wheel_index(rec.time);
+void EventQueue::l1_insert(const SimEvent& ev) {
+  const std::size_t idx = wheel_index(ev.time);
   std::int32_t slot;
   if (l1_free_ >= 0) {
     slot = l1_free_;
     l1_free_ = l1_next_[static_cast<std::size_t>(slot)];
-    l1_pool_[static_cast<std::size_t>(slot)] = std::move(rec);
+    l1_pool_[static_cast<std::size_t>(slot)] = ev;
   } else {
     slot = static_cast<std::int32_t>(l1_pool_.size());
-    l1_pool_.push_back(std::move(rec));
+    l1_pool_.push_back(ev);
     l1_next_.push_back(-1);
   }
   l1_next_[static_cast<std::size_t>(slot)] = -1;
@@ -184,11 +171,11 @@ void EventQueue::l1_insert(EventRec rec) {
   chain.tail = slot;
 }
 
-void EventQueue::bucket_insert(EventRec rec) {
-  const std::size_t off = static_cast<std::size_t>(rec.time - window_start_);
+void EventQueue::bucket_insert(const SimEvent& ev) {
+  const std::size_t off = static_cast<std::size_t>(ev.time - window_start_);
   assert(off < kWindow);
-  const std::size_t lane = rec.priority == 0 ? 0 : 1;
-  buckets_[off].lane[lane].push_back(std::move(rec));
+  const std::size_t lane = ev.priority == 0 ? 0 : 1;
+  buckets_[off].lane[lane].push_back(ev);
   words_[off / 64] |= 1ull << (off % 64);
   summary_ |= 1ull << (off / 64);
   ++calendar_live_;
@@ -227,20 +214,6 @@ std::size_t EventQueue::l1_next_index(std::size_t from) const {
     }
   }
   return w * 64 + static_cast<std::size_t>(__builtin_ctzll(word));
-}
-
-Tick EventQueue::calendar_next_time() const {
-  if (!early_.empty()) return early_.front().time;
-  if (calendar_live_ == 0) {
-    // The answer lives on the wheel or far rung; rotating realizes it in
-    // level 0 (chains are seq-ordered, not time-ordered, so only the
-    // migration can say which tick comes first).  Internal restructure
-    // only -- pop order and the push/pop log are untouched.
-    const_cast<EventQueue*>(this)->rotate();
-  }
-  const std::size_t off = next_populated(cursor_);
-  assert(off < kWindow);
-  return window_start_ + static_cast<Tick>(off);
 }
 
 void EventQueue::rotate() {
@@ -282,45 +255,13 @@ void EventQueue::rotate() {
     if (l1_words_[idx / 64] == 0) l1_summary_ &= ~(1ull << (idx / 64));
     while (slot >= 0) {
       const std::int32_t next = l1_next_[static_cast<std::size_t>(slot)];
-      bucket_insert(std::move(l1_pool_[static_cast<std::size_t>(slot)]));
+      bucket_insert(l1_pool_[static_cast<std::size_t>(slot)]);
       l1_next_[static_cast<std::size_t>(slot)] = l1_free_;
       l1_free_ = slot;
       slot = next;
     }
   }
   assert(calendar_live_ > 0 && "rotate migrated nothing");
-}
-
-const EventQueue::EventRec& EventQueue::calendar_front() {
-  if (!early_.empty()) return early_.front();
-  if (calendar_live_ == 0) rotate();
-  const std::size_t off = next_populated(cursor_);
-  assert(off < kWindow && "calendar queue lost track of a live bucket");
-  const Bucket& bucket = buckets_[off];
-  const std::size_t lane = bucket.pos[0] < bucket.lane[0].size() ? 0 : 1;
-  return bucket.lane[lane][bucket.pos[lane]];
-}
-
-EventQueue::EventRec EventQueue::calendar_pop_rec() {
-  if (!early_.empty()) return heap_pop(early_);
-  if (calendar_live_ == 0) rotate();
-  const std::size_t off = next_populated(cursor_);
-  assert(off < kWindow && "calendar queue lost track of a live bucket");
-  Bucket& bucket = buckets_[off];
-  const std::size_t lane = bucket.pos[0] < bucket.lane[0].size() ? 0 : 1;
-  assert(bucket.pos[lane] < bucket.lane[lane].size());
-  EventRec out = std::move(bucket.lane[lane][bucket.pos[lane]]);
-  ++bucket.pos[lane];
-  --calendar_live_;
-  if (bucket.drained()) {
-    bucket.reset();  // clear() keeps capacity: buckets recycle allocations
-    words_[off / 64] &= ~(1ull << (off % 64));
-    if (words_[off / 64] == 0) summary_ &= ~(1ull << (off / 64));
-    cursor_ = off + 1;
-  } else {
-    cursor_ = off;
-  }
-  return out;
 }
 
 }  // namespace linbound

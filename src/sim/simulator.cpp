@@ -5,8 +5,44 @@
 
 namespace linbound {
 
+namespace {
+
+/// A kInvoke / kCrash / kRecover event on `pid` (`a` = invocation token).
+SimEvent process_event(EventKind kind, ProcessId pid, std::int64_t a = 0) {
+  SimEvent ev;
+  ev.kind = kind;
+  ev.pid = pid;
+  ev.a = a;
+  return ev;
+}
+
+SimEvent deliver_event(ProcessId to, std::size_t record_index,
+                       const MessagePayload* payload) {
+  SimEvent ev;
+  ev.kind = EventKind::kDeliver;
+  ev.pid = to;
+  ev.a = static_cast<std::int64_t>(record_index);
+  ev.payload = payload;
+  return ev;
+}
+
+SimEvent timer_event(ProcessId pid, TimerId id, int epoch,
+                     const TimerTag& tag) {
+  SimEvent ev;
+  ev.kind = EventKind::kTimer;
+  ev.pid = pid;
+  ev.a = id;
+  ev.epoch = epoch;
+  ev.tag_kind = tag.kind;
+  ev.tag_clock = tag.ts.clock_time;
+  ev.tag_pid = tag.ts.pid;
+  return ev;
+}
+
+}  // namespace
+
 Simulator::Simulator(SimConfig config)
-    : config_(std::move(config)), queue_(config_.queue_impl) {
+    : config_(std::move(config)) {
   if (!config_.timing.valid()) {
     throw std::invalid_argument("SimConfig: invalid SystemTiming");
   }
@@ -14,8 +50,6 @@ Simulator::Simulator(SimConfig config)
     config_.delays = std::make_shared<FixedDelayPolicy>(config_.timing.d);
   }
   trace_.timing = config_.timing;
-  // One broadcast fan-in is the common batch; n is small, so 32 covers it.
-  batch_.reserve(32);
 }
 
 ProcessId Simulator::add_process(std::unique_ptr<Process> proc) {
@@ -47,11 +81,8 @@ std::int64_t Simulator::invoke_at(Tick t, ProcessId pid, Operation op) {
   // event queue still fires it in time order).
   rec.invoke_time = kNoTime;
   trace_.ops.push_back(std::move(rec));
-  SimEvent ev;
-  ev.kind = EventKind::kInvoke;
-  ev.pid = pid;
-  ev.a = token;
-  queue_.push_typed(t, EventPriority::kNormal, std::move(ev));
+  queue_.push_typed(t, EventPriority::kNormal,
+                    process_event(EventKind::kInvoke, pid, token));
   return token;
 }
 
@@ -68,10 +99,8 @@ void Simulator::crash_at(Tick t, ProcessId pid) {
                                 " is in the past (now = " +
                                 std::to_string(now_) + ")");
   }
-  SimEvent ev;
-  ev.kind = EventKind::kCrash;
-  ev.pid = pid;
-  queue_.push_typed(t, EventPriority::kNormal, std::move(ev));
+  queue_.push_typed(t, EventPriority::kNormal,
+                    process_event(EventKind::kCrash, pid));
 }
 
 void Simulator::do_crash(ProcessId pid) {
@@ -94,10 +123,8 @@ void Simulator::recover_at(Tick t, ProcessId pid) {
                                 " is in the past (now = " +
                                 std::to_string(now_) + ")");
   }
-  SimEvent ev;
-  ev.kind = EventKind::kRecover;
-  ev.pid = pid;
-  queue_.push_typed(t, EventPriority::kNormal, std::move(ev));
+  queue_.push_typed(t, EventPriority::kNormal,
+                    process_event(EventKind::kRecover, pid));
 }
 
 void Simulator::do_recover(ProcessId pid) {
@@ -127,10 +154,20 @@ void Simulator::start() {
 bool Simulator::run() { return run_until(kTimeInfinity); }
 
 bool Simulator::run_until(Tick t) {
+  if (step_through(t) == WindowOutcome::kBudget) return false;
+  if (t != kTimeInfinity && t > trace_.end_time) trace_.end_time = t;
+  return queue_.empty();
+}
+
+WindowOutcome Simulator::run_window(Tick horizon) {
+  return step_through(horizon - 1);  // half-open: the horizon is excluded
+}
+
+WindowOutcome Simulator::step_through(Tick last) {
   if (!started_) throw std::logic_error("run before start()");
-  while (!queue_.empty() && queue_.next_time() <= t) {
-    if (events_processed_ >= config_.max_events) return false;
-    SimEvent ev = queue_.pop();
+  while (!queue_.empty() && queue_.next_time() <= last) {
+    if (events_processed_ >= config_.max_events) return WindowOutcome::kBudget;
+    const SimEvent ev = queue_.pop();
     now_ = ev.time;
     // kCall events are unrecorded instrumentation (call_at); the trace
     // horizon tracks observable activity only, so they must not extend it.
@@ -138,68 +175,15 @@ bool Simulator::run_until(Tick t) {
       trace_.end_time = now_;
     }
     ++events_processed_;
-    if (config_.delivery == DeliveryMode::kBatched &&
-        ev.kind == EventKind::kDeliver) {
-      collect_delivery_batch(ev);
-      dispatch(ev);
-      for (SimEvent& member : batch_) {
-        ++events_processed_;
-        dispatch(member);
-      }
-      batch_.clear();
-      continue;
-    }
-    dispatch(ev);
-  }
-  if (t != kTimeInfinity && t > trace_.end_time) trace_.end_time = t;
-  return queue_.empty();
-}
-
-WindowOutcome Simulator::run_window(Tick horizon) {
-  if (!started_) throw std::logic_error("run before start()");
-  while (!queue_.empty() && queue_.next_time() < horizon) {
-    if (events_processed_ >= config_.max_events) return WindowOutcome::kBudget;
-    SimEvent ev = queue_.pop();
-    now_ = ev.time;
-    if (ev.kind != EventKind::kCall && now_ > trace_.end_time) {
-      trace_.end_time = now_;
-    }
-    ++events_processed_;
-    if (config_.delivery == DeliveryMode::kBatched &&
-        ev.kind == EventKind::kDeliver) {
-      // Batch members share the head's tick, so they all lie below the
-      // horizon the head already passed.
-      collect_delivery_batch(ev);
-      dispatch(ev);
-      for (SimEvent& member : batch_) {
-        ++events_processed_;
-        dispatch(member);
-      }
-      batch_.clear();
-      continue;
-    }
     dispatch(ev);
   }
   return queue_.empty() ? WindowOutcome::kDrained : WindowOutcome::kHorizon;
 }
 
-void Simulator::collect_delivery_batch(const SimEvent& head) {
-  ++trace_.stats.deliver_batches;
-  ++trace_.stats.batched_messages;  // the head counts toward its batch
-  // events_processed_ already covers the head, so this guard admits exactly
-  // as many members as the per-message loop would have popped before its
-  // budget check tripped -- a budget abort leaves the same residual queue.
-  while (events_processed_ + batch_.size() < config_.max_events &&
-         queue_.next_matches_delivery(head.time, head.pid)) {
-    batch_.push_back(queue_.pop());
-    ++trace_.stats.batched_messages;
-  }
-}
-
-void Simulator::dispatch(SimEvent& ev) {
+void Simulator::dispatch(const SimEvent& ev) {
   switch (ev.kind) {
     case EventKind::kCall:
-      ev.fn();
+      queue_.take_call()();
       return;
     case EventKind::kInvoke:
       dispatch_invoke(ev.pid, ev.a);
@@ -208,7 +192,7 @@ void Simulator::dispatch(SimEvent& ev) {
       deliver(static_cast<std::size_t>(ev.a), ev.payload);
       return;
     case EventKind::kTimer:
-      fire_timer(ev.pid, ev.a, TimerTag{ev.tag_kind, ev.tag_ts}, ev.epoch);
+      fire_timer(ev.pid, ev.a, TimerTag{ev.tag_kind, ev.tag_ts()}, ev.epoch);
       return;
     case EventKind::kCrash:
       do_crash(ev.pid);
@@ -301,12 +285,8 @@ void Simulator::send_from(ProcessId from, ProcessId to,
     // arriving at the very tick a hold-back or respond timer fires is
     // processed first, matching the model's step ordering that Lemma C.9's
     // boundary case relies on.
-    SimEvent ev;
-    ev.kind = EventKind::kDeliver;
-    ev.pid = to;  // destination, so batched delivery can group by recipient
-    ev.a = static_cast<std::int64_t>(record_index);
-    ev.payload = payload;
-    queue_.push_typed(recv_time, EventPriority::kDelivery, std::move(ev));
+    queue_.push_typed(recv_time, EventPriority::kDelivery,
+                      deliver_event(to, record_index, payload));
   }
 
   // Duplicates: each extra copy is an independent transmission with its own
@@ -326,13 +306,8 @@ void Simulator::send_from(ProcessId from, ProcessId to,
     trace_.faults.push_back(
         {FaultKind::kMessageDuplicated, now_, from, to, dup_id,
          static_cast<Tick>(id)});
-    SimEvent dup_ev;
-    dup_ev.kind = EventKind::kDeliver;
-    dup_ev.pid = to;
-    dup_ev.a = static_cast<std::int64_t>(dup_index);
-    dup_ev.payload = payload;
     queue_.push_typed(now_ + dup_delay, EventPriority::kDelivery,
-                      std::move(dup_ev));
+                      deliver_event(to, dup_index, payload));
   }
 }
 
@@ -347,12 +322,8 @@ void Simulator::deliver(std::size_t record_index,
     // window ends.  Nothing is lost, everything is late.
     trace_.faults.push_back(
         {FaultKind::kProcessStalled, now_, to, rec.from, rec.id, until - now_});
-    SimEvent ev;
-    ev.kind = EventKind::kDeliver;
-    ev.pid = to;
-    ev.a = static_cast<std::int64_t>(record_index);
-    ev.payload = payload;
-    queue_.push_typed(until, EventPriority::kDelivery, std::move(ev));
+    queue_.push_typed(until, EventPriority::kDelivery,
+                      deliver_event(to, record_index, payload));
     return;
   }
   trace_.messages[record_index].recv_time = now_;
@@ -384,15 +355,8 @@ TimerId Simulator::set_timer_for(ProcessId pid, Tick local_delta, TimerTag tag) 
   // belongs to the arming incarnation: if the process crashes and recovers
   // before it fires, it is dead (volatile state does not survive a crash).
   const int epoch = crash_epoch_[static_cast<std::size_t>(pid)];
-  SimEvent ev;
-  ev.kind = EventKind::kTimer;
-  ev.pid = pid;
-  ev.a = id;
-  ev.epoch = epoch;
-  ev.tag_kind = tag.kind;
-  ev.tag_ts = tag.ts;
   queue_.push_typed(now_ + real_delta_for_local(pid, local_delta),
-                    EventPriority::kNormal, std::move(ev));
+                    EventPriority::kNormal, timer_event(pid, id, epoch, tag));
   return id;
 }
 
@@ -429,14 +393,8 @@ void Simulator::fire_timer(ProcessId pid, TimerId id, TimerTag tag, int epoch) {
       // (it cannot fire early, and a stalled process takes no steps).
       trace_.faults.push_back(
           {FaultKind::kProcessStalled, now_, pid, kNoProcess, -1, until - now_});
-      SimEvent ev;
-      ev.kind = EventKind::kTimer;
-      ev.pid = pid;
-      ev.a = id;
-      ev.epoch = epoch;
-      ev.tag_kind = tag.kind;
-      ev.tag_ts = tag.ts;
-      queue_.push_typed(until, EventPriority::kNormal, std::move(ev));
+      queue_.push_typed(until, EventPriority::kNormal,
+                        timer_event(pid, id, epoch, tag));
       return;
     }
   }
@@ -487,11 +445,8 @@ void Simulator::dispatch_invoke(ProcessId pid, std::int64_t token) {
     // A stalled process accepts the invocation only once it wakes up.
     trace_.faults.push_back(
         {FaultKind::kProcessStalled, now_, pid, kNoProcess, -1, until - now_});
-    SimEvent ev;
-    ev.kind = EventKind::kInvoke;
-    ev.pid = pid;
-    ev.a = token;
-    queue_.push_typed(until, EventPriority::kNormal, std::move(ev));
+    queue_.push_typed(until, EventPriority::kNormal,
+                      process_event(EventKind::kInvoke, pid, token));
     return;
   }
   if (op_pending_.at(static_cast<std::size_t>(pid))) {

@@ -23,16 +23,6 @@
 
 namespace linbound {
 
-/// How the event loop hands popped deliveries to their recipients.  Both
-/// modes pop -- and therefore deliver -- in the identical (time, priority,
-/// seq) order, so traces are byte-identical; batching only coalesces the
-/// per-pop loop bookkeeping for consecutive same-tick, same-destination
-/// deliveries (a broadcast fan-in arriving together is the common case).
-enum class DeliveryMode {
-  kBatched,     ///< coalesce consecutive same-(tick, recipient) deliveries
-  kPerMessage,  ///< the seed's one-pop-one-dispatch loop (baselines, tests)
-};
-
 struct SimConfig {
   SystemTiming timing;
   /// Clock offsets c_i (local = real + c_i); resized with zeros to the
@@ -53,15 +43,6 @@ struct SimConfig {
   /// Hard cap on processed events (runaway protection for broken
   /// algorithms under test).
   std::size_t max_events = 10'000'000;
-  /// Future-event-list implementation (sim/event_queue.h).  Both produce
-  /// the identical (time, priority, seq) pop order, hence byte-identical
-  /// traces; kBinaryHeap is the seed structure kept for differential tests
-  /// and throughput-regression baselines.
-  EventQueueImpl queue_impl = EventQueueImpl::kCalendar;
-  /// Delivery batching (see DeliveryMode above).  Byte-identical traces in
-  /// either mode -- differentially tested in tests/test_fuzz.cpp and
-  /// tests/test_shard.cpp; kPerMessage is the seed loop kept for baselines.
-  DeliveryMode delivery = DeliveryMode::kBatched;
 };
 
 /// Result of one bounded stepping call (Simulator::run_window).
@@ -259,15 +240,12 @@ class Simulator {
   void fire_timer(ProcessId pid, TimerId id, TimerTag tag, int epoch);
   void do_crash(ProcessId pid);
   void do_recover(ProcessId pid);
+  /// The one stepping loop behind run_until and run_window: pop and fire
+  /// every event with time <= `last`, one at a time, until the queue
+  /// drains, the next event lies past `last`, or the event budget trips.
+  WindowOutcome step_through(Tick last);
   /// Fire one popped event by kind.
-  void dispatch(SimEvent& ev);
-  /// Batched delivery: pop every event directly after `head` that is also a
-  /// delivery at the same tick to the same recipient into batch_, checking
-  /// the event budget before each member pop (so a budget trip leaves the
-  /// queue exactly as the per-message loop would).  Handler pushes during
-  /// the subsequent dispatches carry higher seq numbers than every
-  /// collected member, so pre-collecting does not reorder pops.
-  void collect_delivery_batch(const SimEvent& head);
+  void dispatch(const SimEvent& ev);
   /// End of pid's stall window when one covers `now_`; kNoTime otherwise.
   Tick stall_deferral(ProcessId pid);
 
@@ -281,10 +259,6 @@ class Simulator {
   Tick now_ = 0;
   bool started_ = false;
   std::size_t events_processed_ = 0;
-  /// Scratch for collect_delivery_batch (reused across batches; sized once
-  /// at construction -- a batch is one broadcast fan-in, a handful of
-  /// events).
-  std::vector<SimEvent> batch_;
 
   MessageId next_message_id_ = 0;
 

@@ -110,11 +110,9 @@ struct TraceStats {
   /// no longer matched (lazily cancelled, recycled, or killed by a crash
   /// epoch) -- the events the seed simulator popped and discarded.
   std::uint64_t timers_purged = 0;
-  /// Batched delivery (DeliveryMode::kBatched): batches dispatched (a lone
-  /// delivery is a batch of one) and deliveries that went through batches.
-  /// batched_messages / deliver_batches is the mean batch size benches
-  /// report; both stay zero under DeliveryMode::kPerMessage.
+  /// Always 0 (delivery is per message); read only by perfbench/harness.cpp.
   std::uint64_t deliver_batches = 0;
+  /// Always 0 (delivery is per message); read only by perfbench/harness.cpp.
   std::uint64_t batched_messages = 0;
 };
 

@@ -98,7 +98,11 @@ std::string QueueModel::op_name(OpCode code) const {
 
 namespace queue_ops {
 Operation enqueue(std::int64_t v) {
-  return Operation{QueueModel::kEnqueue, {Value(v)}};
+  // Built with push_back: g++ 12 under -fsanitize=address reports a false
+  // maybe-uninitialized on the braced-init argument list.
+  Operation op{QueueModel::kEnqueue, {}};
+  op.args.push_back(Value(v));
+  return op;
 }
 Operation dequeue() { return Operation{QueueModel::kDequeue, {}}; }
 Operation peek() { return Operation{QueueModel::kPeek, {}}; }

@@ -96,7 +96,12 @@ std::string StackModel::op_name(OpCode code) const {
 }
 
 namespace stack_ops {
-Operation push(std::int64_t v) { return Operation{StackModel::kPush, {Value(v)}}; }
+Operation push(std::int64_t v) {
+  // Built with push_back: see queue_ops::enqueue.
+  Operation op{StackModel::kPush, {}};
+  op.args.push_back(Value(v));
+  return op;
+}
 Operation pop() { return Operation{StackModel::kPop, {}}; }
 Operation peek() { return Operation{StackModel::kPeek, {}}; }
 Operation size() { return Operation{StackModel::kSize, {}}; }

@@ -6,9 +6,16 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "reference_heap.h"
 
 namespace linbound {
 namespace {
+
+/// Pop the next event (a kCall) and run its closure.
+void fire_next(EventQueue& q) {
+  q.pop();
+  q.take_call()();
+}
 
 TEST(EventQueue, EmptyInitially) {
   EventQueue q;
@@ -22,7 +29,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.push(30, [&] { fired.push_back(30); });
   q.push(10, [&] { fired.push_back(10); });
   q.push(20, [&] { fired.push_back(20); });
-  while (!q.empty()) q.pop().fire();
+  while (!q.empty()) fire_next(q);
   EXPECT_EQ(fired, (std::vector<int>{10, 20, 30}));
 }
 
@@ -32,7 +39,7 @@ TEST(EventQueue, TieBreaksByInsertionOrder) {
   for (int i = 0; i < 10; ++i) {
     q.push(5, [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.pop().fire();
+  while (!q.empty()) fire_next(q);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
 }
 
@@ -43,7 +50,7 @@ TEST(EventQueue, MixedTimesAndTies) {
   q.push(1, [&] { fired.push_back({1, 0}); });
   q.push(2, [&] { fired.push_back({2, 1}); });
   q.push(1, [&] { fired.push_back({1, 1}); });
-  while (!q.empty()) q.pop().fire();
+  while (!q.empty()) fire_next(q);
   ASSERT_EQ(fired.size(), 4u);
   EXPECT_EQ(fired[0], (std::pair<Tick, int>{1, 0}));
   EXPECT_EQ(fired[1], (std::pair<Tick, int>{1, 1}));
@@ -84,7 +91,7 @@ TEST(EventQueue, DeliveriesOutrankTimersAtEqualTimes) {
   q.push(10, EventPriority::kDelivery, [&] { fired.push_back(0); });
   q.push(10, [&] { fired.push_back(2); });
   q.push(10, EventPriority::kDelivery, [&] { fired.push_back(0); });
-  while (!q.empty()) q.pop().fire();
+  while (!q.empty()) fire_next(q);
   EXPECT_EQ(fired, (std::vector<int>{0, 0, 1, 2}));
 }
 
@@ -94,7 +101,7 @@ TEST(EventQueue, PriorityDoesNotLeakAcrossTimes) {
   q.push(5, [&] { fired.push_back(5); });
   q.push(4, EventPriority::kDelivery, [&] { fired.push_back(4); });
   q.push(3, [&] { fired.push_back(3); });
-  while (!q.empty()) q.pop().fire();
+  while (!q.empty()) fire_next(q);
   EXPECT_EQ(fired, (std::vector<int>{3, 4, 5}));
 }
 
@@ -105,23 +112,55 @@ TEST(EventQueue, PushDuringDrainIsAllowed) {
     fired.push_back(1);
     q.push(2, [&] { fired.push_back(2); });
   });
-  while (!q.empty()) q.pop().fire();
+  while (!q.empty()) fire_next(q);
   EXPECT_EQ(fired, (std::vector<int>{1, 2}));
 }
 
+TEST(EventQueue, ClosureSlotsRecycle) {
+  // Each kCall closure parks in a pool slot from push to pop; slots recycle,
+  // so interleaved push/fire cycles never confuse two closures.
+  EventQueue q;
+  std::vector<int> fired;
+  for (int round = 0; round < 50; ++round) {
+    q.push(round, [&fired, round] { fired.push_back(2 * round); });
+    q.push(round, [&fired, round] { fired.push_back(2 * round + 1); });
+    fire_next(q);
+  }
+  while (!q.empty()) fire_next(q);
+  std::vector<int> sorted = fired;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(fired, sorted);
+  EXPECT_EQ(fired.size(), 100u);
+}
+
+TEST(EventQueue, TypedEventsCarryNoClosure) {
+  EventQueue q;
+  SimEvent ev;
+  ev.kind = EventKind::kTimer;
+  ev.a = 7;
+  ev.tag_clock = 123;
+  ev.tag_pid = 2;
+  q.push_typed(4, EventPriority::kNormal, ev);
+  const SimEvent out = q.pop();
+  EXPECT_EQ(out.kind, EventKind::kTimer);
+  EXPECT_EQ(out.a, 7);
+  EXPECT_EQ(out.fn_slot, -1);
+  EXPECT_EQ(out.tag_ts(), (Timestamp{123, 2}));
+}
+
 // ---------------------------------------------------------------------------
-// Calendar queue vs the seed binary heap: the two implementations must agree
-// on every pop -- (time, priority, seq) plus the payload operand -- for any
-// interleaving of pushes and pops.  The fuzzers below drive both through
-// identical streams chosen to hit every calendar path: dense tie-heavy
-// buckets, in-window spreads, the level-1 wheel and window rotation
-// (far-future times), the far rung beyond the wheel span plus wheel
-// wraparound, and the early rung (pushes behind the window start).
+// Calendar queue vs the seed binary heap (tests/reference_heap.h): the two
+// must agree on every pop -- (time, priority, seq) plus the payload operand
+// -- for any interleaving of pushes and pops.  The fuzzers below drive both
+// through identical streams chosen to hit every calendar path: dense
+// tie-heavy buckets, in-window spreads, the level-1 wheel and window
+// rotation (far-future times), the far rung beyond the wheel span plus
+// wheel wraparound, and the early rung (pushes behind the window start).
 // ---------------------------------------------------------------------------
 
 /// Pop both queues once and compare the full ordering key.  Returns false
 /// (after flagging) on the first divergence so callers can stop early.
-bool same_pop(EventQueue& cal, EventQueue& heap, Tick* popped_time) {
+bool same_pop(EventQueue& cal, ReferenceHeap& heap, Tick* popped_time) {
   EXPECT_EQ(cal.empty(), heap.empty());
   if (cal.empty() || heap.empty()) return false;
   const SimEvent a = cal.pop();
@@ -135,17 +174,16 @@ bool same_pop(EventQueue& cal, EventQueue& heap, Tick* popped_time) {
          a.a == b.a;
 }
 
-/// Random interleaved push/pop stream through both impls.  `spread` is the
-/// push horizon above the last popped time, `far_p`/`far_spread` sends that
-/// fraction of pushes into the overflow rung, and a fixed 10% slice pushes
-/// *behind* the last popped time (the early rung once the window rotated
-/// past it).  Every step also cross-checks next_time().
+/// Random interleaved push/pop stream through the calendar and the heap.
+/// `spread` is the push horizon above the last popped time,
+/// `far_p`/`far_spread` sends that fraction of pushes into the overflow
+/// rung, and a fixed 10% slice pushes *behind* the last popped time (the
+/// early rung once the window rotated past it).  Every step also
+/// cross-checks next_time().
 void differential_fuzz(std::uint64_t seed, int steps, Tick spread,
                        double far_p, Tick far_spread, double pop_p) {
-  EventQueue cal(EventQueueImpl::kCalendar);
-  EventQueue heap(EventQueueImpl::kBinaryHeap);
-  ASSERT_EQ(cal.impl(), EventQueueImpl::kCalendar);
-  ASSERT_EQ(heap.impl(), EventQueueImpl::kBinaryHeap);
+  EventQueue cal;
+  ReferenceHeap heap;
   Rng rng(seed);
   Tick horizon = 0;  // latest popped time
   std::int64_t next_id = 0;
@@ -232,7 +270,7 @@ TEST(EventQueueCalendar, FarRungMergesBySeqOrder) {
   // order: the far-resident event was necessarily pushed under an older
   // window (or it would have gone onto the wheel), so rotation drains the
   // far rung into the window first.
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   SimEvent ev;
   ev.kind = EventKind::kTimer;
   // Beyond the wheel span from the initial window: the far rung.
@@ -257,7 +295,7 @@ TEST(EventQueueCalendar, FarRungMergesBySeqOrder) {
 TEST(EventQueueCalendar, SparseRotationAcrossManyWindows) {
   // One event every ~2.4 windows: every pop after the first crosses empty
   // window space and must rotate straight to the overflow minimum.
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   for (int k = 9; k >= 0; --k) q.push(k * 10'000, [] {});
   Tick last = -1;
   int pops = 0;
@@ -274,7 +312,7 @@ TEST(EventQueueCalendar, SparseRotationAcrossManyWindows) {
 TEST(EventQueueCalendar, EarlyRungFiresBeforeWindow) {
   // Rotate the window forward, then push behind it: the early rung must
   // order those events ahead of everything in the rotated window.
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   q.push(10'000, [] {});  // beyond the initial window: overflow rung
   q.push(1, [] {});
   EXPECT_EQ(q.pop().time, 1);
@@ -288,7 +326,7 @@ TEST(EventQueueCalendar, EarlyRungFiresBeforeWindow) {
 }
 
 TEST(EventQueueCalendar, DrainThenReuse) {
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   for (int round = 0; round < 3; ++round) {
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.next_time(), kTimeInfinity);
@@ -307,16 +345,14 @@ TEST(EventQueueCalendar, DrainThenReuse) {
 }
 
 TEST(EventQueue, ReserveKeepsBehavior) {
-  for (const EventQueueImpl impl :
-       {EventQueueImpl::kCalendar, EventQueueImpl::kBinaryHeap}) {
-    EventQueue q(impl);
-    q.reserve(10'000);
-    q.push(2, [] {});
-    q.push(1, [] {});
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.pop().time, 1);
-    EXPECT_EQ(q.pop().time, 2);
-  }
+  EventQueue q;
+  q.reserve(10'000);
+  q.warm_buckets(4);
+  q.push(2, [] {});
+  q.push(1, [] {});
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.pop().time, 1);
+  EXPECT_EQ(q.pop().time, 2);
 }
 
 TEST(EventQueue, LogRecordsInterleaving) {
@@ -340,15 +376,12 @@ TEST(EventQueue, LogRecordsInterleaving) {
 
 #if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)
 TEST(EventQueueDeathTest, PopOnEmptyAssertsInDebug) {
-  for (const EventQueueImpl impl :
-       {EventQueueImpl::kCalendar, EventQueueImpl::kBinaryHeap}) {
-    EXPECT_DEATH(
-        {
-          EventQueue q(impl);
-          q.pop();
-        },
-        "empty");
-  }
+  EXPECT_DEATH(
+      {
+        EventQueue q;
+        q.pop();
+      },
+      "empty");
 }
 
 TEST(EventQueueDeathTest, PopAfterDrainAssertsInDebug) {

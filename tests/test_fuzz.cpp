@@ -212,68 +212,6 @@ TEST_P(FuzzTest, RandomCrashRecoverSchedulesStayLinearizable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Range(0, 10));
 
-TEST(FuzzDeterminism, BatchedDeliveryHashesIdenticalToPerMessage) {
-  // Differential check of DeliveryMode: batched delivery (the default) must
-  // produce byte-identical traces to the seed one-pop-one-dispatch loop on
-  // clean, duplicate+spike and crash/recover schedules -- batching may only
-  // coalesce loop bookkeeping, never reorder a delivery.
-  const SystemTiming t{1000, 400, 300};
-  auto run_trace = [&](DeliveryMode mode, int schedule) {
-    SystemOptions o;
-    o.n = 3;
-    o.timing = t;
-    o.delivery_mode = mode;
-    if (schedule == 2) {
-      RecoverableParams rp;
-      rp.link.max_attempts = 4;
-      o.recoverable = rp;
-    } else {
-      HardenedParams hp;
-      hp.max_attempts = 4;
-      o.hardened = hp;
-    }
-    if (schedule == 1) {
-      FaultConfig fc;
-      fc.dup_p = 0.15;
-      fc.spike_p = 0.15;
-      fc.spike_max = 300;
-      fc.seed = 0xbeef'0000ULL + static_cast<std::uint64_t>(schedule);
-      o.faults = make_fault_policy(fc);
-    }
-    auto model = std::make_shared<RegisterModel>();
-    ReplicaSystem system(model, o);
-    Rng rng(0x9d2c'5680ULL + static_cast<std::uint64_t>(schedule));
-    std::vector<ClientScript> scripts;
-    for (ProcessId p = 0; p < 3; ++p) {
-      Rng crng = rng.split(static_cast<std::uint64_t>(p) + 100);
-      scripts.push_back({p, random_register_ops(crng, 6, OpMix{2, 2, 1}),
-                         rng.uniform_tick(0, 1500), rng.uniform_tick(0, 200)});
-    }
-    WorkloadDriver driver(system.sim(), std::move(scripts));
-    driver.arm();
-    if (schedule == 2) {
-      system.sim().crash_at(1500, 1);
-      system.sim().recover_at(1500 + 2 * t.d, 1);
-    }
-    system.sim().start();
-    EXPECT_TRUE(system.sim().run());
-    return std::pair<std::uint64_t, TraceStats>{
-        hash_trace(system.sim().trace()), system.sim().trace().stats};
-  };
-  for (int schedule = 0; schedule < 3; ++schedule) {
-    const auto [batched_hash, batched_stats] =
-        run_trace(DeliveryMode::kBatched, schedule);
-    const auto [per_msg_hash, per_msg_stats] =
-        run_trace(DeliveryMode::kPerMessage, schedule);
-    EXPECT_EQ(batched_hash, per_msg_hash)
-        << "delivery modes diverged on schedule " << schedule;
-    // The modes really differ in mechanism: batches happen only when on.
-    EXPECT_GT(batched_stats.deliver_batches, 0u);
-    EXPECT_GE(batched_stats.batched_messages, batched_stats.deliver_batches);
-    EXPECT_EQ(per_msg_stats.deliver_batches, 0u);
-  }
-}
-
 TEST(FuzzDeterminism, FaultAndChurnSweepsHashIdenticallyAtAnyJobCount) {
   // Double-run determinism across the fault+churn adversary space: every
   // spec is executed twice inside run_chaos (hash compared bit-for-bit),

@@ -114,32 +114,6 @@ TEST(Shard, DifferentialFuzzAcrossShardCountsAndConfigs) {
   }
 }
 
-/// Batched delivery (the default) vs the seed per-message loop: every
-/// parallel batched run must hash identically to the per-message solo
-/// references, shard by shard, at every jobs count.
-void expect_delivery_identity(ShardOptions options) {
-  options.delivery_mode = DeliveryMode::kPerMessage;
-  ShardedSimulation reference(options);
-  std::vector<std::uint64_t> solo;
-  for (int s = 0; s < options.shards; ++s) {
-    solo.push_back(reference.run_solo(s).trace_hash);
-  }
-  options.delivery_mode = DeliveryMode::kBatched;
-  for (int jobs : {1, 2, 4}) {
-    ShardedSimulation sim(options);
-    EXPECT_EQ(hashes_of(sim.run(jobs)), solo)
-        << "batched delivery diverged from the per-message reference at "
-           "--jobs "
-        << jobs;
-  }
-}
-
-TEST(Shard, BatchedDeliveryMatchesPerMessageReferences) {
-  expect_delivery_identity(base_options(4, 48));
-  expect_delivery_identity(faulted_options(3));
-  expect_delivery_identity(churned_options(3));
-}
-
 TEST(Shard, RunsAreDeterministicAcrossRepeats) {
   const ShardOptions o = base_options(4);
   ShardedSimulation a(o), b(o);

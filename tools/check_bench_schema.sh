@@ -8,8 +8,8 @@
 #      ~1.0 measured on a 1-thread box reads as a regression unless the
 #      thread count travels with it (an orphan *_speedup_threads without a
 #      base key is tolerated: it only adds context, never misleads).
-#   2. The regression-gate keys must be present, so a bench refactor cannot
-#      silently drop the numbers CI and the prose-drift policy (see
+#   2. The gate keys must be present, so a bench refactor cannot silently
+#      drop the numbers CI and the prose-drift policy (see
 #      bench/bench_throughput.cpp) depend on.
 #
 # Pure bash + standard tools; no jq dependency.
@@ -43,13 +43,8 @@ done <<< "$keys"
 
 # Rule 2: gate keys.
 gate_keys=(
-  throughput_gate_speedup
-  throughput_speedup_gate_enforced
-  throughput_traces_identical
-  throughput_replay_identical
   throughput_allocs_steady_state
   throughput_pool_high_water
-  throughput_batch_mean_size
   shard_scaling_speedup
   shard_speedup_gate_enforced
   shard_identity_ok
