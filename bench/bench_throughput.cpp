@@ -104,7 +104,6 @@ HeavyTrafficOptions shaped_workload(std::size_t ops, bool pooled) {
     w.messages_per_op = 12;
     w.payload_bytes_per_op = 256;
     w.timer_slots_per_process = 1024;
-    w.events_per_tick = 16;
   }
   return w;
 }

@@ -176,14 +176,13 @@ void HeavyTrafficWorkload::arm() {
                                       : static_cast<std::size_t>(opt_.clients);
   // Pre-reserve the hot-loop storage: operation and message records for the
   // whole run, queue capacity for one scheduling burst plus headroom for
-  // in-flight deliveries and timers, and (when sized) the arena / bucket
-  // lane / timer-slot pools that make the steady state allocation-free.
+  // in-flight deliveries and timers, and (when sized) the arena and
+  // timer-slot pools that make the steady state allocation-free.
   PoolSet pools;
   pools.ops = opt_.total_ops;
   pools.messages = opt_.total_ops * msgs_per_op;
   pools.events = 2 * opt_.batch + 1024;
   pools.payload_bytes = opt_.total_ops * opt_.payload_bytes_per_op;
-  pools.events_per_tick = opt_.events_per_tick;
   pools.timer_slots = opt_.timer_slots_per_process;
   pools.arm(sim_);
   schedule_batch();

@@ -73,8 +73,7 @@ struct HeavyTrafficOptions {
   std::size_t payload_bytes_per_op = 0;
   /// Per-process timer-slot pool to pre-size; 0 = demand growth.
   std::size_t timer_slots_per_process = 0;
-  /// Calendar bucket lane warm (same-tick events per priority lane);
-  /// 0 = lanes warm up over the first window.
+  /// Ignored; kept only because perfbench/harness.cpp sets it.
   std::size_t events_per_tick = 0;
 };
 

@@ -255,7 +255,6 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
   // per-peer link frames, acks and destructor-list nodes.
   w.payload_bytes_per_op = opt_.variant == ShardVariant::kStock ? 256 : 1024;
   w.timer_slots_per_process = 128;
-  w.events_per_tick = 4;
   state->workload =
       std::make_unique<HeavyTrafficWorkload>(state->sim(), std::move(w));
 

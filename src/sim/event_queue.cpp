@@ -2,9 +2,29 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace linbound {
+
+namespace {
+
+/// Slot and closure indices are int32 (SimEvent::fn_slot, chain links):
+/// refuse to grow a pool past that range instead of wrapping an index.
+std::int32_t checked_slot_index(std::size_t index) {
+  constexpr auto kMax =
+      static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max());
+  if (index > kMax) {
+    throw std::length_error("event queue pool exhausted: " +
+                            std::to_string(index) +
+                            " slots exceed the int32 slot index range");
+  }
+  return static_cast<std::int32_t>(index);
+}
+
+}  // namespace
 
 EventQueue::EventQueue(EventQueueImpl) {}
 
@@ -18,7 +38,7 @@ std::uint64_t EventQueue::push(Tick time, EventPriority priority,
   SimEvent ev;
   ev.kind = EventKind::kCall;
   if (free_fn_slots_.empty()) {
-    ev.fn_slot = static_cast<std::int32_t>(fn_pool_.size());
+    ev.fn_slot = checked_slot_index(fn_pool_.size());
     fn_pool_.push_back(std::move(fire));
   } else {
     ev.fn_slot = free_fn_slots_.back();
@@ -47,7 +67,7 @@ std::uint64_t EventQueue::push_typed(Tick time, EventPriority priority,
   const Tick off = time - window_start_;
   if (off >= static_cast<Tick>(kWindow)) {
     if (off < kSpan) {
-      l1_insert(ev);  // level-1 wheel
+      l1_link(alloc_slot(ev));  // level-1 wheel
     } else {
       heap_push(far_, ev);  // beyond the wheel span
     }
@@ -56,7 +76,7 @@ std::uint64_t EventQueue::push_typed(Tick time, EventPriority priority,
   if (static_cast<std::size_t>(off) < cursor_) {
     cursor_ = static_cast<std::size_t>(off);
   }
-  bucket_insert(ev);
+  bucket_link(alloc_slot(ev));
   return ev.seq;
 }
 
@@ -78,7 +98,6 @@ Tick EventQueue::next_time() const {
 SimEvent EventQueue::pop() {
   assert(size_ > 0 && "EventQueue::pop on an empty queue");
   log_pop();
-  --size_;
   SimEvent out;
   if (!early_.empty()) {
     out = heap_pop(early_);
@@ -87,13 +106,17 @@ SimEvent EventQueue::pop() {
     const std::size_t off = next_populated(cursor_);
     assert(off < kWindow && "calendar queue lost track of a live bucket");
     Bucket& bucket = buckets_[off];
-    const std::size_t lane = bucket.pos[0] < bucket.lane[0].size() ? 0 : 1;
-    assert(bucket.pos[lane] < bucket.lane[lane].size());
-    out = bucket.lane[lane][bucket.pos[lane]];
-    ++bucket.pos[lane];
+    Chain& chain = bucket.chain[bucket.chain[0].head >= 0 ? 0 : 1];
+    const std::int32_t slot = chain.head;
+    assert(slot >= 0);
+    const auto i = static_cast<std::size_t>(slot);
+    out = pool_[i];
+    chain.head = next_[i];
+    if (chain.head < 0) chain.tail = -1;
+    next_[i] = free_;
+    free_ = slot;
     --calendar_live_;
     if (bucket.drained()) {
-      bucket.reset();  // clear() keeps capacity: buckets recycle allocations
       words_[off / 64] &= ~(1ull << (off % 64));
       if (words_[off / 64] == 0) summary_ &= ~(1ull << (off / 64));
       cursor_ = off + 1;
@@ -101,6 +124,7 @@ SimEvent EventQueue::pop() {
       cursor_ = off;
     }
   }
+  --size_;  // after rotate(), whose precondition counts this event
   if (out.fn_slot >= 0) {
     popped_call_ = std::move(fn_pool_[static_cast<std::size_t>(out.fn_slot)]);
     free_fn_slots_.push_back(out.fn_slot);
@@ -109,25 +133,15 @@ SimEvent EventQueue::pop() {
 }
 
 void EventQueue::reserve(std::size_t events) {
-  // The wheel pool absorbs scheduling bursts (batched open-loop invocations
-  // land far in the future), so it is the contiguous storage worth
-  // pre-sizing.
-  if (l1_pool_.capacity() < events) {
-    l1_pool_.reserve(events);
-    l1_next_.reserve(events);
+  if (events > 0) checked_slot_index(events - 1);
+  if (pool_.capacity() < events) {
+    pool_.reserve(events);
+    next_.reserve(events);
   }
   // Far-future bursts are kCall-scheduled workload invocations, each of
   // which parks a closure; size the pool with them.
   if (fn_pool_.capacity() < events) fn_pool_.reserve(events);
   if (free_fn_slots_.capacity() < events) free_fn_slots_.reserve(events);
-}
-
-void EventQueue::warm_buckets(std::size_t per_lane) {
-  if (buckets_.empty()) allocate_calendar();
-  for (Bucket& bucket : buckets_) {
-    if (bucket.lane[0].capacity() < per_lane) bucket.lane[0].reserve(per_lane);
-    if (bucket.lane[1].capacity() < per_lane) bucket.lane[1].reserve(per_lane);
-  }
 }
 
 // --- binary-heap rungs ------------------------------------------------------
@@ -147,35 +161,45 @@ SimEvent EventQueue::heap_pop(std::vector<SimEvent>& heap) {
 
 // --- calendar machinery -----------------------------------------------------
 
-void EventQueue::l1_insert(const SimEvent& ev) {
-  const std::size_t idx = wheel_index(ev.time);
+std::int32_t EventQueue::alloc_slot(const SimEvent& ev) {
   std::int32_t slot;
-  if (l1_free_ >= 0) {
-    slot = l1_free_;
-    l1_free_ = l1_next_[static_cast<std::size_t>(slot)];
-    l1_pool_[static_cast<std::size_t>(slot)] = ev;
+  if (free_ >= 0) {
+    slot = free_;
+    free_ = next_[static_cast<std::size_t>(slot)];
+    pool_[static_cast<std::size_t>(slot)] = ev;
+    next_[static_cast<std::size_t>(slot)] = -1;
   } else {
-    slot = static_cast<std::int32_t>(l1_pool_.size());
-    l1_pool_.push_back(ev);
-    l1_next_.push_back(-1);
+    slot = checked_slot_index(pool_.size());
+    pool_.push_back(ev);
+    next_.push_back(-1);
   }
-  l1_next_[static_cast<std::size_t>(slot)] = -1;
-  L1Bucket& chain = l1_[idx];
+  return slot;
+}
+
+void EventQueue::link_tail(Chain& chain, std::int32_t slot) {
   if (chain.tail >= 0) {
-    l1_next_[static_cast<std::size_t>(chain.tail)] = slot;
+    next_[static_cast<std::size_t>(chain.tail)] = slot;
   } else {
     chain.head = slot;
-    l1_words_[idx / 64] |= 1ull << (idx % 64);
-    l1_summary_ |= 1ull << (idx / 64);
   }
   chain.tail = slot;
 }
 
-void EventQueue::bucket_insert(const SimEvent& ev) {
+void EventQueue::l1_link(std::int32_t slot) {
+  const std::size_t idx =
+      wheel_index(pool_[static_cast<std::size_t>(slot)].time);
+  if (l1_[idx].head < 0) {
+    l1_words_[idx / 64] |= 1ull << (idx % 64);
+    l1_summary_ |= 1ull << (idx / 64);
+  }
+  link_tail(l1_[idx], slot);
+}
+
+void EventQueue::bucket_link(std::int32_t slot) {
+  const SimEvent& ev = pool_[static_cast<std::size_t>(slot)];
   const std::size_t off = static_cast<std::size_t>(ev.time - window_start_);
   assert(off < kWindow);
-  const std::size_t lane = ev.priority == 0 ? 0 : 1;
-  buckets_[off].lane[lane].push_back(ev);
+  link_tail(buckets_[off].chain[ev.priority == 0 ? 0 : 1], slot);
   words_[off / 64] |= 1ull << (off % 64);
   summary_ |= 1ull << (off / 64);
   ++calendar_live_;
@@ -226,8 +250,8 @@ void EventQueue::rotate() {
   std::size_t idx = kL1;
   if (l1_summary_ != 0) {
     idx = l1_next_index(wheel_index(window_start_) + 1);
-    new_start = align_down(
-        l1_pool_[static_cast<std::size_t>(l1_[idx].head)].time);
+    new_start =
+        align_down(pool_[static_cast<std::size_t>(l1_[idx].head)].time);
   }
   if (!far_.empty()) {
     const Tick far_start = align_down(far_.front().time);
@@ -239,25 +263,24 @@ void EventQueue::rotate() {
   // Far rung first: any (tick, priority) pair split across the two sources
   // has its far events carrying strictly smaller seqs (they were pushed
   // under an older window, or they would have gone onto the wheel), and
-  // lane order must be seq order.  Far pops ascend in (time, priority,
+  // chain order must be seq order.  Far pops ascend in (time, priority,
   // seq), so among themselves they also append in order.
   while (!far_.empty() && far_.front().time < window_end) {
-    bucket_insert(heap_pop(far_));
+    bucket_link(alloc_slot(heap_pop(far_)));
   }
   if (idx < kL1 &&
-      align_down(l1_pool_[static_cast<std::size_t>(l1_[idx].head)].time) ==
+      align_down(pool_[static_cast<std::size_t>(l1_[idx].head)].time) ==
           window_start_) {
-    // Migrate the chain in link order (= push = seq order); each record
-    // lands in the new window by construction.
+    // Relink the chain in link order (= push = seq order); each slot lands
+    // in the new window by construction and no record moves.
     std::int32_t slot = l1_[idx].head;
-    l1_[idx] = L1Bucket{};
+    l1_[idx] = Chain{};
     l1_words_[idx / 64] &= ~(1ull << (idx % 64));
     if (l1_words_[idx / 64] == 0) l1_summary_ &= ~(1ull << (idx / 64));
     while (slot >= 0) {
-      const std::int32_t next = l1_next_[static_cast<std::size_t>(slot)];
-      bucket_insert(l1_pool_[static_cast<std::size_t>(slot)]);
-      l1_next_[static_cast<std::size_t>(slot)] = l1_free_;
-      l1_free_ = slot;
+      const std::int32_t next = next_[static_cast<std::size_t>(slot)];
+      next_[static_cast<std::size_t>(slot)] = -1;
+      bucket_link(slot);
       slot = next;
     }
   }

@@ -8,29 +8,30 @@
 // simulator's determinism contract: every run is a pure function of its
 // configuration (DESIGN.md "determinism everywhere").
 //
-// The implementation is a two-level calendar queue keyed by tick.  Level 0
-// is a window of per-tick buckets (two append-only lanes per bucket, one
-// per priority class, drained via cursors) with a two-level bitmap to find
-// the next populated tick.  Level 1 is a timing wheel of kL1 window-sized
-// buckets covering the next ~16.8M ticks; each wheel bucket is an intrusive
-// FIFO chain through a recycled slot pool, so a far-future push is one slot
-// write plus a tail link -- no sifting.  When the window drains it rotates
-// to the nearest populated wheel bucket and migrates that chain (a linear
-// walk) into level 0.  A small binary-heap "far" rung catches times beyond
-// the wheel span, and an "early" rung catches times pushed before the
-// current window start (possible only through out-of-order push patterns
-// in tests; the simulator always pushes at t >= now).  Push and pop are
-// amortized O(1): an event is appended once, migrated at most once, and
-// popped once.
+// The implementation is a two-level calendar queue keyed by tick, with
+// every bucketed event held in one recycled slot pool.  Level 0 is a window
+// of per-tick buckets with a two-level bitmap to find the next populated
+// tick; each bucket is two intrusive FIFO chains through the pool, one per
+// priority class.  Level 1 is a timing wheel of kL1 window-sized buckets
+// covering the next ~16.8M ticks, each one chain through the same pool, so
+// any push within the wheel span is one slot write plus a tail link -- no
+// sifting.  When the window drains it rotates to the nearest populated
+// wheel bucket and relinks that chain (a linear walk, no record copies)
+// into the level-0 chains.  A small binary-heap "far" rung catches times
+// beyond the wheel span, and an "early" rung catches times pushed before
+// the current window start (possible only through out-of-order push
+// patterns in tests; the simulator always pushes at t >= now).  Push and
+// pop are amortized O(1): an event is written once, relinked at most once,
+// and popped once.
 //
 // The seed binary min-heap survives in tests/reference_heap.h as the
 // pop-order oracle the calendar is fuzzed and log-replayed against.
 //
 // Events are tagged 64-byte PODs, not closures: the hot-path kinds
 // (deliveries, timers, invocations, crash/recover) carry their operands
-// inline so pushing them allocates nothing and every append or migration
-// moves one cache line.  Only generic kCall events (scenario glue via
-// Simulator::call_at) carry a std::function, parked in a side pool.
+// inline so pushing them allocates nothing once the slot pool is sized.
+// Only generic kCall events (scenario glue via Simulator::call_at) carry a
+// std::function, parked in a side pool.
 #pragma once
 
 #include <cassert>
@@ -90,8 +91,8 @@ class EventQueue {
  public:
   /// The argument is ignored (there is one implementation); the parameter
   /// stays because perfbench/harness.cpp passes it.  Allocates nothing: the
-  /// ~288 KB of bucket and wheel storage arrives with the first push (or
-  /// warm_buckets), so a system built and torn down unrun stays cheap.
+  /// ~96 KB of bucket and wheel chain heads arrives with the first push, so
+  /// a system built and torn down unrun stays cheap.
   explicit EventQueue(EventQueueImpl = EventQueueImpl::kCalendar);
 
   /// Insert a generic callback event at `time`.  Returns the sequence
@@ -123,15 +124,12 @@ class EventQueue {
   /// The closure of the kCall event pop() just returned, moved out.
   std::function<void()> take_call() { return std::move(popped_call_); }
 
-  /// Pre-size internal storage for roughly `events` simultaneously pending
-  /// events (workload size hints; see Simulator::reserve).  Never shrinks.
+  /// Pre-size the slot pool (and the closure pool) for roughly `events`
+  /// simultaneously pending events (workload size hints; see
+  /// Simulator::reserve).  Slots recycle through a free list, so a run
+  /// whose pending count stays within the hint never allocates on push.
+  /// Never shrinks.  Throws std::length_error past the int32 slot range.
   void reserve(std::size_t events);
-
-  /// Pre-size every calendar bucket's lanes for `per_lane` same-tick
-  /// events.  Bucket lanes keep their capacity across window rotations, so
-  /// this plus reserve() makes a steady-state run's pushes allocation-free
-  /// from the first event on, instead of after the first window's warm-up.
-  void warm_buckets(std::size_t per_lane);
 
   /// Peak number of simultaneously pending events seen so far -- the pool
   /// high-water mark the reserve() hints should cover (and a
@@ -188,50 +186,47 @@ class EventQueue {
     return static_cast<std::size_t>(t >> kLogWindow) & (kL1 - 1);
   }
 
-  struct Bucket {
-    /// lane[0] = kDelivery, lane[1] = kNormal; append-only, drained via
-    /// pos[]. Within a lane events carry increasing seq, so lane order ==
-    /// (priority, seq) order and a bucket pops lane 0 before lane 1 --
-    /// exactly the (time, priority, seq) tie-break.
-    std::vector<SimEvent> lane[2];
-    std::size_t pos[2] = {0, 0};
-
-    bool drained() const {
-      return pos[0] >= lane[0].size() && pos[1] >= lane[1].size();
-    }
-    void reset() {
-      lane[0].clear();
-      lane[1].clear();
-      pos[0] = pos[1] = 0;
-    }
-  };
-
-  /// One wheel bucket: an intrusive FIFO chain (head/tail slot indices into
-  /// l1_pool_, links in l1_next_).  Appending at the tail keeps each chain
-  /// in push (= seq) order, which is exactly the order a level-0 lane needs.
-  struct L1Bucket {
+  /// One intrusive FIFO chain: head/tail slot indices into pool_, links in
+  /// next_.  Appending at the tail keeps a chain in push (= seq) order.
+  struct Chain {
     std::int32_t head = -1;
     std::int32_t tail = -1;
   };
 
-  /// Append into the bucket for `ev.time` (must lie in the current window).
-  void bucket_insert(const SimEvent& ev);
-  /// Append onto the wheel chain for `ev.time` (must lie past the window
-  /// but within the wheel span).
-  void l1_insert(const SimEvent& ev);
+  /// One level-0 bucket: chain[0] = kDelivery, chain[1] = kNormal.  Within
+  /// a chain events carry increasing seq, so a bucket that pops chain 0
+  /// before chain 1 pops in exactly the (time, priority, seq) tie-break.
+  struct Bucket {
+    Chain chain[2];
+
+    bool drained() const { return chain[0].head < 0 && chain[1].head < 0; }
+  };
+
+  /// Write `ev` into a free slot (recycled, or grown at the pool's end);
+  /// the slot's link is cleared.
+  std::int32_t alloc_slot(const SimEvent& ev);
+  /// Append `slot` at the tail of `chain`.
+  void link_tail(Chain& chain, std::int32_t slot);
+  /// Link a pooled event into the bucket for its time (which must lie in
+  /// the current window).
+  void bucket_link(std::int32_t slot);
+  /// Append a pooled event onto the wheel chain for its time (which must
+  /// lie past the window but within the wheel span).
+  void l1_link(std::int32_t slot);
   /// Offset (>= from) of the next populated bucket; kWindow when none.
   std::size_t next_populated(std::size_t from) const;
   /// Wheel index (circularly >= from) of the next populated chain; kL1 when
   /// the whole wheel is empty.
   std::size_t l1_next_index(std::size_t from) const;
   /// Move the window to the nearest pending source -- the closest populated
-  /// wheel chain or the far-rung minimum -- and migrate everything that
-  /// lands in the new window.  The far rung drains first: for any (tick,
-  /// priority) pair split across the two sources, the far events carry
-  /// strictly smaller seqs (they were pushed under an older window, or they
-  /// would have gone onto the wheel), and lane order must be seq order.
-  /// Precondition: no live bucketed event, and the wheel or far rung holds
-  /// at least one.  Postcondition: at least one live bucketed event.
+  /// wheel chain or the far-rung minimum -- and move everything that lands
+  /// in the new window into level 0.  The far rung drains first: for any
+  /// (tick, priority) pair split across the two sources, the far events
+  /// carry strictly smaller seqs (they were pushed under an older window,
+  /// or they would have gone onto the wheel), and chain order must be seq
+  /// order.  Precondition: no live bucketed event, and the wheel or far
+  /// rung holds at least one.  Postcondition: at least one live bucketed
+  /// event.
   void rotate();
 
   void log_push(Tick time, int priority) {
@@ -247,19 +242,20 @@ class EventQueue {
   std::size_t size_ = 0;        ///< total events across all structures
   std::size_t high_water_ = 0;  ///< max size_ ever reached
 
+  /// The one slot pool: every level-0 and wheel event lives in pool_, its
+  /// chain link in next_; free slots chain through next_ from free_, so a
+  /// run within its reserve() hint never grows the pool.
+  std::vector<SimEvent> pool_;
+  std::vector<std::int32_t> next_;       ///< chain links, parallel to pool_
+  std::int32_t free_ = -1;               ///< free-slot list head
+
   std::vector<Bucket> buckets_;          ///< index = time - window_start_
   std::uint64_t words_[kWords] = {};     ///< bit b: bucket b populated
   std::uint64_t summary_ = 0;            ///< bit w: words_[w] != 0
   Tick window_start_ = 0;                ///< first tick covered by buckets_
   std::size_t cursor_ = 0;               ///< scan hint: no live bucket below it
   std::size_t calendar_live_ = 0;        ///< events currently in buckets
-  /// Level-1 wheel: chains indexed by wheel_index(time), slots recycled
-  /// through an intrusive free list (l1_free_ chains through l1_next_), so
-  /// a warmed-up run never grows the pool.
-  std::vector<L1Bucket> l1_;             ///< kL1 chains
-  std::vector<SimEvent> l1_pool_;        ///< chain slot storage
-  std::vector<std::int32_t> l1_next_;    ///< chain links, parallel to l1_pool_
-  std::int32_t l1_free_ = -1;            ///< free-slot list head
+  std::vector<Chain> l1_;                ///< kL1 wheel chains
   std::uint64_t l1_words_[kL1Words] = {};  ///< bit b: chain b populated
   std::uint64_t l1_summary_ = 0;           ///< bit w: l1_words_[w] != 0
   /// Far rung: events at time >= window_start_ + kSpan (binary heap; empty

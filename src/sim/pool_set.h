@@ -2,8 +2,8 @@
 //
 // The steady-state op pipeline is allocation-free only if every pool it
 // draws from was sized for the whole run before the first event: trace
-// staging (operation/message records), the future-event list (overflow
-// rung capacity plus calendar bucket lanes), the payload arena (which
+// staging (operation/message records), the future-event list (its one
+// slot pool plus the closure pool), the payload arena (which
 // grows monotonically, so warm-up alone cannot protect it), and the
 // per-process timer slot tables.  A PoolSet bundles those sizes -- all
 // derivable from an open-loop arrival schedule -- and arm() applies them
@@ -28,16 +28,12 @@ struct PoolSet {
   /// Whole-run payload volume for the arena's spare-chunk pool; 0 skips
   /// the arena (its chunks then allocate on demand, as before).
   std::size_t payload_bytes = 0;
-  /// Calendar bucket lane capacity (same-tick events per priority lane);
-  /// 0 leaves lanes to warm up over the first window.
-  std::size_t events_per_tick = 0;
   /// Per-process timer slot pool; 0 leaves the tables to demand growth.
   std::size_t timer_slots = 0;
 
   void arm(Simulator& sim) const {
     sim.reserve(ops, messages, events);
     if (payload_bytes > 0) sim.arena().reserve_bytes(payload_bytes);
-    if (events_per_tick > 0) sim.event_queue().warm_buckets(events_per_tick);
     if (timer_slots > 0) sim.reserve_timer_slots(timer_slots);
   }
 };

@@ -16,6 +16,8 @@
 #include "common/alloc_count.h"
 #include "core/system.h"
 #include "core/workload.h"
+#include "shard/shard.h"
+#include "sim/event_queue.h"
 #include "types/register_type.h"
 
 namespace linbound {
@@ -62,7 +64,6 @@ TEST(AllocFree, HardenedSteadyStateAllocatesNothing) {
   w.messages_per_op = 24;
   w.payload_bytes_per_op = 1024;
   w.timer_slots_per_process = 256;
-  w.events_per_tick = 16;
 
   HeavyTrafficWorkload workload(system.sim(), w);
   system.sim().start();
@@ -86,6 +87,76 @@ TEST(AllocFree, HardenedSteadyStateAllocatesNothing) {
   ASSERT_EQ(trace.ops.size(), kOps);
   EXPECT_EQ(steady, 0u)
       << "steady-state heap allocations leaked into the op pipeline";
+}
+
+// The event queue keeps every bucketed and wheel event in one recycled
+// slot pool: once reserve() covers the pending count, refilling a drained
+// queue -- in-window spread, far-future wheel chains, same-tick ties in
+// both priority lanes -- allocates nothing, round after round.
+TEST(AllocFree, QueueRefillAfterDrainAllocatesNothing) {
+  ASSERT_TRUE(alloc_counting_enabled());
+  constexpr std::size_t kEvents = 6'000;
+  EventQueue q;
+  q.reserve(kEvents);
+  Tick base = 0;
+  for (int round = 0; round < 3; ++round) {
+    const std::uint64_t before = heap_allocs();
+    SimEvent ev;
+    ev.kind = EventKind::kTimer;
+    for (std::size_t i = 0; i < kEvents; ++i) {
+      ev.a = static_cast<std::int64_t>(i);
+      Tick t;
+      switch (i % 3) {
+        case 0:  // spread over the current window
+          t = base + static_cast<Tick>(i % 4000);
+          break;
+        case 1:  // the wheel, up to ~40 windows out
+          t = base + 4096 * static_cast<Tick>(1 + i % 40) +
+              static_cast<Tick>(i % 97);
+          break;
+        default:  // same-tick ties
+          t = base + 17;
+          break;
+      }
+      q.push_typed(t, i % 2 == 0 ? EventPriority::kDelivery
+                                 : EventPriority::kNormal,
+                   ev);
+    }
+    Tick last = base;
+    while (!q.empty()) {
+      const SimEvent out = q.pop();
+      ASSERT_GE(out.time, last);
+      last = out.time;
+    }
+    const std::uint64_t allocs = heap_allocs() - before;
+    // Round 0 allocates the calendar's bucket and wheel heads; after that
+    // the pool is warm.
+    if (round > 0) {
+      EXPECT_EQ(allocs, 0u) << "round " << round;
+    }
+    base = last + 1;
+  }
+}
+
+// A sharded run's allocations are per-shard set-up only: the calendar
+// queue holds no per-bucket storage, so 64 shards cost well under one
+// heap allocation per operation.
+TEST(AllocFree, ShardedRunAllocatesUnderOnePerOp) {
+  ASSERT_TRUE(alloc_counting_enabled());
+  ShardOptions opt;
+  opt.shards = 64;
+  opt.total_ops = 100'000;
+  opt.timing = timing();
+  ShardedSimulation sim(opt);
+  const std::uint64_t before = heap_allocs();
+  const ShardRunReport report = sim.run(1);
+  const std::uint64_t allocs = heap_allocs() - before;
+  ASSERT_EQ(report.aborted, 0);
+  ASSERT_GE(report.total_ops, opt.total_ops);
+  const double per_op =
+      static_cast<double>(allocs) / static_cast<double>(report.total_ops);
+  EXPECT_LT(per_op, 0.5) << allocs << " allocations over "
+                         << report.total_ops << " ops";
 }
 
 }  // namespace

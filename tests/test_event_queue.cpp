@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
@@ -265,6 +266,61 @@ TEST(EventQueueDifferential, FuzzPopHeavyDrains) {
                     /*far_spread=*/50'000, /*pop_p=*/0.7);
 }
 
+TEST(EventQueueDifferential, PushIntoDrainingBucket) {
+  // Level-0 buckets are two slot chains: pushes at the tick being drained
+  // must link behind the chain head in seq order, restart an emptied
+  // delivery chain ahead of the remaining timers, and do the same in a
+  // window reached by relinking a wheel chain.
+  EventQueue cal;
+  ReferenceHeap heap;
+  std::int64_t next_id = 0;
+  auto push = [&](Tick t, EventPriority p) {
+    SimEvent ev;
+    ev.kind = EventKind::kTimer;
+    ev.a = next_id++;
+    cal.push_typed(t, p, ev);
+    heap.push_typed(t, p, ev);
+  };
+  auto pop_n = [&](int n) {
+    for (int i = 0; i < n; ++i) ASSERT_TRUE(same_pop(cal, heap, nullptr));
+  };
+  constexpr auto kD = EventPriority::kDelivery;
+  constexpr auto kN = EventPriority::kNormal;
+  for (const Tick t : {Tick{100}, Tick{9'000}}) {  // 9'000 needs a rotation
+    for (int i = 0; i < 3; ++i) {
+      push(t, kN);
+      push(t, kD);
+    }
+    if (t == 9'000) push(t + 4'096 * 3, kN);  // a second wheel chain
+    pop_n(2);        // partial drain of the delivery chain
+    push(t, kD);     // appends behind the remaining deliveries
+    push(t, kN);
+    pop_n(3);        // deliveries gone; one timer popped
+    push(t, kD);     // restarts the emptied delivery chain
+    push(t + 1, kD);
+    pop_n(2);
+    push(t, kN);
+    pop_n(1);
+  }
+  // Random pushes at the draining tick, its neighbours and the wheel.
+  Rng rng(7);
+  Tick now = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    ASSERT_EQ(cal.next_time(), heap.next_time());
+    if (!cal.empty() && rng.chance(0.5)) {
+      ASSERT_TRUE(same_pop(cal, heap, &now));
+      continue;
+    }
+    const double r = rng.uniform01();
+    const Tick t = r < 0.6   ? now
+                   : r < 0.9 ? now + rng.uniform(0, 3)
+                             : now + rng.uniform(4'096, 40'000);
+    push(t, rng.chance(0.5) ? kD : kN);
+  }
+  while (!cal.empty()) ASSERT_TRUE(same_pop(cal, heap, nullptr));
+  EXPECT_TRUE(heap.empty());
+}
+
 TEST(EventQueueCalendar, FarRungMergesBySeqOrder) {
   // A tick split across the far rung and the wheel must still fire in seq
   // order: the far-resident event was necessarily pushed under an older
@@ -347,12 +403,20 @@ TEST(EventQueueCalendar, DrainThenReuse) {
 TEST(EventQueue, ReserveKeepsBehavior) {
   EventQueue q;
   q.reserve(10'000);
-  q.warm_buckets(4);
   q.push(2, [] {});
   q.push(1, [] {});
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.pop().time, 1);
   EXPECT_EQ(q.pop().time, 2);
+}
+
+TEST(EventQueue, ReserveBeyondSlotIndexRangeThrows) {
+  // Slot indices are int32: the pool refuses to size itself past that
+  // range (before allocating anything) instead of wrapping an index.
+  EventQueue q;
+  EXPECT_THROW(q.reserve(std::size_t{1} << 32), std::length_error);
+  q.push(1, [] {});
+  EXPECT_EQ(q.pop().time, 1);
 }
 
 TEST(EventQueue, LogRecordsInterleaving) {
