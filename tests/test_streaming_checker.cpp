@@ -19,6 +19,7 @@
 #include "checker/lin_checker.h"
 #include "checker/streaming_checker.h"
 #include "common/rng.h"
+#include "core/replica_algorithm.h"
 #include "core/system.h"
 #include "core/workload.h"
 #include "fault/fault_policy.h"
@@ -528,6 +529,94 @@ TEST_P(StreamingCheckerLive, AttachingTheTapNeverChangesTheTrace) {
 
 INSTANTIATE_TEST_SUITE_P(CleanAndFaulted, StreamingCheckerLive,
                          ::testing::Values(false, true));
+
+// --- pinned outputs ------------------------------------------------------------
+
+/// FNV-1a over the witness indices: one number standing for the whole
+/// linearization.
+std::uint64_t witness_hash(const std::vector<std::size_t>& witness) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i : witness) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (static_cast<std::uint64_t>(i) >> (8 * b)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+/// A live heavy-traffic run with the checker attached inline.  `eager_aop`
+/// plants stale reads: accessors answer before a concurrent write's
+/// broadcast can land.
+CheckResult pinned_live_run(std::size_t ops, bool eager_aop) {
+  SystemOptions o;
+  o.n = 4;
+  o.timing = live_timing();
+  o.x = 0;
+  if (eager_aop) {
+    o.algorithm_delays =
+        AlgorithmDelays::eager_aop(o.timing, 0, o.timing.d - o.timing.u);
+  }
+  HeavyTrafficOptions w;
+  w.clients = 4;
+  w.total_ops = ops;
+  w.min_gap = 4 * live_timing().d;
+  w.jitter = 997;
+  auto model = std::make_shared<RegisterModel>();
+  ReplicaSystem system(model, o);
+  HeavyTrafficWorkload workload(system.sim(), w);
+  StreamingChecker checker(*model);
+  checker.attach(system.sim());
+  system.sim().start();
+  workload.arm();
+  EXPECT_TRUE(system.sim().run());
+  return checker.finalize();
+}
+
+struct Pinned {
+  bool ok;
+  std::uint64_t witness;
+  const char* explanation;
+  std::size_t states_explored;
+  std::size_t memo_hits;
+  std::size_t max_resident_states;
+  std::size_t segments;
+};
+
+void expect_pinned(const CheckResult& got, const Pinned& want,
+                   const char* label) {
+  EXPECT_EQ(got.ok, want.ok) << label;
+  EXPECT_EQ(witness_hash(got.witness), want.witness)
+      << label << ": witness hash 0x" << std::hex
+      << witness_hash(got.witness);
+  EXPECT_EQ(got.explanation, want.explanation) << label;
+  EXPECT_EQ(got.states_explored, want.states_explored) << label;
+  EXPECT_EQ(got.memo_hits, want.memo_hits) << label;
+  EXPECT_EQ(got.max_resident_states, want.max_resident_states) << label;
+  EXPECT_EQ(got.segments, want.segments) << label;
+}
+
+// The streaming checker's whole output pinned on three inputs, so an
+// engine rewrite is held to byte-identical verdicts, witnesses,
+// explanations and counters (the pattern of test_golden_hashes).  A change
+// that moves one of these on purpose updates the constant and says why.
+TEST(StreamingChecker, ResultCountersPinned) {
+  expect_pinned(pinned_live_run(20'000, /*eager_aop=*/false),
+                Pinned{true, 0x553a519b9a13f24full, "", 32420, 3850, 35, 11169},
+                "clean 20k live run");
+  QueueModel queue;
+  expect_pinned(streaming_check_trace(queue, wide_frontier_trace(5)),
+                Pinned{false, 0x14650fb0739d0383ull,
+                       "p5 dequeue() returned 999 but state "
+                       "queue[100,101,102,103,104] determines 100",
+                       326, 0, 333, 2},
+                "wide frontier");
+  expect_pinned(pinned_live_run(2'000, /*eager_aop=*/true),
+                Pinned{false, 0x14650fb0739d0383ull,
+                       "p2 read() returned 8 but state reg(9) determines 9",
+                       80, 3, 11, 1490},
+                "stale-read mutant");
+}
 
 // --- per-shard streaming checks during the PDES drain ------------------------
 
