@@ -1,4 +1,5 @@
-// The replica hot path's flat pending tables (core/pending_tables.h),
+// The replica hot path's flat pending tables (common/flat_map.h and
+// core/pending_tables.h),
 // fuzzed against the std::map / std::set they replace: every operation's
 // return value, every lookup and the full ascending iteration must agree
 // after every step.  The key streams mimic the replica's -- mostly
@@ -6,6 +7,7 @@
 // and the sorted-insert path run, and min-key pops outnumber other removals
 // so the dead-prefix cursor crosses the 64-entry compaction threshold many
 // times over.
+#include "common/flat_map.h"
 #include "core/pending_tables.h"
 
 #include <gtest/gtest.h>
