@@ -204,7 +204,7 @@ struct CheckedRun {
   bool tap_invisible = false;   ///< trace hash == unchecked run's
   bool identical = false;       ///< verdict+witness == offline checker's
   bool memory_ok = false;
-  double run_s = 0;             ///< simulate + pipelined drain
+  double run_s = 0;             ///< simulate + inline checking
   double finalize_s = 0;        ///< final-window search + witness assembly
   std::size_t events = 0;
   CheckResult live;
@@ -219,16 +219,12 @@ struct CheckedRun {
 };
 
 CheckedRun run_checked(const std::shared_ptr<const ObjectModel>& model,
-                       std::size_t ops, int checker_jobs,
-                       std::uint64_t unchecked_hash) {
+                       std::size_t ops, std::uint64_t unchecked_hash) {
   ReplicaSystem system(model, system_options(ops));
   for (ProcessId p = 0; p < kN; ++p) system.replica(p).reserve_pending(256);
   HeavyTrafficWorkload workload(system.sim(), shaped_workload(ops, true));
 
-  CheckOptions so;
-  so.jobs = checker_jobs;
-  so.ring_capacity = 8192;
-  StreamingChecker checker(*model, so);
+  StreamingChecker checker(*model);
   checker.attach(system.sim());
 
   system.sim().start();
@@ -360,14 +356,12 @@ int main(int argc, char** argv) {
 
   // --- 4. Online (streaming) linearizability check at full scale ----------
   const bool checked_mode = has_flag(argc, argv, "--checked");
-  const int checker_jobs = 2;  // one producer (the sim), one checker worker
   CheckedRun checked;
   bool checked_speedup_ok = true;
   double checked_speedup = 0;
   if (checked_mode) {
-    std::printf("\nchecked run: streaming checker tapped in, jobs=%d\n",
-                checker_jobs);
-    checked = run_checked(model, ops, checker_jobs, replica.trace_hash);
+    std::printf("\nchecked run: streaming checker tapped in, inline\n");
+    checked = run_checked(model, ops, replica.trace_hash);
     checked_speedup = replica.events_per_s() > 0
                           ? checked.events_per_s() / replica.events_per_s()
                           : 0;
@@ -454,7 +448,6 @@ int main(int argc, char** argv) {
                class_max(tob.latency, OpClass::kPureAccessor)));
   if (checked_mode) {
     json.set("streaming_checker_ops", ops);
-    json.set("streaming_checker_jobs", checker_jobs);
     json.set("streaming_checker_ok", checked.live.ok);
     json.set("streaming_checker_segments",
              static_cast<std::uint64_t>(checked.live.segments));

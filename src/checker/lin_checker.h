@@ -99,17 +99,12 @@ struct CheckLimits {
 };
 
 /// Checker configuration shared by the offline entry points and the
-/// StreamingChecker (checker/streaming_checker.h).  Every value returns the
-/// same verdict, witness and explanation; the knobs trade wall-clock and
-/// memory only.
+/// StreamingChecker (checker/streaming_checker.h).  Every check runs on the
+/// caller's thread.
 struct CheckOptions {
   CheckLimits limits;
-  /// StreamingChecker only: <= 1 checks inline inside the simulator hooks;
-  /// > 1 pipelines the events through a bounded ring to one checker thread.
-  /// Offline checks always run on the caller's thread.
+  /// Ignored; kept only because perfbench/harness.cpp sets it.
   int jobs = 1;
-  /// Bounded ring capacity (events) for the pipelined StreamingChecker.
-  std::size_t ring_capacity = 4096;
 };
 
 /// Is the history linearizable w.r.t. the model?

@@ -15,8 +15,7 @@ int MultiCheckReport::first_failure() const {
 MultiCheckReport check_shards(const ObjectModel& model,
                               const std::vector<const Trace*>& traces,
                               const MultiCheckOptions& options) {
-  CheckOptions check = options.check;
-  check.jobs = 1;  // outer fan-out owns the pool (see MultiCheckOptions)
+  const CheckOptions& check = options.check;
   const ParallelSweepExecutor exec(resolve_jobs(options.jobs));
   MultiCheckReport report;
   report.shards = exec.map<ShardCheck>(traces.size(), [&](std::size_t i) {

@@ -29,10 +29,7 @@ struct ShardCheck {
 };
 
 struct MultiCheckOptions {
-  /// Per-shard checker configuration, for either route.  Its `jobs` (the
-  /// streaming checker's pipelining) is forced to 1 here: with many shards
-  /// the outer fan-out already saturates the pool, and a checker thread per
-  /// shard would oversubscribe it.
+  /// Per-shard checker configuration, for either route.
   CheckOptions check;
   /// Worker threads across shards (resolve_jobs semantics).
   int jobs = 1;

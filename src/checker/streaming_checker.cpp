@@ -3,41 +3,39 @@
 //
 // Layout: Core is the single-threaded engine -- cut detection, eager segment
 // retirement via forward state-set threading, and the final-window search
-// through the shared WGL core (detail::WglSearch, lin_checker.h).
-// EventRing + StreamingChecker::Impl wrap it in the inline-vs-pipelined
-// feeding modes; streaming_check_trace is the replay driver used by tests
-// and benches.
+// through the shared WGL core (detail::WglSearch, lin_checker.h).  All of
+// its scratch lives for the whole run: retiring a segment allocates nothing
+// but the copy-on-write clones of the object states it applies operations
+// to.  streaming_check_trace is the replay driver used by tests and benches.
 #include "checker/streaming_checker.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <exception>
-#include <mutex>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "spec/snapshot.h"
 
 namespace linbound {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+/// Hash step for memo keys: a multiply-xorshift round per word, then the
+/// splitmix64 finalizer so the low bits index a power-of-two table.
+std::uint64_t hash_step(std::uint64_t h, std::uint64_t x) {
+  h = (h ^ x) * 0x9e3779b97f4a7c15ull;
+  return h ^ (h >> 29);
+}
 
-void fnv_u64(std::uint64_t& h, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= x & 0xff;
-    h *= kFnvPrime;
-    x >>= 8;
-  }
+std::uint64_t hash_finish(std::uint64_t h) {
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+  return h ^ (h >> 31);
 }
 
 /// One operation as the stream sees it.  `response == kNoTime` while the
@@ -55,55 +53,110 @@ struct StreamOp {
   bool completed() const { return response != kNoTime; }
 };
 
-/// Per-process index lists over one segment's operations.  Operations arrive
-/// in invocation-time order and a process's operations never overlap, so the
-/// arrival-order sublist of each process IS its by_process (invoke-sorted)
-/// order -- no sort needed.
-struct SegIndex {
-  std::vector<std::vector<std::size_t>> per_proc;
-
-  void build(const std::vector<StreamOp>& ops) {
-    per_proc.clear();
-    ProcessId max_pid = -1;
-    for (const StreamOp& rec : ops) max_pid = std::max(max_pid, rec.proc);
-    per_proc.assign(static_cast<std::size_t>(max_pid + 1), {});
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      per_proc[static_cast<std::size_t>(ops[i].proc)].push_back(i);
+/// Open-addressed index from 64-bit hashes to node numbers, cleared in O(1)
+/// by bumping a generation counter (a slot is live only when stamped with
+/// the current generation).  Distinct nodes may share a hash: contains()
+/// hands every node filed under an equal hash to the caller's exact
+/// comparison, so the hash is a shortcut, never the verdict.
+class NodeIndex {
+ public:
+  void clear() {
+    size_ = 0;
+    if (++gen_ == 0) {  // wrapped: stale stamps could alias the new one
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+      gen_ = 1;
     }
   }
+
+  template <typename Same>
+  bool contains(std::uint64_t h, Same&& same) const {
+    if (slots_.empty()) return false;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+      const Slot& s = slots_[i];
+      if (s.gen != gen_) return false;
+      if (s.hash == h && same(s.node)) return true;
+    }
+  }
+
+  void insert(std::uint64_t h, std::size_t node) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    place(h, static_cast<std::uint32_t>(node));
+    ++size_;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::uint32_t gen = 0;
+    std::uint32_t node = 0;
+  };
+
+  void place(std::uint64_t h, std::uint32_t node) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = h & mask;
+    while (slots_[i].gen == gen_) i = (i + 1) & mask;
+    slots_[i] = Slot{h, gen_, node};
+  }
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<std::size_t>(64, 2 * old.size()), Slot{});
+    for (const Slot& s : old) {
+      if (s.gen == gen_) place(s.hash, s.node);
+    }
+  }
+
+  std::vector<Slot> slots_;  ///< power-of-two size, at most half full
+  std::uint32_t gen_ = 1;
+  std::size_t size_ = 0;
 };
 
 /// Witness bookkeeping for the forward state set: each retained final state
-/// points back at the segment-local linearization (operation tokens) chosen
-/// on the path that first reached it, chained across segments.  Chains are
-/// shared (shared_ptr) between entries with a common prefix and are excluded
-/// from the resident-state metric: they are the output being accumulated,
-/// not search state.
-struct ChainNode {
-  std::shared_ptr<const ChainNode> prev;
-  std::vector<std::int64_t> path;
-};
+/// names a link -- the segment-local linearization (a run of operation
+/// tokens in `tokens`) chosen on the path that first reached it, plus the
+/// link it extended, so entries with a common prefix share it.  Both
+/// vectors only grow; they are the output being accumulated, not search
+/// state, and the resident-state metric excludes them.
+struct WitnessLog {
+  static constexpr std::size_t kRoot = static_cast<std::size_t>(-1);
+  struct Link {
+    std::size_t parent;
+    std::size_t begin;
+    std::size_t len;
+  };
 
-/// Chains grow one node per retired segment -- hundreds of thousands of
-/// links on a million-op run -- so letting shared_ptr unwind one recursively
-/// (each node's destructor destroying its prev) overflows the stack.
-/// Dismantle iteratively instead: pop exclusively owned heads one at a
-/// time, stopping at the first node another chain still shares (whoever
-/// drops that chain continues the teardown the same way).
-void release_chain(std::shared_ptr<const ChainNode>&& head) {
-  while (head && head.use_count() == 1) {
-    std::shared_ptr<const ChainNode> prev =
-        std::move(const_cast<ChainNode*>(head.get())->prev);
-    head = std::move(prev);
+  std::vector<std::int64_t> tokens;
+  std::vector<Link> links;
+
+  /// Seal tokens[begin, end) as a new link extending `parent`.
+  std::size_t link(std::size_t parent, std::size_t begin) {
+    links.push_back(Link{parent, begin, tokens.size() - begin});
+    return links.size() - 1;
   }
-  head.reset();
-}
+
+  /// Every token on the chain ending at `last`, oldest segment first.
+  std::vector<std::int64_t> stitch(std::size_t last) const {
+    std::vector<std::size_t> chain;
+    for (std::size_t l = last; l != kRoot; l = links[l].parent) {
+      chain.push_back(l);
+    }
+    std::vector<std::int64_t> out;
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      const auto first = tokens.begin() +
+                         static_cast<std::ptrdiff_t>(links[*it].begin);
+      out.insert(out.end(), first,
+                 first + static_cast<std::ptrdiff_t>(links[*it].len));
+    }
+    return out;
+  }
+};
 
 /// One entry of the forward state set: a distinct object state reachable by
 /// linearizing every retired segment, in first-reached order.
 struct StateEntry {
   Snapshot state;
-  std::shared_ptr<const ChainNode> chain;
+  std::size_t link = WitnessLog::kRoot;
 };
 
 /// The single-threaded checking engine.  Feed invoke()/response() in
@@ -112,52 +165,35 @@ class Core {
  public:
   Core(const ObjectModel& model, const CheckLimits& limits)
       : model_(model), limits_(limits) {
-    alist_.push_back(StateEntry{Snapshot::initial(model_), nullptr});
+    alist_.push_back(StateEntry{Snapshot::initial(model_)});
   }
 
-  ~Core() { release_state_set(); }
-
-  Core(const Core&) = delete;
-  Core& operator=(const Core&) = delete;
-
-  /// Drop every state-set entry, dismantling each witness chain
-  /// iteratively (never through the recursive shared_ptr cascade).
-  void release_state_set() {
-    for (StateEntry& s : alist_) release_chain(std::move(s.chain));
-    alist_.clear();
-  }
-
-  void invoke(std::int64_t token, ProcessId proc, const Operation& op,
-              Tick t) {
-    maybe_cut(t);
-    open_ix_.emplace(token, window_.size());
-    StreamOp rec;
-    rec.token = token;
-    rec.proc = proc;
-    rec.op = op;
-    rec.invoke = t;
-    window_.push_back(std::move(rec));
+  void invoke(const OperationRecord& rec) {
+    maybe_cut(rec.invoke_time);
+    open_ix_.insert_or_assign(rec.token, window_.size());
+    window_.push_back(
+        StreamOp{rec.token, rec.proc, rec.op, Value(), rec.invoke_time});
     ++in_flight_;
     ++ops_seen_;
     if (window_.size() > max_window_ops_) max_window_ops_ = window_.size();
     bump_resident(0);
   }
 
-  void response(std::int64_t token, const Value& ret, Tick t) {
-    auto it = open_ix_.find(token);
-    if (it == open_ix_.end()) {
+  void response(const OperationRecord& rec) {
+    const std::optional<std::size_t> ix = open_ix_.extract(rec.token);
+    if (!ix) {
       throw std::logic_error(
           "StreamingChecker: response without a matching in-flight "
           "invocation (token " +
-          std::to_string(token) + ")");
+          std::to_string(rec.token) + ")");
     }
-    StreamOp& rec = window_[it->second];
-    open_ix_.erase(it);
-    rec.ret = ret;
-    rec.response = t;
+    StreamOp& op = window_[*ix];
+    op.ret = rec.ret;
+    op.response = rec.response_time;
     --in_flight_;
     ++completed_seen_;
-    if (t > max_response_) max_response_ = t;  // kNoTime is INT64_MIN
+    // kNoTime is INT64_MIN, so the first response always raises it.
+    max_response_ = std::max(max_response_, rec.response_time);
   }
 
   CheckResult finalize_run();
@@ -176,66 +212,112 @@ class Core {
   /// the pending-invocation clause is resolved by deferring confirmation
   /// (retire only while a *later* tentative cut exists -- its trigger had
   /// nothing in flight, so no pending invocation can predate it).
+  ///
+  /// Three buffers rotate through the roles window -> tentative ->
+  /// retiring, so no cut reallocates a segment.
   void maybe_cut(Tick t) {
     if (in_flight_ != 0 || window_.empty()) return;
     if (max_response_ >= t) return;
-    closed_ops_ += window_.size();
-    closed_.push_back(std::move(window_));
-    window_.clear();
+    std::swap(retiring_, tentative_);
+    std::swap(tentative_, window_);
     open_ix_.clear();  // empty already: nothing was in flight
     max_response_ = kNoTime;
-    while (closed_.size() > 1) retire_front();
+    if (!retiring_.empty()) retire();
   }
 
-  void retire_front() {
-    std::vector<StreamOp> seg = std::move(closed_.front());
-    closed_.pop_front();
-    closed_ops_ -= seg.size();
+  /// Confirm and enumerate the segment in `retiring_`, then recycle it.
+  void retire() {
     ++confirmed_cuts_;
-    if (!failed_) advance(seg);
+    if (!failed_) advance(retiring_);
+    retiring_.clear();
   }
 
   // --- forward state-set threading over a confirmed segment -----------------
 
-  struct VisitedEntry {
-    std::vector<std::size_t> frontier;
-    Snapshot state;
-  };
-
-  /// Scratch for enumerating one confirmed segment from every state-set
-  /// entry.  `visited` is the cross-entry memo: a (frontier, state) node is
-  /// expanded at most once per segment no matter how many entries re-reach
-  /// it (the role the offline dead memo plays), marked pre-order -- safe
-  /// because the frontier strictly advances along any path (no cycles) and
-  /// a marked node's subtree has always been fully enumerated.
-  struct EnumCtx {
-    const std::vector<StreamOp>& ops;
-    SegIndex ix;
-    std::vector<std::size_t> frontier;
-    std::vector<std::int64_t> path;
-    std::unordered_map<std::uint64_t, std::vector<VisitedEntry>> visited;
-    std::size_t visited_count = 0;
-    std::vector<StateEntry> next;
-    /// fingerprint -> indices into `next`, for final-state dedup.
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> finals;
-    const std::shared_ptr<const ChainNode>* base = nullptr;
-
-    explicit EnumCtx(const std::vector<StreamOp>& o) : ops(o) { ix.build(o); }
-  };
-
-  static std::optional<std::size_t> seg_front(const EnumCtx& e,
-                                              std::size_t p) {
-    const std::vector<std::size_t>& idxs = e.ix.per_proc[p];
-    const std::size_t k = e.frontier[p];
-    if (k >= idxs.size()) return std::nullopt;
-    return idxs[k];
+  /// Replace the state set with every distinct final state of `seg`,
+  /// enumerating from each current entry in first-reached order.  An empty
+  /// successor set is the (final) verdict: no linearization of the prefix
+  /// extends through this segment.
+  void advance(const std::vector<StreamOp>& seg) {
+    if (alist_.size() == 1 && replay_one_process(seg)) return;
+    index_segment(seg);
+    for (const StateEntry& entry : alist_) enumerate(seg, entry);
+    for (std::size_t i = 0; i < memo_nodes_; ++i) memo_state_[i] = Snapshot();
+    memo_nodes_ = 0;
+    memo_.clear();
+    finals_.clear();
+    ++segments_retired_;
+    if (next_.empty()) {
+      failed_ = true;
+      alist_.clear();
+      return;
+    }
+    alist_.swap(next_);
+    next_.clear();
+    bump_resident(0);
   }
 
-  static bool seg_complete(const EnumCtx& e) {
-    for (std::size_t p = 0; p < e.ix.per_proc.size(); ++p) {
-      if (e.frontier[p] < e.ix.per_proc[p].size()) return false;
+  /// Fast path: a segment whose operations all come from one process,
+  /// threaded from a single state, has exactly one linearization -- program
+  /// order.  Replays it, and on success makes the enumeration's exact
+  /// bookkeeping along that one path: k search nodes, then one final state.
+  /// A mismatch leaves every counter untouched and returns false, so the
+  /// enumeration runs and explains it.
+  bool replay_one_process(const std::vector<StreamOp>& seg) {
+    const ProcessId proc = seg.front().proc;
+    for (const StreamOp& op : seg) {
+      if (op.proc != proc) return false;
     }
+    Snapshot state = alist_.front().state;
+    for (const StreamOp& op : seg) {
+      if (!(apply(state, op) == op.ret)) return false;
+    }
+    const std::size_t k = seg.size();
+    for (std::size_t i = 1; i <= k; ++i) {
+      bump_resident(k + i);
+      count_state();
+    }
+    const std::size_t begin = log_.tokens.size();
+    for (const StreamOp& op : seg) log_.tokens.push_back(op.token);
+    StateEntry& entry = alist_.front();
+    entry.link = log_.link(entry.link, begin);
+    entry.state = std::move(state);
+    bump_resident(2 * k + 1);
+    ++segments_retired_;
+    bump_resident(0);
     return true;
+  }
+
+  /// Per-process index lists over one segment, flattened: process p's
+  /// operations are proc_ops_[proc_begin_[p], proc_begin_[p + 1]).
+  /// Operations arrive in invocation-time order and a process's operations
+  /// never overlap, so arrival order within a process IS its by_process
+  /// (invoke-sorted) order -- no sort needed.
+  void index_segment(const std::vector<StreamOp>& seg) {
+    ProcessId max_pid = -1;
+    for (const StreamOp& op : seg) max_pid = std::max(max_pid, op.proc);
+    procs_ = static_cast<std::size_t>(max_pid + 1);
+    proc_begin_.assign(procs_ + 1, 0);
+    for (const StreamOp& op : seg) {
+      ++proc_begin_[static_cast<std::size_t>(op.proc) + 1];
+    }
+    for (std::size_t p = 0; p < procs_; ++p) {
+      proc_begin_[p + 1] += proc_begin_[p];
+    }
+    proc_ops_.resize(seg.size());
+    frontier_.assign(procs_, 0);  // fill cursor, then the search frontier
+    for (std::size_t i = 0; i < seg.size(); ++i) {
+      const auto p = static_cast<std::size_t>(seg[i].proc);
+      proc_ops_[proc_begin_[p] + frontier_[p]++] = i;
+    }
+  }
+
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  /// Frontier op index of process p, or kNone if exhausted.
+  std::size_t front(std::size_t p) const {
+    const std::size_t at = proc_begin_[p] + frontier_[p];
+    return at < proc_begin_[p + 1] ? proc_ops_[at] : kNone;
   }
 
   /// Same-segment real-time eligibility, the offline search's rule: no
@@ -243,111 +325,129 @@ class Core {
   /// `inv`.  Confirmed segments hold no pending operations (every pending
   /// invocation lives in the final window -- nothing was in flight at any
   /// trigger), so the frontier scan is the whole test.
-  static bool seg_eligible_at(const EnumCtx& e, Tick inv,
-                              std::optional<std::size_t> self) {
-    for (std::size_t p = 0; p < e.ix.per_proc.size(); ++p) {
-      auto f = seg_front(e, p);
-      if (!f || (self && *f == *self)) continue;
-      if (e.ops[*f].response < inv) return false;
+  bool eligible_at(const std::vector<StreamOp>& seg, Tick inv,
+                   std::size_t self) const {
+    for (std::size_t p = 0; p < procs_; ++p) {
+      const std::size_t f = front(p);
+      if (f == kNone || f == self) continue;
+      if (seg[f].response < inv) return false;
     }
     return true;
   }
 
-  std::uint64_t seg_hash(const EnumCtx& e, const Snapshot& state) const {
-    std::uint64_t h = kFnvOffset;
-    for (std::size_t f : e.frontier) fnv_u64(h, f);
-    fnv_u64(h, state.fingerprint());
-    return h;
-  }
-
-  /// Replace the state set with every distinct final state of `seg`,
-  /// enumerating from each current entry in first-reached order.  An empty
-  /// successor set is the (final) verdict: no linearization of the prefix
-  /// extends through this segment.
-  void advance(const std::vector<StreamOp>& seg) {
-    EnumCtx e(seg);
-    for (const StateEntry& entry : alist_) {
-      e.frontier.assign(e.ix.per_proc.size(), 0);
-      e.path.clear();
-      e.base = &entry.chain;
-      Snapshot state = entry.state;
-      enum_dfs(e, state);
-    }
-    ++segments_retired_;
-    if (e.next.empty()) {
-      failed_ = true;
-      release_state_set();
-      return;
-    }
-    std::vector<StateEntry> prev_set = std::move(alist_);
-    alist_ = std::move(e.next);
-    // Entries that produced no surviving final own their chain suffix
-    // exclusively now; dismantle those iteratively (shared prefixes stop
-    // the walk immediately).
-    for (StateEntry& s : prev_set) release_chain(std::move(s.chain));
-    bump_resident(0);
-  }
-
-  void enum_dfs(EnumCtx& e, Snapshot& state) {
-    if (seg_complete(e)) {
-      emit_final(e, state);
-      return;
-    }
-    const std::uint64_t h = seg_hash(e, state);
-    auto it = e.visited.find(h);
-    if (it != e.visited.end()) {
-      for (const VisitedEntry& v : it->second) {
-        if (v.frontier == e.frontier && v.state.equals(state)) {
-          ++memo_hits_;
-          return;
-        }
-      }
-    }
-    e.visited[h].push_back(VisitedEntry{e.frontier, state});
-    ++e.visited_count;
-    bump_resident(e.ops.size() + e.visited_count + e.next.size());
-    count_state();
-
-    // Candidate order mirrors the offline search: process fronts in pid
-    // order (there are no pending operations in a confirmed segment).
+  /// One open node of the depth-first enumeration: its state and the next
+  /// process whose front operation to try.
+  struct Frame {
+    Snapshot state;
+    std::size_t next_p = 0;
     bool any_candidate = false;
-    for (std::size_t p = 0; p < e.ix.per_proc.size(); ++p) {
-      auto f = seg_front(e, p);
-      if (!f) continue;
-      const StreamOp& op = e.ops[*f];
-      if (!seg_eligible_at(e, op.invoke, f)) continue;
-      any_candidate = true;
-      Snapshot next = state;
-      const bool accessor = model_.classify(op.op) == OpClass::kPureAccessor;
-      const Value determined =
-          accessor ? next.apply_accessor(op.op) : next.apply(op.op);
-      if (!(determined == op.ret)) {
-        record_explanation(mismatch_text(op, state, determined));
+  };
+
+  /// Enumerate every linearization of `seg` from `entry`, over an explicit
+  /// stack of open nodes (segment length never touches the thread stack).
+  /// Candidate order mirrors the offline search: process fronts in pid
+  /// order (there are no pending operations in a confirmed segment).
+  void enumerate(const std::vector<StreamOp>& seg, const StateEntry& entry) {
+    std::fill(frontier_.begin(), frontier_.end(), 0);
+    path_.clear();
+    base_link_ = entry.link;
+    if (!enter(seg, entry.state)) return;
+    while (!stack_.empty()) {
+      Frame& top = stack_.back();
+      if (top.next_p == procs_) {
+        if (!top.any_candidate && explanation_.empty()) {
+          explanation_ = kNoCandidateText;
+        }
+        stack_.pop_back();
+        if (!stack_.empty()) retreat(stack_.back().next_p - 1);
         continue;
       }
-      ++e.frontier[p];
-      e.path.push_back(op.token);
-      enum_dfs(e, next);
-      e.path.pop_back();
-      --e.frontier[p];
+      const std::size_t p = top.next_p++;
+      const std::size_t f = front(p);
+      if (f == kNone || !eligible_at(seg, seg[f].invoke, f)) continue;
+      top.any_candidate = true;
+      const StreamOp& op = seg[f];
+      Snapshot next = top.state;
+      const Value determined = apply(next, op);
+      if (!(determined == op.ret)) {
+        if (explanation_.empty()) {
+          explanation_ = mismatch_text(op, top.state, determined);
+        }
+        continue;
+      }
+      ++frontier_[p];
+      path_.push_back(op.token);
+      // enter() may grow the stack: `top` is not used past this point.
+      if (!enter(seg, std::move(next))) retreat(p);
     }
-    if (!any_candidate) record_explanation(kNoCandidateText);
   }
 
-  void emit_final(EnumCtx& e, const Snapshot& state) {
-    std::vector<std::size_t>& bucket = e.finals[state.fingerprint()];
-    for (std::size_t j : bucket) {
-      if (e.next[j].state.equals(state)) return;  // duplicate final state
+  void retreat(std::size_t p) {
+    --frontier_[p];
+    path_.pop_back();
+  }
+
+  /// Visit the node (frontier_, state).  A complete linearization emits its
+  /// final state; otherwise the cross-entry visited memo expands each node
+  /// at most once per segment no matter how many entries re-reach it (the
+  /// role the offline dead memo plays), marked pre-order -- safe because
+  /// the frontier strictly advances along any path (no cycles) and a marked
+  /// node's subtree has always been fully enumerated.  True when the node
+  /// was opened (pushed on the stack).
+  bool enter(const std::vector<StreamOp>& seg, Snapshot state) {
+    if (path_.size() == seg.size()) {
+      emit_final(seg.size(), state);
+      return false;
     }
-    bucket.push_back(e.next.size());
-    auto node = std::make_shared<ChainNode>();
-    node->prev = *e.base;
-    node->path = e.path;
-    e.next.push_back(StateEntry{state, std::move(node)});
-    bump_resident(e.ops.size() + e.visited_count + e.next.size());
+    std::uint64_t h = 0;
+    for (std::size_t f : frontier_) h = hash_step(h, f);
+    h = hash_finish(hash_step(h, state.fingerprint()));
+    const bool seen = memo_.contains(h, [&](std::size_t node) {
+      return std::equal(frontier_.begin(), frontier_.end(),
+                        memo_frontier_.begin() +
+                            static_cast<std::ptrdiff_t>(node * procs_)) &&
+             memo_state_[node].equals(state);
+    });
+    if (seen) {
+      ++memo_hits_;
+      return false;
+    }
+    const std::size_t node = memo_nodes_++;
+    memo_.insert(h, node);
+    if (memo_state_.size() < memo_nodes_) memo_state_.resize(memo_nodes_);
+    memo_state_[node] = state;
+    memo_frontier_.resize(memo_nodes_ * procs_);
+    std::copy(frontier_.begin(), frontier_.end(),
+              memo_frontier_.begin() +
+                  static_cast<std::ptrdiff_t>(node * procs_));
+    bump_resident(seg.size() + memo_nodes_ + next_.size());
+    count_state();
+    stack_.push_back(Frame{std::move(state)});
+    return true;
+  }
+
+  void emit_final(std::size_t seg_size, const Snapshot& state) {
+    const std::uint64_t fp = hash_finish(state.fingerprint());
+    const bool duplicate = finals_.contains(fp, [&](std::size_t j) {
+      return next_[j].state.equals(state);
+    });
+    if (duplicate) return;
+    finals_.insert(fp, next_.size());
+    const std::size_t begin = log_.tokens.size();
+    log_.tokens.insert(log_.tokens.end(), path_.begin(), path_.end());
+    next_.push_back(StateEntry{state, log_.link(base_link_, begin)});
+    bump_resident(seg_size + memo_nodes_ + next_.size());
   }
 
   // --- shared plumbing ------------------------------------------------------
+
+  /// Pure accessors cannot change the state, so they skip the
+  /// copy-on-write clone even when `state` is shared.
+  Value apply(Snapshot& state, const StreamOp& op) const {
+    return model_.classify(op.op) == OpClass::kPureAccessor
+               ? state.apply_accessor(op.op)
+               : state.apply(op.op);
+  }
 
   void count_state() {
     if (++states_ > limits_.max_states) {
@@ -355,10 +455,6 @@ class Core {
                                           segments_retired_,
                                           confirmed_cuts_ + 1, ops_seen_);
     }
-  }
-
-  void record_explanation(std::string text) {
-    if (explanation_.empty() && !text.empty()) explanation_ = std::move(text);
   }
 
   std::string mismatch_text(const StreamOp& op, const Snapshot& before,
@@ -379,7 +475,7 @@ class Core {
   /// chains are excluded (see CheckResult::max_resident_states).
   void bump_resident(std::size_t extra) {
     const std::size_t cur =
-        window_.size() + closed_ops_ + alist_.size() + extra;
+        window_.size() + tentative_.size() + alist_.size() + extra;
     if (cur > peak_resident_) peak_resident_ = cur;
   }
 
@@ -388,16 +484,33 @@ class Core {
 
   // Open window + in-flight tracking.
   std::vector<StreamOp> window_;
-  std::unordered_map<std::int64_t, std::size_t> open_ix_;  // in-flight only
+  FlatMap<std::int64_t, std::size_t> open_ix_;  // in-flight only
   std::size_t in_flight_ = 0;
   Tick max_response_ = kNoTime;  // over responses since the last cut
 
-  // Tentative segments awaiting confirmation (at most one between events).
-  std::deque<std::vector<StreamOp>> closed_;
-  std::size_t closed_ops_ = 0;
+  // The tentative segment awaiting confirmation (empty when there is
+  // none), and the confirmed segment being enumerated.
+  std::vector<StreamOp> tentative_;
+  std::vector<StreamOp> retiring_;
 
-  // Forward state set across everything retired so far.
+  // Forward state set across everything retired so far, and its witnesses.
   std::vector<StateEntry> alist_;
+  WitnessLog log_;
+
+  // Enumeration scratch, reused by every segment.
+  std::size_t procs_ = 0;
+  std::vector<std::size_t> proc_begin_;
+  std::vector<std::size_t> proc_ops_;
+  std::vector<std::size_t> frontier_;
+  std::vector<std::int64_t> path_;
+  std::vector<Frame> stack_;
+  std::size_t base_link_ = WitnessLog::kRoot;
+  NodeIndex memo_;  ///< visited (frontier, state) nodes
+  std::size_t memo_nodes_ = 0;
+  std::vector<std::size_t> memo_frontier_;  ///< procs_ entries per node
+  std::vector<Snapshot> memo_state_;
+  std::vector<StateEntry> next_;  ///< successor state set being built
+  NodeIndex finals_;              ///< fingerprint -> index into next_
 
   bool failed_ = false;
   std::string explanation_;
@@ -428,9 +541,9 @@ CheckResult Core::finalize_run() {
   // window-local.  Invalid (or trailing, with no completed operation after
   // it) means the offline segmentation never cut here: merge the segment
   // back into the window.  The merge preserves global and per-process
-  // invocation order because every closed operation was invoked strictly
+  // invocation order because every tentative operation was invoked strictly
   // before the trigger and every window operation at or after it.
-  if (!closed_.empty()) {
+  if (!tentative_.empty()) {
     Tick first_completed = kNoTime;
     Tick first_pending = kNoTime;
     for (const StreamOp& rec : window_) {
@@ -440,16 +553,15 @@ CheckResult Core::finalize_run() {
     const bool valid =
         first_completed != kNoTime &&
         (first_pending == kNoTime || first_pending >= first_completed);
-    std::vector<StreamOp> seg = std::move(closed_.front());
-    closed_.pop_front();
-    closed_ops_ -= seg.size();
     if (valid) {
-      ++confirmed_cuts_;
-      if (!failed_) advance(seg);
+      std::swap(retiring_, tentative_);
+      retire();
     } else {
-      seg.insert(seg.end(), std::make_move_iterator(window_.begin()),
-                 std::make_move_iterator(window_.end()));
-      window_ = std::move(seg);
+      tentative_.insert(tentative_.end(),
+                        std::make_move_iterator(window_.begin()),
+                        std::make_move_iterator(window_.end()));
+      std::swap(window_, tentative_);
+      tentative_.clear();
     }
   }
 
@@ -513,19 +625,11 @@ CheckResult Core::finalize_run() {
 
   if (winner != nullptr) {
     result.ok = true;
-    // Stitch the witness: retired-segment paths in order, then the final
+    // Stitch the witness: retired-segment runs in order, then the final
     // window's.  Tokens map to history_with_pending indices by rank among
     // the completed tokens (the witness is a permutation of exactly those).
-    std::vector<const ChainNode*> chain;
-    for (const ChainNode* n = winner->chain.get(); n != nullptr;
-         n = n->prev.get()) {
-      chain.push_back(n);
-    }
-    std::vector<std::int64_t> tokens;
+    std::vector<std::int64_t> tokens = log_.stitch(winner->link);
     tokens.reserve(completed_seen_);
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      tokens.insert(tokens.end(), (*it)->path.begin(), (*it)->path.end());
-    }
     for (std::size_t i : acc.witness) tokens.push_back(comp_tokens[i]);
     // Branch-local mismatches recorded on the way to a successful search
     // are not failures; report an explanation only without a witness.
@@ -546,142 +650,14 @@ CheckResult Core::finalize_run() {
   return result;
 }
 
-/// One tap event.  Invocations carry the operation; responses the return.
-struct Event {
-  bool is_invoke = false;
-  std::int64_t token = 0;
-  ProcessId proc = kNoProcess;
-  Operation op;
-  Value ret;
-  Tick time = kNoTime;
-};
-
-/// Bounded single-producer single-consumer ring for the pipelined mode.
-/// push() blocks the producer while full -- wall-clock backpressure only;
-/// the simulator's event schedule never observes it.  kill() (consumer
-/// died) turns push into a drop so a failed checker cannot wedge the run.
-class EventRing {
- public:
-  explicit EventRing(std::size_t capacity)
-      : buf_(std::max<std::size_t>(capacity, 1)) {}
-
-  void push(Event ev) {
-    std::unique_lock<std::mutex> lk(m_);
-    not_full_.wait(lk, [&] { return size_ < buf_.size() || dead_; });
-    if (dead_) return;
-    buf_[(head_ + size_) % buf_.size()] = std::move(ev);
-    ++size_;
-    lk.unlock();
-    not_empty_.notify_one();
-  }
-
-  /// False once the ring is closed and drained (or killed).
-  bool pop(Event& out) {
-    std::unique_lock<std::mutex> lk(m_);
-    not_empty_.wait(lk, [&] { return size_ > 0 || closed_; });
-    if (size_ == 0) return false;
-    out = std::move(buf_[head_]);
-    head_ = (head_ + 1) % buf_.size();
-    --size_;
-    lk.unlock();
-    not_full_.notify_one();
-    return true;
-  }
-
-  void close() {
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      closed_ = true;
-    }
-    not_empty_.notify_all();
-  }
-
-  void kill() {
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      dead_ = true;
-      closed_ = true;
-      size_ = 0;
-    }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
- private:
-  std::mutex m_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::vector<Event> buf_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  bool closed_ = false;
-  bool dead_ = false;
-};
-
 }  // namespace
 
 struct StreamingChecker::Impl {
   Core core;
-  const bool pipelined;
-  EventRing ring;
-  std::thread worker;
-  std::exception_ptr error;  // worker -> finalize; join() orders the read
   bool finalized = false;
 
   Impl(const ObjectModel& model, const CheckOptions& options)
-      : core(model, options.limits),
-        pipelined(options.jobs > 1),
-        ring(options.ring_capacity) {
-    if (pipelined) {
-      worker = std::thread([this] { drain(); });
-    }
-  }
-
-  ~Impl() {
-    if (worker.joinable()) {
-      ring.close();
-      worker.join();
-    }
-  }
-
-  void drain() {
-    try {
-      Event ev;
-      while (ring.pop(ev)) apply(ev);
-    } catch (...) {
-      error = std::current_exception();
-      ring.kill();
-    }
-  }
-
-  void apply(const Event& ev) {
-    if (ev.is_invoke) {
-      core.invoke(ev.token, ev.proc, ev.op, ev.time);
-    } else {
-      core.response(ev.token, ev.ret, ev.time);
-    }
-  }
-
-  void feed(Event ev) {
-    if (!pipelined) {
-      apply(ev);
-      return;
-    }
-    ring.push(std::move(ev));
-  }
-
-  CheckResult finalize() {
-    if (finalized) {
-      throw std::logic_error("StreamingChecker::finalize called twice");
-    }
-    finalized = true;
-    if (pipelined) {
-      ring.close();
-      worker.join();
-      if (error) std::rethrow_exception(error);
-    }
-    return core.finalize_run();
-  }
+      : core(model, options.limits) {}
 };
 
 StreamingChecker::StreamingChecker(const ObjectModel& model,
@@ -691,50 +667,34 @@ StreamingChecker::StreamingChecker(const ObjectModel& model,
 StreamingChecker::~StreamingChecker() = default;
 
 void StreamingChecker::attach(Simulator& sim) {
-  Impl* impl = impl_.get();
+  Core* core = &impl_->core;
   auto prev_invoke = sim.invoke_hook();
   auto prev_response = sim.response_hook();
-  sim.set_invoke_hook(
-      [impl, prev_invoke](const OperationRecord& rec) {
-        if (prev_invoke) prev_invoke(rec);
-        Event ev;
-        ev.is_invoke = true;
-        ev.token = rec.token;
-        ev.proc = rec.proc;
-        ev.op = rec.op;
-        ev.time = rec.invoke_time;
-        impl->feed(std::move(ev));
-      });
-  sim.set_response_hook(
-      [impl, prev_response](const OperationRecord& rec) {
-        if (prev_response) prev_response(rec);
-        Event ev;
-        ev.token = rec.token;
-        ev.ret = rec.ret;
-        ev.time = rec.response_time;
-        impl->feed(std::move(ev));
-      });
+  sim.set_invoke_hook([core, prev_invoke](const OperationRecord& rec) {
+    if (prev_invoke) prev_invoke(rec);
+    core->invoke(rec);
+  });
+  sim.set_response_hook([core, prev_response](const OperationRecord& rec) {
+    if (prev_response) prev_response(rec);
+    core->response(rec);
+  });
 }
 
 void StreamingChecker::on_invoke(const OperationRecord& rec) {
-  Event ev;
-  ev.is_invoke = true;
-  ev.token = rec.token;
-  ev.proc = rec.proc;
-  ev.op = rec.op;
-  ev.time = rec.invoke_time;
-  impl_->feed(std::move(ev));
+  impl_->core.invoke(rec);
 }
 
 void StreamingChecker::on_response(const OperationRecord& rec) {
-  Event ev;
-  ev.token = rec.token;
-  ev.ret = rec.ret;
-  ev.time = rec.response_time;
-  impl_->feed(std::move(ev));
+  impl_->core.response(rec);
 }
 
-CheckResult StreamingChecker::finalize() { return impl_->finalize(); }
+CheckResult StreamingChecker::finalize() {
+  if (impl_->finalized) {
+    throw std::logic_error("StreamingChecker::finalize called twice");
+  }
+  impl_->finalized = true;
+  return impl_->core.finalize_run();
+}
 
 std::size_t StreamingChecker::ops_seen() const { return impl_->core.ops_seen(); }
 std::size_t StreamingChecker::segments_retired() const {

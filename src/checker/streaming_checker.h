@@ -45,14 +45,15 @@
 //      an upstream segment's final states, a traversal order eager
 //      retirement deliberately gives up.  See DESIGN.md.)
 //
-//   3. Pipelining.  With jobs <= 1 the checker runs inline inside the
-//      simulator hooks (how per-shard checking rides the PDES drain).  With
-//      jobs > 1 the hooks only copy events into a bounded SPSC ring and a
-//      dedicated checker thread drains it -- simulation and checking
-//      overlap, and a full ring blocks the *producer's wall clock* only:
-//      the simulated event schedule, and therefore the trace, is untouched.
-//      The checker consumes the identical event sequence either way, so its
-//      entire output is trivially jobs-invariant.
+//   3. Inline, allocation-free retirement.  The checker runs inside the
+//      simulator hooks on the simulator's own thread (how per-shard checking
+//      rides the PDES drain).  Its scratch -- segment buffers, per-process
+//      index lists, the visited memo, the search stack and the witness log
+//      -- lives for the whole run, so retiring a segment allocates nothing
+//      but copy-on-write clones of the object states it mutates.  A segment
+//      from one process, threaded from one state, replays in program order
+//      instead of enumerating.  The enumeration walks an explicit stack, so
+//      segment length never touches the thread stack.
 #pragma once
 
 #include <cstddef>
@@ -78,9 +79,8 @@ namespace linbound {
 class StreamingChecker {
  public:
   /// `options.limits` is one budget for the whole run (a single counter
-  /// across every segment enumeration and the final-window search);
-  /// `options.jobs` > 1 pipelines through a ring of `options.ring_capacity`
-  /// events and a checker worker thread.  Output identical at every value.
+  /// across every segment enumeration and the final-window search).  The
+  /// checker runs on the caller's thread; `options.jobs` is ignored.
   explicit StreamingChecker(const ObjectModel& model,
                             const CheckOptions& options = {});
   ~StreamingChecker();
@@ -98,10 +98,10 @@ class StreamingChecker {
   void on_invoke(const OperationRecord& rec);
   void on_response(const OperationRecord& rec);
 
-  /// Drain the pipeline (jobs > 1), check the final open window against the
-  /// pending invocations, and assemble the result.  Call exactly once; the
-  /// checker is spent afterwards.  Rethrows a state-budget overrun here
-  /// (pipelined mode) or from the offending hook (inline mode).
+  /// Check the final open window against the pending invocations and
+  /// assemble the result.  Call exactly once; the checker is spent
+  /// afterwards.  A state-budget overrun throws from the offending hook
+  /// (or from here, in the final-window search).
   CheckResult finalize();
 
   // --- measurement (stable once finalize() returned) ---

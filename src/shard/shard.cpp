@@ -261,7 +261,6 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
   if (opt_.streaming_check) {
     CheckOptions co;
     co.limits = opt_.streaming_check_limits;
-    co.jobs = 1;  // inline: the PDES workers are the parallelism
     state->checker = std::make_unique<StreamingChecker>(*model_, co);
     state->checker->attach(state->sim());
   }

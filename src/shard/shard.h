@@ -119,8 +119,8 @@ struct ShardOptions {
   int mutant_extra_op_shard = -1;
 
   /// Check each shard's history for linearizability *while it runs*: a
-  /// per-shard StreamingChecker rides the shard's Simulator hooks (inline,
-  /// jobs = 1 -- the PDES workers are the parallelism) and its final-window
+  /// per-shard StreamingChecker rides the shard's Simulator hooks (inline:
+  /// the PDES workers are the parallelism) and its final-window
   /// search runs right after the shard's terminal drain, on the same
   /// worker.  Observation only: hooks never touch the event schedule, so
   /// per-shard traces and hashes stay byte-identical to an unchecked run at

@@ -13,6 +13,7 @@
 
 #include <memory>
 
+#include "checker/streaming_checker.h"
 #include "common/alloc_count.h"
 #include "core/system.h"
 #include "core/workload.h"
@@ -87,6 +88,57 @@ TEST(AllocFree, HardenedSteadyStateAllocatesNothing) {
   ASSERT_EQ(trace.ops.size(), kOps);
   EXPECT_EQ(steady, 0u)
       << "steady-state heap allocations leaked into the op pipeline";
+}
+
+// The checked heavy-traffic run: Algorithm 1 with a StreamingChecker
+// attached inline.  The simulator side allocates nothing once its pools are
+// sized; the checker's scratch (segment buffers, visited memo, search
+// stack, state set) is reused by every segment, and its witness log grows
+// by amortized doubling.  What remains are the copy-on-write clones of
+// object states (spec/snapshot.h) -- a state plus a shared_ptr control block
+// whenever a segment applies a mutator to a shared state -- about 1.6 per
+// operation.
+TEST(AllocFree, CheckedHeavyTrafficAllocatesUnderTwoPerOp) {
+  ASSERT_TRUE(alloc_counting_enabled());
+  constexpr std::size_t kCheckedOps = 100'000;
+  SystemOptions sys;
+  sys.n = kN;
+  sys.timing = timing();
+  sys.x = 0;
+  sys.max_events = kCheckedOps * 40 + 100'000;
+  auto model = std::make_shared<RegisterModel>();
+  ReplicaSystem system(model, sys);
+  for (ProcessId p = 0; p < kN; ++p) system.replica(p).reserve_pending(256);
+
+  HeavyTrafficOptions w;
+  w.clients = kN;
+  w.total_ops = kCheckedOps;
+  w.min_gap = 4 * timing().d;
+  w.jitter = 997;
+  w.messages_per_op = 12;
+  w.payload_bytes_per_op = 256;
+  w.timer_slots_per_process = 1024;
+  HeavyTrafficWorkload workload(system.sim(), w);
+  StreamingChecker checker(*model);
+  checker.attach(system.sim());
+  system.sim().start();
+  workload.arm();
+
+  const Tick warmup = static_cast<Tick>(kCheckedOps / kN) *
+                      (w.min_gap + w.jitter / 2) * 15 / 100;
+  system.sim().run_until(warmup);
+  const std::size_t ops_before = checker.ops_seen();
+  const std::uint64_t before = heap_allocs();
+  ASSERT_TRUE(system.sim().run());
+  const std::uint64_t steady = heap_allocs() - before;
+  const std::size_t steady_ops = checker.ops_seen() - ops_before;
+
+  ASSERT_TRUE(checker.finalize().ok);
+  ASSERT_GT(steady_ops, kCheckedOps / 2);
+  const double per_op =
+      static_cast<double>(steady) / static_cast<double>(steady_ops);
+  EXPECT_LT(per_op, 2.0) << steady << " allocations over " << steady_ops
+                         << " steady-state ops";
 }
 
 // The event queue keeps every bucketed and wheel event in one recycled

@@ -1,6 +1,6 @@
 // The streaming checker's contract: verdict and witness byte-identical to
 // the offline serial seed checker (through history_with_pending) for every
-// trace and at every jobs value, with an explanation that is deterministic
+// trace, with an explanation that is deterministic
 // and non-empty exactly when the offline one is non-empty.  Exercised by
 // unit tests for the online cut rules (tentative-cut merge, pendings
 // straddling window boundaries), differential fuzz over synthetic traces
@@ -74,31 +74,15 @@ CheckResult offline(const ObjectModel& model, const Trace& trace,
 void expect_matches_offline(const ObjectModel& model, const Trace& trace,
                             const char* label) {
   const CheckResult expected = offline(model, trace);
-  CheckResult at_jobs1;
-  for (const int jobs : {1, 2, 4}) {
-    CheckOptions so;
-    so.jobs = jobs;
-    so.ring_capacity = 64;
-    const CheckResult got = streaming_check_trace(model, trace, so);
-    EXPECT_EQ(expected.ok, got.ok) << label << " jobs=" << jobs;
-    EXPECT_EQ(expected.witness, got.witness) << label << " jobs=" << jobs;
-    if (!expected.ok) {
-      // On failure both paths explain themselves; the texts may differ
-      // (eager retirement changes which branch is reached first).
-      EXPECT_FALSE(got.explanation.empty()) << label << " jobs=" << jobs;
-    } else {
-      EXPECT_TRUE(got.explanation.empty()) << label << " jobs=" << jobs
-                                           << ": " << got.explanation;
-    }
-    if (jobs == 1) {
-      at_jobs1 = got;
-    } else {
-      // Across jobs values the streaming output is fully byte-identical,
-      // explanation and counters included (same core, same event sequence).
-      EXPECT_EQ(at_jobs1.explanation, got.explanation) << label;
-      EXPECT_EQ(at_jobs1.states_explored, got.states_explored) << label;
-      EXPECT_EQ(at_jobs1.segments, got.segments) << label;
-    }
+  const CheckResult got = streaming_check_trace(model, trace);
+  EXPECT_EQ(expected.ok, got.ok) << label;
+  EXPECT_EQ(expected.witness, got.witness) << label;
+  if (!expected.ok) {
+    // On failure both paths explain themselves; the texts may differ
+    // (eager retirement changes which branch is reached first).
+    EXPECT_FALSE(got.explanation.empty()) << label;
+  } else {
+    EXPECT_TRUE(got.explanation.empty()) << label << ": " << got.explanation;
   }
 }
 
@@ -260,21 +244,17 @@ Trace wide_frontier_trace(int width) {
   return make_trace(std::move(ops));
 }
 
-TEST(StreamingChecker, StateBudgetTripsAtEveryJobsValue) {
+TEST(StreamingChecker, StateBudgetTrips) {
   QueueModel model;
-  const Trace trace = wide_frontier_trace(6);
-  for (const int jobs : {1, 2}) {
-    CheckOptions so;
-    so.jobs = jobs;
-    so.limits.max_states = 50;
-    try {
-      streaming_check_trace(model, trace, so);
-      FAIL() << "expected the state budget to trip at jobs=" << jobs;
-    } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("state budget"), std::string::npos) << what;
-      EXPECT_NE(what.find("max_states=50"), std::string::npos) << what;
-    }
+  CheckOptions so;
+  so.limits.max_states = 50;
+  try {
+    streaming_check_trace(model, wide_frontier_trace(6), so);
+    FAIL() << "expected the state budget to trip";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("state budget"), std::string::npos) << what;
+    EXPECT_NE(what.find("max_states=50"), std::string::npos) << what;
   }
 }
 
@@ -403,12 +383,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StreamingCheckerFuzz, ::testing::Range(0, 4));
 
 // --- million-scale depth (teardown + offline stack) --------------------------
 
-TEST(StreamingChecker, DeepSegmentChainsTearDownIteratively) {
+TEST(StreamingChecker, DeepSegmentChainsStitchIntoTheWitness) {
   // 300k strictly gapped operations over two processes: every op is its own
-  // confirmed segment, so the streaming witness chain grows ~300k links.
-  // Guards the recursive shared_ptr chain teardown (stack overflow at
-  // segment counts past a few hundred thousand, first hit on the
-  // million-op bench).
+  // confirmed segment, so the streaming witness chain grows ~300k links,
+  // all of which the final witness must stitch back together in order.
   RegisterModel model;
   constexpr int kOps = 300'000;
   std::vector<OperationRecord> ops;
@@ -426,17 +404,42 @@ TEST(StreamingChecker, DeepSegmentChainsTearDownIteratively) {
   const CheckResult off = offline(model, trace);
   ASSERT_TRUE(off.ok);
 
-  for (const int jobs : {1, 2}) {
-    CheckOptions so;
-    so.jobs = jobs;
-    const CheckResult got = streaming_check_trace(model, trace, so);
-    EXPECT_TRUE(got.ok) << "jobs=" << jobs;
-    EXPECT_EQ(off.witness, got.witness) << "jobs=" << jobs;
-    EXPECT_EQ(got.segments, static_cast<std::size_t>(kOps));
-    // The whole point of streaming: resident state stays tiny while the
-    // history (and its witness chain) grows without bound.
-    EXPECT_LT(got.max_resident_states, 64u) << "jobs=" << jobs;
+  const CheckResult got = streaming_check_trace(model, trace);
+  EXPECT_TRUE(got.ok);
+  EXPECT_EQ(off.witness, got.witness);
+  EXPECT_EQ(got.segments, static_cast<std::size_t>(kOps));
+  // The whole point of streaming: resident state stays tiny while the
+  // history (and its witness chain) grows without bound.
+  EXPECT_LT(got.max_resident_states, 64u);
+}
+
+TEST(StreamingChecker, DeepConfirmedSegmentEnumeratesIteratively) {
+  // One confirmed segment of 400,001 operations: p0's write spans p1's 200k
+  // write/read pairs, and three gapped operations after it confirm the cut.
+  // Enumerating the segment walks one search node per operation on a path,
+  // so a recursive enumeration overflows the default thread stack here.
+  RegisterModel model;
+  constexpr int kPairs = 200'000;
+  constexpr Tick kEnd = static_cast<Tick>(kPairs) * 10 + 10;
+  std::vector<OperationRecord> ops;
+  ops.reserve(2 * kPairs + 4);
+  ops.push_back(done(0, reg::write(-1), Value::unit(), 0, kEnd));
+  for (int i = 0; i < kPairs; ++i) {
+    const Tick t = static_cast<Tick>(i) * 10 + 1;
+    ops.push_back(done(1, reg::write(i), Value::unit(), t, t + 3));
+    ops.push_back(done(1, reg::read(), Value(i), t + 5, t + 8));
   }
+  ops.push_back(done(1, reg::read(), Value(kPairs - 1), kEnd + 10, kEnd + 15));
+  ops.push_back(done(0, reg::read(), Value(kPairs - 1), kEnd + 20, kEnd + 25));
+  ops.push_back(done(1, reg::read(), Value(kPairs - 1), kEnd + 30, kEnd + 35));
+  const Trace trace = make_trace(std::move(ops));
+
+  const CheckResult off = offline(model, trace);
+  ASSERT_TRUE(off.ok);
+  const CheckResult got = streaming_check_trace(model, trace);
+  EXPECT_TRUE(got.ok);
+  EXPECT_EQ(off.witness, got.witness);
+  EXPECT_EQ(got.segments, 4u);
 }
 
 // --- live tap on real simulator runs ----------------------------------------
@@ -452,7 +455,7 @@ struct LiveRun {
   std::size_t max_window = 0;
 };
 
-LiveRun run_heavy_checked(bool faulted, int streaming_jobs, bool attach) {
+LiveRun run_heavy_checked(bool faulted, bool attach) {
   SystemOptions o;
   o.n = 4;
   o.timing = live_timing();
@@ -478,10 +481,7 @@ LiveRun run_heavy_checked(bool faulted, int streaming_jobs, bool attach) {
   auto model = std::make_shared<RegisterModel>();
   ReplicaSystem system(model, o);
   HeavyTrafficWorkload workload(system.sim(), w);
-  CheckOptions so;
-  so.jobs = streaming_jobs;
-  so.ring_capacity = 256;
-  StreamingChecker checker(*model, so);
+  StreamingChecker checker(*model);
   if (attach) checker.attach(system.sim());
   system.sim().start();
   workload.arm();
@@ -493,7 +493,7 @@ LiveRun run_heavy_checked(bool faulted, int streaming_jobs, bool attach) {
     out.ops_seen = checker.ops_seen();
     out.max_window = checker.max_window_ops();
   }
-  out.replay = streaming_check_trace(*model, system.sim().trace(), so);
+  out.replay = streaming_check_trace(*model, system.sim().trace());
   out.off = offline(*model, system.sim().trace());
   return out;
 }
@@ -502,28 +502,26 @@ class StreamingCheckerLive : public ::testing::TestWithParam<bool> {};
 
 TEST_P(StreamingCheckerLive, LiveTapMatchesReplayAndOffline) {
   const bool faulted = GetParam();
-  for (const int jobs : {1, 2}) {
-    const LiveRun run = run_heavy_checked(faulted, jobs, /*attach=*/true);
-    ASSERT_TRUE(run.off.ok);
-    // Live tap == replay == offline: verdict and witness.
-    EXPECT_EQ(run.live.ok, run.off.ok);
-    EXPECT_EQ(run.live.witness, run.off.witness);
-    EXPECT_EQ(run.live.ok, run.replay.ok);
-    EXPECT_EQ(run.live.witness, run.replay.witness);
-    EXPECT_EQ(run.live.segments, run.replay.segments);
-    EXPECT_EQ(run.ops_seen, 300u);
-    // The open-loop gap sits above the response bound, so the run has many
-    // quiescent cuts and the resident window stays far below the history.
-    EXPECT_GT(run.live.segments, 10u);
-    EXPECT_LT(run.max_window, 300u / 2);
-    EXPECT_LT(run.live.max_resident_states, run.off.max_resident_states + 300);
-  }
+  const LiveRun run = run_heavy_checked(faulted, /*attach=*/true);
+  ASSERT_TRUE(run.off.ok);
+  // Live tap == replay == offline: verdict and witness.
+  EXPECT_EQ(run.live.ok, run.off.ok);
+  EXPECT_EQ(run.live.witness, run.off.witness);
+  EXPECT_EQ(run.live.ok, run.replay.ok);
+  EXPECT_EQ(run.live.witness, run.replay.witness);
+  EXPECT_EQ(run.live.segments, run.replay.segments);
+  EXPECT_EQ(run.ops_seen, 300u);
+  // The open-loop gap sits above the response bound, so the run has many
+  // quiescent cuts and the resident window stays far below the history.
+  EXPECT_GT(run.live.segments, 10u);
+  EXPECT_LT(run.max_window, 300u / 2);
+  EXPECT_LT(run.live.max_resident_states, run.off.max_resident_states + 300);
 }
 
 TEST_P(StreamingCheckerLive, AttachingTheTapNeverChangesTheTrace) {
   const bool faulted = GetParam();
-  const LiveRun tapped = run_heavy_checked(faulted, 2, /*attach=*/true);
-  const LiveRun bare = run_heavy_checked(faulted, 1, /*attach=*/false);
+  const LiveRun tapped = run_heavy_checked(faulted, /*attach=*/true);
+  const LiveRun bare = run_heavy_checked(faulted, /*attach=*/false);
   EXPECT_EQ(tapped.serialized, bare.serialized);
 }
 
