@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Schema gate for BENCH_perf.json (tools/check_bench_schema.sh [path]).
 #
-# Two rules, both born from real drift:
+# Three rules, all born from real drift:
 #
 #   1. Every "*_speedup" key must carry a "*_speedup_threads" sibling naming
 #      the hardware-thread count of the measurement.  A bare speedup of
@@ -11,6 +11,9 @@
 #   2. The gate keys must be present, so a bench refactor cannot silently
 #      drop the numbers CI and the prose-drift policy (see
 #      bench/bench_throughput.cpp) depend on.
+#   3. The committed file holds full-size runs only: throughput_ops and
+#      streaming_checker_ops must be at least 1,000,000 (smoke runs write
+#      their own file; see .github/workflows/perf.yml).
 #
 # Pure bash + standard tools; no jq dependency.
 set -u
@@ -65,6 +68,15 @@ gate_keys=(
 for key in "${gate_keys[@]}"; do
   if ! has_key "$key"; then
     echo "FAIL: required gate key $key missing" >&2
+    fail=1
+  fi
+done
+
+# Rule 3: full-size runs only.
+for key in throughput_ops streaming_checker_ops; do
+  value=$(sed -n "s/^[[:space:]]*\"$key\":[[:space:]]*\([0-9]*\).*/\1/p" "$json")
+  if [[ -z "$value" || "$value" -lt 1000000 ]]; then
+    echo "FAIL: $key is ${value:-missing}; commit a full-size (>= 1000000) run" >&2
     fail=1
   fi
 done
