@@ -1,12 +1,12 @@
 // Streaming online linearizability checker (see streaming_checker.h for the
 // architecture and DESIGN.md for the soundness argument).
 //
-// Layout: Core is the single-threaded engine -- cut detection, eager segment
+// Layout: StreamingChecker::Impl is the engine -- cut detection, eager segment
 // retirement via forward state-set threading, and the final-window search
 // through the shared WGL core (detail::WglSearch, lin_checker.h).  All of
 // its scratch lives for the whole run: retiring a segment allocates nothing
-// but the copy-on-write clones of the object states it applies operations
-// to.  streaming_check_trace is the replay driver used by tests and benches.
+// but the copy-on-write clones of the object states it mutates.
+// streaming_check_trace is the replay driver used by tests and benches.
 #include "checker/streaming_checker.h"
 
 #include <algorithm>
@@ -159,11 +159,13 @@ struct StateEntry {
   std::size_t link = WitnessLog::kRoot;
 };
 
+}  // namespace
+
 /// The single-threaded checking engine.  Feed invoke()/response() in
-/// simulated-time order; finalize_run() exactly once at the end.
-class Core {
+/// simulated-time order; finalize() exactly once at the end.
+struct StreamingChecker::Impl {
  public:
-  Core(const ObjectModel& model, const CheckLimits& limits)
+  Impl(const ObjectModel& model, const CheckLimits& limits)
       : model_(model), limits_(limits) {
     alist_.push_back(StateEntry{Snapshot::initial(model_)});
   }
@@ -196,7 +198,7 @@ class Core {
     max_response_ = std::max(max_response_, rec.response_time);
   }
 
-  CheckResult finalize_run();
+  CheckResult finalize();
 
   std::size_t ops_seen() const { return ops_seen_; }
   std::size_t segments_retired() const { return segments_retired_; }
@@ -512,6 +514,7 @@ class Core {
   std::vector<StateEntry> next_;  ///< successor state set being built
   NodeIndex finals_;              ///< fingerprint -> index into next_
 
+  bool finalized_ = false;
   bool failed_ = false;
   std::string explanation_;
   std::size_t states_ = 0;
@@ -524,7 +527,11 @@ class Core {
   std::size_t peak_resident_ = 0;
 };
 
-CheckResult Core::finalize_run() {
+CheckResult StreamingChecker::Impl::finalize() {
+  if (finalized_) {
+    throw std::logic_error("StreamingChecker::finalize called twice");
+  }
+  finalized_ = true;
   CheckResult result;
   if (ops_seen_ == 0) {
     // Nothing was ever dispatched: the empty witness linearizes the empty
@@ -650,61 +657,45 @@ CheckResult Core::finalize_run() {
   return result;
 }
 
-}  // namespace
-
-struct StreamingChecker::Impl {
-  Core core;
-  bool finalized = false;
-
-  Impl(const ObjectModel& model, const CheckOptions& options)
-      : core(model, options.limits) {}
-};
-
 StreamingChecker::StreamingChecker(const ObjectModel& model,
                                    const CheckOptions& options)
-    : impl_(std::make_unique<Impl>(model, options)) {}
+    : impl_(std::make_unique<Impl>(model, options.limits)) {}
 
 StreamingChecker::~StreamingChecker() = default;
 
 void StreamingChecker::attach(Simulator& sim) {
-  Core* core = &impl_->core;
+  Impl* impl = impl_.get();
   auto prev_invoke = sim.invoke_hook();
   auto prev_response = sim.response_hook();
-  sim.set_invoke_hook([core, prev_invoke](const OperationRecord& rec) {
+  sim.set_invoke_hook([impl, prev_invoke](const OperationRecord& rec) {
     if (prev_invoke) prev_invoke(rec);
-    core->invoke(rec);
+    impl->invoke(rec);
   });
-  sim.set_response_hook([core, prev_response](const OperationRecord& rec) {
+  sim.set_response_hook([impl, prev_response](const OperationRecord& rec) {
     if (prev_response) prev_response(rec);
-    core->response(rec);
+    impl->response(rec);
   });
 }
 
 void StreamingChecker::on_invoke(const OperationRecord& rec) {
-  impl_->core.invoke(rec);
+  impl_->invoke(rec);
 }
 
 void StreamingChecker::on_response(const OperationRecord& rec) {
-  impl_->core.response(rec);
+  impl_->response(rec);
 }
 
-CheckResult StreamingChecker::finalize() {
-  if (impl_->finalized) {
-    throw std::logic_error("StreamingChecker::finalize called twice");
-  }
-  impl_->finalized = true;
-  return impl_->core.finalize_run();
-}
+CheckResult StreamingChecker::finalize() { return impl_->finalize(); }
 
-std::size_t StreamingChecker::ops_seen() const { return impl_->core.ops_seen(); }
+std::size_t StreamingChecker::ops_seen() const { return impl_->ops_seen(); }
 std::size_t StreamingChecker::segments_retired() const {
-  return impl_->core.segments_retired();
+  return impl_->segments_retired();
 }
 std::size_t StreamingChecker::max_window_ops() const {
-  return impl_->core.max_window_ops();
+  return impl_->max_window_ops();
 }
 std::size_t StreamingChecker::max_resident_states() const {
-  return impl_->core.max_resident_states();
+  return impl_->max_resident_states();
 }
 
 CheckResult streaming_check_trace(const ObjectModel& model, const Trace& trace,

@@ -50,10 +50,11 @@
 //      rides the PDES drain).  Its scratch -- segment buffers, per-process
 //      index lists, the visited memo, the search stack and the witness log
 //      -- lives for the whole run, so retiring a segment allocates nothing
-//      but copy-on-write clones of the object states it mutates.  A segment
-//      from one process, threaded from one state, replays in program order
-//      instead of enumerating.  The enumeration walks an explicit stack, so
-//      segment length never touches the thread stack.
+//      but copy-on-write clones of the object states it mutates (and the
+//      witness log's amortized growth).  A segment from one process,
+//      threaded from one state, replays in program order instead of
+//      enumerating.  The enumeration walks an explicit stack, so segment
+//      length never touches the thread stack.
 #pragma once
 
 #include <cstddef>

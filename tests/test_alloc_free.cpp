@@ -96,7 +96,7 @@ TEST(AllocFree, HardenedSteadyStateAllocatesNothing) {
 // stack, state set) is reused by every segment, and its witness log grows
 // by amortized doubling.  What remains are the copy-on-write clones of
 // object states (spec/snapshot.h) -- a state plus a shared_ptr control block
-// whenever a segment applies a mutator to a shared state -- about 1.6 per
+// whenever a segment applies a mutator to a shared state -- about 1.9 per
 // operation.
 TEST(AllocFree, CheckedHeavyTrafficAllocatesUnderTwoPerOp) {
   ASSERT_TRUE(alloc_counting_enabled());

@@ -225,8 +225,14 @@ TEST(StreamingChecker, DroppedEffectDetectedAcrossRetiredSegments) {
   const CheckResult got = streaming_check_trace(model, bad);
   ASSERT_FALSE(off.ok);
   EXPECT_FALSE(got.ok);
-  EXPECT_FALSE(got.explanation.empty());
   EXPECT_GT(got.segments, 1u);
+  // The failing segment is one process's read, threaded from one state:
+  // the single-process replay sees the mismatch and hands the segment to
+  // the enumeration, whose text and counters are the result (one search
+  // node for the write's segment, one for the read's).
+  EXPECT_EQ(got.explanation,
+            "p1 read() returned 7 but state reg(1) determines 1");
+  EXPECT_EQ(got.states_explored, 2u);
 }
 
 // --- state budget ------------------------------------------------------------
@@ -381,7 +387,7 @@ TEST_P(StreamingCheckerFuzz, MutatedCleanTracesFlipIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingCheckerFuzz, ::testing::Range(0, 4));
 
-// --- million-scale depth (teardown + offline stack) --------------------------
+// --- million-scale depth (witness chains, long segments) ---------------------
 
 TEST(StreamingChecker, DeepSegmentChainsStitchIntoTheWitness) {
   // 300k strictly gapped operations over two processes: every op is its own
