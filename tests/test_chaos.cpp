@@ -95,6 +95,103 @@ TEST(ChaosRun, OverInjectionStaysOutOfCoverage) {
   EXPECT_NE(r.verdict, ChaosVerdict::kBoundViolated);
 }
 
+// --- run_chaos's whole output pinned on seven inputs ------------------------
+
+/// The `index`-th spec of `variant`'s grid at a fixed base seed.
+ChaosRunSpec grid_spec(ChaosVariant variant, std::size_t index,
+                       ChaosMutant mutant = ChaosMutant::kNone) {
+  ChaosSearchOptions options;
+  options.variants = {variant};
+  options.mutant = mutant;
+  options.seeds = 1;
+  options.base_seed = 0xc4a055eedULL;
+  return chaos_search_grid(options).at(index);
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  return h;
+}
+
+struct PinnedChaos {
+  ChaosVerdict verdict;
+  RunStatus status;
+  const char* detail;
+  std::uint64_t trace_hash;
+  Tick worst_excess;
+  std::uint64_t script_hash;  ///< FNV-1a of fault_script_to_string
+};
+
+void expect_pinned(const ChaosRunSpec& spec, const PinnedChaos& want,
+                   const char* label) {
+  const ChaosRunResult got = run_chaos(spec);
+  EXPECT_EQ(got.verdict, want.verdict)
+      << label << ": " << chaos_verdict_name(got.verdict);
+  EXPECT_EQ(got.status, want.status) << label;
+  EXPECT_EQ(got.detail, want.detail) << label;
+  EXPECT_EQ(got.trace_hash, want.trace_hash)
+      << label << ": trace hash 0x" << std::hex << got.trace_hash;
+  EXPECT_EQ(got.worst_excess, want.worst_excess) << label;
+  const std::uint64_t script_hash = fnv1a(fault_script_to_string(got.script));
+  EXPECT_EQ(script_hash, want.script_hash)
+      << label << ": script hash 0x" << std::hex << script_hash;
+}
+
+// Verdicts, details, trace hashes, latency excess and recorded fault
+// scripts pinned on one spec per variant plus two planted eager-aop specs,
+// so a change to how a run is simulated, judged or hashed is held to
+// byte-identical results (the pattern of test_golden_hashes).  A change
+// that moves one of these on purpose updates the constant and says why.
+TEST(ChaosRun, ResultsPinned) {
+  expect_pinned(grid_spec(ChaosVariant::kStock, 1),
+                PinnedChaos{ChaosVerdict::kOk, RunStatus::kComplete, "ok",
+                            0xde92a9abdc364969ull, 0, 0xeebdaadc89b44ff4ull},
+                "stock queue");
+  expect_pinned(grid_spec(ChaosVariant::kHardened, 12),
+                PinnedChaos{ChaosVerdict::kOk, RunStatus::kComplete, "ok",
+                            0x05e0729eeb516d6bull, 0, 0x71e80f48426d2a5eull},
+                "hardened mix");
+  expect_pinned(grid_spec(ChaosVariant::kRecoverable, 1),
+                PinnedChaos{ChaosVerdict::kOk, RunStatus::kStalled, "ok",
+                            0x71faffe4e88f3a77ull, 32700,
+                            0xeebdaadc89b44ff4ull},
+                "recoverable churn");
+  expect_pinned(grid_spec(ChaosVariant::kQuorum, 6),
+                PinnedChaos{ChaosVerdict::kOk, RunStatus::kComplete, "ok",
+                            0xae643dc6afa47b4cull, 0, 0x25f8e02d4bab6634ull},
+                "quorum churn");
+  expect_pinned(grid_spec(ChaosVariant::kModeSwitching, 4),
+                PinnedChaos{ChaosVerdict::kOk, RunStatus::kComplete, "ok",
+                            0xbc541a964929a9e6ull, 0, 0xcbc378c8f6f19e3eull},
+                "mode-switching storm");
+  expect_pinned(grid_spec(ChaosVariant::kStock, 0, ChaosMutant::kEagerAop),
+                PinnedChaos{ChaosVerdict::kNonLinearizable,
+                            RunStatus::kComplete,
+                            "non-linearizable while the stock guarantee "
+                            "applied: p0 rmw(8) returned 9 but state reg(12) "
+                            "determines 12",
+                            0x29c30601819897bfull, 0, 0xeebdaadc89b44ff4ull},
+                "eager-aop");
+  // The mutant's queue spec under loss and duplication: non-linearizable,
+  // but the stock guarantee no longer applies, so the detail carries the
+  // audit's attribution.
+  ChaosRunSpec faulted =
+      grid_spec(ChaosVariant::kStock, 1, ChaosMutant::kEagerAop);
+  faulted.faults.drop_p = 0.1;
+  faulted.faults.dup_p = 0.1;
+  expect_pinned(faulted,
+                PinnedChaos{ChaosVerdict::kOk, RunStatus::kComplete,
+                            "non-linearizable but out of coverage (NOT "
+                            "linearizable, attributed to: reliable-delivery "
+                            "violated 3x (first: message 2 from 1 to 0 sent at "
+                            "tick 1000 dropped), give-ups=0)",
+                            0x1478141151ca1388ull, 0, 0x38e06fed1ed3c797ull},
+                "eager-aop under loss");
+}
+
 TEST(ChaosSearch, GridIsAPureFunctionOfOptions) {
   ChaosSearchOptions options;
   options.seeds = 2;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/assumption_monitor.h"
@@ -303,6 +305,75 @@ TEST(AssumptionMonitor, ClassifiesCrashes) {
   EXPECT_TRUE(system.sim().run());
   const AssumptionReport report = audit_assumptions(system.sim().trace());
   EXPECT_TRUE(report.violated(Assumption::kFailureFree)) << report.summary();
+}
+
+TEST(AssumptionMonitor, ViolationDetailsPinned) {
+  // One hand-built trace with every violation kind, and the non-violating
+  // fault kinds (spike, give-up, mode switches) mixed in: the exact detail
+  // text of each violation is part of chaos results and repro output.
+  Trace trace;
+  trace.timing = SystemTiming{1000, 400, 100};
+  trace.clock_offsets = {0, 150, -20};
+  trace.end_time = 10'000;
+  const auto fault = [&](FaultKind kind, Tick time, ProcessId proc,
+                         ProcessId peer, MessageId msg, Tick magnitude) {
+    trace.faults.push_back(FaultEvent{kind, time, proc, peer, msg, magnitude});
+  };
+  fault(FaultKind::kMessageDropped, 100, 0, 1, 5, 0);
+  fault(FaultKind::kMessageDuplicated, 150, 1, 2, 9, 6);
+  fault(FaultKind::kDelaySpike, 160, 0, 2, 7, 700);
+  fault(FaultKind::kProcessStalled, 300, 2, kNoProcess, -1, 400);
+  fault(FaultKind::kProcessCrashed, 500, 2, kNoProcess, -1, 0);
+  fault(FaultKind::kModeDowngrade, 600, 0, kNoProcess, -1, 1);
+  fault(FaultKind::kProcessRecovered, 900, 2, kNoProcess, -1, 1);
+  fault(FaultKind::kModeUpgrade, 1000, 0, kNoProcess, -1, 2);
+  fault(FaultKind::kProcessCrashed, 2000, 1, kNoProcess, -1, 0);
+  fault(FaultKind::kOperationGivenUp, 2500, 0, kNoProcess, -1, 3);
+  const auto message = [&](MessageId id, ProcessId from, ProcessId to,
+                           Tick send, Tick recv) {
+    trace.messages.push_back(MessageRecord{id, from, to, send, recv});
+  };
+  message(5, 0, 1, 100, kNoTime);    // dropped: explained by its fault event
+  message(7, 0, 2, 200, 1700);       // delay 1500 > d
+  message(8, 1, 0, 300, 1100);       // in bounds
+  message(10, 1, 0, 3000, kNoTime);  // lost without a trace
+  message(11, 0, 1, 1500, kNoTime);  // recipient 1 crashed for good
+  message(12, 0, 2, 200, kNoTime);   // recipient 2 was down, came back
+  message(13, 0, 1, 9500, kNoTime);  // run ended before it was due
+
+  const AssumptionReport report = audit_assumptions(trace);
+  const std::vector<std::pair<Assumption, std::string>> want = {
+      {Assumption::kReliableDelivery,
+       "message 5 from 0 to 1 sent at tick 100 dropped"},
+      {Assumption::kNoDuplication,
+       "message 6 from 1 to 2 duplicated at tick 150 (copy id 9)"},
+      {Assumption::kNoStalls, "process 2 stalled at tick 300 for 400 ticks"},
+      {Assumption::kRecovering,
+       "process 2 crashed at tick 500 (later recovered)"},
+      {Assumption::kRecovering,
+       "process 2 recovered at tick 900 (incarnation 1)"},
+      {Assumption::kFailureFree, "process 1 crashed at tick 2000"},
+      {Assumption::kDelayBounds,
+       "message 7 from 0 to 2 sent at tick 200: delay 1500 outside [600, "
+       "1000]"},
+      {Assumption::kReliableDelivery,
+       "message 10 from 1 to 0 sent at tick 3000 never delivered"},
+      {Assumption::kFailureFree,
+       "message 11 from 0 to 1 sent at tick 1500 never delivered (recipient "
+       "crashed)"},
+      {Assumption::kRecovering,
+       "message 12 from 0 to 2 sent at tick 200 never delivered (recipient was "
+       "down, later recovered)"},
+      {Assumption::kClockSkew,
+       "clock skew |c_0 - c_1| = 150 exceeds eps = 100"},
+      {Assumption::kClockSkew,
+       "clock skew |c_1 - c_2| = 170 exceeds eps = 100"},
+  };
+  ASSERT_EQ(report.violations.size(), want.size()) << report.summary();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(report.violations[i].assumption, want[i].first) << i;
+    EXPECT_EQ(report.violations[i].detail, want[i].second) << i;
+  }
 }
 
 TEST(FaultInjection, PartitionDropsOnlyCrossComponentMessages) {

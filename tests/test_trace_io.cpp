@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "core/system.h"
+#include "fault/churn.h"
+#include "fault/fault_policy.h"
 #include "types/queue_type.h"
 #include "types/register_type.h"
 
@@ -147,6 +153,125 @@ TEST(TraceIo, ReconstructsGiveUpFromFaultEvents) {
   EXPECT_FALSE(parsed->ops[1].completed());
   EXPECT_EQ(trace_to_string(*parsed), trace_to_string(trace));
   EXPECT_EQ(hash_trace(*parsed), hash_trace(trace));
+}
+
+/// FNV-1a over a byte string: the function hash_trace applies to the
+/// serialization.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  return h;
+}
+
+/// Every shape the formatter prints: kNoTime dashes, negative offsets,
+/// INT64_MIN/MAX in plain and dash-able fields, every Value alternative, a
+/// string argument longer than any fixed formatting buffer, and one line of
+/// every FaultKind.
+Trace edge_case_trace() {
+  constexpr Tick kMin = std::numeric_limits<Tick>::min();
+  constexpr Tick kMax = std::numeric_limits<Tick>::max();
+  Trace trace;
+  trace.timing = SystemTiming{1000, 400, 300};
+  trace.clock_offsets = {-300, 0, kMax, kMin};
+  trace.end_time = kMax;
+  MessageRecord m;
+  m.id = 0;
+  m.from = 0;
+  m.to = 1;
+  m.send_time = kMin;
+  m.recv_time = kNoTime;
+  trace.messages.push_back(m);
+  m.id = kMax;
+  m.from = kNoProcess;
+  m.to = 2;
+  m.send_time = -5;
+  m.recv_time = kMax;
+  trace.messages.push_back(m);
+  OperationRecord rec;
+  rec.token = kMin;
+  rec.proc = 2;
+  rec.op.code = -7;
+  rec.op.args = {Value(kMin), Value(true), Value("x"),
+                 Value(Value::List{Value(1), Value("a"),
+                                   Value(Value::List{Value(false),
+                                                     Value::unit()})})};
+  rec.invoke_time = kNoTime;
+  rec.response_time = kNoTime;
+  rec.ret = Value::unit();
+  trace.ops.push_back(rec);
+  rec.token = kMax;
+  rec.proc = 0;
+  rec.op.code = 3;
+  rec.op.args = {Value(std::string(9000, 'q')), Value(false)};
+  rec.invoke_time = -20;
+  rec.response_time = kMax;
+  rec.ret = Value(std::string(5000, 's'));
+  trace.ops.push_back(rec);
+  for (int k = 0; k < static_cast<int>(FaultKind::kFaultKindCount); ++k) {
+    FaultEvent f;
+    f.kind = static_cast<FaultKind>(k);
+    f.time = k % 2 ? kMin : kMax - k;
+    f.proc = k;
+    f.peer = kNoProcess;
+    f.msg = k % 2 ? -1 : kMin;
+    f.magnitude = -k;
+    trace.faults.push_back(f);
+  }
+  return trace;
+}
+
+/// A real run with drops, duplicates, spikes and crash-recovery churn.
+Trace faulted_churned_run() {
+  auto model = std::make_shared<RegisterModel>();
+  SystemOptions o;
+  o.n = 3;
+  o.timing = SystemTiming{1000, 400, 100};
+  o.delays = std::make_shared<UniformDelayPolicy>(o.timing, 9);
+  FaultConfig faults;
+  faults.seed = 5;
+  faults.drop_p = 0.1;
+  faults.dup_p = 0.1;
+  faults.spike_p = 0.2;
+  faults.spike_max = 1500;
+  faults.churn.mean_uptime = 4000;
+  faults.churn.mean_downtime = 1500;
+  faults.churn.start = 1500;
+  faults.churn.horizon = 9000;
+  faults.churn.max_down = 1;
+  o.faults = make_fault_policy(faults);
+  ReplicaSystem system(model, o);
+  make_churn_schedule(faults, o.n).apply(system.sim());
+  for (int i = 0; i < 12; ++i) {
+    system.sim().invoke_at(1000 + 700 * i, i % 3,
+                           i % 2 ? reg::read() : reg::write(i));
+  }
+  system.sim().start();
+  system.sim().run();
+  return system.sim().trace();
+}
+
+TEST(TraceIo, HashIsFnvOfSerialization) {
+  const Trace edge = edge_case_trace();
+  const std::string text = trace_to_string(edge);
+  EXPECT_NE(text.find("op 9223372036854775807 0 3 -20 9223372036854775807"),
+            std::string::npos);
+  EXPECT_NE(text.find("msg 0 0 1 -9223372036854775808 -\n"),
+            std::string::npos);
+  EXPECT_EQ(hash_trace(edge), fnv1a(text));
+  // Pinned, so the serialization and the hash cannot drift together.
+  EXPECT_EQ(hash_trace(edge), 0xea64699a888ee9e9ull);
+  EXPECT_EQ(hash_trace(Trace{}), fnv1a(trace_to_string(Trace{})));
+
+  const Trace run = faulted_churned_run();
+  ASSERT_FALSE(run.faults.empty());
+  bool crashed = false;
+  for (const FaultEvent& f : run.faults) {
+    crashed = crashed || f.kind == FaultKind::kProcessCrashed;
+  }
+  EXPECT_TRUE(crashed);
+  EXPECT_EQ(hash_trace(run), fnv1a(trace_to_string(run)));
 }
 
 TEST(TraceIo, RejectsGarbage) {
