@@ -209,6 +209,22 @@ Tick boost_margin(const FaultConfig& faults) {
   return margin;
 }
 
+/// One deterministic simulation of the spec: the built system, run until
+/// it drained or a watchdog cut it.  Owns the system, so the trace stays
+/// readable until the Simulation is destroyed.
+struct Simulation {
+  std::shared_ptr<const ObjectModel> model;
+  std::unique_ptr<ObjectSystem> system;
+  /// The delays the latency oracle judges against; null for the
+  /// degradation variants, which carry no fixed per-class bound.
+  const AlgorithmDelays* judged_delays = nullptr;
+  bool drained = false;
+  bool wall_clock_tripped = false;
+
+  const Trace& trace() const { return system->sim().trace(); }
+};
+
+/// What the oracles read off one simulation.
 struct Execution {
   RunStatus status = RunStatus::kComplete;
   bool linearizable = true;
@@ -218,7 +234,6 @@ struct Execution {
   Tick worst_excess = 0;
   std::uint64_t trace_hash = 0;
   bool wall_clock_tripped = false;
-  FaultScript recorded;
   // Degradation accounting (from the trace's fault events).
   int downgrades = 0;
   int upgrades = 0;
@@ -295,11 +310,12 @@ bool storm_heals(const ChaosRunSpec& spec, const Execution& exec) {
   return true;
 }
 
-/// One deterministic simulation of the spec under the given fault policy.
-Execution execute_once(const ChaosRunSpec& spec,
-                       const std::shared_ptr<FaultPolicy>& policy,
-                       const RecordingFaultPolicy* recorder) {
-  const auto model = chaos_model(spec.workload);
+/// Build the spec's system under the given fault policy and run it through
+/// the watchdog loop.  Everything a run's trace depends on happens here.
+Simulation simulate(const ChaosRunSpec& spec,
+                    const std::shared_ptr<FaultPolicy>& policy) {
+  Simulation out;
+  out.model = chaos_model(spec.workload);
 
   SystemOptions sys;
   sys.n = spec.n;
@@ -355,17 +371,15 @@ Execution execute_once(const ChaosRunSpec& spec,
   }
 
   const bool degrade = degradation_variant(spec.variant);
-  std::unique_ptr<ObjectSystem> system;
-  const AlgorithmDelays* judged_delays = nullptr;
   if (degrade) {
     DegradeOptions dopt;
     dopt.base = sys;
     dopt.switching = spec.variant == ChaosVariant::kModeSwitching;
-    system = std::make_unique<DegradeSystem>(model, dopt);
+    out.system = std::make_unique<DegradeSystem>(out.model, dopt);
   } else {
-    auto rs = std::make_unique<ReplicaSystem>(model, sys);
-    judged_delays = &rs->algorithm_delays();
-    system = std::move(rs);
+    auto rs = std::make_unique<ReplicaSystem>(out.model, sys);
+    out.judged_delays = &rs->algorithm_delays();
+    out.system = std::move(rs);
   }
 
   Rng wl_rng(spec.workload_seed);
@@ -379,23 +393,22 @@ Execution execute_once(const ChaosRunSpec& spec,
                                    /*start_time=*/1000, spec.think_time});
   }
   // Degradation systems answer crash-cut operations themselves from the
-  // durable quorum log; a client retry would race that late response.
-  WorkloadDriver driver(system->sim(), std::move(scripts), {}, {},
+  // durable quorum log; a client retry would race that late response.  The
+  // driver's part ends with the run: nothing after simulate() runs the sim.
+  Simulator& sim = out.system->sim();
+  WorkloadDriver driver(sim, std::move(scripts), {}, {},
                         /*reissue_cut_ops=*/!degrade);
   driver.arm();
 
   if (spec.faults.churn.any()) {
-    make_churn_schedule(spec.faults, spec.n).apply(system->sim());
+    make_churn_schedule(spec.faults, spec.n).apply(sim);
   }
 
   // The watchdog loop: advance in fixed virtual-time slices, checking the
   // wall clock between slices.  The event budget is the simulator's own
   // max_events, so a budget abort lands after *exactly* event_budget events
   // -- deterministic, hence shrinkable; a wall-clock trip is not.
-  Simulator& sim = system->sim();
   sim.start();
-  Execution out;
-  bool drained = false;
   Tick horizon = 0;
   const auto wall_start = std::chrono::steady_clock::now();
   for (;;) {
@@ -405,8 +418,8 @@ Execution execute_once(const ChaosRunSpec& spec,
       // nothing -- the horizon only stamps the trace at the end of the run).
       horizon = sim.event_queue().next_time();
     }
-    drained = sim.run_until(horizon);
-    if (drained) break;
+    out.drained = sim.run_until(horizon);
+    if (out.drained) break;
     if (sim.events_processed() >= spec.event_budget) break;
     if (spec.wall_budget_ms > 0) {
       const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -417,14 +430,23 @@ Execution execute_once(const ChaosRunSpec& spec,
       }
     }
   }
+  return out;
+}
 
-  const Trace& trace = sim.trace();
+/// Everything the oracles read off a simulation: history and checker
+/// verdict, assumption audit, link give-ups, latency excess, degradation
+/// events and the trace hash.
+Execution measure(const ChaosRunSpec& spec, const Simulation& run) {
+  const Trace& trace = run.trace();
+  Simulator& sim = run.system->sim();
+  Execution out;
+  out.wall_clock_tripped = run.wall_clock_tripped;
   auto [history, pending] = history_with_pending(trace);
-  out.status = !drained ? RunStatus::kAborted
+  out.status = !run.drained ? RunStatus::kAborted
                : pending.empty() ? RunStatus::kComplete
                                  : RunStatus::kStalled;
-  const CheckResult check =
-      check_linearizable_with_pending(*model, history, pending, CheckOptions{});
+  const CheckResult check = check_linearizable_with_pending(
+      *run.model, history, pending, CheckOptions{});
   out.linearizable = check.ok;
   out.explanation = check.explanation;
   out.report = audit_assumptions(trace);
@@ -445,10 +467,10 @@ Execution execute_once(const ChaosRunSpec& spec,
   // variants fail linearizability, not their self-declared latency).  The
   // degradation variants trade latency for availability by design and carry
   // no fixed per-class bound, so they keep worst_excess at 0.
-  if (judged_delays) {
+  if (run.judged_delays) {
     LatencyReport latency;
-    latency.absorb(*model, trace);
-    const AlgorithmDelays& delays = *judged_delays;
+    latency.absorb(*run.model, trace);
+    const AlgorithmDelays& delays = *run.judged_delays;
     const auto excess = [&](OpClass cls, Tick bound) {
       const Tick worst = latency.worst_for_class(cls);
       if (worst == kNoTime) return;
@@ -461,8 +483,13 @@ Execution execute_once(const ChaosRunSpec& spec,
   absorb_degradation_events(trace, &out);
 
   out.trace_hash = hash_trace(trace);
-  if (recorder) out.recorded = recorder->script();
   return out;
+}
+
+/// Simulate and measure; the system is torn down before this returns.
+Execution execute_once(const ChaosRunSpec& spec,
+                       const std::shared_ptr<FaultPolicy>& policy) {
+  return measure(spec, simulate(spec, policy));
 }
 
 /// Fill the oracle verdict from one execution's measurements.
@@ -475,7 +502,6 @@ ChaosRunResult judge(const ChaosRunSpec& spec, const Execution& exec) {
   r.worst_excess = exec.worst_excess;
   r.trace_hash = exec.trace_hash;
   r.wall_clock_tripped = exec.wall_clock_tripped;
-  r.script = exec.recorded;
   r.downgrades = exec.downgrades;
   r.upgrades = exec.upgrades;
   r.max_concurrent_down = exec.max_concurrent_down;
@@ -554,37 +580,42 @@ ChaosRunResult judge(const ChaosRunSpec& spec, const Execution& exec) {
   return r;
 }
 
-std::shared_ptr<FaultPolicy> recording_policy(
-    const ChaosRunSpec& spec, std::shared_ptr<RecordingFaultPolicy>* recorder) {
+std::shared_ptr<RecordingFaultPolicy> recording_policy(
+    const ChaosRunSpec& spec) {
   std::shared_ptr<FaultPolicy> inner;
   if (spec.faults.any()) inner = make_fault_policy(spec.faults);
-  *recorder = std::make_shared<RecordingFaultPolicy>(std::move(inner));
-  return *recorder;
+  return std::make_shared<RecordingFaultPolicy>(std::move(inner));
 }
 
 }  // namespace
 
 ChaosRunResult run_chaos(const ChaosRunSpec& spec) {
   spec.validate();
-  // Two statements on purpose: recording_policy fills `rec1`, so passing
-  // `rec1.get()` in the same call would read it at an unspecified time.
-  std::shared_ptr<RecordingFaultPolicy> rec1;
-  const std::shared_ptr<FaultPolicy> policy1 = recording_policy(spec, &rec1);
-  const Execution first = execute_once(spec, policy1, rec1.get());
-  ChaosRunResult result = judge(spec, first);
-  if (first.wall_clock_tripped) return result;  // cut at a wall-dependent point
+  const auto recorder = recording_policy(spec);
+  ChaosRunResult result = judge(spec, execute_once(spec, recorder));
+  result.script = recorder->script();
+  if (result.wall_clock_tripped) return result;  // cut at a wall-dependent point
 
   // Determinism oracle: an independent second execution from the same spec
-  // must reproduce the trace bit-for-bit (and the same fault script).
-  std::shared_ptr<RecordingFaultPolicy> rec2;
-  const std::shared_ptr<FaultPolicy> policy2 = recording_policy(spec, &rec2);
-  const Execution second = execute_once(spec, policy2, rec2.get());
-  if (second.trace_hash != first.trace_hash ||
-      !(second.recorded == first.recorded)) {
+  // must reproduce the trace bit-for-bit (and the same fault script).  Only
+  // its hash and script are compared, so it is simulated, not judged.
+  const auto replay_recorder = recording_policy(spec);
+  const Simulation replay = simulate(spec, replay_recorder);
+  if (replay.wall_clock_tripped) {
+    // The replay was cut at a wall-dependent point, so its hash says
+    // nothing about determinism: report the trip, not a divergence.
+    result.verdict = ChaosVerdict::kAborted;
+    result.wall_clock_tripped = true;
+    result.detail = "wall-clock budget exceeded in the determinism replay";
+    return result;
+  }
+  const std::uint64_t replay_hash = hash_trace(replay.trace());
+  if (replay_hash != result.trace_hash ||
+      !(replay_recorder->script() == result.script)) {
     result.verdict = ChaosVerdict::kNonDeterministic;
     std::ostringstream detail;
     detail << "double-run divergence: trace hash " << std::hex
-           << first.trace_hash << " vs " << second.trace_hash;
+           << result.trace_hash << " vs " << replay_hash;
     result.detail = detail.str();
   }
   return result;
@@ -600,8 +631,7 @@ ChaosRunResult replay_chaos(const ChaosRunSpec& spec,
   }
   const auto policy =
       std::make_shared<ComposedFaultPolicy>(std::move(children));
-  const Execution exec = execute_once(spec, policy, nullptr);
-  ChaosRunResult result = judge(spec, exec);
+  ChaosRunResult result = judge(spec, execute_once(spec, policy));
   result.script = script;
   return result;
 }

@@ -5,14 +5,16 @@
 // mutant, workload, seeds, fault configuration, watchdog budgets -- and
 // every derived quantity (delay policy, clock offsets, client scripts,
 // churn schedule) is a pure function of it, so a spec alone reproduces a
-// run byte-for-byte on any machine.  run_chaos executes the spec twice,
-// recording the fault layer's concrete decisions into a FaultScript, and
-// returns a verdict from the layered oracles:
+// run byte-for-byte on any machine.  run_chaos executes the spec once,
+// recording the fault layer's concrete decisions into a FaultScript, judges
+// that run with the layered oracles below, then simulates the spec a second
+// time for the determinism oracle.  The second run is only hashed and its
+// script compared -- nothing else reads it, so it is not judged:
 //
 //   kAborted           the watchdog ended the run: the deterministic event
 //                      budget tripped (always reproducible) or the
-//                      wall-clock guard fired (CI safety net; flagged
-//                      non-reproducible, never shrunk);
+//                      wall-clock guard fired in either run (CI safety net;
+//                      flagged non-reproducible, never shrunk);
 //   kNonLinearizable   the checker rejected the history *and* the variant's
 //                      guarantee applied (see below) -- a real bug;
 //   kBoundViolated     an operation exceeded its per-class latency bound
@@ -160,7 +162,8 @@ struct ChaosRunResult {
 /// The object model a workload runs against.
 std::shared_ptr<const ObjectModel> chaos_model(ChaosWorkload workload);
 
-/// Execute the spec twice (determinism oracle), recording the fault script.
+/// Execute and judge the spec, recording the fault script, then simulate it
+/// again and compare trace hash and script (determinism oracle).
 ChaosRunResult run_chaos(const ChaosRunSpec& spec);
 
 /// Execute the spec once with the fault layer scripted: the given decisions

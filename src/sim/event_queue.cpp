@@ -29,8 +29,10 @@ std::int32_t checked_slot_index(std::size_t index) {
 EventQueue::EventQueue(EventQueueImpl) {}
 
 void EventQueue::allocate_calendar() {
-  buckets_.resize(kWindow);
-  l1_.resize(kL1);
+  // Default-initialised on purpose (new T[n], not make_unique<T[]>(n)): the
+  // bitmaps say which heads are live, so no head is written before use.
+  buckets_.reset(new Bucket[kWindow]);
+  l1_.reset(new Chain[kL1]);
 }
 
 std::uint64_t EventQueue::push(Tick time, EventPriority priority,
@@ -50,7 +52,7 @@ std::uint64_t EventQueue::push(Tick time, EventPriority priority,
 
 std::uint64_t EventQueue::push_typed(Tick time, EventPriority priority,
                                      SimEvent ev) {
-  if (buckets_.empty()) allocate_calendar();
+  if (!buckets_) allocate_calendar();
   ev.time = time;
   ev.priority = static_cast<std::uint8_t>(priority);
   ev.seq = next_seq_++;
@@ -188,8 +190,10 @@ void EventQueue::link_tail(Chain& chain, std::int32_t slot) {
 void EventQueue::l1_link(std::int32_t slot) {
   const std::size_t idx =
       wheel_index(pool_[static_cast<std::size_t>(slot)].time);
-  if (l1_[idx].head < 0) {
-    l1_words_[idx / 64] |= 1ull << (idx % 64);
+  const std::uint64_t bit = 1ull << (idx % 64);
+  if ((l1_words_[idx / 64] & bit) == 0) {
+    l1_[idx] = Chain{-1, -1};
+    l1_words_[idx / 64] |= bit;
     l1_summary_ |= 1ull << (idx / 64);
   }
   link_tail(l1_[idx], slot);
@@ -199,9 +203,15 @@ void EventQueue::bucket_link(std::int32_t slot) {
   const SimEvent& ev = pool_[static_cast<std::size_t>(slot)];
   const std::size_t off = static_cast<std::size_t>(ev.time - window_start_);
   assert(off < kWindow);
-  link_tail(buckets_[off].chain[ev.priority == 0 ? 0 : 1], slot);
-  words_[off / 64] |= 1ull << (off % 64);
-  summary_ |= 1ull << (off / 64);
+  Bucket& bucket = buckets_[off];
+  const std::uint64_t bit = 1ull << (off % 64);
+  if ((words_[off / 64] & bit) == 0) {
+    bucket.chain[0] = Chain{-1, -1};
+    bucket.chain[1] = Chain{-1, -1};
+    words_[off / 64] |= bit;
+    summary_ |= 1ull << (off / 64);
+  }
+  link_tail(bucket.chain[ev.priority == 0 ? 0 : 1], slot);
   ++calendar_live_;
 }
 
@@ -274,7 +284,6 @@ void EventQueue::rotate() {
     // Relink the chain in link order (= push = seq order); each slot lands
     // in the new window by construction and no record moves.
     std::int32_t slot = l1_[idx].head;
-    l1_[idx] = Chain{};
     l1_words_[idx / 64] &= ~(1ull << (idx % 64));
     if (l1_words_[idx / 64] == 0) l1_summary_ &= ~(1ull << (idx / 64));
     while (slot >= 0) {

@@ -37,6 +37,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/time.h"
@@ -91,8 +92,8 @@ class EventQueue {
  public:
   /// The argument is ignored (there is one implementation); the parameter
   /// stays because perfbench/harness.cpp passes it.  Allocates nothing: the
-  /// ~96 KB of bucket and wheel chain heads arrives with the first push, so
-  /// a system built and torn down unrun stays cheap.
+  /// ~96 KB of bucket and wheel chain heads arrives with the first push,
+  /// uninitialised (see Chain), so a run touches only the heads it uses.
   explicit EventQueue(EventQueueImpl = EventQueueImpl::kCalendar);
 
   /// Insert a generic callback event at `time`.  Returns the sequence
@@ -161,7 +162,7 @@ class EventQueue {
   static SimEvent heap_pop(std::vector<SimEvent>& heap);
 
   // --- calendar machinery ---
-  void allocate_calendar();  ///< size buckets_ and l1_ (first use)
+  void allocate_calendar();  ///< allocate buckets_ and l1_ (first use)
   /// Window size in ticks (one bucket per tick); power of two.  4096 ticks
   /// covers several message-delay bounds (default d = 1000), so in steady
   /// state nearly every delivery/timer lands in a bucket and only far-future
@@ -188,9 +189,14 @@ class EventQueue {
 
   /// One intrusive FIFO chain: head/tail slot indices into pool_, links in
   /// next_.  Appending at the tail keeps a chain in push (= seq) order.
+  /// Deliberately without initialisers: a bucket's or wheel chain's heads
+  /// are trusted only while its bitmap bit is set.  bucket_link and l1_link
+  /// reset a chain whose bit is clear before linking into it, and rotate()
+  /// only clears the bit of the wheel chain it relinks, so heads no event
+  /// ever used are never written.
   struct Chain {
-    std::int32_t head = -1;
-    std::int32_t tail = -1;
+    std::int32_t head;
+    std::int32_t tail;
   };
 
   /// One level-0 bucket: chain[0] = kDelivery, chain[1] = kNormal.  Within
@@ -249,13 +255,13 @@ class EventQueue {
   std::vector<std::int32_t> next_;       ///< chain links, parallel to pool_
   std::int32_t free_ = -1;               ///< free-slot list head
 
-  std::vector<Bucket> buckets_;          ///< index = time - window_start_
+  std::unique_ptr<Bucket[]> buckets_;    ///< kWindow; index = time - window_start_
   std::uint64_t words_[kWords] = {};     ///< bit b: bucket b populated
   std::uint64_t summary_ = 0;            ///< bit w: words_[w] != 0
   Tick window_start_ = 0;                ///< first tick covered by buckets_
   std::size_t cursor_ = 0;               ///< scan hint: no live bucket below it
   std::size_t calendar_live_ = 0;        ///< events currently in buckets
-  std::vector<Chain> l1_;                ///< kL1 wheel chains
+  std::unique_ptr<Chain[]> l1_;          ///< kL1 wheel chains
   std::uint64_t l1_words_[kL1Words] = {};  ///< bit b: chain b populated
   std::uint64_t l1_summary_ = 0;           ///< bit w: l1_words_[w] != 0
   /// Far rung: events at time >= window_start_ + kSpan (binary heap; empty

@@ -1,16 +1,14 @@
 #include "sim/trace_io.h"
 
+#include <charconv>
+#include <cstring>
 #include <ostream>
 #include <sstream>
-#include <streambuf>
+#include <string_view>
 #include <vector>
 
 namespace linbound {
 namespace {
-
-std::string time_or_dash(Tick t) {
-  return t == kNoTime ? std::string("-") : std::to_string(t);
-}
 
 std::optional<Tick> parse_time_or_dash(const std::string& token) {
   if (token == "-") return kNoTime;
@@ -33,31 +31,127 @@ bool fail(std::string* error, const std::string& why) {
   return false;
 }
 
+/// The one trace formatter: every serialized byte -- write_trace (and so
+/// trace_to_string) and hash_trace -- comes out of format_trace.  It fills a
+/// fixed buffer and hands it to `sink.put(data, n)` whenever the buffer is
+/// full and once at the end; integers go through std::to_chars, which
+/// prints exactly the digits operator<< does.
+template <typename Sink>
+class TraceFormatter {
+ public:
+  explicit TraceFormatter(Sink& sink) : sink_(sink) {}
+
+  void text(std::string_view s) {
+    if (s.size() > kCapacity - len_) {
+      flush();
+      if (s.size() > kCapacity) {
+        sink_.put(s.data(), s.size());
+        return;
+      }
+    }
+    std::memcpy(buf_ + len_, s.data(), s.size());
+    len_ += s.size();
+  }
+
+  void ch(char c) {
+    if (len_ == kCapacity) flush();
+    buf_[len_++] = c;
+  }
+
+  void num(std::int64_t x) {
+    if (kCapacity - len_ < kMaxDigits) flush();
+    len_ = static_cast<std::size_t>(
+        std::to_chars(buf_ + len_, buf_ + kCapacity, x).ptr - buf_);
+  }
+
+  /// " <x>" per argument: every numeric field is preceded by one space.
+  template <typename... Ints>
+  void fields(Ints... xs) {
+    ((ch(' '), num(xs)), ...);
+  }
+
+  /// " <t>", or " -" for kNoTime.
+  void time_field(Tick t) {
+    if (t == kNoTime) {
+      text(" -");
+    } else {
+      fields(t);
+    }
+  }
+
+  void flush() {
+    if (len_ > 0) sink_.put(buf_, len_);
+    len_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kCapacity = 4096;
+  static constexpr std::size_t kMaxDigits = 20;  ///< "-9223372036854775808"
+  Sink& sink_;
+  std::size_t len_ = 0;
+  char buf_[kCapacity] = {};
+};
+
+template <typename Sink>
+void format_trace(const Trace& trace, Sink& sink) {
+  TraceFormatter<Sink> out(sink);
+  out.text("trace v1\ntiming");
+  out.fields(trace.timing.d, trace.timing.u, trace.timing.eps);
+  out.text("\noffsets");
+  for (Tick c : trace.clock_offsets) out.fields(c);
+  out.text("\nend");
+  out.fields(trace.end_time);
+  out.ch('\n');
+  for (const MessageRecord& m : trace.messages) {
+    out.text("msg");
+    out.fields(m.id, m.from, m.to, m.send_time);
+    out.time_field(m.recv_time);
+    out.ch('\n');
+  }
+  for (const OperationRecord& rec : trace.ops) {
+    out.text("op");
+    out.fields(rec.token, rec.proc, rec.op.code);
+    out.time_field(rec.invoke_time);
+    out.time_field(rec.response_time);
+    out.ch(kFieldSep);
+    out.text(rec.ret.to_string());
+    for (const Value& arg : rec.op.args) {
+      out.ch(kFieldSep);
+      out.text(arg.to_string());
+    }
+    out.ch('\n');
+  }
+  for (const FaultEvent& f : trace.faults) {
+    out.text("fault ");
+    out.text(fault_kind_name(f.kind));
+    out.fields(f.time, f.proc, f.peer, f.msg, f.magnitude);
+    out.ch('\n');
+  }
+  out.flush();
+}
+
+struct OstreamSink {
+  std::ostream& os;
+  void put(const char* data, std::size_t n) {
+    os.write(data, static_cast<std::streamsize>(n));
+  }
+};
+
+/// FNV-1a over everything put through it.
+struct FnvSink {
+  std::uint64_t hash = 14695981039346656037ull;
+  void put(const char* data, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      hash = (hash ^ static_cast<unsigned char>(data[i])) * 1099511628211ull;
+    }
+  }
+};
+
 }  // namespace
 
 void write_trace(std::ostream& os, const Trace& trace) {
-  os << "trace v1\n";
-  os << "timing " << trace.timing.d << " " << trace.timing.u << " "
-     << trace.timing.eps << "\n";
-  os << "offsets";
-  for (Tick c : trace.clock_offsets) os << " " << c;
-  os << "\n";
-  os << "end " << trace.end_time << "\n";
-  for (const MessageRecord& m : trace.messages) {
-    os << "msg " << m.id << " " << m.from << " " << m.to << " " << m.send_time
-       << " " << time_or_dash(m.recv_time) << "\n";
-  }
-  for (const OperationRecord& rec : trace.ops) {
-    os << "op " << rec.token << " " << rec.proc << " " << rec.op.code << " "
-       << time_or_dash(rec.invoke_time) << " " << time_or_dash(rec.response_time)
-       << kFieldSep << rec.ret.to_string();
-    for (const Value& arg : rec.op.args) os << kFieldSep << arg.to_string();
-    os << "\n";
-  }
-  for (const FaultEvent& f : trace.faults) {
-    os << "fault " << fault_kind_name(f.kind) << " " << f.time << " " << f.proc
-       << " " << f.peer << " " << f.msg << " " << f.magnitude << "\n";
-  }
+  OstreamSink sink{os};
+  format_trace(trace, sink);
 }
 
 std::string trace_to_string(const Trace& trace) {
@@ -66,37 +160,10 @@ std::string trace_to_string(const Trace& trace) {
   return os.str();
 }
 
-namespace {
-
-/// FNV-1a over everything written through it.
-class HashStreambuf final : public std::streambuf {
- public:
-  std::uint64_t hash() const { return hash_; }
-
- protected:
-  int overflow(int ch) override {
-    if (ch != traits_type::eof()) absorb(static_cast<unsigned char>(ch));
-    return ch;
-  }
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    for (std::streamsize i = 0; i < n; ++i) {
-      absorb(static_cast<unsigned char>(s[i]));
-    }
-    return n;
-  }
-
- private:
-  void absorb(unsigned char c) { hash_ = (hash_ ^ c) * 1099511628211ull; }
-  std::uint64_t hash_ = 14695981039346656037ull;
-};
-
-}  // namespace
-
 std::uint64_t hash_trace(const Trace& trace) {
-  HashStreambuf buf;
-  std::ostream os(&buf);
-  write_trace(os, trace);
-  return buf.hash();
+  FnvSink sink;
+  format_trace(trace, sink);
+  return sink.hash;
 }
 
 std::optional<Trace> read_trace(std::istream& is, std::string* error) {

@@ -14,6 +14,12 @@
 // the same ObjectModel.  Fault lines (injected faults, crashes, recoveries;
 // kind per fault_kind_name) appear only for runs that had fault events, so
 // a clean run's serialization is byte-identical to the pre-fault format.
+//
+// One formatter writes every serialized byte: write_trace feeds it an
+// ostream sink and hash_trace an FNV-1a sink.  It fills a fixed 4 KiB
+// buffer, writing integers with std::to_chars -- the digits operator<<
+// prints -- so the bytes, and every pinned hash, are those of the original
+// stream-based writer.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +41,12 @@ std::optional<Trace> read_trace(std::istream& is, std::string* error = nullptr);
 std::optional<Trace> trace_from_string(const std::string& text,
                                        std::string* error = nullptr);
 
-/// FNV-1a fingerprint of write_trace's output, streamed (a ~100MB
-/// serialized trace is hashed without materializing it).  Two traces hash
-/// equal iff their serializations are byte-identical -- the determinism
-/// oracle of bench_throughput, the chaos engine's double-run check
-/// (src/chaos) and the repro-bundle replay gate all compare this.
+/// FNV-1a (64-bit, unchanged) over write_trace's bytes, streamed through
+/// the formatter's buffer (a ~100MB serialized trace is hashed without
+/// materializing it).  Two traces hash equal iff their serializations are
+/// byte-identical -- the determinism oracle of bench_throughput, the chaos
+/// engine's double-run check (src/chaos) and the repro-bundle replay gate
+/// all compare this.
 std::uint64_t hash_trace(const Trace& trace);
 
 }  // namespace linbound

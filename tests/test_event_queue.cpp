@@ -266,6 +266,48 @@ TEST(EventQueueDifferential, FuzzPopHeavyDrains) {
                     /*far_spread=*/50'000, /*pop_p=*/0.7);
 }
 
+TEST(EventQueueDifferential, FuzzShortLivedQueuesOnRecycledMemory) {
+  // Hundreds of small queues built, drained and destroyed in sequence: each
+  // allocates its chain heads uninitialised, typically into the block its
+  // predecessor just freed, so stale heads are there to be misread unless
+  // the bitmap bits gate every read.  Pushes cluster on a few ticks near
+  // the popped horizon and on wheel chains a few windows out, and pops keep
+  // the queue small, so buckets and wheel chains empty and refill within a
+  // window.
+  Rng rng(0x5ec1c1ed);
+  for (int round = 0; round < 400; ++round) {
+    EventQueue cal;
+    ReferenceHeap heap;
+    Tick horizon = 0;
+    std::int64_t next_id = 0;
+    const int steps = 40 + static_cast<int>(rng.uniform(0, 160));
+    for (int i = 0; i < steps; ++i) {
+      ASSERT_EQ(cal.next_time(), heap.next_time()) << "round " << round;
+      if (!cal.empty() && rng.chance(0.45)) {
+        Tick t = 0;
+        ASSERT_TRUE(same_pop(cal, heap, &t)) << "round " << round;
+        horizon = std::max(horizon, t);
+        continue;
+      }
+      const Tick t = rng.chance(0.7)
+                         ? horizon + rng.uniform(0, 6)
+                         : horizon + 4096 * rng.uniform(1, 3) +
+                               rng.uniform(0, 6);
+      SimEvent ev;
+      ev.kind = EventKind::kTimer;
+      ev.a = next_id++;
+      const EventPriority priority =
+          rng.chance(0.5) ? EventPriority::kDelivery : EventPriority::kNormal;
+      cal.push_typed(t, priority, ev);
+      heap.push_typed(t, priority, ev);
+    }
+    while (!cal.empty()) {
+      ASSERT_TRUE(same_pop(cal, heap, nullptr)) << "round " << round;
+    }
+    ASSERT_TRUE(heap.empty());
+  }
+}
+
 TEST(EventQueueDifferential, PushIntoDrainingBucket) {
   // Level-0 buckets are two slot chains: pushes at the tick being drained
   // must link behind the chain head in seq order, restart an emptied
