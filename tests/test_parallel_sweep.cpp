@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "core/workload.h"
 #include "harness/churn_sweep.h"
 #include "harness/experiment.h"
 #include "harness/fault_sweep.h"
+#include "harness/mode_sweep.h"
 #include "types/register_type.h"
 
 namespace linbound {
@@ -131,6 +134,99 @@ TEST(ParallelSweep, ChurnSweepByteIdentical) {
   ASSERT_EQ(serial.cells.size(), parallel.cells.size());
   for (std::size_t i = 0; i < serial.cells.size(); ++i) {
     EXPECT_EQ(serial.cells[i].notes, parallel.cells[i].notes);
+  }
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  return h;
+}
+
+/// Per-opcode sample counts, extremes and totals, one line per code.
+void dump_latency(std::ostringstream& os, const LatencyReport& latency) {
+  for (const auto& [code, summary] : latency.by_code) {
+    os << "lat " << code << " n=" << summary.count << " min=" << summary.min
+       << " max=" << summary.max << " total=" << summary.total << "\n";
+  }
+}
+
+void dump_strings(std::ostringstream& os, const std::vector<std::string>& lines) {
+  for (const std::string& line : lines) os << line << "\n";
+}
+
+std::uint64_t dump_hash(const SweepResult& r) {
+  std::ostringstream os;
+  os << r.runs << " " << r.linearizable_runs << " " << r.all_linearizable()
+     << "\n";
+  dump_strings(os, r.failures);
+  dump_latency(os, r.latency);
+  return fnv1a(os.str());
+}
+
+// Pins every sweep's printed output at a small config: table, notes and
+// failures, ok() and the latency counts, extremes and totals.  Changes to the
+// run recipe (scripts, seed derivation, grid order, run-then-check) must leave
+// these hashes unchanged; a changed hash means a sweep's output changed.
+TEST(SweepOutputs, Pinned) {
+  auto model = std::make_shared<RegisterModel>();
+  const WorkloadFactory workload = register_workload(4);
+
+  SweepOptions grid;
+  grid.n = 3;
+  grid.seeds = 2;
+  grid.jobs = 2;
+  EXPECT_EQ(dump_hash(run_replica_sweep(model, workload, grid)),
+            15719794302163915732ull);
+  EXPECT_EQ(dump_hash(run_centralized_sweep(model, workload, grid)),
+            5269256586971014340ull);
+  EXPECT_EQ(dump_hash(run_tob_sweep(model, workload, grid)),
+            9541949502928754062ull);
+
+  {
+    FaultSweepOptions options;
+    options.n = 3;
+    options.seeds = 2;
+    options.jobs = 2;
+    const FaultSweepResult r = run_fault_sweep(model, workload, options);
+    std::ostringstream os;
+    os << r.table() << r.ok() << "\n";
+    dump_latency(os, r.clean_latency);
+    for (const FaultCellResult& cell : r.cells) {
+      dump_strings(os, cell.notes);
+      dump_latency(os, cell.hardened_latency);
+    }
+    EXPECT_EQ(fnv1a(os.str()), 4615724423988426839ull);
+  }
+  {
+    ChurnSweepOptions options;
+    options.n = 3;
+    options.seeds = 2;
+    options.ops_per_client = 4;
+    options.recoverable.link.max_attempts = 3;
+    options.jobs = 2;
+    const ChurnSweepResult r = run_churn_sweep(model, workload, options);
+    std::ostringstream os;
+    os << r.table() << r.ok() << "\n";
+    for (const ChurnCellResult& cell : r.cells) dump_strings(os, cell.notes);
+    EXPECT_EQ(fnv1a(os.str()), 4892241894882357308ull);
+  }
+  {
+    ModeSweepOptions options;
+    options.n = 3;
+    options.seeds = 1;
+    options.jobs = 2;
+    const ModeSweepResult r = run_mode_sweep(model, workload, options);
+    std::ostringstream os;
+    os << r.table() << r.ok() << r.fixed_mode_stalled_somewhere() << "\n";
+    for (const ModeCellResult& cell : r.cells) {
+      dump_strings(os, cell.notes);
+      for (const Tick t : cell.switch_latencies) os << t << " ";
+      os << "\n";
+    }
+    EXPECT_EQ(fnv1a(os.str()), 1444676121184984255ull);
   }
 }
 
