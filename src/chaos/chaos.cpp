@@ -199,16 +199,6 @@ std::vector<Tick> derive_offsets(const ChaosRunSpec& spec) {
   return offsets;
 }
 
-/// The worst injected one-way delay boost the hardened link must absorb for
-/// the run to stay inside its effective model.
-Tick boost_margin(const FaultConfig& faults) {
-  Tick margin = faults.spike_max;
-  for (const LinkFault& link : faults.links) {
-    margin = std::max(margin, link.delay_max);
-  }
-  return margin;
-}
-
 /// One deterministic simulation of the spec: the built system, run until
 /// it drained or a watchdog cut it.  Owns the system, so the trace stays
 /// readable until the Simulation is destroyed.
@@ -336,13 +326,13 @@ Simulation simulate(const ChaosRunSpec& spec,
       // model while the supervisor gathers its evidence (spiked deliveries
       // still land past the raw d, so they count as violations).
       HardenedParams hp;
-      hp.spike_margin = boost_margin(spec.faults);
+      hp.spike_margin = spec.faults.max_delay_boost();
       sys.hardened = hp;
       break;
     }
     case ChaosVariant::kRecoverable: {
       RecoverableParams rp;
-      rp.link.spike_margin = boost_margin(spec.faults);
+      rp.link.spike_margin = spec.faults.max_delay_boost();
       sys.recoverable = rp;
       break;
     }
@@ -382,22 +372,17 @@ Simulation simulate(const ChaosRunSpec& spec,
     out.system = std::move(rs);
   }
 
-  Rng wl_rng(spec.workload_seed);
-  std::vector<ClientScript> scripts;
-  scripts.reserve(static_cast<std::size_t>(spec.n));
-  for (int pid = 0; pid < spec.n; ++pid) {
-    Rng client_rng = wl_rng.split(static_cast<std::uint64_t>(pid));
-    scripts.push_back(ClientScript{static_cast<ProcessId>(pid),
-                                   chaos_ops(spec.workload, client_rng,
-                                             spec.ops_per_client),
-                                   /*start_time=*/1000, spec.think_time});
-  }
   // Degradation systems answer crash-cut operations themselves from the
   // durable quorum log; a client retry would race that late response.  The
   // driver's part ends with the run: nothing after simulate() runs the sim.
   Simulator& sim = out.system->sim();
-  WorkloadDriver driver(sim, std::move(scripts), {}, {},
-                        /*reissue_cut_ops=*/!degrade);
+  WorkloadDriver driver(
+      sim,
+      client_scripts(spec.n, Rng(spec.workload_seed), spec.think_time,
+                     [&](ProcessId, Rng& rng) {
+                       return chaos_ops(spec.workload, rng, spec.ops_per_client);
+                     }),
+      {}, {}, /*reissue_cut_ops=*/!degrade);
   driver.arm();
 
   if (spec.faults.churn.any()) {
@@ -470,15 +455,13 @@ Execution measure(const ChaosRunSpec& spec, const Simulation& run) {
   if (run.judged_delays) {
     LatencyReport latency;
     latency.absorb(*run.model, trace);
-    const AlgorithmDelays& delays = *run.judged_delays;
-    const auto excess = [&](OpClass cls, Tick bound) {
+    for (const OpClass cls : {OpClass::kPureMutator, OpClass::kPureAccessor,
+                              OpClass::kOther}) {
       const Tick worst = latency.worst_for_class(cls);
-      if (worst == kNoTime) return;
-      out.worst_excess = std::max(out.worst_excess, worst - bound);
-    };
-    excess(OpClass::kPureMutator, delays.mop_ack);
-    excess(OpClass::kPureAccessor, delays.aop_respond);
-    excess(OpClass::kOther, delays.self_add + delays.holdback);
+      if (worst == kNoTime) continue;
+      out.worst_excess =
+          std::max(out.worst_excess, worst - run.judged_delays->bound(cls));
+    }
   }
   absorb_degradation_events(trace, &out);
 

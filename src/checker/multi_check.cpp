@@ -24,14 +24,10 @@ MultiCheckReport check_shards(const ObjectModel& model,
     auto [history, pending] = history_with_pending(*traces[i]);
     out.ops = history.size();
     out.pending = pending.size();
-    if (options.streaming) {
-      out.result = streaming_check_trace(model, *traces[i], check);
-    } else {
-      out.result = pending.empty()
-                       ? check_linearizable(model, history, check)
-                       : check_linearizable_with_pending(model, history,
-                                                         pending, check);
-    }
+    out.result = pending.empty()
+                     ? check_linearizable(model, history, check)
+                     : check_linearizable_with_pending(model, history,
+                                                       pending, check);
     return out;
   });
   for (const ShardCheck& s : report.shards) {

@@ -8,13 +8,16 @@
 // canonical shard order, and every verdict/witness/explanation is
 // byte-identical to checking that shard alone -- the checker-side mirror of
 // the sharded runtime's per-shard trace determinism contract.
+//
+// These checks run offline, after the run.  To check each shard while it
+// runs, set ShardOptions::streaming_check instead; DESIGN §10 records why
+// offline checks do not replay traces through the streaming checker.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "checker/lin_checker.h"
-#include "checker/streaming_checker.h"
 #include "sim/trace.h"
 #include "spec/object_model.h"
 
@@ -29,15 +32,10 @@ struct ShardCheck {
 };
 
 struct MultiCheckOptions {
-  /// Per-shard checker configuration, for either route.
+  /// Per-shard checker configuration.
   CheckOptions check;
   /// Worker threads across shards (resolve_jobs semantics).
   int jobs = 1;
-  /// Route each shard's check through the streaming checker (replayed from
-  /// the trace) instead of the offline one.  Verdict and witness are
-  /// identical either way (the streaming determinism contract); memory per
-  /// shard drops from O(history) to O(open window).
-  bool streaming = false;
 };
 
 struct MultiCheckReport {

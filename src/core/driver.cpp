@@ -4,6 +4,19 @@
 
 namespace linbound {
 
+std::vector<ClientScript> client_scripts(int n, Rng rng, Tick think_time,
+                                         const WorkloadFactory& ops) {
+  std::vector<ClientScript> scripts;
+  scripts.reserve(static_cast<std::size_t>(n));
+  for (int pid = 0; pid < n; ++pid) {
+    Rng client_rng = rng.split(static_cast<std::uint64_t>(pid));
+    scripts.push_back(ClientScript{static_cast<ProcessId>(pid),
+                                   ops(pid, client_rng), /*start_time=*/1000,
+                                   think_time});
+  }
+  return scripts;
+}
+
 WorkloadDriver::WorkloadDriver(Simulator& sim, std::vector<ClientScript> scripts,
                                std::function<void(const OperationRecord&)> on_response,
                                std::function<void(ProcessId, Tick)> on_recovery,

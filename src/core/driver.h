@@ -8,6 +8,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/simulator.h"
 #include "spec/operation.h"
 
@@ -19,6 +20,15 @@ struct ClientScript {
   Tick start_time = 0;   ///< real time of the first invocation
   Tick think_time = 0;   ///< gap between a response and the next invocation
 };
+
+/// Produces the operation list for one client process in one run.
+using WorkloadFactory =
+    std::function<std::vector<Operation>(ProcessId pid, Rng& rng)>;
+
+/// One script per process 0..n-1, each starting at t=1000: process p's
+/// operations are ops(p, rng.split(p)), split in pid order.
+std::vector<ClientScript> client_scripts(int n, Rng rng, Tick think_time,
+                                         const WorkloadFactory& ops);
 
 class WorkloadDriver {
  public:

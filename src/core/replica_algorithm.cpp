@@ -6,6 +6,18 @@
 
 namespace linbound {
 
+Tick AlgorithmDelays::bound(OpClass cls) const {
+  switch (cls) {
+    case OpClass::kPureMutator:
+      return mop_ack;
+    case OpClass::kPureAccessor:
+      return aop_respond;
+    case OpClass::kOther:
+      return self_add + holdback;
+  }
+  return 0;
+}
+
 AlgorithmDelays AlgorithmDelays::standard(const SystemTiming& timing, Tick x) {
   if (x < 0 || x > timing.d + timing.eps - timing.u) {
     throw std::invalid_argument("X must lie in [0, d+eps-u]");

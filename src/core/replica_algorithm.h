@@ -53,6 +53,10 @@ struct AlgorithmDelays {
   Tick aop_respond = 0;  ///< pure-accessor response delay (d+eps-X)
   Tick aop_backdate = 0; ///< accessor timestamp back-dating (X)
 
+  /// Worst-case response delay of one operation of class `cls`:
+  /// self_add + holdback (OOP), mop_ack (MOP) or aop_respond (AOP).
+  Tick bound(OpClass cls) const;
+
   /// The paper's choices for a system synchronized to skew eps, with
   /// trade-off parameter X in [0, d+eps-u].
   static AlgorithmDelays standard(const SystemTiming& timing, Tick x);

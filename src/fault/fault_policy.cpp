@@ -1,5 +1,7 @@
 #include "fault/fault_policy.h"
 
+#include <algorithm>
+
 namespace linbound {
 
 void check_probability(double p, const char* what) {
@@ -93,6 +95,12 @@ FaultDecision LinkFaultPolicy::on_send(ProcessId from, ProcessId to, Tick,
     }
   }
   return out;
+}
+
+Tick FaultConfig::max_delay_boost() const {
+  Tick boost = spike_max;
+  for (const LinkFault& link : links) boost = std::max(boost, link.delay_max);
+  return boost;
 }
 
 void FaultConfig::validate() const {

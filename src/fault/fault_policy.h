@@ -270,6 +270,10 @@ struct FaultConfig {
            !stalls.empty() || !partitions.empty() || !links.empty();
   }
 
+  /// The worst one-way delay boost the config can inject: spike_max or the
+  /// largest per-link delay_max.  A hardened link's spike margin.
+  Tick max_delay_boost() const;
+
   /// Reject out-of-range parameters with messages naming the field:
   /// probabilities outside [0, 1], negative boosts/copies, inverted stall or
   /// partition windows, negative churn durations.  make_fault_policy and

@@ -4,24 +4,18 @@
 #include <iomanip>
 #include <sstream>
 
-#include "core/driver.h"
 #include "fault/assumption_monitor.h"
 #include "fault/fault_policy.h"
-#include "common/parallel.h"
 
 namespace linbound {
 namespace {
 
 /// Everything the sweep needs to know about one churned run.
-struct OneChurnRun {
-  RunStatus status = RunStatus::kComplete;
-  bool linearizable = false;
-  std::string explanation;
+struct OneChurnRun : RunVerdict {
   AssumptionReport report;
   std::int64_t invocations = 0;
   std::int64_t answered = 0;
   int crashes = 0;
-  int recoveries = 0;
   int reissued = 0;
   Tick worst_crash_to_response = kNoTime;
   Tick worst_rejoin_latency = kNoTime;
@@ -33,58 +27,32 @@ struct OneChurnRun {
   }
 };
 
-Tick class_bound(const AlgorithmDelays& delays, OpClass cls) {
-  switch (cls) {
-    case OpClass::kPureMutator:
-      return delays.mop_ack;
-    case OpClass::kPureAccessor:
-      return delays.aop_respond;
-    case OpClass::kOther:
-      return delays.self_add + delays.holdback;
-  }
-  return 0;
-}
-
 OneChurnRun run_one(const std::shared_ptr<const ObjectModel>& model,
                     const WorkloadFactory& workload,
-                    const ChurnSweepOptions& options, const ChurnConfig& churn,
-                    std::uint64_t churn_seed, std::uint64_t delay_seed,
-                    std::uint64_t workload_seed, Tick recovery_bound) {
+                    const ChurnSweepOptions& options, const FaultConfig& faults,
+                    const GridSeeds& seeds, int seed, Tick recovery_bound) {
   SystemOptions sys;
   sys.n = options.n;
   sys.timing = options.timing;
   sys.x = options.x;
-  sys.delays = std::make_shared<UniformDelayPolicy>(options.timing, delay_seed);
+  sys.delays =
+      std::make_shared<UniformDelayPolicy>(options.timing, seeds.delay(seed));
   sys.recoverable = options.recoverable;
   ReplicaSystem system(model, sys);
 
-  FaultConfig faults;
-  faults.churn = churn;
-  faults.seed = churn_seed;
+  // Churn is applied before the driver is built: moving it after arm()
+  // would reorder same-tick events and change the trace.
   const ChurnSchedule schedule = make_churn_schedule(faults, options.n);
   schedule.apply(system.sim());
 
-  Rng wl_rng(workload_seed);
-  std::vector<ClientScript> scripts;
-  scripts.reserve(static_cast<std::size_t>(options.n));
-  for (int pid = 0; pid < options.n; ++pid) {
-    Rng client_rng = wl_rng.split(static_cast<std::uint64_t>(pid));
-    scripts.push_back(ClientScript{static_cast<ProcessId>(pid),
-                                   workload(pid, client_rng),
-                                   /*start_time=*/1000, options.think_time});
-  }
-  WorkloadDriver driver(system.sim(), std::move(scripts));
+  WorkloadDriver driver(system.sim(),
+                        client_scripts(options.n, Rng(seeds.workload(seed)),
+                                       /*think_time=*/0, workload));
   driver.arm();
 
-  const RunOutcome outcome = system.run_with_outcome();
-  const CheckResult check = check_linearizable_with_pending(
-      *model, outcome.history, outcome.pending, options.check);
-  const Trace& trace = system.sim().trace();
-
   OneChurnRun out;
-  out.status = outcome.status;
-  out.linearizable = check.ok;
-  out.explanation = check.explanation;
+  static_cast<RunVerdict&>(out) = check_run(system);
+  const Trace& trace = system.sim().trace();
   out.report = audit_assumptions(trace);
   out.invocations = static_cast<std::int64_t>(trace.ops.size());
   out.reissued = driver.reissued();
@@ -103,8 +71,8 @@ OneChurnRun run_one(const std::shared_ptr<const ObjectModel>& model,
         churners.end()) {
       continue;
     }
-    const Tick bound = class_bound(delays, model->classify(rec.op));
-    if (rec.response_time - rec.invoke_time > bound) {
+    if (rec.response_time - rec.invoke_time >
+        delays.bound(model->classify(rec.op))) {
       ++out.survivor_bound_violations;
     }
   }
@@ -114,7 +82,6 @@ OneChurnRun run_one(const std::shared_ptr<const ObjectModel>& model,
   for (const FaultEvent& f : trace.faults) {
     if (f.kind == FaultKind::kProcessCrashed) ++out.crashes;
     if (f.kind != FaultKind::kProcessRecovered) continue;
-    ++out.recoveries;
     Tick crash_time = kNoTime;
     for (const FaultEvent& c : trace.faults) {
       if (c.kind == FaultKind::kProcessCrashed && c.proc == f.proc &&
@@ -168,9 +135,9 @@ Tick churn_recovery_bound(const SystemTiming& timing,
                           const RecoverableParams& params,
                           const AlgorithmDelays& delays) {
   const Tick d_eff = params.link.effective_d(timing);
-  const Tick serve =
-      std::max({delays.self_add + delays.holdback, delays.mop_ack,
-                delays.aop_respond});
+  const Tick serve = std::max({delays.bound(OpClass::kOther),
+                               delays.bound(OpClass::kPureMutator),
+                               delays.bound(OpClass::kPureAccessor)});
   // Join round trip + one retry's slack + catch-up window + the slowest
   // class's own response bound.
   return 2 * d_eff + params.join_retry_for(timing) +
@@ -247,72 +214,43 @@ ChurnSweepResult run_churn_sweep(const std::shared_ptr<const ObjectModel>& model
   const SystemTiming eff =
       options.recoverable.link.effective_timing(options.timing);
   const AlgorithmDelays delays = AlgorithmDelays::standard(eff, options.x);
-  result.oop_bound = delays.self_add + delays.holdback;
-  result.mop_bound = delays.mop_ack;
-  result.aop_bound = delays.aop_respond;
+  result.oop_bound = delays.bound(OpClass::kOther);
+  result.mop_bound = delays.bound(OpClass::kPureMutator);
+  result.aop_bound = delays.bound(OpClass::kPureAccessor);
   result.recovery_bound =
       churn_recovery_bound(options.timing, options.recoverable, delays);
 
-  // The workload runs from t=1000 for roughly ops * (worst-op + think)
-  // ticks; churn defaults to covering that window so crashes land while
-  // operations are in flight.
-  const Tick churn_start = options.churn_start > 0
-                               ? options.churn_start
-                               : 1000 + result.oop_bound;
+  // The workload runs from t=1000 for roughly ops * worst-op ticks; churn
+  // covers that window so crashes land while operations are in flight.
+  const Tick churn_start = 1000 + result.oop_bound;
   const Tick churn_horizon =
-      options.churn_horizon > 0
-          ? options.churn_horizon
-          : 1000 + static_cast<Tick>(options.ops_per_client) *
-                       (result.oop_bound + options.think_time);
+      1000 + static_cast<Tick>(options.ops_per_client) * result.oop_bound;
 
-  // Same derivation style as run_fault_sweep: delay and workload randomness
-  // depend only on the seed index, so every cell replays the same delays
-  // and client scripts -- churn intensity is the only thing that varies.
-  const auto delay_seed = [&](int seed) {
-    return options.base_seed +
-           0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(seed);
-  };
-  const auto workload_seed = [&](int seed) {
-    return options.base_seed ^
-           (0xd1b54a32d192ed03ULL +
-            0x2545f4914f6cdd1dULL * static_cast<std::uint64_t>(seed));
-  };
-
-  // One task per (cell, seed); execution order is irrelevant because each
-  // run builds everything it touches from seed-derived values.  Aggregation
-  // below walks the results in the serial sweep's (cell, seed) order.
-  const ParallelSweepExecutor executor(options.jobs);
-  const std::size_t seeds = static_cast<std::size_t>(options.seeds);
-  const std::vector<OneChurnRun> grid_runs = executor.map<OneChurnRun>(
-      cells.size() * seeds, [&](std::size_t i) {
-        const std::size_t ci = i / seeds;
-        const int seed = static_cast<int>(i % seeds);
-        ChurnConfig churn;
-        churn.mean_uptime = cells[ci].mean_uptime;
-        churn.mean_downtime = cells[ci].mean_downtime;
-        churn.start = churn_start;
-        churn.horizon = churn_horizon;
-        const std::uint64_t churn_seed = options.base_seed +
-                                         0xbf58476d1ce4e5b9ULL * (ci + 1) +
-                                         static_cast<std::uint64_t>(seed);
-        return run_one(model, workload, options, churn, churn_seed,
-                       delay_seed(seed), workload_seed(seed),
+  const GridSeeds seeds{options.base_seed};
+  const std::vector<OneChurnRun> grid_runs = map_grid<OneChurnRun>(
+      options.jobs, cells.size(), options.seeds, [&](std::size_t ci, int seed) {
+        FaultConfig faults;
+        faults.churn.mean_uptime = cells[ci].mean_uptime;
+        faults.churn.mean_downtime = cells[ci].mean_downtime;
+        faults.churn.start = churn_start;
+        faults.churn.horizon = churn_horizon;
+        faults.seed = seeds.faults(ci, seed);
+        return run_one(model, workload, options, faults, seeds, seed,
                        result.recovery_bound);
       });
 
+  std::size_t next = 0;  // grid_runs is cell-major: the loops walk it in order
   for (std::size_t ci = 0; ci < cells.size(); ++ci) {
     ChurnCellResult cell_result;
     cell_result.cell = cells[ci];
     for (int seed = 0; seed < options.seeds; ++seed) {
-      const OneChurnRun& run =
-          grid_runs[ci * seeds + static_cast<std::size_t>(seed)];
+      const OneChurnRun& run = grid_runs[next++];
 
       ++cell_result.runs;
       if (run.linearizable) ++cell_result.linearizable;
       cell_result.invocations += run.invocations;
       cell_result.answered += run.answered;
       cell_result.crashes += run.crashes;
-      cell_result.recoveries += run.recoveries;
       cell_result.reissued += run.reissued;
       cell_result.rejoin_bound_violations += run.rejoin_bound_violations;
       cell_result.survivor_bound_violations += run.survivor_bound_violations;

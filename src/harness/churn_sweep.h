@@ -41,24 +41,16 @@ struct ChurnSweepOptions {
   SystemTiming timing;
   Tick x = 0;               ///< Algorithm 1's trade-off parameter
   int seeds = 5;            ///< randomized runs per cell
-  Tick think_time = 0;      ///< client think time between operations
   int ops_per_client = 10;  ///< script length per process
   /// Grid of churn intensities; empty means default_churn_cells().
   std::vector<ChurnCell> cells;
   /// Link + rejoin knobs for the recoverable replicas.
   RecoverableParams recoverable;
-  /// First possible crash / last possible crash (real time); 0 means
-  /// derived from the workload span so churn overlaps the active run.
-  Tick churn_start = 0;
-  Tick churn_horizon = 0;
   std::uint64_t base_seed = 0xc4a5'4baccULL;
   /// Worker threads (common/parallel.h); every (cell, seed) run is an
   /// independent deterministic simulation, aggregated in canonical order,
   /// so any value produces byte-identical results.
   int jobs = 1;
-  /// Checker configuration for every run's (possibly pending-laden)
-  /// history; verdicts are identical at any value.
-  CheckOptions check;
 };
 
 /// The standard grid, scaled by the effective delivery bound d_eff:
@@ -75,7 +67,6 @@ struct ChurnCellResult {
   std::int64_t invocations = 0;  ///< dispatched or scheduled attempts
   std::int64_t answered = 0;     ///< attempts that completed
   int crashes = 0;
-  int recoveries = 0;
   int reissued = 0;              ///< cut operations retried by the driver
 
   /// Worst crash -> first-response-after-recovery gap (downtime included);

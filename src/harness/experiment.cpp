@@ -2,10 +2,15 @@
 
 #include <sstream>
 
-#include "core/driver.h"
-#include "common/parallel.h"
-
 namespace linbound {
+
+RunVerdict check_run(ObjectSystem& system) {
+  const RunOutcome outcome = system.run_with_outcome();
+  CheckResult check = check_linearizable_with_pending(
+      system.model(), outcome.history, outcome.pending);
+  return RunVerdict{outcome.status, check.ok, std::move(check.explanation)};
+}
+
 namespace {
 
 enum class PolicyKind { kAllMax, kAllMin, kUniform, kExtremal };
@@ -147,20 +152,12 @@ SweepRunOutcome run_sweep_task(const std::shared_ptr<const ObjectModel>& model,
 
   SystemT system(model, sys);
 
-  std::vector<ClientScript> scripts;
-  scripts.reserve(static_cast<std::size_t>(options.n));
-  for (int pid = 0; pid < options.n; ++pid) {
-    Rng client_rng = rng.split(static_cast<std::uint64_t>(pid));
-    scripts.push_back(ClientScript{static_cast<ProcessId>(pid),
-                                   workload(pid, client_rng),
-                                   /*start_time=*/1000,
-                                   options.think_time});
-  }
-  WorkloadDriver driver(system.sim(), std::move(scripts));
+  WorkloadDriver driver(system.sim(), client_scripts(options.n, rng,
+                                                     /*think_time=*/0, workload));
   driver.arm();
 
   History history = system.run_to_completion();
-  const CheckResult check = check_linearizable(*model, history, options.check);
+  const CheckResult check = check_linearizable(*model, history);
 
   SweepRunOutcome outcome;
   outcome.ok = check.ok;

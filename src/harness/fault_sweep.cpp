@@ -3,19 +3,14 @@
 #include <iomanip>
 #include <sstream>
 
-#include "core/driver.h"
 #include "fault/assumption_monitor.h"
 #include "fault/fault_policy.h"
-#include "common/parallel.h"
 
 namespace linbound {
 namespace {
 
 /// Everything the sweep needs to know about one run.
-struct OneRun {
-  RunStatus status = RunStatus::kComplete;
-  bool linearizable = false;
-  std::string explanation;
+struct OneRun : RunVerdict {
   AssumptionReport report;
   LatencyReport latency;
   std::int64_t retransmissions = 0;
@@ -28,41 +23,29 @@ struct OneRun {
 
 OneRun run_one(const std::shared_ptr<const ObjectModel>& model,
                const WorkloadFactory& workload, const FaultSweepOptions& options,
-               const FaultConfig& faults, bool hardened,
-               std::uint64_t delay_seed, std::uint64_t workload_seed) {
+               const FaultConfig& faults, bool hardened, const GridSeeds& seeds,
+               int seed) {
   SystemOptions sys;
   sys.n = options.n;
   sys.timing = options.timing;
   sys.x = options.x;
-  sys.delays = std::make_shared<UniformDelayPolicy>(options.timing, delay_seed);
+  sys.delays =
+      std::make_shared<UniformDelayPolicy>(options.timing, seeds.delay(seed));
   if (faults.any()) sys.faults = make_fault_policy(faults);
   if (hardened) {
     HardenedParams params = options.hardened;
-    params.spike_margin = faults.spike_max;  // absorb the worst injected boost
+    params.spike_margin = faults.max_delay_boost();
     sys.hardened = params;
   }
   ReplicaSystem system(model, sys);
 
-  Rng wl_rng(workload_seed);
-  std::vector<ClientScript> scripts;
-  scripts.reserve(static_cast<std::size_t>(options.n));
-  for (int pid = 0; pid < options.n; ++pid) {
-    Rng client_rng = wl_rng.split(static_cast<std::uint64_t>(pid));
-    scripts.push_back(ClientScript{static_cast<ProcessId>(pid),
-                                   workload(pid, client_rng),
-                                   /*start_time=*/1000, options.think_time});
-  }
-  WorkloadDriver driver(system.sim(), std::move(scripts));
+  WorkloadDriver driver(system.sim(),
+                        client_scripts(options.n, Rng(seeds.workload(seed)),
+                                       /*think_time=*/0, workload));
   driver.arm();
 
-  const RunOutcome outcome = system.run_with_outcome();
-  const CheckResult check = check_linearizable_with_pending(
-      *model, outcome.history, outcome.pending, options.check);
-
   OneRun out;
-  out.status = outcome.status;
-  out.linearizable = check.ok;
-  out.explanation = check.explanation;
+  static_cast<RunVerdict&>(out) = check_run(system);
   out.report = audit_assumptions(system.sim().trace());
   out.latency.absorb(*model, system.sim().trace());
   if (hardened) {
@@ -171,66 +154,44 @@ FaultSweepResult run_fault_sweep(const std::shared_ptr<const ObjectModel>& model
   const std::vector<FaultCell> cells =
       options.cells.empty() ? default_fault_cells(options.timing) : options.cells;
 
-  // Seed derivation: delay and workload randomness depend only on the seed
-  // index, so every cell (and the clean baseline) replays the same delays
-  // and the same client scripts -- the fault intensity is the only thing
-  // that varies across cells.
-  const auto delay_seed = [&](int seed) {
-    return options.base_seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(seed);
-  };
-  const auto workload_seed = [&](int seed) {
-    return options.base_seed ^ (0xd1b54a32d192ed03ULL +
-                                0x2545f4914f6cdd1dULL * static_cast<std::uint64_t>(seed));
-  };
-
-  const ParallelSweepExecutor executor(options.jobs);
+  const GridSeeds seeds{options.base_seed};
 
   // Phase 1: the clean baseline, one run per seed.
-  const std::vector<OneRun> clean_runs = executor.map<OneRun>(
-      static_cast<std::size_t>(options.seeds), [&](std::size_t seed) {
+  const std::vector<OneRun> clean_runs = map_grid<OneRun>(
+      options.jobs, 1, options.seeds, [&](std::size_t, int seed) {
         return run_one(model, workload, options, FaultConfig{},
-                       /*hardened=*/false, delay_seed(static_cast<int>(seed)),
-                       workload_seed(static_cast<int>(seed)));
+                       /*hardened=*/false, seeds, seed);
       });
   for (const OneRun& clean : clean_runs) {
     result.clean_latency.merge(clean.latency);
   }
 
   // Phase 2: the grid.  One task per (cell, seed) computes the hardened
-  // and stock variants together; aggregation below walks the results in
-  // the same (cell, seed) order as the serial sweep.
+  // and stock variants together over identical fault and delay randomness.
   struct PairRuns {
     OneRun hardened;
     OneRun stock;
   };
-  const std::size_t seeds = static_cast<std::size_t>(options.seeds);
-  const std::vector<PairRuns> grid_runs = executor.map<PairRuns>(
-      cells.size() * seeds, [&](std::size_t i) {
-        const std::size_t ci = i / seeds;
-        const int seed = static_cast<int>(i % seeds);
+  const std::vector<PairRuns> grid_runs = map_grid<PairRuns>(
+      options.jobs, cells.size(), options.seeds, [&](std::size_t ci, int seed) {
         FaultConfig faults;
         faults.drop_p = cells[ci].drop_p;
         faults.dup_p = cells[ci].dup_p;
         faults.spike_p = cells[ci].spike_p;
         faults.spike_max = cells[ci].spike_max;
-        faults.seed = options.base_seed + 0xbf58476d1ce4e5b9ULL * (ci + 1) +
-                      static_cast<std::uint64_t>(seed);
-        PairRuns pair;
-        pair.hardened = run_one(model, workload, options, faults,
-                                /*hardened=*/true, delay_seed(seed),
-                                workload_seed(seed));
-        pair.stock = run_one(model, workload, options, faults,
-                             /*hardened=*/false, delay_seed(seed),
-                             workload_seed(seed));
-        return pair;
+        faults.seed = seeds.faults(ci, seed);
+        return PairRuns{run_one(model, workload, options, faults,
+                                /*hardened=*/true, seeds, seed),
+                        run_one(model, workload, options, faults,
+                                /*hardened=*/false, seeds, seed)};
       });
 
+  std::size_t next = 0;  // grid_runs is cell-major: the loops walk it in order
   for (std::size_t ci = 0; ci < cells.size(); ++ci) {
     FaultCellResult cell_result;
     cell_result.cell = cells[ci];
     for (int seed = 0; seed < options.seeds; ++seed) {
-      const PairRuns& pair =
-          grid_runs[ci * seeds + static_cast<std::size_t>(seed)];
+      const PairRuns& pair = grid_runs[next++];
       const OneRun& hardened = pair.hardened;
       const OneRun& stock = pair.stock;
 
@@ -238,7 +199,6 @@ FaultSweepResult run_fault_sweep(const std::shared_ptr<const ObjectModel>& model
       cell_result.retransmissions += hardened.retransmissions;
       cell_result.duplicates_suppressed += hardened.duplicates_suppressed;
       if (hardened.linearizable) ++cell_result.hardened_linearizable;
-      if (hardened.status == RunStatus::kComplete) ++cell_result.hardened_complete;
       cell_result.hardened_latency.merge(hardened.latency);
 
       if (stock.linearizable) ++cell_result.unhardened_linearizable;

@@ -41,21 +41,17 @@ struct FaultSweepOptions {
   SystemTiming timing;
   Tick x = 0;           ///< Algorithm 1's trade-off parameter
   int seeds = 5;        ///< randomized runs per cell
-  Tick think_time = 0;  ///< client think time between operations
   /// Grid of fault intensities; empty means default_fault_cells().
   std::vector<FaultCell> cells;
   /// Link-layer knobs for the hardened runs.  spike_margin is overridden
-  /// per cell with the cell's spike_max (the link must absorb the worst
-  /// injected boost).
+  /// per cell with the cell's max_delay_boost() (the link must absorb the
+  /// worst injected boost).
   HardenedParams hardened;
   std::uint64_t base_seed = 0xfa017'5eedULL;
   /// Worker threads (common/parallel.h); every (cell, seed) run is an
   /// independent deterministic simulation, aggregated in canonical order,
   /// so any value produces byte-identical results.
   int jobs = 1;
-  /// Checker configuration for every run's (possibly pending-laden)
-  /// history; verdicts are identical at any value.
-  CheckOptions check;
 };
 
 /// The standard grid: drops alone, duplicates alone, spikes alone, and the
@@ -68,7 +64,6 @@ struct FaultCellResult {
   int runs = 0;  ///< seeds per variant
 
   int hardened_linearizable = 0;
-  int hardened_complete = 0;  ///< runs that quiesced with nothing pending
   std::int64_t retransmissions = 0;
   std::int64_t duplicates_suppressed = 0;
 

@@ -5,26 +5,12 @@
 #include <iomanip>
 #include <sstream>
 
-#include "common/parallel.h"
-#include "core/driver.h"
 #include "fault/churn.h"
 
 namespace linbound {
 namespace {
 
-/// Worst injected one-way delay boost the hardened link must absorb.
-Tick boost_margin(const FaultConfig& faults) {
-  Tick margin = faults.spike_max;
-  for (const LinkFault& link : faults.links) {
-    margin = std::max(margin, link.delay_max);
-  }
-  return margin;
-}
-
-struct OneRun {
-  RunStatus status = RunStatus::kComplete;
-  bool linearizable = false;
-  std::string explanation;
+struct OneRun : RunVerdict {
   int downgrades = 0;
   int upgrades = 0;
   std::int64_t ops_invoked = 0;
@@ -74,30 +60,35 @@ SystemOptions base_options(const ModeSweepOptions& options,
   return sys;
 }
 
-std::vector<ClientScript> make_scripts(const WorkloadFactory& workload,
-                                       const ModeSweepOptions& options,
-                                       std::uint64_t workload_seed) {
-  Rng wl_rng(workload_seed);
-  std::vector<ClientScript> scripts;
-  scripts.reserve(static_cast<std::size_t>(options.n));
-  for (int pid = 0; pid < options.n; ++pid) {
-    Rng client_rng = wl_rng.split(static_cast<std::uint64_t>(pid));
-    scripts.push_back(ClientScript{static_cast<ProcessId>(pid),
-                                   workload(pid, client_rng),
-                                   /*start_time=*/1000, options.think_time});
-  }
-  return scripts;
+/// A reliable link wide enough to absorb the storm's worst delay boost.
+HardenedParams hardened_link(const FaultConfig& faults) {
+  HardenedParams link;
+  link.spike_margin = faults.max_delay_boost();
+  return link;
 }
 
-OneRun finish(ObjectSystem& system, const std::shared_ptr<const ObjectModel>& model,
-              const CheckOptions& check_options) {
-  const RunOutcome outcome = system.run_with_outcome();
-  const CheckResult check = check_linearizable_with_pending(
-      *model, outcome.history, outcome.pending, check_options);
+/// Drive `system` with the seed's scripts, then churn, run and check it.
+/// No client reissue in any variant: the switching system answers
+/// crash-cut operations itself from the durable quorum log, and in the
+/// fixed-mode runs a cut operation stays pending -- the stall this sweep
+/// measures.  (A retry could race the late answer from durable state, and
+/// the two completions would overlap within the process, which the checker
+/// rejects.)
+OneRun drive(ObjectSystem& system, const WorkloadFactory& workload,
+             const ModeSweepOptions& options, const FaultConfig& faults,
+             std::uint64_t workload_seed) {
+  WorkloadDriver driver(system.sim(),
+                        client_scripts(options.n, Rng(workload_seed),
+                                       /*think_time=*/0, workload),
+                        {}, {}, /*reissue_cut_ops=*/false);
+  driver.arm();
+  // Churn goes in after arm(): moving it before would reorder same-tick
+  // events and change the trace.
+  if (faults.churn.any()) {
+    make_churn_schedule(faults, options.n).apply(system.sim());
+  }
   OneRun out;
-  out.status = outcome.status;
-  out.linearizable = check.ok;
-  out.explanation = check.explanation;
+  static_cast<RunVerdict&>(out) = check_run(system);
   absorb_trace(system.sim().trace(), &out);
   return out;
 }
@@ -105,51 +96,23 @@ OneRun finish(ObjectSystem& system, const std::shared_ptr<const ObjectModel>& mo
 OneRun run_switching(const std::shared_ptr<const ObjectModel>& model,
                      const WorkloadFactory& workload,
                      const ModeSweepOptions& options, const FaultConfig& faults,
-                     std::uint64_t delay_seed, std::uint64_t workload_seed) {
+                     const GridSeeds& seeds, int seed) {
   DegradeOptions dopt;
-  dopt.base = base_options(options, faults, delay_seed);
-  HardenedParams link;
-  link.spike_margin = boost_margin(faults);
-  dopt.base.hardened = link;
+  dopt.base = base_options(options, faults, seeds.delay(seed));
+  dopt.base.hardened = hardened_link(faults);
   dopt.switching = true;
-  dopt.monitor = options.monitor;
-  dopt.params = options.params;
   DegradeSystem system(model, dopt);
-
-  // The switching system answers crash-cut operations itself from the
-  // durable quorum log; a client retry would race that late response.
-  WorkloadDriver driver(system.sim(), make_scripts(workload, options, workload_seed),
-                        {}, {}, /*reissue_cut_ops=*/false);
-  driver.arm();
-  if (faults.churn.any()) {
-    make_churn_schedule(faults, options.n).apply(system.sim());
-  }
-  return finish(system, model, options.check);
+  return drive(system, workload, options, faults, seeds.workload(seed));
 }
 
 OneRun run_fixed(const std::shared_ptr<const ObjectModel>& model,
                  const WorkloadFactory& workload, const ModeSweepOptions& options,
                  const FaultConfig& faults, bool hardened,
-                 std::uint64_t delay_seed, std::uint64_t workload_seed) {
-  SystemOptions sys = base_options(options, faults, delay_seed);
-  if (hardened) {
-    HardenedParams link;
-    link.spike_margin = boost_margin(faults);
-    sys.hardened = link;
-  }
+                 const GridSeeds& seeds, int seed) {
+  SystemOptions sys = base_options(options, faults, seeds.delay(seed));
+  if (hardened) sys.hardened = hardened_link(faults);
   ReplicaSystem system(model, sys);
-  // No client reissue, matching the switching runs: a crash-cut operation
-  // stays pending -- the stall this sweep measures.  (Reissue could also
-  // answer the old token late from durable state, and the two completions
-  // would overlap within the process, which the checker rejects.)
-  WorkloadDriver driver(system.sim(),
-                        make_scripts(workload, options, workload_seed), {}, {},
-                        /*reissue_cut_ops=*/false);
-  driver.arm();
-  if (faults.churn.any()) {
-    make_churn_schedule(faults, options.n).apply(system.sim());
-  }
-  return finish(system, model, options.check);
+  return drive(system, workload, options, faults, seeds.workload(seed));
 }
 
 }  // namespace
@@ -283,49 +246,30 @@ ModeSweepResult run_mode_sweep(const std::shared_ptr<const ObjectModel>& model,
       options.cells.empty() ? default_mode_storm_cells(options.timing, options.n)
                             : options.cells;
 
-  const auto delay_seed = [&](int seed) {
-    return options.base_seed +
-           0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(seed);
-  };
-  const auto workload_seed = [&](int seed) {
-    return options.base_seed ^
-           (0xd1b54a32d192ed03ULL +
-            0x2545f4914f6cdd1dULL * static_cast<std::uint64_t>(seed));
-  };
-
   struct CellRuns {
     OneRun switching;
     OneRun stock;
     OneRun hardened;
   };
-  const std::size_t seeds = static_cast<std::size_t>(options.seeds);
-  const ParallelSweepExecutor executor(options.jobs);
-  const std::vector<CellRuns> grid = executor.map<CellRuns>(
-      cells.size() * seeds, [&](std::size_t i) {
-        const std::size_t ci = i / seeds;
-        const int seed = static_cast<int>(i % seeds);
+  const GridSeeds seeds{options.base_seed};
+  const std::vector<CellRuns> grid = map_grid<CellRuns>(
+      options.jobs, cells.size(), options.seeds, [&](std::size_t ci, int seed) {
         FaultConfig faults = cells[ci].faults;
-        faults.seed = options.base_seed + 0xbf58476d1ce4e5b9ULL * (ci + 1) +
-                      static_cast<std::uint64_t>(seed);
-        CellRuns runs;
-        runs.switching = run_switching(model, workload, options, faults,
-                                       delay_seed(seed), workload_seed(seed));
-        if (options.also_fixed) {
-          runs.stock = run_fixed(model, workload, options, faults,
-                                 /*hardened=*/false, delay_seed(seed),
-                                 workload_seed(seed));
-          runs.hardened = run_fixed(model, workload, options, faults,
-                                    /*hardened=*/true, delay_seed(seed),
-                                    workload_seed(seed));
-        }
-        return runs;
+        faults.seed = seeds.faults(ci, seed);
+        return CellRuns{
+            run_switching(model, workload, options, faults, seeds, seed),
+            run_fixed(model, workload, options, faults, /*hardened=*/false,
+                      seeds, seed),
+            run_fixed(model, workload, options, faults, /*hardened=*/true,
+                      seeds, seed)};
       });
 
+  std::size_t next = 0;  // grid is cell-major: the loops walk it in order
   for (std::size_t ci = 0; ci < cells.size(); ++ci) {
     ModeCellResult cell_result;
     cell_result.cell = cells[ci];
     for (int seed = 0; seed < options.seeds; ++seed) {
-      const CellRuns& runs = grid[ci * seeds + static_cast<std::size_t>(seed)];
+      const CellRuns& runs = grid[next++];
       const OneRun& sw = runs.switching;
       ++cell_result.runs;
       if (sw.complete()) ++cell_result.switching_complete;
@@ -337,10 +281,8 @@ ModeSweepResult run_mode_sweep(const std::shared_ptr<const ObjectModel>& model,
       cell_result.switch_latencies.insert(cell_result.switch_latencies.end(),
                                           sw.switch_latencies.begin(),
                                           sw.switch_latencies.end());
-      if (options.also_fixed) {
-        if (runs.stock.complete()) ++cell_result.stock_complete;
-        if (runs.hardened.complete()) ++cell_result.hardened_complete;
-      }
+      if (runs.stock.complete()) ++cell_result.stock_complete;
+      if (runs.hardened.complete()) ++cell_result.hardened_complete;
       if (!sw.complete() || !sw.linearizable) {
         std::ostringstream note;
         note << "switching seed=" << seed << " [" << cells[ci].name

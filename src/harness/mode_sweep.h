@@ -13,9 +13,11 @@
 //      bench_degrade can report mode_switch_latency_p99 and
 //      degraded_availability.
 //
-// Every (cell, seed) run is an independent deterministic simulation, so the
-// sweep parallelizes over common/parallel.h with byte-identical results at
-// any job count.
+// Every (cell, seed) run is an independent deterministic simulation built
+// from the shared run recipe in harness/experiment.h (client_scripts,
+// GridSeeds, map_grid, check_run), so the sweep gives byte-identical results
+// at any job count.  Supervisor and switching knobs are the shipped
+// defaults (MonitorOptions, SwitchingParams).
 #pragma once
 
 #include <memory>
@@ -40,18 +42,10 @@ struct ModeSweepOptions {
   SystemTiming timing;
   Tick x = 0;           ///< Algorithm 1's trade-off parameter (sync eras)
   int seeds = 5;        ///< randomized runs per cell
-  Tick think_time = 0;  ///< client think time between operations
   /// Storm grid; empty means default_mode_storm_cells().
   std::vector<ModeStormCell> cells;
-  /// Supervisor and switching knobs (defaults are the shipped ones).
-  MonitorOptions monitor;
-  SwitchingParams params;
-  /// Also run stock and hardened Algorithm 1 over every (cell, seed) as the
-  /// fixed-mode comparison column.
-  bool also_fixed = true;
   std::uint64_t base_seed = 0xdeb'ade'5eedULL;
   int jobs = 1;  ///< worker threads; results identical at any value
-  CheckOptions check;
 };
 
 /// The standard storms: a spike barrage, a healed partition under spikes,
@@ -74,7 +68,7 @@ struct ModeCellResult {
   /// answered operation (the handoff pause clients actually feel).
   std::vector<Tick> switch_latencies;
 
-  int stock_complete = 0;     ///< fixed-mode comparison (also_fixed)
+  int stock_complete = 0;     ///< fixed-mode comparison
   int hardened_complete = 0;
   std::vector<std::string> notes;  ///< one line per noteworthy run
 };
@@ -86,8 +80,8 @@ struct ModeSweepResult {
   bool switching_always_available() const;
   /// Claim 2: every switching run linearizable.
   bool switching_always_linearizable() const;
-  /// Claim 3 (only meaningful with also_fixed): some storm stalled a
-  /// fixed-mode variant, so the comparison is non-vacuous.
+  /// Claim 3: some storm stalled a fixed-mode variant, so the comparison
+  /// is non-vacuous.
   bool fixed_mode_stalled_somewhere() const;
 
   bool ok() const {
@@ -105,7 +99,7 @@ struct ModeSweepResult {
 };
 
 /// Run the sweep: per (cell, seed) one switching run, plus one stock and
-/// one hardened run over the same delays/workload/faults when also_fixed.
+/// one hardened run over the same delays/workload/faults.
 ModeSweepResult run_mode_sweep(const std::shared_ptr<const ObjectModel>& model,
                                const WorkloadFactory& workload,
                                const ModeSweepOptions& options);

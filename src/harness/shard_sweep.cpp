@@ -55,7 +55,6 @@ ShardSweepReport run_shard_sweep(const ShardSweepOptions& options) {
     MultiCheckOptions mc;
     mc.check = options.check_options;
     mc.jobs = options.jobs;
-    mc.streaming = options.streaming;
     report.checks = check_shards(sim.model(), traces, mc);
   }
 

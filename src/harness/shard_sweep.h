@@ -30,11 +30,6 @@ struct ShardSweepOptions {
   /// Check per-shard linearizability (skipped for pure perf runs).
   bool check = true;
   CheckOptions check_options;
-  /// Route the per-shard checks through the streaming checker
-  /// (MultiCheckOptions::streaming): identical verdicts/witnesses, O(open
-  /// window) resident state per shard instead of O(history).  For checking
-  /// *during* the run instead of after it, set shard.streaming_check.
-  bool streaming = false;
 };
 
 struct ShardSweepReport {

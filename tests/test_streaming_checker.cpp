@@ -23,7 +23,7 @@
 #include "core/system.h"
 #include "core/workload.h"
 #include "fault/fault_policy.h"
-#include "harness/shard_sweep.h"
+#include "shard/shard.h"
 #include "sim/trace_io.h"
 #include "types/queue_type.h"
 #include "types/register_type.h"
@@ -665,25 +665,6 @@ TEST(StreamingChecker, ShardedRunChecksInlineWithoutPerturbingTraces) {
       EXPECT_GT(r.check_max_resident, 0u);
       EXPECT_GT(r.check_max_window, 0u);
     }
-  }
-}
-
-TEST(StreamingChecker, ShardSweepStreamingRouteMatchesOfflineRoute) {
-  ShardSweepOptions sweep;
-  sweep.shard = shard_options();
-  sweep.jobs = 2;
-  sweep.verify_identity = false;
-  const ShardSweepReport offline_route = run_shard_sweep(sweep);
-  sweep.streaming = true;
-  const ShardSweepReport streaming_route = run_shard_sweep(sweep);
-  ASSERT_EQ(streaming_route.checks.shards.size(),
-            offline_route.checks.shards.size());
-  EXPECT_EQ(streaming_route.checks.all_ok, offline_route.checks.all_ok);
-  for (std::size_t s = 0; s < streaming_route.checks.shards.size(); ++s) {
-    EXPECT_EQ(streaming_route.checks.shards[s].result.ok,
-              offline_route.checks.shards[s].result.ok);
-    EXPECT_EQ(streaming_route.checks.shards[s].result.witness,
-              offline_route.checks.shards[s].result.witness);
   }
 }
 
