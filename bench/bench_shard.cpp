@@ -28,7 +28,14 @@
 //     creeping back into the queue shows up here.
 //
 // Results merge into BENCH_perf.json under shard_* keys (JsonReport
-// preserves bench_perf's and bench_throughput's sections).
+// preserves bench_perf's and bench_throughput's sections), including the
+// memory picture: the fastest run's minor page faults (shard_minflt) and
+// the process's peak RSS (shard_peak_rss_mib; every run starts from a
+// fresh simulation with the previous one's pages returned, so this is the
+// largest single run's peak).
+#include <malloc.h>
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -44,6 +51,18 @@ using namespace linbound;
 using namespace linbound::bench;
 
 namespace {
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+double peak_rss_mib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
+}
 
 std::string parse_flag(int argc, char** argv, const char* flag,
                        const char* fallback) {
@@ -94,6 +113,7 @@ struct TimedRun {
   int jobs = 1;
   double seconds = 0;
   std::uint64_t allocs = 0;    ///< heap allocs during the run (interposer)
+  long minflt = 0;             ///< minor page faults during the run
   ShardRunReport report;
   std::size_t mismatches = 0;  ///< shards whose hash diverged from solo ref
 };
@@ -140,11 +160,18 @@ int main(int argc, char** argv) {
   for (const int jobs : jobs_list) {
     TimedRun r;
     r.jobs = jobs;
+    // Each run gets a fresh simulation, and the previous run's pages go
+    // back to the kernel first: every run builds and faults in its own
+    // shards, and none pays for tearing down its predecessor's.
+    malloc_trim(0);
+    ShardedSimulation run_sim(opt);
     const std::uint64_t a0 = heap_allocs();
+    const long f0 = minor_faults();
     const double t0 = now_seconds();
-    r.report = sim.run(jobs);
+    r.report = run_sim.run(jobs);
     r.seconds = now_seconds() - t0;
     r.allocs = heap_allocs() - a0;
+    r.minflt = minor_faults() - f0;
     for (const ShardResult& shard : r.report.shards) {
       if (shard.trace_hash !=
           reference[static_cast<std::size_t>(shard.shard)]) {
@@ -155,9 +182,10 @@ int main(int argc, char** argv) {
         r.seconds > 0 ? r.report.total_events / r.seconds : 0;
     std::printf(
         "jobs=%-3d %.3fs, %zu events (%.0f events/s), %zu ops, "
-        "%zu windows, %zu beacons, %d aborted, identity %s\n",
+        "%zu windows, %zu beacons, %ld minor faults, %d aborted, "
+        "identity %s\n",
         jobs, r.seconds, r.report.total_events, events_per_s,
-        r.report.total_ops, r.report.windows, r.report.beacons,
+        r.report.total_ops, r.report.windows, r.report.beacons, r.minflt,
         r.report.aborted,
         r.mismatches == 0
             ? "byte-identical"
@@ -168,6 +196,9 @@ int main(int argc, char** argv) {
     identity_ok = identity_ok && r.mismatches == 0;
     runs.push_back(std::move(r));
   }
+  // Read before the --checked run below, which builds a second simulation.
+  const double peak_rss = peak_rss_mib();
+  std::printf("peak RSS over the runs: %.1f MiB\n", peak_rss);
 
   // --- 3. Scaling gate ----------------------------------------------------
   double serial_seconds = 0;
@@ -291,6 +322,8 @@ int main(int argc, char** argv) {
   json.set("shard_allocs_measured", alloc_counting_enabled());
   json.set("shard_allocs_run_total", best.allocs);
   json.set("shard_allocs_per_op", allocs_per_op);
+  json.set("shard_minflt", static_cast<std::uint64_t>(best.minflt));
+  json.set("shard_peak_rss_mib", peak_rss);
   if (checked_mode) {
     json.set("shard_checked_run_s", checked_seconds);
     json.set("shard_checked_events_per_s",

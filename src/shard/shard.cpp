@@ -219,9 +219,20 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
   // arm() below plus the per-replica pending reserves here): each shard
   // worker owns warmed pools, so its steady-state window stepping does not
   // allocate -- and, more importantly under parallel drive, does not
-  // contend on the global heap with other workers.
+  // contend on the global heap with other workers.  Every hint comes from
+  // this shard's own schedule and variant (DESIGN.md section 15): a shard
+  // of a few hundred operations pays for those, not for a solo-scale run.
+  //
+  // Pending entries per replica: one broadcast per client plus the
+  // replica's own operation (process 0's is its beacon read).  A rejoining
+  // recoverable replica re-feeds its snapshot's pending set and its
+  // catch-up buffer on top, each up to one operation per client.
+  const bool link = opt_.variant != ShardVariant::kStock;
+  const std::size_t pending =
+      (static_cast<std::size_t>(clients_) + 1) *
+      (opt_.variant == ShardVariant::kRecoverable ? 2 : 1);
   for (int p = 0; p < opt_.replicas; ++p) {
-    state->system->replica(static_cast<ProcessId>(p)).reserve_pending(64);
+    state->system->replica(static_cast<ProcessId>(p)).reserve_pending(pending);
   }
 
   if (faults.churn.any()) {
@@ -248,15 +259,24 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
   w.jitter = opt_.jitter;
   w.seed = streams.stream_seed(kWorkloadStream);
   w.batch = 1024;
-  // Reservation hint: Algorithm 1 broadcasts to the group per operation,
-  // and the hardened link acks each delivery.
-  w.messages_per_op = static_cast<std::size_t>(opt_.replicas) + 2;
+  // Messages per op: a mutator's broadcast sends one copy per peer, and the
+  // link acks each copy.  Accessors send nothing, so this bounds the op
+  // pipeline (a churned replica's rejoin traffic comes on top).
+  w.messages_per_op =
+      (link ? 2 : 1) * (static_cast<std::size_t>(opt_.replicas) - 1);
   // Arena volume per op: the broadcast payload plus (hardened/recoverable)
   // per-peer link frames, acks and destructor-list nodes.
-  w.payload_bytes_per_op = opt_.variant == ShardVariant::kStock ? 256 : 1024;
-  w.timer_slots_per_process = 128;
+  w.payload_bytes_per_op = link ? 512 : 128;
+  // Armed timers per process: an execute timer per pending entry and the
+  // own operation's timers; the link adds a retransmission timer per copy
+  // awaiting its ack.
+  w.timer_slots_per_process = (link ? 3 : 2) * pending;
   state->workload =
       std::make_unique<HeavyTrafficWorkload>(state->sim(), std::move(w));
+  // Op records for the whole run: the workload slice plus one read per
+  // received beacon, so the first beacon does not double the vector and
+  // copy every record (reserved before arm(), whose own hint is the slice).
+  state->sim().reserve(loads_[s] + beacons_[s].size(), 0, 0);
 
   if (opt_.streaming_check) {
     CheckOptions co;

@@ -75,6 +75,7 @@ struct ShardOptions {
   /// touches processes that neither receive beacons nor invoke operations.
   FaultConfig faults;
   /// Operations across ALL shards, apportioned by zipfian_shard_loads.
+  /// Each shard sizes its pools from its own share, not from this total.
   std::size_t total_ops = 8192;
   double zipf_s = 0.9;  ///< zipfian popularity exponent (0 = uniform)
   /// Invoking processes per shard; 0 = replicas - 2 (leaving process 0 for
@@ -216,6 +217,10 @@ class ShardedSimulation {
   };
   struct ShardState;
 
+  /// Build and arm one shard: its group, churn and workload slice, with
+  /// every pool sized from the shard's own load, beacons and variant
+  /// (DESIGN.md section 15, per-shard sizing rule).  Called inside run()
+  /// and run_solo(), so building is part of a run and parallel like it.
   std::unique_ptr<ShardState> build_shard(int shard) const;
   /// Step `state` to `horizon`; marks it aborted if its budget trips.
   static void step_window(ShardState& state, Tick horizon);

@@ -121,11 +121,17 @@ TEST_P(FuzzTest, RandomAdmissibleRunsAreAlwaysLinearizable) {
     LatencyReport latency;
     latency.absorb(*model, system.sim().trace());
     const Tick mop = latency.worst_for_class(OpClass::kPureMutator);
-    if (mop != kNoTime) EXPECT_EQ(mop, system.algorithm_delays().mop_ack);
+    if (mop != kNoTime) {
+      EXPECT_EQ(mop, system.algorithm_delays().mop_ack);
+    }
     const Tick aop = latency.worst_for_class(OpClass::kPureAccessor);
-    if (aop != kNoTime) EXPECT_EQ(aop, t.d + t.eps - x);
+    if (aop != kNoTime) {
+      EXPECT_EQ(aop, t.d + t.eps - x);
+    }
     const Tick oop = latency.worst_for_class(OpClass::kOther);
-    if (oop != kNoTime) EXPECT_LE(oop, t.d + t.eps);
+    if (oop != kNoTime) {
+      EXPECT_LE(oop, t.d + t.eps);
+    }
   }
 }
 

@@ -100,7 +100,9 @@ void fuzz_map(std::uint64_t seed, int steps, double straggler_p,
     const auto it = ref.find(probe);
     const std::int64_t* got = flat.find(probe);
     ASSERT_EQ(got != nullptr, it != ref.end()) << "probe " << probe;
-    if (got) ASSERT_EQ(*got, it->second);
+    if (got) {
+      ASSERT_EQ(*got, it->second);
+    }
     if (i % 16 == 0) expect_same(flat, ref);
   }
   expect_same(flat, ref);

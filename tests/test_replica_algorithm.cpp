@@ -132,7 +132,9 @@ TEST(ReplicaAlgorithm, AccessorSeesMutatorThatPrecedesItInRealTime) {
   system.sim().invoke_at(1101, 1, reg::read());  // write acked at 1100
   History h = system.run_to_completion();
   for (const HistoryOp& op : h.ops()) {
-    if (op.op.code == RegisterModel::kRead) EXPECT_EQ(op.ret, Value(7));
+    if (op.op.code == RegisterModel::kRead) {
+      EXPECT_EQ(op.ret, Value(7));
+    }
   }
   EXPECT_TRUE(check_linearizable(*model, h).ok);
 }

@@ -141,6 +141,26 @@ TEST(Shard, CleanRunCompletesEverything) {
   EXPECT_GE(report.windows, 1u);
 }
 
+// Every shard reserves its op records from its own schedule -- workload
+// slice plus received beacons -- so the vector never reallocates mid-run
+// and never holds more than the shard records (DESIGN.md section 15).
+TEST(Shard, OpCapacityIsTheShardsOwnOpCount) {
+  for (const ShardOptions& o :
+       {base_options(5), faulted_options(3), churned_options(3)}) {
+    ShardedSimulation sim(o);
+    const ShardRunReport report = sim.run(2);
+    ASSERT_EQ(report.aborted, 0);
+    for (int s = 0; s < o.shards; ++s) {
+      const auto i = static_cast<std::size_t>(s);
+      const std::size_t ops =
+          sim.loads()[i] + static_cast<std::size_t>(o.sync_epochs);
+      EXPECT_EQ(report.shards[i].ops, ops) << "shard " << s;
+      EXPECT_EQ(sim.trace(s).ops.capacity(), ops)
+          << "shard " << s << " (" << shard_variant_name(o.variant) << ")";
+    }
+  }
+}
+
 // --- watchdog attribution -------------------------------------------------
 
 TEST(Shard, RunawayShardAbortsAloneWithAttribution) {

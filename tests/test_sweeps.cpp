@@ -90,9 +90,13 @@ TEST_P(ReplicaSweepTest, AlwaysLinearizableAndWithinBounds) {
       << (result.failures.empty() ? "" : result.failures.front());
 
   const Tick mop = result.latency.worst_for_class(OpClass::kPureMutator);
-  if (mop != kNoTime) EXPECT_EQ(mop, o.timing.eps + x);
+  if (mop != kNoTime) {
+    EXPECT_EQ(mop, o.timing.eps + x);
+  }
   const Tick aop = result.latency.worst_for_class(OpClass::kPureAccessor);
-  if (aop != kNoTime) EXPECT_EQ(aop, o.timing.d + o.timing.eps - x);
+  if (aop != kNoTime) {
+    EXPECT_EQ(aop, o.timing.d + o.timing.eps - x);
+  }
   const Tick oop = result.latency.worst_for_class(OpClass::kOther);
   if (oop != kNoTime) {
     EXPECT_LE(oop, o.timing.d + o.timing.eps);
@@ -145,7 +149,9 @@ TEST_P(VaryingEpsTest, SweepHoldsAcrossSkewBounds) {
   EXPECT_TRUE(result.all_linearizable())
       << (result.failures.empty() ? "" : result.failures.front());
   const Tick oop = result.latency.worst_for_class(OpClass::kOther);
-  if (oop != kNoTime) EXPECT_LE(oop, o.timing.d + eps);
+  if (oop != kNoTime) {
+    EXPECT_LE(oop, o.timing.d + eps);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
