@@ -357,5 +357,84 @@ TEST(SearchCore, DeadMemoPersistsAcrossStarts) {
   EXPECT_EQ(search.dead_states(), dead);
 }
 
+
+// --- pinned offline outputs ---------------------------------------------------
+
+/// FNV-1a over the witness indices: one number standing for the whole
+/// linearization.
+std::uint64_t witness_hash(const std::vector<std::size_t>& witness) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i : witness) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (static_cast<std::uint64_t>(i) >> (8 * b)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+struct Pinned {
+  bool ok;
+  std::uint64_t witness;
+  const char* explanation;
+  std::size_t states_explored;
+  std::size_t memo_hits;
+  std::size_t max_resident_states;
+  bool early_exit;
+};
+
+void expect_pinned(const CheckResult& got, const Pinned& want,
+                   const char* label) {
+  EXPECT_EQ(got.ok, want.ok) << label;
+  EXPECT_EQ(witness_hash(got.witness), want.witness)
+      << label << ": witness hash 0x" << std::hex
+      << witness_hash(got.witness);
+  EXPECT_EQ(got.explanation, want.explanation) << label;
+  EXPECT_EQ(got.states_explored, want.states_explored) << label;
+  EXPECT_EQ(got.memo_hits, want.memo_hits) << label;
+  EXPECT_EQ(got.max_resident_states, want.max_resident_states) << label;
+  EXPECT_EQ(got.early_exit, want.early_exit) << label;
+}
+
+// The offline entry points' whole output pinned on three inputs (the
+// pattern of StreamingChecker.ResultCountersPinned), so a search-engine
+// rewrite is held to byte-identical verdicts, witnesses, explanations and
+// counters.  A change that moves one of these on purpose updates the
+// constant and says why.
+TEST(SearchCore, OfflineResultsPinned) {
+  QueueModel queue;
+  expect_pinned(check_linearizable(queue, wide_frontier_history(5)),
+                Pinned{false, 0x14650fb0739d0383ull,
+                       "p5 dequeue() returned 999 but state "
+                       "queue[100,101,102,103,104] determines 100",
+                       326, 0, 326, false},
+                "wide frontier");
+  // Each process reads the other's write after its own, so no single
+  // order of the four operations explains both reads.
+  RegisterModel reg_model;
+  const History crossed({{0, reg::write(1), Value::unit(), 0, 1},
+                         {0, reg::read(), Value(2), 2, 3},
+                         {1, reg::write(2), Value::unit(), 0, 1},
+                         {1, reg::read(), Value(1), 2, 3}});
+  expect_pinned(check_sequentially_consistent(reg_model, crossed),
+                Pinned{false, 0x14650fb0739d0383ull,
+                       "p0 read() returned 2 but state reg(1) determines 1",
+                       7, 0, 7, false},
+                "crossed reads");
+  // Two crashed writers: the read of 3 needs the pending write(3), the
+  // pending write(4) may be dropped.
+  const History survivors({{0, reg::write(1), Value::unit(), 0, 5},
+                           {1, reg::read(), Value(3), 10, 12},
+                           {1, reg::write(5), Value::unit(), 13, 14},
+                           {0, reg::read(), Value(5), 15, 16}});
+  const std::vector<PendingInvocation> crashed{{2, reg::write(3), 2},
+                                               {3, reg::write(4), 1}};
+  expect_pinned(check_linearizable_with_pending(reg_model, survivors, crashed),
+                Pinned{true, 0xaf6837ed061b4883ull,
+                       "p1 read() returned 3 but state reg(1) determines 1",
+                       12, 1, 6, false},
+                "two pending writers");
+}
+
 }  // namespace
 }  // namespace linbound
