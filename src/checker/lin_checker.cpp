@@ -1,29 +1,18 @@
 #include "checker/lin_checker.h"
 
-#include <stdexcept>
+#include <algorithm>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 namespace linbound {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_u64(std::uint64_t& h, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= x & 0xff;
-    h *= kFnvPrime;
-    x >>= 8;
-  }
-}
-
-int active_processes(const History& history) {
-  int active = 0;
-  for (int p = 0; p < history.process_count(); ++p) {
-    if (!history.by_process(p).empty()) ++active;
-  }
-  return active;
+/// Hash step for memo keys: a multiply-xorshift round per word
+/// (NodeIndex finishes the mix).
+std::uint64_t hash_step(std::uint64_t h, std::uint64_t x) {
+  h = (h ^ x) * 0x9e3779b97f4a7c15ull;
+  return h ^ (h >> 29);
 }
 
 constexpr const char* kNoCandidateText =
@@ -33,8 +22,9 @@ CheckResult check(const ObjectModel& model, const History& history,
                   bool real_time_order,
                   const std::vector<PendingInvocation>& pending,
                   const CheckLimits& limits) {
-  detail::WglSearch search(model, history, real_time_order, pending, limits,
-                           detail::SearchScope{0, 1, history.size()});
+  detail::WglSearch search(model, limits);
+  search.load(history, pending, real_time_order,
+              detail::SearchScope{0, 1, history.size()});
   CheckResult result;
   result.ok = search.run(Snapshot::initial(model), result);
   result.max_resident_states = search.dead_states();
@@ -91,166 +81,261 @@ void throw_state_budget_exceeded(std::size_t max_states,
   throw std::runtime_error(os.str());
 }
 
-WglSearch::WglSearch(const ObjectModel& model, const History& history,
-                     bool real_time_order,
+void NodeIndex::clear() {
+  size_ = 0;
+  if (++gen_ == 0) {  // wrapped: stale stamps could alias the new one
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    gen_ = 1;
+  }
+}
+
+void NodeIndex::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(std::max<std::size_t>(64, 2 * old.size()), Slot{});
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.gen != gen_) continue;
+    std::size_t i = s.hash & mask;
+    while (slots_[i].gen == gen_) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
+}
+
+WglSearch::WglSearch(const ObjectModel& model, const CheckLimits& limits)
+    : model_(model), limits_(limits) {}
+
+void WglSearch::load(const History& history,
                      const std::vector<PendingInvocation>& pending,
-                     const CheckLimits& limits, const SearchScope& scope)
-    : model_(model),
-      history_(history),
-      real_time_order_(real_time_order),
-      pending_(pending),
-      limits_(limits),
-      scope_(scope) {}
+                     bool real_time_order, const SearchScope& scope) {
+  ops_ = &history.ops();
+  real_time_order_ = real_time_order;
+  procs_ = static_cast<std::size_t>(history.process_count());
+  proc_begin_.assign(procs_ + 1, 0);
+  proc_ops_.clear();
+  for (std::size_t p = 0; p < procs_; ++p) {
+    const auto& idxs = history.by_process(static_cast<ProcessId>(p));
+    proc_ops_.insert(proc_ops_.end(), idxs.begin(), idxs.end());
+    proc_begin_[p + 1] = proc_ops_.size();
+  }
+  reset(pending, scope);
+}
+
+/// Operations arrive in invocation order and a process's operations never
+/// overlap, so arrival order within a process IS its program order: a
+/// counting sort by process builds the index, no sort needed.
+void WglSearch::load(const std::vector<HistoryOp>& ops,
+                     const std::vector<PendingInvocation>& pending,
+                     const SearchScope& scope) {
+  ops_ = &ops;
+  real_time_order_ = true;
+  proc_begin_.assign(1, 0);
+  for (const HistoryOp& op : ops) {
+    if (op.response == kNoTime) continue;
+    const auto p = static_cast<std::size_t>(op.proc);
+    if (proc_begin_.size() < p + 2) proc_begin_.resize(p + 2, 0);
+    ++proc_begin_[p + 1];
+  }
+  procs_ = proc_begin_.size() - 1;
+  for (std::size_t p = 0; p < procs_; ++p) proc_begin_[p + 1] += proc_begin_[p];
+  proc_ops_.resize(proc_begin_[procs_]);
+  key_.assign(procs_, 0);  // fill cursor
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].response == kNoTime) continue;
+    const auto p = static_cast<std::size_t>(ops[i].proc);
+    proc_ops_[proc_begin_[p] + key_[p]++] = i;
+  }
+  reset(pending, scope);
+}
+
+void WglSearch::reset(const std::vector<PendingInvocation>& pending,
+                      const SearchScope& scope) {
+  pending_ = &pending;
+  scope_ = scope;
+  // One process (or none) and nothing pending: program order is the only
+  // permutation consistent with both real-time and per-process order, and
+  // the empty witness linearizes the empty history.
+  std::size_t active = 0;
+  for (std::size_t p = 0; p < procs_; ++p) {
+    if (proc_begin_[p + 1] > proc_begin_[p]) ++active;
+  }
+  replayable_ = pending.empty() && active <= 1;
+  key_.assign(procs_ + pending.size(), 0);
+  // A successful path holds one open node per operation and pending move.
+  chosen_.reserve(proc_ops_.size());
+  stack_.reserve(proc_ops_.size() + pending.size() + 1);
+  clear_memo();
+}
+
+void WglSearch::clear_memo() {
+  for (std::size_t i = 0; i < memo_nodes_; ++i) memo_states_[i] = Snapshot();
+  memo_nodes_ = 0;
+  memo_.clear();
+  stack_.clear();
+}
 
 bool WglSearch::run(const Snapshot& start, CheckResult& result) {
-  frontier_.assign(static_cast<std::size_t>(history_.process_count()), 0);
-  pending_taken_.assign(pending_.size(), false);
-  chosen_.clear();
-  chosen_.reserve(history_.size());
-  if (history_.size() == 0 && pending_.empty()) {
-    // Nothing to order: the empty witness linearizes the empty history.
-    result.early_exit = true;
-    result.witness.clear();
-    return true;
-  }
-  if (pending_.empty() && active_processes(history_) <= 1) {
-    // One process means program order is the only permutation consistent
-    // with both real-time order and per-process order; replay it.  The
-    // replayed legal prefix is reported even on failure.
-    const bool ok = replay(start, result);
-    result.witness = std::move(chosen_);
-    return ok;
-  }
-  if (!search(start, result)) return false;
+  // After a success the memo holds that path's open nodes, which are not
+  // dead: start over.
+  if (!stack_.empty()) clear_memo();
+  // A failed replay reports its legal prefix; a failed search has undone
+  // its whole path.
+  const bool ok = replayable_ ? replay(start, result)
+                             : begin(start, result) || next_final(result);
   result.witness = std::move(chosen_);
-  return true;
+  return ok;
 }
 
-bool WglSearch::replay(const Snapshot& start, CheckResult& result) {
-  result.early_exit = true;
+/// Replay program order from `start`, making the search's exact counter
+/// updates along that one path (a state per operation) without its memo
+/// or stack.  On success final_ holds the end state.
+bool WglSearch::replay(const Snapshot& start, CheckResult& acc) {
+  acc.early_exit = true;
+  chosen_.clear();
   Snapshot state = start;
-  for (int p = 0; p < history_.process_count(); ++p) {
-    for (std::size_t idx : history_.by_process(p)) {
-      const HistoryOp& op = history_.ops()[idx];
-      count_state(result);
-      Snapshot next = state;
-      const Value determined = next.apply(op.op);
-      if (!(determined == op.ret)) {
-        if (result.explanation.empty()) {
-          result.explanation = mismatch_text(op, state, determined);
-        }
-        return false;
+  for (std::size_t i : proc_ops_) {
+    const HistoryOp& op = (*ops_)[i];
+    count_state(acc);
+    const Value determined = apply(state, op.op);
+    if (!(determined == op.ret)) {
+      if (acc.explanation.empty()) {
+        // Rare: rebuild the state the operation met, for the explanation.
+        Snapshot before = start;
+        for (std::size_t j : chosen_) apply(before, (*ops_)[j].op);
+        note_mismatch(op, before, determined, acc);
       }
-      state = std::move(next);
-      chosen_.push_back(idx);
+      return false;
     }
+    chosen_.push_back(i);
   }
+  final_ = std::move(state);
   return true;
 }
 
-/// Depth-first search for the first linearization, over an explicit stack
-/// of open nodes.  At each node: the memo check, then pending invocations
-/// in order (their returns are unconstrained, so applying always
-/// succeeds), then process fronts in pid order; a node whose moves are
-/// exhausted is dead and enters the memo.
-bool WglSearch::search(const Snapshot& start, CheckResult& result) {
-  // A successful path holds one open node per operation and pending move.
+/// Open the root node at `start`; true when it is already complete
+/// (nothing to linearize), with final_ = start.
+bool WglSearch::begin(const Snapshot& start, CheckResult& acc) {
+  std::fill(key_.begin(), key_.end(), 0);
+  chosen_.clear();
   stack_.clear();
-  stack_.reserve(history_.size() + pending_.size() + 1);
-  const Entered root = enter(start, result);
-  if (root != Entered::kOpen) return root == Entered::kSolved;
-  const std::size_t moves = pending_.size() + frontier_.size();
+  final_ = start;
+  at_final_ = enter(final_, acc) == Entered::kComplete;
+  return at_final_;
+}
+
+/// Depth-first search to the next complete linearization, over the
+/// explicit stack of open nodes: true with path() and final_ set, false
+/// once every node is exhausted.  At each node: pending invocations in
+/// order (their returns are unconstrained, so applying always succeeds),
+/// then process fronts in pid order.
+bool WglSearch::next_final(CheckResult& acc) {
+  if (at_final_ && !stack_.empty()) undo(stack_.back().next_move - 1);
+  at_final_ = false;
+  const std::size_t moves = pending_->size() + procs_;
   while (!stack_.empty()) {
     Frame& top = stack_.back();
     if (top.next_move == moves) {
-      if (!top.any_candidate && result.explanation.empty()) {
-        result.explanation = kNoCandidateText;
+      if (!top.any_candidate && acc.explanation.empty()) {
+        acc.explanation = kNoCandidateText;
       }
-      dead_[top.hash].push_back(
-          DeadEntry{frontier_, pending_taken_, std::move(top.state)});
-      ++dead_count_;
       stack_.pop_back();
       if (!stack_.empty()) undo(stack_.back().next_move - 1);
       continue;
     }
     const std::size_t move = top.next_move++;
     Snapshot next;
-    if (move < pending_.size()) {
-      if (pending_taken_[move] || !pending_eligible(pending_[move])) continue;
+    if (move < pending_->size()) {
+      const PendingInvocation& q = (*pending_)[move];
+      if (key_[procs_ + move] != 0 || !pending_eligible(q)) continue;
       next = top.state;
-      next.apply(pending_[move].op);
-      pending_taken_[move] = true;
+      apply(next, q.op);
+      key_[procs_ + move] = 1;
     } else {
-      const std::size_t p = move - pending_.size();
-      const std::optional<std::size_t> f = front(p);
-      if (!f) continue;
-      const HistoryOp& op = history_.ops()[*f];
-      if (!eligible_at(op.invoke, f)) continue;
+      const std::size_t p = move - pending_->size();
+      const std::size_t f = front(p);
+      if (f == kNone || !eligible_at((*ops_)[f].invoke, f)) continue;
       top.any_candidate = true;
-      // Pure accessors cannot change the state, so the branch can share it
-      // outright instead of triggering the copy-on-write clone.
+      const HistoryOp& op = (*ops_)[f];
       next = top.state;
-      const bool accessor = model_.classify(op.op) == OpClass::kPureAccessor;
-      const Value determined =
-          accessor ? next.apply_accessor(op.op) : next.apply(op.op);
+      const Value determined = apply(next, op.op);
       if (!(determined == op.ret)) {
-        if (result.explanation.empty()) {
-          result.explanation = mismatch_text(op, top.state, determined);
-        }
+        note_mismatch(op, top.state, determined, acc);
         continue;
       }
-      ++frontier_[p];
-      chosen_.push_back(*f);
+      ++key_[p];
+      chosen_.push_back(f);
     }
     // enter() may grow the stack: `top` is not used past this point.
-    switch (enter(std::move(next), result)) {
-      case Entered::kSolved:
-        return true;
-      case Entered::kDead:
-        undo(move);
-        break;
-      case Entered::kOpen:
-        break;
+    const Entered entered = enter(next, acc);
+    if (entered == Entered::kComplete) {
+      final_ = std::move(next);
+      at_final_ = true;
+      return true;
     }
+    if (entered == Entered::kSeen) undo(move);
   }
   return false;
 }
 
-WglSearch::Entered WglSearch::enter(Snapshot state, CheckResult& result) {
-  if (chosen_.size() == history_.size()) return Entered::kSolved;
-  const std::uint64_t h = memo_hash(state);
-  if (known_dead(h, state)) {
-    ++result.memo_hits;
-    return Entered::kDead;
+/// Visit the node (key_, state).  Marked in the memo pre-order: every move
+/// strictly grows the frontier or the pending-taken set, so no node recurs
+/// on its own path, and a node met again was fully explored before -- for
+/// first success, proven dead.
+WglSearch::Entered WglSearch::enter(Snapshot& state, CheckResult& acc) {
+  if (chosen_.size() == proc_ops_.size()) return Entered::kComplete;
+  std::uint64_t h = 0;
+  for (std::size_t k : key_) h = hash_step(h, k);
+  h = hash_step(h, state.fingerprint());
+  const std::size_t width = key_.size();
+  const bool fresh = memo_.insert_unique(h, memo_nodes_, [&](std::size_t node) {
+    return std::equal(key_.begin(), key_.end(),
+                      memo_keys_.begin() +
+                          static_cast<std::ptrdiff_t>(node * width)) &&
+           memo_states_[node].equals(state);
+  });
+  if (!fresh) {
+    ++acc.memo_hits;
+    return Entered::kSeen;
   }
-  count_state(result);
-  stack_.push_back(Frame{std::move(state), h, 0, false});
+  const std::size_t node = memo_nodes_++;
+  if (memo_states_.size() < memo_nodes_) memo_states_.resize(memo_nodes_);
+  memo_states_[node] = state;
+  memo_keys_.resize(memo_nodes_ * width);
+  std::copy(key_.begin(), key_.end(),
+            memo_keys_.begin() + static_cast<std::ptrdiff_t>(node * width));
+  count_state(acc);
+  stack_.push_back(Frame{std::move(state)});
   return Entered::kOpen;
 }
 
 void WglSearch::undo(std::size_t move) {
-  if (move < pending_.size()) {
-    pending_taken_[move] = false;
+  if (move < pending_->size()) {
+    key_[procs_ + move] = 0;
     return;
   }
   chosen_.pop_back();
-  --frontier_[move - pending_.size()];
+  --key_[move - pending_->size()];
 }
 
-void WglSearch::count_state(CheckResult& result) const {
-  if (++result.states_explored > limits_.max_states) {
-    throw_state_budget_exceeded(limits_.max_states, result.states_explored,
+/// Pure accessors cannot change the state, so they skip the copy-on-write
+/// clone even when `state` is shared.
+Value WglSearch::apply(Snapshot& state, const Operation& op) const {
+  return model_.classify(op) == OpClass::kPureAccessor
+             ? state.apply_accessor(op)
+             : state.apply(op);
+}
+
+void WglSearch::count_state(CheckResult& acc) const {
+  if (++acc.states_explored > limits_.max_states) {
+    throw_state_budget_exceeded(limits_.max_states, acc.states_explored,
                                 scope_.segment_index, scope_.segment_count,
                                 scope_.history_ops);
   }
 }
 
-/// Frontier op index of process p, or nullopt if exhausted.
-std::optional<std::size_t> WglSearch::front(std::size_t p) const {
-  const auto& idxs = history_.by_process(static_cast<ProcessId>(p));
-  const std::size_t k = frontier_[p];
-  if (k >= idxs.size()) return std::nullopt;
-  return idxs[k];
+/// Frontier operation of process p, or kNone if exhausted.
+std::size_t WglSearch::front(std::size_t p) const {
+  const std::size_t at = proc_begin_[p] + key_[p];
+  return at < proc_begin_[p + 1] ? proc_ops_[at] : kNone;
 }
 
 /// Can an operation invoked at `inv` be linearized next?  Under real-time
@@ -259,12 +344,12 @@ std::optional<std::size_t> WglSearch::front(std::size_t p) const {
 /// a process the frontier op has the earliest response among that
 /// process's remaining ops.  (Pending operations never block anyone: they
 /// have no response.)
-bool WglSearch::eligible_at(Tick inv, std::optional<std::size_t> self) const {
+bool WglSearch::eligible_at(Tick inv, std::size_t self) const {
   if (!real_time_order_) return true;
-  for (std::size_t p = 0; p < frontier_.size(); ++p) {
-    const std::optional<std::size_t> f = front(p);
-    if (!f || (self && *f == *self)) continue;
-    if (history_.ops()[*f].response < inv) return false;
+  for (std::size_t p = 0; p < procs_; ++p) {
+    const std::size_t f = front(p);
+    if (f == kNone || f == self) continue;
+    if ((*ops_)[f].response < inv) return false;
   }
   return true;
 }
@@ -274,51 +359,24 @@ bool WglSearch::eligible_at(Tick inv, std::optional<std::size_t> self) const {
 /// the pending invocation was issued (equal times count as concurrent).
 bool WglSearch::pending_eligible(const PendingInvocation& q) const {
   const auto p = static_cast<std::size_t>(q.proc);
-  if (p < frontier_.size()) {
-    const std::optional<std::size_t> own = front(p);
-    if (own && history_.ops()[*own].invoke < q.invoke) return false;
+  if (p < procs_) {
+    const std::size_t own = front(p);
+    if (own != kNone && (*ops_)[own].invoke < q.invoke) return false;
   }
-  return eligible_at(q.invoke, std::nullopt);
+  return eligible_at(q.invoke, kNone);
 }
 
-std::uint64_t WglSearch::memo_hash(const Snapshot& state) const {
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t f : frontier_) fnv_u64(h, f);
-  std::uint64_t bits = 0;
-  for (std::size_t q = 0; q < pending_taken_.size(); ++q) {
-    bits = (bits << 1) | (pending_taken_[q] ? 1u : 0u);
-    if ((q & 63u) == 63u) {
-      fnv_u64(h, bits);
-      bits = 0;
-    }
-  }
-  if (!pending_taken_.empty()) fnv_u64(h, bits);
-  fnv_u64(h, state.fingerprint());
-  return h;
-}
-
-/// Exact identity of a dead search node; the Snapshot retains the state by
-/// refcount so equality is re-confirmed on every bucket hit.
-bool WglSearch::known_dead(std::uint64_t h, const Snapshot& state) const {
-  auto it = dead_.find(h);
-  if (it == dead_.end()) return false;
-  for (const DeadEntry& e : it->second) {
-    if (e.frontier == frontier_ && e.pending_taken == pending_taken_ &&
-        e.state.equals(state)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::string WglSearch::mismatch_text(const HistoryOp& op,
-                                     const Snapshot& before,
-                                     const Value& determined) const {
+/// The first return mismatch met is the explanation; later ones build no
+/// text.
+void WglSearch::note_mismatch(const HistoryOp& op, const Snapshot& before,
+                              const Value& determined,
+                              CheckResult& acc) const {
+  if (!acc.explanation.empty()) return;
   std::ostringstream os;
   os << "p" << op.proc << " " << model_.describe(op.op) << " returned "
      << op.ret.to_string() << " but state " << before.to_string()
      << " determines " << determined.to_string();
-  return os.str();
+  acc.explanation = os.str();
 }
 
 }  // namespace detail

@@ -30,16 +30,16 @@
 //      streaming checker carries the whole frontier forward instead: an
 //      ordered list of the *distinct* final states a prefix of segments can
 //      reach, each entry keeping a witness-chain backpointer.  A confirmed
-//      segment is fully enumerated from each entry in order (same candidate
-//      order as the offline search, with a cross-entry visited memo
-//      standing in for its dead memo); the run fails the moment a segment
+//      segment goes through the one search engine (detail::WglSearch,
+//      lin_checker.h) under its all-finals policy, from each entry in order
+//      with one memo across entries; the run fails the moment a segment
 //      yields no successor state.  The final window (with any pending
-//      invocations) goes through the offline search core itself
-//      (detail::WglSearch), once per state-set entry in order with one
-//      shared dead memo.  Because the offline search's dead memo at a
-//      downstream segment root deduplicates threaded states, it attempts
-//      downstream searches in exactly this list's order -- which is why the
-//      verdict and witness come out byte-identical to the offline checker.
+//      invocations) goes through the same engine under the offline
+//      checker's first-success policy, once per state-set entry in order
+//      with one memo.  Because the offline search's memo at a downstream
+//      segment root deduplicates threaded states, it attempts downstream
+//      searches in exactly this list's order -- which is why the verdict
+//      and witness come out byte-identical to the offline checker.
 //      (The *explanation* on failure is deterministic and non-empty but may
 //      differ: the offline search interleaves downstream mismatches between
 //      an upstream segment's final states, a traversal order eager
@@ -47,14 +47,14 @@
 //
 //   3. Inline, allocation-free retirement.  The checker runs inside the
 //      simulator hooks on the simulator's own thread (how per-shard checking
-//      rides the PDES drain).  Its scratch -- segment buffers, per-process
-//      index lists, the visited memo, the search stack and the witness log
-//      -- lives for the whole run, so retiring a segment allocates nothing
-//      but copy-on-write clones of the object states it mutates (and the
+//      rides the PDES drain).  Its scratch -- segment buffers, the search
+//      engine's per-process index, memo and stack, and the witness log --
+//      lives for the whole run, so retiring a segment allocates nothing but
+//      copy-on-write clones of the object states it mutates (and the
 //      witness log's amortized growth).  A segment from one process,
-//      threaded from one state, replays in program order instead of
-//      enumerating.  The enumeration walks an explicit stack, so segment
-//      length never touches the thread stack.
+//      threaded from one state, replays in program order (the engine's
+//      fast path).  The search walks an explicit stack, so segment length
+//      never touches the thread stack.
 #pragma once
 
 #include <cstddef>

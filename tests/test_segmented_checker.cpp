@@ -313,8 +313,8 @@ TEST(SearchCore, FastPathsStartFromTheGivenState) {
                       {0, reg::write(6), Value::unit(), 20, 30},
                       {0, reg::read(), Value(6), 40, 50}});
   {
-    detail::WglSearch search(model, solo, true, none, CheckLimits{},
-                             detail::SearchScope{0, 1, solo.size()});
+    detail::WglSearch search(model, CheckLimits{});
+    search.load(solo, none, true, detail::SearchScope{0, 1, solo.size()});
     CheckResult r;
     EXPECT_TRUE(search.run(five, r));
     EXPECT_TRUE(r.early_exit);
@@ -327,8 +327,8 @@ TEST(SearchCore, FastPathsStartFromTheGivenState) {
   // Two processes: the full search starts from `five` as well.
   const History pair({{0, reg::read(), Value(5), 0, 10},
                       {1, reg::read(), Value(5), 5, 15}});
-  detail::WglSearch search(model, pair, true, none, CheckLimits{},
-                           detail::SearchScope{0, 1, pair.size()});
+  detail::WglSearch search(model, CheckLimits{});
+  search.load(pair, none, true, detail::SearchScope{0, 1, pair.size()});
   CheckResult r;
   EXPECT_TRUE(search.run(five, r));
   EXPECT_FALSE(r.early_exit);
@@ -341,8 +341,8 @@ TEST(SearchCore, DeadMemoPersistsAcrossStarts) {
   QueueModel model;
   const History h = wide_frontier_history(4);
   const std::vector<PendingInvocation> none;
-  detail::WglSearch search(model, h, true, none, CheckLimits{},
-                           detail::SearchScope{0, 1, h.size()});
+  detail::WglSearch search(model, CheckLimits{});
+  search.load(h, none, true, detail::SearchScope{0, 1, h.size()});
   const Snapshot start = Snapshot::initial(model);
   CheckResult acc;
   EXPECT_FALSE(search.run(start, acc));
