@@ -138,9 +138,17 @@ std::uint64_t Value::hash() const {
 
 namespace {
 
+/// Deepest list nesting parse() accepts.  Every value the types and
+/// composites produce nests at most two lists deep; the cap bounds the
+/// recursion below (and a parsed Value's recursive destructor) on any
+/// input, so one hostile trace field cannot overflow the stack.
+constexpr int kMaxParseDepth = 64;
+
 /// Recursive-descent parser over the to_string() grammar.  `pos` advances
-/// past the parsed value; whitespace is skipped between tokens.
-std::optional<Value> parse_value(std::string_view s, std::size_t& pos) {
+/// past the parsed value; whitespace is skipped between tokens.  `depth`
+/// counts the lists open around the value.
+std::optional<Value> parse_value(std::string_view s, std::size_t& pos,
+                                 int depth) {
   auto skip_ws = [&] {
     while (pos < s.size() && s[pos] == ' ') ++pos;
   };
@@ -167,6 +175,7 @@ std::optional<Value> parse_value(std::string_view s, std::size_t& pos) {
     return out;
   }
   if (s[pos] == '[') {
+    if (depth == kMaxParseDepth) return std::nullopt;
     ++pos;
     Value::List items;
     skip_ws();
@@ -175,7 +184,7 @@ std::optional<Value> parse_value(std::string_view s, std::size_t& pos) {
       return Value(std::move(items));
     }
     while (true) {
-      auto item = parse_value(s, pos);
+      auto item = parse_value(s, pos, depth + 1);
       if (!item) return std::nullopt;
       items.push_back(std::move(*item));
       skip_ws();
@@ -220,7 +229,7 @@ std::optional<Value> parse_value(std::string_view s, std::size_t& pos) {
 
 std::optional<Value> Value::parse(std::string_view text) {
   std::size_t pos = 0;
-  auto out = parse_value(text, pos);
+  auto out = parse_value(text, pos, 0);
   if (!out) return std::nullopt;
   while (pos < text.size() && text[pos] == ' ') ++pos;
   if (pos != text.size()) return std::nullopt;  // trailing garbage

@@ -75,8 +75,9 @@ class Value {
   /// Parse the to_string() grammar back into a Value:
   ///   () | <int> | true | false | "str" | [v, v, ...]
   /// Strings may not contain '"'.  Returns nullopt on malformed input,
-  /// out-of-range integers or trailing garbage -- the exact inverse of
-  /// to_string() (round-trip tested, including INT64_MIN/MAX).
+  /// out-of-range integers, lists nested more than 64 deep or trailing
+  /// garbage -- the exact inverse of to_string() (round-trip tested,
+  /// including INT64_MIN/MAX).
   static std::optional<Value> parse(std::string_view text);
 
   /// Stable 64-bit fingerprint (FNV-1a over a canonical encoding); used by

@@ -37,10 +37,24 @@ TEST(ValueParse, RoundTripsEveryShape) {
 }
 
 TEST(ValueParse, RejectsMalformedInput) {
-  for (const char* bad : {"", "(", "[1, 2", "\"unterminated", "12x", "tru",
-                          "1 2", "[]]", "--3"}) {
-    EXPECT_FALSE(Value::parse(bad).has_value()) << bad;
+  // The last input nests a million lists: rejected, not a stack overflow.
+  const std::string deep(1'000'000, '[');
+  for (const std::string& bad :
+       {std::string(""), std::string("("), std::string("[1, 2"),
+        std::string("\"unterminated"), std::string("12x"), std::string("tru"),
+        std::string("1 2"), std::string("[]]"), std::string("--3"), deep}) {
+    EXPECT_FALSE(Value::parse(bad).has_value()) << bad.substr(0, 40);
   }
+}
+
+TEST(ValueParse, NestingIsCappedAt64) {
+  auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(Value::parse(nested(64)).has_value());
+  EXPECT_FALSE(Value::parse(nested(65)).has_value());
+  EXPECT_FALSE(Value::parse(nested(200'000)).has_value());
 }
 
 TEST(TraceIo, RoundTripsHandBuiltTrace) {
@@ -281,6 +295,14 @@ TEST(TraceIo, RejectsGarbage) {
   EXPECT_FALSE(
       trace_from_string("trace v1\nmsg 1 2", &error).has_value());
   EXPECT_FALSE(error.empty());
+  // An op line whose return field nests 200,000 lists is a typed error,
+  // not a stack overflow in the value parser.
+  const std::string deep_op = "trace v1\ntiming 1000 400 300\noffsets 0\n"
+                              "end 100\nop 1 0 0 10 20\t" +
+                              std::string(200'000, '[') + "\n";
+  error.clear();
+  EXPECT_FALSE(trace_from_string(deep_op, &error).has_value());
+  EXPECT_EQ(error.rfind("bad return value", 0), 0u) << error.substr(0, 80);
 }
 
 }  // namespace
