@@ -429,6 +429,12 @@ ShardRunReport ShardedSimulation::drive(
 }
 
 ShardRunReport ShardedSimulation::run(int jobs) {
+  if (ran_) {
+    throw std::logic_error(
+        "ShardedSimulation::run is single-shot: build a new simulation for "
+        "another run");
+  }
+  ran_ = true;
   std::vector<std::unique_ptr<ShardState>> states(
       static_cast<std::size_t>(opt_.shards));
   const ParallelSweepExecutor exec(resolve_jobs(jobs));

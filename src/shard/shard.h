@@ -191,17 +191,19 @@ class ShardedSimulation {
 
   /// Run every shard through the window protocol on `jobs` workers
   /// (resolve_jobs semantics; <= 1 is serial).  Shard traces are retained
-  /// for trace()/checking until the next run() or destruction.
+  /// for trace()/checking until destruction.  Single-shot: a second call
+  /// throws std::logic_error -- build a fresh simulation per run, so no run
+  /// holds or tears down another run's shards.
   ShardRunReport run(int jobs);
 
   /// Single-threaded reference for one shard: the identical window/barrier
   /// sequence with every other shard absent.  Self-contained (builds its
-  /// own state; does not disturb a previous run()'s traces), so references
+  /// own state; does not disturb run()'s traces), so references
   /// for different shards may themselves be computed concurrently.
   ShardResult run_solo(int shard) const;
 
-  /// Shard `shard`'s trace from the last run().  Throws std::logic_error
-  /// before any run().
+  /// Shard `shard`'s trace from run().  Throws std::logic_error before
+  /// run().
   const Trace& trace(int shard) const;
 
   /// The object model shards run (a register; shared, stateless spec).
@@ -251,7 +253,8 @@ class ShardedSimulation {
   Tick last_beacon_send_ = kNoTime;  ///< kNoTime when sync_epochs == 0
   std::vector<std::size_t> loads_;
   std::vector<std::vector<Beacon>> beacons_;  ///< per dst shard, epoch order
-  std::vector<std::unique_ptr<ShardState>> states_;  ///< last run()'s shards
+  std::vector<std::unique_ptr<ShardState>> states_;  ///< run()'s shards
+  bool ran_ = false;  ///< run() was called (it is single-shot)
 };
 
 }  // namespace linbound

@@ -17,6 +17,7 @@
 #include "core/workload.h"
 #include "harness/shard_sweep.h"
 #include "shard/shard.h"
+#include "sim/trace_io.h"
 #include "types/register_type.h"
 
 namespace linbound {
@@ -223,6 +224,17 @@ TEST(Shard, RejectsLossFaultsAndZeroLookahead) {
   ShardOptions too_deep = base_options(2);
   too_deep.lookahead = timing().min_delay() + 1;
   EXPECT_THROW(ShardedSimulation{too_deep}, std::invalid_argument);
+}
+
+TEST(Shard, RunIsSingleShot) {
+  // A repeat would hold two runs' shards at once and bill the first run's
+  // teardown to the second; the API refuses it, and the first run's
+  // traces stay readable.
+  ShardedSimulation sim(base_options(3, 24));
+  const ShardRunReport report = sim.run(1);
+  EXPECT_THROW(sim.run(1), std::logic_error);
+  EXPECT_THROW(sim.run(2), std::logic_error);
+  EXPECT_EQ(hash_trace(sim.trace(0)), report.shards[0].trace_hash);
 }
 
 TEST(Shard, ChurnAutoPromotesToRecoverable) {
