@@ -81,14 +81,6 @@ void throw_state_budget_exceeded(std::size_t max_states,
   throw std::runtime_error(os.str());
 }
 
-void NodeIndex::clear() {
-  size_ = 0;
-  if (++gen_ == 0) {  // wrapped: stale stamps could alias the new one
-    std::fill(slots_.begin(), slots_.end(), Slot{});
-    gen_ = 1;
-  }
-}
-
 void NodeIndex::grow() {
   std::vector<Slot> old = std::move(slots_);
   slots_.assign(std::max<std::size_t>(64, 2 * old.size()), Slot{});
@@ -128,21 +120,27 @@ void WglSearch::load(const std::vector<HistoryOp>& ops,
                      const SearchScope& scope) {
   ops_ = &ops;
   real_time_order_ = true;
-  proc_begin_.assign(1, 0);
+  ProcessId max_pid = -1;
   for (const HistoryOp& op : ops) {
-    if (op.response == kNoTime) continue;
-    const auto p = static_cast<std::size_t>(op.proc);
-    if (proc_begin_.size() < p + 2) proc_begin_.resize(p + 2, 0);
-    ++proc_begin_[p + 1];
+    if (op.response != kNoTime) max_pid = std::max(max_pid, op.proc);
   }
-  procs_ = proc_begin_.size() - 1;
-  for (std::size_t p = 0; p < procs_; ++p) proc_begin_[p + 1] += proc_begin_[p];
-  proc_ops_.resize(proc_begin_[procs_]);
-  key_.assign(procs_, 0);  // fill cursor
+  procs_ = static_cast<std::size_t>(max_pid + 1);
+  // Count process p's operations into [p + 2] and prefix-sum, so [p + 1]
+  // is p's begin; filling with [p + 1] as p's cursor leaves it at p's end,
+  // which is p + 1's begin.
+  proc_begin_.assign(procs_ + 2, 0);
+  for (const HistoryOp& op : ops) {
+    if (op.response != kNoTime) {
+      ++proc_begin_[static_cast<std::size_t>(op.proc) + 2];
+    }
+  }
+  for (std::size_t p = 2; p < proc_begin_.size(); ++p) {
+    proc_begin_[p] += proc_begin_[p - 1];
+  }
+  proc_ops_.resize(proc_begin_.back());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     if (ops[i].response == kNoTime) continue;
-    const auto p = static_cast<std::size_t>(ops[i].proc);
-    proc_ops_[proc_begin_[p] + key_[p]++] = i;
+    proc_ops_[proc_begin_[static_cast<std::size_t>(ops[i].proc) + 1]++] = i;
   }
   reset(pending, scope);
 }

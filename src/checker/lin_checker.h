@@ -28,6 +28,7 @@
 // can start from any object state with one memo kept across several starts.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -156,7 +157,14 @@ struct SearchScope {
 /// hash is a shortcut, never the verdict.
 class NodeIndex {
  public:
-  void clear();
+  void clear() {
+    size_ = 0;
+    if (++gen_ == 0) {  // wrapped: stale stamps could alias the new one
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+      gen_ = 1;
+    }
+  }
+  bool empty() const { return size_ == 0; }
 
   /// File `node` under `key` unless a node already filed there satisfies
   /// `same`; true when filed.
@@ -235,8 +243,9 @@ class WglSearch {
 
   /// All finals: calls emit(entry, final_state) for every complete
   /// linearization from each of `starts` (entries with a `state`), in
-  /// order; path() holds the chosen operation indices meanwhile.  Counters
-  /// and explanation accumulate into `acc` as for run().
+  /// order; path() holds the chosen operation indices meanwhile, and emit
+  /// may move the state away.  Counters and explanation accumulate into
+  /// `acc` as for run().
   template <typename Entry, typename Emit>
   void run_all(const std::vector<Entry>& starts, CheckResult& acc,
                Emit&& emit) {

@@ -42,6 +42,10 @@ struct OpRun {
     ops.clear();
     tokens.clear();
   }
+  friend void swap(OpRun& a, OpRun& b) {
+    a.ops.swap(b.ops);
+    a.tokens.swap(b.tokens);
+  }
 };
 
 /// Witness bookkeeping for the forward state set: each retained final state
@@ -107,8 +111,11 @@ struct StreamingChecker::Impl {
   void invoke(const OperationRecord& rec) {
     maybe_cut(rec.invoke_time);
     open_ix_.insert_or_assign(rec.token, window_.size());
-    window_.ops.push_back(
-        HistoryOp{rec.proc, rec.op, Value(), rec.invoke_time, kNoTime});
+    HistoryOp& op = window_.ops.emplace_back();
+    op.proc = rec.proc;
+    op.op = rec.op;
+    op.invoke = rec.invoke_time;
+    op.response = kNoTime;
     window_.tokens.push_back(rec.token);
     ++in_flight_;
     ++ops_seen_;
@@ -155,8 +162,8 @@ struct StreamingChecker::Impl {
   void maybe_cut(Tick t) {
     if (in_flight_ != 0 || window_.empty()) return;
     if (max_response_ >= t) return;
-    std::swap(retiring_, tentative_);
-    std::swap(tentative_, window_);
+    swap(retiring_, tentative_);
+    swap(tentative_, window_);
     open_ix_.clear();  // empty already: nothing was in flight
     max_response_ = kNoTime;
     if (!retiring_.empty()) retire();
@@ -184,15 +191,20 @@ struct StreamingChecker::Impl {
   void advance(const OpRun& seg) {
     search_.load(seg.ops, kNoPending, scope());
     const std::size_t explored = acc_.states_explored;
+    // Dedup by fingerprint and equals, filed lazily: most segments have one
+    // final state, which needs no index.
+    auto file = [&](std::size_t j, const Snapshot& state) {
+      return finals_.insert_unique(state.fingerprint(), j, [&](std::size_t k) {
+        return next_[k].state.equals(state);
+      });
+    };
     search_.run_all(alist_, acc_, [&](const StateEntry& from,
-                                      const Snapshot& state) {
-      const bool fresh = finals_.insert_unique(
-          state.fingerprint(), next_.size(),
-          [&](std::size_t j) { return next_[j].state.equals(state); });
-      if (!fresh) return;
+                                      Snapshot& state) {
+      if (next_.size() == 1 && finals_.empty()) file(0, next_[0].state);
+      if (!next_.empty() && !file(next_.size(), state)) return;
       const std::size_t begin = log_.tokens.size();
       for (std::size_t i : search_.path()) log_.tokens.push_back(seg.tokens[i]);
-      next_.push_back(StateEntry{state, log_.link(from.link, begin)});
+      next_.push_back(StateEntry{std::move(state), log_.link(from.link, begin)});
     });
     // The segment's search scratch: one node per state explored.
     bump_resident(seg.size() + (acc_.states_explored - explored) +
@@ -286,14 +298,14 @@ CheckResult StreamingChecker::Impl::finalize() {
         first_completed != kNoTime &&
         (first_pending == kNoTime || first_pending >= first_completed);
     if (valid) {
-      std::swap(retiring_, tentative_);
+      swap(retiring_, tentative_);
       retire();
     } else {
       tentative_.ops.insert(tentative_.ops.end(), window_.ops.begin(),
                             window_.ops.end());
       tentative_.tokens.insert(tentative_.tokens.end(),
                                window_.tokens.begin(), window_.tokens.end());
-      std::swap(window_, tentative_);
+      swap(window_, tentative_);
       tentative_.clear();
     }
   }
