@@ -66,21 +66,6 @@ CheckResult check_linearizable_with_pending(
 
 namespace detail {
 
-void throw_state_budget_exceeded(std::size_t max_states,
-                                 std::size_t states_explored,
-                                 std::size_t segment_index,
-                                 std::size_t segment_count,
-                                 std::size_t history_ops) {
-  std::ostringstream os;
-  os << "consistency check exceeded the state budget (max_states="
-     << max_states << "): explored " << states_explored
-     << " states in segment " << segment_index << " of " << segment_count
-     << " over a history of " << history_ops
-     << " operations; the history has too much concurrency for exact "
-        "checking";
-  throw std::runtime_error(os.str());
-}
-
 void NodeIndex::grow() {
   std::vector<Slot> old = std::move(slots_);
   slots_.assign(std::max<std::size_t>(64, 2 * old.size()), Slot{});
@@ -216,7 +201,8 @@ bool WglSearch::begin(const Snapshot& start, CheckResult& acc) {
   chosen_.clear();
   stack_.clear();
   final_ = start;
-  at_final_ = enter(final_, acc) == Entered::kComplete;
+  at_final_ = proc_ops_.empty();
+  if (!at_final_) enter(final_, acc);
   return at_final_;
 }
 
@@ -262,24 +248,23 @@ bool WglSearch::next_final(CheckResult& acc) {
       ++key_[p];
       chosen_.push_back(f);
     }
-    // enter() may grow the stack: `top` is not used past this point.
-    const Entered entered = enter(next, acc);
-    if (entered == Entered::kComplete) {
+    if (chosen_.size() == proc_ops_.size()) {
       final_ = std::move(next);
       at_final_ = true;
       return true;
     }
-    if (entered == Entered::kSeen) undo(move);
+    // enter() may grow the stack: `top` is not used past this point.
+    if (!enter(next, acc)) undo(move);
   }
   return false;
 }
 
-/// Visit the node (key_, state).  Marked in the memo pre-order: every move
-/// strictly grows the frontier or the pending-taken set, so no node recurs
-/// on its own path, and a node met again was fully explored before -- for
-/// first success, proven dead.
-WglSearch::Entered WglSearch::enter(Snapshot& state, CheckResult& acc) {
-  if (chosen_.size() == proc_ops_.size()) return Entered::kComplete;
+/// Open the incomplete node (key_, state) unless the memo has seen it;
+/// true when opened.  Marked in the memo pre-order: every move strictly
+/// grows the frontier or the pending-taken set, so no node recurs on its
+/// own path, and a node met again was fully explored before -- for first
+/// success, proven dead.
+bool WglSearch::enter(Snapshot& state, CheckResult& acc) {
   std::uint64_t h = 0;
   for (std::size_t k : key_) h = hash_step(h, k);
   h = hash_step(h, state.fingerprint());
@@ -292,7 +277,7 @@ WglSearch::Entered WglSearch::enter(Snapshot& state, CheckResult& acc) {
   });
   if (!fresh) {
     ++acc.memo_hits;
-    return Entered::kSeen;
+    return false;
   }
   const std::size_t node = memo_nodes_++;
   if (memo_states_.size() < memo_nodes_) memo_states_.resize(memo_nodes_);
@@ -302,7 +287,7 @@ WglSearch::Entered WglSearch::enter(Snapshot& state, CheckResult& acc) {
             memo_keys_.begin() + static_cast<std::ptrdiff_t>(node * width));
   count_state(acc);
   stack_.push_back(Frame{std::move(state)});
-  return Entered::kOpen;
+  return true;
 }
 
 void WglSearch::undo(std::size_t move) {
@@ -322,12 +307,18 @@ Value WglSearch::apply(Snapshot& state, const Operation& op) const {
              : state.apply(op);
 }
 
+/// The single throw site enforcing CheckLimits::max_states: reports states
+/// explored, the segment under search, and the history size.
 void WglSearch::count_state(CheckResult& acc) const {
-  if (++acc.states_explored > limits_.max_states) {
-    throw_state_budget_exceeded(limits_.max_states, acc.states_explored,
-                                scope_.segment_index, scope_.segment_count,
-                                scope_.history_ops);
-  }
+  if (++acc.states_explored <= limits_.max_states) return;
+  std::ostringstream os;
+  os << "consistency check exceeded the state budget (max_states="
+     << limits_.max_states << "): explored " << acc.states_explored
+     << " states in segment " << scope_.segment_index << " of "
+     << scope_.segment_count << " over a history of " << scope_.history_ops
+     << " operations; the history has too much concurrency for exact "
+        "checking";
+  throw std::runtime_error(os.str());
 }
 
 /// Frontier operation of process p, or kNone if exhausted.

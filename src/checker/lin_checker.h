@@ -93,7 +93,7 @@ struct CheckLimits {
   /// budget -- intentional: the budget bounds the blast radius of a single
   /// pathological history, not the sweep.  The exceeded-budget error
   /// message reports states explored, the segment being searched, and the
-  /// history size (see detail::throw_state_budget_exceeded, the one throw
+  /// history size (see detail::WglSearch::count_state, the one throw
   /// site).
   std::size_t max_states = 20'000'000;
 };
@@ -133,15 +133,6 @@ CheckResult check_linearizable_with_pending(
     const std::vector<PendingInvocation>& pending, const CheckOptions& options);
 
 namespace detail {
-
-/// The single throw site enforcing CheckLimits::max_states (all checker
-/// paths funnel here so the message stays uniform): reports states
-/// explored, the segment under search, and the history size.
-[[noreturn]] void throw_state_budget_exceeded(std::size_t max_states,
-                                              std::size_t states_explored,
-                                              std::size_t segment_index,
-                                              std::size_t segment_count,
-                                              std::size_t history_ops);
 
 /// Where a search sits within its caller's run, for the budget message.
 struct SearchScope {
@@ -273,7 +264,6 @@ class WglSearch {
     std::size_t next_move = 0;
     bool any_candidate = false;
   };
-  enum class Entered { kComplete, kSeen, kOpen };
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   void reset(const std::vector<PendingInvocation>& pending,
@@ -282,7 +272,7 @@ class WglSearch {
   bool replay(const Snapshot& start, CheckResult& acc);
   bool begin(const Snapshot& start, CheckResult& acc);
   bool next_final(CheckResult& acc);
-  Entered enter(Snapshot& state, CheckResult& acc);
+  bool enter(Snapshot& state, CheckResult& acc);
   void undo(std::size_t move);
   Value apply(Snapshot& state, const Operation& op) const;
   void count_state(CheckResult& acc) const;
