@@ -99,8 +99,9 @@ const std::vector<PendingInvocation> kNoPending;
 
 }  // namespace
 
-/// The single-threaded checking engine.  Feed invoke()/response() in
-/// simulated-time order; finalize() exactly once at the end.
+/// The single-threaded checker around the search engine.  Feed
+/// invoke()/response() in simulated-time order; finalize() exactly once at
+/// the end.
 struct StreamingChecker::Impl {
  public:
   Impl(const ObjectModel& model, const CheckLimits& limits)
