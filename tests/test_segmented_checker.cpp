@@ -333,6 +333,11 @@ TEST(SearchCore, FastPathsStartFromTheGivenState) {
   EXPECT_TRUE(search.run(five, r));
   EXPECT_FALSE(r.early_exit);
   EXPECT_EQ(r.witness, (std::vector<std::size_t>{0, 1}));
+  // A success leaves its open path in the memo; those nodes are not dead,
+  // so the same start succeeds again.
+  CheckResult again;
+  EXPECT_TRUE(search.run(five, again));
+  EXPECT_EQ(again.witness, r.witness);
   CheckResult from_initial;
   EXPECT_FALSE(search.run(Snapshot::initial(model), from_initial));
 }
