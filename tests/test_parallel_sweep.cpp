@@ -185,11 +185,7 @@ TEST(SweepOutputs, Pinned) {
   EXPECT_EQ(dump_hash(run_tob_sweep(model, workload, grid)),
             9541949502928754062ull);
 
-  {
-    FaultSweepOptions options;
-    options.n = 3;
-    options.seeds = 2;
-    options.jobs = 2;
+  const auto fault_dump = [&](const FaultSweepOptions& options) {
     const FaultSweepResult r = run_fault_sweep(model, workload, options);
     std::ostringstream os;
     os << r.table() << r.ok() << "\n";
@@ -198,7 +194,18 @@ TEST(SweepOutputs, Pinned) {
       dump_strings(os, cell.notes);
       dump_latency(os, cell.hardened_latency);
     }
-    EXPECT_EQ(fnv1a(os.str()), 4615724423988426839ull);
+    return fnv1a(os.str());
+  };
+  {
+    FaultSweepOptions options;
+    options.n = 3;
+    options.seeds = 2;
+    options.jobs = 2;
+    EXPECT_EQ(fault_dump(options), 4615724423988426839ull);
+    // Non-default link parameters (test_fault_sweep.cpp's): the hardened
+    // runs must carry them, not the defaults.
+    options.hardened.max_attempts = 4;
+    EXPECT_EQ(fault_dump(options), 17080872721129779908ull);
   }
   {
     ChurnSweepOptions options;
