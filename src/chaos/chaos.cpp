@@ -1,18 +1,12 @@
 #include "chaos/chaos.h"
 
 #include <algorithm>
-#include <chrono>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
-#include "core/driver.h"
 #include "core/workload.h"
-#include "degrade/degrade_system.h"
-#include "fault/assumption_monitor.h"
-#include "fault/churn.h"
-#include "harness/latency.h"
 #include "sim/trace_io.h"
 #include "types/queue_type.h"
 #include "types/register_type.h"
@@ -20,11 +14,6 @@
 
 namespace linbound {
 namespace {
-
-/// Virtual-time slice between watchdog checks.  Part of the run's
-/// definition: run_until stamps the trace end time with the slice horizon,
-/// so record, replay and both determinism runs must use the same value.
-constexpr Tick kWatchdogSlice = 50'000;
 
 bool fail(std::string* error, const std::string& why) {
   if (error) *error = why;
@@ -199,88 +188,61 @@ std::vector<Tick> derive_offsets(const ChaosRunSpec& spec) {
   return offsets;
 }
 
-/// One deterministic simulation of the spec: the built system, run until
-/// it drained or a watchdog cut it.  Owns the system, so the trace stays
-/// readable until the Simulation is destroyed.
-struct Simulation {
-  std::shared_ptr<const ObjectModel> model;
-  std::unique_ptr<ObjectSystem> system;
-  /// The delays the latency oracle judges against; null for the
-  /// degradation variants, which carry no fixed per-class bound.
-  const AlgorithmDelays* judged_delays = nullptr;
-  bool drained = false;
-  bool wall_clock_tripped = false;
-
-  const Trace& trace() const { return system->sim().trace(); }
-};
-
-/// What the oracles read off one simulation.
-struct Execution {
-  RunStatus status = RunStatus::kComplete;
-  bool linearizable = true;
-  std::string explanation;
-  AssumptionReport report;
-  std::int64_t link_give_ups = 0;
-  Tick worst_excess = 0;
-  std::uint64_t trace_hash = 0;
-  bool wall_clock_tripped = false;
-  // Degradation accounting (from the trace's fault events).
-  int downgrades = 0;
-  int upgrades = 0;
-  int max_concurrent_down = 0;
-  int crashed_at_end = 0;
-  /// Crashes that struck in synchronous mode with no downgrade afterwards:
-  /// the one crash shape mode switching does not promise to absorb
-  /// (pause-resume; see mode_switching_replica.h).
-  int crashes_outside_degraded = 0;
-};
-
-bool degradation_variant(ChaosVariant v) {
-  return v == ChaosVariant::kModeSwitching || v == ChaosVariant::kQuorum;
+/// The planted mutant's waits; none for the real implementation.
+std::optional<AlgorithmDelays> mutant_delays(const ChaosRunSpec& spec) {
+  switch (spec.mutant) {
+    case ChaosMutant::kNone:
+      break;
+    case ChaosMutant::kEagerMop:
+      // Half the skew bound: far enough below eps that random sequential
+      // writes across skewed clocks get misordered timestamps (the
+      // hand-built Theorem D.1 scenarios shave only 2 ticks; a searchable
+      // mutant has to be findable from random workloads).
+      return AlgorithmDelays::eager_mop(spec.timing, spec.x,
+                                        spec.timing.eps / 2);
+    case ChaosMutant::kEagerAop:
+      return AlgorithmDelays::eager_aop(
+          spec.timing, spec.x, std::max<Tick>(0, spec.timing.min_delay() / 2));
+    case ChaosMutant::kNarrowWaits:
+      // The bug under test: a hardened replica whose waits were computed
+      // from the *raw* timing, as if retransmissions could never push a
+      // delivery past d.
+      return AlgorithmDelays::standard(spec.timing, spec.x);
+  }
+  return std::nullopt;
 }
 
-/// Fill Execution's degradation counters from the recorded fault events.
-void absorb_degradation_events(const Trace& trace, Execution* out) {
-  std::vector<Tick> downgrade_times;
-  for (const FaultEvent& f : trace.faults) {
-    if (f.kind == FaultKind::kModeDowngrade) downgrade_times.push_back(f.time);
-  }
-  int down = 0;
-  bool degraded = false;
-  for (const FaultEvent& f : trace.faults) {
-    switch (f.kind) {
-      case FaultKind::kModeDowngrade:
-        ++out->downgrades;
-        degraded = true;
-        break;
-      case FaultKind::kModeUpgrade:
-        ++out->upgrades;
-        degraded = false;
-        break;
-      case FaultKind::kProcessCrashed: {
-        ++down;
-        out->max_concurrent_down = std::max(out->max_concurrent_down, down);
-        const bool covered =
-            degraded || std::any_of(downgrade_times.begin(),
-                                    downgrade_times.end(),
-                                    [&](Tick t) { return t >= f.time; });
-        if (!covered) ++out->crashes_outside_degraded;
-        break;
-      }
-      case FaultKind::kProcessRecovered:
-        --down;
-        break;
-      default:
-        break;
-    }
-  }
-  out->crashed_at_end = down;
+/// The run builder's spec for a chaos spec under the given fault policy.
+RunSpec run_spec(const ChaosRunSpec& spec,
+                 std::shared_ptr<FaultPolicy> policy) {
+  RunSpec run;
+  run.model = chaos_model(spec.workload);
+  run.n = spec.n;
+  run.timing = spec.timing;
+  run.x = spec.x;
+  run.variant = spec.variant;
+  run.algorithm_delays = mutant_delays(spec);
+  run.delays = derive_delays(spec);
+  run.clock_offsets = derive_offsets(spec);
+  run.fault_policy = std::move(policy);
+  run.faults = spec.faults;
+  run.scripts = client_scripts(
+      spec.n, Rng(spec.workload_seed), spec.think_time,
+      [&](ProcessId, Rng& rng) {
+        return chaos_ops(spec.workload, rng, spec.ops_per_client);
+      });
+  // Degradation systems answer crash-cut operations themselves from the
+  // durable quorum log; a client retry would race that late response.
+  run.reissue_cut_ops = !degradation_variant(spec.variant);
+  run.event_budget = spec.event_budget;
+  run.wall_budget_ms = spec.wall_budget_ms;
+  return run;
 }
 
 /// Does the spec's storm heal on its own?  The degraded-mode oracle only
 /// demands liveness when it does: total loss, an unhealed partition, an
 /// endless stall or a process still down at the end excuse a stalled run.
-bool storm_heals(const ChaosRunSpec& spec, const Execution& exec) {
+bool storm_heals(const ChaosRunSpec& spec, const RunMeasure& exec) {
   if (spec.faults.drop_p >= 1.0) return false;
   for (const LinkFault& link : spec.faults.links) {
     if (link.drop_p >= 1.0) return false;
@@ -291,7 +253,7 @@ bool storm_heals(const ChaosRunSpec& spec, const Execution& exec) {
   for (const StallWindow& w : spec.faults.stalls) {
     if (w.until == kTimeInfinity) return false;
   }
-  if (exec.crashed_at_end != 0) return false;
+  if (exec.down_at_end != 0) return false;
   if (2 * exec.max_concurrent_down >= spec.n) return false;
   if (spec.variant == ChaosVariant::kModeSwitching &&
       exec.crashes_outside_degraded != 0) {
@@ -300,191 +262,34 @@ bool storm_heals(const ChaosRunSpec& spec, const Execution& exec) {
   return true;
 }
 
-/// Build the spec's system under the given fault policy and run it through
-/// the watchdog loop.  Everything a run's trace depends on happens here.
-Simulation simulate(const ChaosRunSpec& spec,
-                    const std::shared_ptr<FaultPolicy>& policy) {
-  Simulation out;
-  out.model = chaos_model(spec.workload);
-
-  SystemOptions sys;
-  sys.n = spec.n;
-  sys.timing = spec.timing;
-  sys.x = spec.x;
-  sys.delays = derive_delays(spec);
-  sys.clock_offsets = derive_offsets(spec);
-  sys.faults = policy;
-  sys.max_events = spec.event_budget;
-  switch (spec.variant) {
-    case ChaosVariant::kStock:
-    case ChaosVariant::kQuorum:
-      break;
-    case ChaosVariant::kHardened:
-    case ChaosVariant::kModeSwitching: {
-      // The switching variant rides the same reliable link in its sync
-      // eras; the margin keeps pre-downgrade responses inside the widened
-      // model while the supervisor gathers its evidence (spiked deliveries
-      // still land past the raw d, so they count as violations).
-      HardenedParams hp;
-      hp.spike_margin = spec.faults.max_delay_boost();
-      sys.hardened = hp;
-      break;
-    }
-    case ChaosVariant::kRecoverable: {
-      RecoverableParams rp;
-      rp.link.spike_margin = spec.faults.max_delay_boost();
-      sys.recoverable = rp;
-      break;
-    }
+/// Worst observed latency minus its per-class bound, against the delays the
+/// run actually used (mutants are judged against their own, shorter bounds
+/// -- the eager variants fail linearizability, not their self-declared
+/// latency).  The degradation variants trade latency for availability by
+/// design and carry no fixed per-class bound, so they keep it at 0.
+Tick worst_excess(const Simulation& run, const LatencyReport& latency) {
+  Tick excess = 0;
+  if (!run.algorithm_delays) return excess;
+  for (const OpClass cls : {OpClass::kPureMutator, OpClass::kPureAccessor,
+                            OpClass::kOther}) {
+    const Tick worst = latency.worst_for_class(cls);
+    if (worst == kNoTime) continue;
+    excess = std::max(excess, worst - run.algorithm_delays->bound(cls));
   }
-  switch (spec.mutant) {
-    case ChaosMutant::kNone:
-      break;
-    case ChaosMutant::kEagerMop:
-      // Half the skew bound: far enough below eps that random sequential
-      // writes across skewed clocks get misordered timestamps (the
-      // hand-built Theorem D.1 scenarios shave only 2 ticks; a searchable
-      // mutant has to be findable from random workloads).
-      sys.algorithm_delays = AlgorithmDelays::eager_mop(
-          spec.timing, spec.x, spec.timing.eps / 2);
-      break;
-    case ChaosMutant::kEagerAop:
-      sys.algorithm_delays = AlgorithmDelays::eager_aop(
-          spec.timing, spec.x, std::max<Tick>(0, spec.timing.min_delay() / 2));
-      break;
-    case ChaosMutant::kNarrowWaits:
-      // The bug under test: a hardened replica whose waits were computed
-      // from the *raw* timing, as if retransmissions could never push a
-      // delivery past d.
-      sys.algorithm_delays = AlgorithmDelays::standard(spec.timing, spec.x);
-      break;
-  }
-
-  const bool degrade = degradation_variant(spec.variant);
-  if (degrade) {
-    DegradeOptions dopt;
-    dopt.base = sys;
-    dopt.switching = spec.variant == ChaosVariant::kModeSwitching;
-    out.system = std::make_unique<DegradeSystem>(out.model, dopt);
-  } else {
-    auto rs = std::make_unique<ReplicaSystem>(out.model, sys);
-    out.judged_delays = &rs->algorithm_delays();
-    out.system = std::move(rs);
-  }
-
-  // Degradation systems answer crash-cut operations themselves from the
-  // durable quorum log; a client retry would race that late response.  The
-  // driver's part ends with the run: nothing after simulate() runs the sim.
-  Simulator& sim = out.system->sim();
-  WorkloadDriver driver(
-      sim,
-      client_scripts(spec.n, Rng(spec.workload_seed), spec.think_time,
-                     [&](ProcessId, Rng& rng) {
-                       return chaos_ops(spec.workload, rng, spec.ops_per_client);
-                     }),
-      {}, {}, /*reissue_cut_ops=*/!degrade);
-  driver.arm();
-
-  if (spec.faults.churn.any()) {
-    make_churn_schedule(spec.faults, spec.n).apply(sim);
-  }
-
-  // The watchdog loop: advance in fixed virtual-time slices, checking the
-  // wall clock between slices.  The event budget is the simulator's own
-  // max_events, so a budget abort lands after *exactly* event_budget events
-  // -- deterministic, hence shrinkable; a wall-clock trip is not.
-  sim.start();
-  Tick horizon = 0;
-  const auto wall_start = std::chrono::steady_clock::now();
-  for (;;) {
-    horizon += kWatchdogSlice;
-    if (!sim.event_queue().empty() && sim.event_queue().next_time() > horizon) {
-      // Nothing due this slice; jump to the next event (still a multiple of
-      // nothing -- the horizon only stamps the trace at the end of the run).
-      horizon = sim.event_queue().next_time();
-    }
-    out.drained = sim.run_until(horizon);
-    if (out.drained) break;
-    if (sim.events_processed() >= spec.event_budget) break;
-    if (spec.wall_budget_ms > 0) {
-      const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - wall_start);
-      if (elapsed.count() > spec.wall_budget_ms) {
-        out.wall_clock_tripped = true;
-        break;
-      }
-    }
-  }
-  return out;
+  return excess;
 }
 
-/// Everything the oracles read off a simulation: history and checker
-/// verdict, assumption audit, link give-ups, latency excess, degradation
-/// events and the trace hash.
-Execution measure(const ChaosRunSpec& spec, const Simulation& run) {
-  const Trace& trace = run.trace();
-  Simulator& sim = run.system->sim();
-  Execution out;
-  out.wall_clock_tripped = run.wall_clock_tripped;
-  auto [history, pending] = history_with_pending(trace);
-  out.status = !run.drained ? RunStatus::kAborted
-               : pending.empty() ? RunStatus::kComplete
-                                 : RunStatus::kStalled;
-  const CheckResult check = check_linearizable_with_pending(
-      *run.model, history, pending, CheckOptions{});
-  out.linearizable = check.ok;
-  out.explanation = check.explanation;
-  out.report = audit_assumptions(trace);
-
-  if (spec.variant != ChaosVariant::kStock) {
-    // Covers the mode-switching replica too (it *is* a hardened replica in
-    // its synchronous eras); the quorum variant has no reliable link.
-    for (int pid = 0; pid < spec.n; ++pid) {
-      if (const auto* h = dynamic_cast<const HardenedReplicaProcess*>(
-              &sim.process(pid))) {
-        out.link_give_ups += h->link_give_ups();
-      }
-    }
-  }
-
-  // Per-class latency excess against the delays the run actually used
-  // (mutants are judged against their own, shorter bounds -- the eager
-  // variants fail linearizability, not their self-declared latency).  The
-  // degradation variants trade latency for availability by design and carry
-  // no fixed per-class bound, so they keep worst_excess at 0.
-  if (run.judged_delays) {
-    LatencyReport latency;
-    latency.absorb(*run.model, trace);
-    for (const OpClass cls : {OpClass::kPureMutator, OpClass::kPureAccessor,
-                              OpClass::kOther}) {
-      const Tick worst = latency.worst_for_class(cls);
-      if (worst == kNoTime) continue;
-      out.worst_excess =
-          std::max(out.worst_excess, worst - run.judged_delays->bound(cls));
-    }
-  }
-  absorb_degradation_events(trace, &out);
-
-  out.trace_hash = hash_trace(trace);
-  return out;
-}
-
-/// Simulate and measure; the system is torn down before this returns.
-Execution execute_once(const ChaosRunSpec& spec,
-                       const std::shared_ptr<FaultPolicy>& policy) {
-  return measure(spec, simulate(spec, policy));
-}
-
-/// Fill the oracle verdict from one execution's measurements.
-ChaosRunResult judge(const ChaosRunSpec& spec, const Execution& exec) {
+/// Measure, judge and hash one simulation of the spec.
+ChaosRunResult judge(const ChaosRunSpec& spec, const Simulation& run) {
+  const RunMeasure exec = measure(run);
   ChaosRunResult r;
   r.status = exec.status;
   r.linearizable = exec.linearizable;
   r.assumptions_clean = exec.report.clean();
   r.link_give_ups = exec.link_give_ups;
-  r.worst_excess = exec.worst_excess;
-  r.trace_hash = exec.trace_hash;
-  r.wall_clock_tripped = exec.wall_clock_tripped;
+  r.worst_excess = worst_excess(run, exec.latency);
+  r.trace_hash = hash_trace(run.trace());
+  r.wall_clock_tripped = run.wall_clock_tripped;
   r.downgrades = exec.downgrades;
   r.upgrades = exec.upgrades;
   r.max_concurrent_down = exec.max_concurrent_down;
@@ -523,7 +328,7 @@ ChaosRunResult judge(const ChaosRunSpec& spec, const Execution& exec) {
   std::ostringstream detail;
   if (exec.status == RunStatus::kAborted) {
     r.verdict = ChaosVerdict::kAborted;
-    detail << (exec.wall_clock_tripped ? "wall-clock budget exceeded"
+    detail << (run.wall_clock_tripped ? "wall-clock budget exceeded"
                                        : "event budget exceeded")
            << " before quiescence";
   } else if (!exec.linearizable && r.guarantee_applies) {
@@ -545,9 +350,9 @@ ChaosRunResult judge(const ChaosRunSpec& spec, const Execution& exec) {
     // Operations left unanswered although the model held end to end.
     r.verdict = ChaosVerdict::kAborted;
     detail << "operations left pending in a clean run";
-  } else if (r.assumptions_clean && exec.worst_excess > 0) {
+  } else if (r.assumptions_clean && r.worst_excess > 0) {
     r.verdict = ChaosVerdict::kBoundViolated;
-    detail << "latency bound exceeded by " << exec.worst_excess
+    detail << "latency bound exceeded by " << r.worst_excess
            << " ticks in a clean run";
   } else {
     r.verdict = ChaosVerdict::kOk;
@@ -575,7 +380,7 @@ std::shared_ptr<RecordingFaultPolicy> recording_policy(
 ChaosRunResult run_chaos(const ChaosRunSpec& spec) {
   spec.validate();
   const auto recorder = recording_policy(spec);
-  ChaosRunResult result = judge(spec, execute_once(spec, recorder));
+  ChaosRunResult result = judge(spec, simulate(run_spec(spec, recorder)));
   result.script = recorder->script();
   if (result.wall_clock_tripped) return result;  // cut at a wall-dependent point
 
@@ -583,7 +388,7 @@ ChaosRunResult run_chaos(const ChaosRunSpec& spec) {
   // must reproduce the trace bit-for-bit (and the same fault script).  Only
   // its hash and script are compared, so it is simulated, not judged.
   const auto replay_recorder = recording_policy(spec);
-  const Simulation replay = simulate(spec, replay_recorder);
+  const Simulation replay = simulate(run_spec(spec, replay_recorder));
   if (replay.wall_clock_tripped) {
     // The replay was cut at a wall-dependent point, so its hash says
     // nothing about determinism: report the trip, not a divergence.
@@ -614,7 +419,7 @@ ChaosRunResult replay_chaos(const ChaosRunSpec& spec,
   }
   const auto policy =
       std::make_shared<ComposedFaultPolicy>(std::move(children));
-  ChaosRunResult result = judge(spec, execute_once(spec, policy));
+  ChaosRunResult result = judge(spec, simulate(run_spec(spec, policy)));
   result.script = script;
   return result;
 }

@@ -5,11 +5,15 @@
 // mutant, workload, seeds, fault configuration, watchdog budgets -- and
 // every derived quantity (delay policy, clock offsets, client scripts,
 // churn schedule) is a pure function of it, so a spec alone reproduces a
-// run byte-for-byte on any machine.  run_chaos executes the spec once,
-// recording the fault layer's concrete decisions into a FaultScript, judges
-// that run with the layered oracles below, then simulates the spec a second
-// time for the determinism oracle.  The second run is only hashed and its
-// script compared -- nothing else reads it, so it is not judged:
+// run byte-for-byte on any machine.  A ChaosRunSpec maps onto the shared
+// run builder's RunSpec (harness/experiment.h), whose simulate builds and
+// runs the system and whose measure reads it off; this file keeps the
+// oracles, the trace hash and the determinism replay.  run_chaos executes
+// the spec once, recording the fault layer's concrete decisions into a
+// FaultScript, judges that run with the layered oracles below, then
+// simulates the spec a second time for the determinism oracle.  The second
+// run is only hashed and its script compared -- nothing else reads it, so
+// it is not judged:
 //
 //   kAborted           the watchdog ended the run: the deterministic event
 //                      budget tripped (always reproducible) or the
@@ -43,24 +47,9 @@
 #include "chaos/fault_script.h"
 #include "core/system.h"
 #include "fault/fault_policy.h"
+#include "harness/experiment.h"
 
 namespace linbound {
-
-/// Which implementation the run exercises.
-enum class ChaosVariant {
-  kStock,        ///< plain Algorithm 1 (guarantee: fault-free model)
-  kHardened,     ///< reliable-link variant (guarantee: link never gives up)
-  kRecoverable,  ///< crash-recovery variant (guarantee: ditto, plus churn)
-  /// Synchrony supervisor + live mode switching (src/degrade).  Guarantee:
-  /// linearizable whenever concurrent crashes stay a minority; the
-  /// degraded-mode oracle additionally demands *liveness* -- no stalls and
-  /// no aborts -- whenever the storm heals (see judge in chaos.cpp).
-  kModeSwitching,
-  /// The asynchronous quorum backend alone (src/degrade/quorum_replica.h).
-  /// Guarantee: unconditional linearizability (Paxos safety needs no
-  /// timing), liveness whenever a majority stays up and crashes heal.
-  kQuorum,
-};
 
 /// Deliberately planted bugs the engine must find (validation of the whole
 /// search/shrink pipeline) -- each squeezes a wait below what the paper's

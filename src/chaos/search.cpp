@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/parallel.h"
+#include "harness/mode_sweep.h"
 
 namespace linbound {
 namespace {
@@ -85,28 +86,6 @@ FaultConfig churn_cell(const SystemTiming& t, double drop_p) {
   return f;
 }
 
-/// The degradation storm: a delay-spike barrage plus an early partition plus
-/// minority churn, heavy enough to drive the fixed-mode variants to give up
-/// yet guaranteed to heal -- exactly the weather the degraded-mode liveness
-/// oracle demands survival of.
-FaultConfig degraded_storm_cell(const SystemTiming& t, int n) {
-  FaultConfig f;
-  f.spike_p = 0.25;
-  f.spike_max = 4 * t.d;
-  PartitionWindow w;
-  w.from = 1500;
-  w.until = w.from + 6 * t.d;
-  w.component_of.assign(static_cast<std::size_t>(n), 0);
-  w.component_of[0] = 1;
-  f.partitions.push_back(std::move(w));
-  f.churn.mean_uptime = 10 * t.d;
-  f.churn.mean_downtime = 2 * t.d;
-  f.churn.start = 2000;
-  f.churn.horizon = 20 * t.d;
-  f.churn.max_down = (n - 1) / 2;
-  return f;
-}
-
 std::uint64_t mix64(std::uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;
@@ -169,7 +148,7 @@ std::vector<ChaosRunSpec> chaos_search_grid(const ChaosSearchOptions& options) {
         // Weather bad enough to trip the supervisor, tame enough to heal:
         // the liveness oracle then demands completion through the switch.
         cells = {spike_cell(0.25, 4 * t.d), partition_cell(t, options.n),
-                 degraded_storm_cell(t, options.n)};
+                 full_storm(t, options.n)};
         workloads = {ChaosWorkload::kRegister, ChaosWorkload::kQueue};
         break;
       case ChaosVariant::kQuorum:

@@ -10,8 +10,6 @@ const char* run_status_name(RunStatus status) {
       return "complete";
     case RunStatus::kStalled:
       return "stalled";
-    case RunStatus::kEventCapExceeded:
-      return "event-cap-exceeded";
     case RunStatus::kAborted:
       return "aborted";
   }
@@ -45,7 +43,7 @@ RunOutcome ObjectSystem::run_with_outcome() {
   auto [history, pending] = history_with_pending(sim_->trace());
   out.history = std::move(history);
   out.pending = std::move(pending);
-  out.status = !quiesced ? RunStatus::kEventCapExceeded
+  out.status = !quiesced ? RunStatus::kAborted
                : out.pending.empty() ? RunStatus::kComplete
                                      : RunStatus::kStalled;
   return out;

@@ -52,14 +52,11 @@ struct SystemOptions {
 
 /// How a run ended.
 enum class RunStatus {
-  kComplete,          ///< quiescent, every dispatched operation answered
-  kStalled,           ///< quiescent, but operations were left pending/abandoned
-  kEventCapExceeded,  ///< the event cap tripped (runaway algorithm)
-  /// A watchdog ended the run before quiescence: the chaos engine's
-  /// non-termination guards (event-count / wall-clock budgets, src/chaos)
-  /// cut it off.  Unlike kEventCapExceeded -- a hard simulator safety cap --
-  /// an abort is a deliberate, configured verdict of "this run was not going
-  /// to finish in budget".
+  kComplete,  ///< quiescent, every dispatched operation answered
+  kStalled,   ///< quiescent, but operations were left pending/abandoned
+  /// A budget ended the run before quiescence: the event budget
+  /// (SystemOptions::max_events) tripped, or the run builder's wall-clock
+  /// guard fired (harness/experiment.h).
   kAborted,
 };
 

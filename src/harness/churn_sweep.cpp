@@ -4,26 +4,25 @@
 #include <iomanip>
 #include <sstream>
 
-#include "fault/assumption_monitor.h"
-#include "fault/fault_policy.h"
+#include "fault/churn.h"
 
 namespace linbound {
 namespace {
 
+/// Raise `worst` to `t`; kNoTime is "no sample" on either side.
+void raise_worst(Tick& worst, Tick t) {
+  if (t != kNoTime && (worst == kNoTime || t > worst)) worst = t;
+}
+
 /// Everything the sweep needs to know about one churned run.
-struct OneChurnRun : RunVerdict {
-  AssumptionReport report;
-  std::int64_t invocations = 0;
-  std::int64_t answered = 0;
-  int crashes = 0;
-  int reissued = 0;
+struct OneChurnRun : RunMeasure {
   Tick worst_crash_to_response = kNoTime;
   Tick worst_rejoin_latency = kNoTime;
   int rejoin_bound_violations = 0;
   int survivor_bound_violations = 0;
 
   bool flagged() const {
-    return !linearizable || status == RunStatus::kEventCapExceeded;
+    return !linearizable || status == RunStatus::kAborted;
   }
 };
 
@@ -31,40 +30,20 @@ OneChurnRun run_one(const std::shared_ptr<const ObjectModel>& model,
                     const WorkloadFactory& workload,
                     const ChurnSweepOptions& options, const FaultConfig& faults,
                     const GridSeeds& seeds, int seed, Tick recovery_bound) {
-  SystemOptions sys;
-  sys.n = options.n;
-  sys.timing = options.timing;
-  sys.x = options.x;
-  sys.delays =
-      std::make_shared<UniformDelayPolicy>(options.timing, seeds.delay(seed));
-  sys.recoverable = options.recoverable;
-  ReplicaSystem system(model, sys);
-
-  // Churn is applied before the driver is built: moving it after arm()
-  // would reorder same-tick events and change the trace.
-  const ChurnSchedule schedule = make_churn_schedule(faults, options.n);
-  schedule.apply(system.sim());
-
-  WorkloadDriver driver(system.sim(),
-                        client_scripts(options.n, Rng(seeds.workload(seed)),
-                                       /*think_time=*/0, workload));
-  driver.arm();
-
+  RunSpec spec = grid_run_spec(model, options.n, options.timing, options.x,
+                               workload, seeds, seed, faults,
+                               ChaosVariant::kRecoverable);
+  spec.reliable = options.recoverable;
+  const Simulation run = simulate(std::move(spec));
   OneChurnRun out;
-  static_cast<RunVerdict&>(out) = check_run(system);
-  const Trace& trace = system.sim().trace();
-  out.report = audit_assumptions(trace);
-  out.invocations = static_cast<std::int64_t>(trace.ops.size());
-  out.reissued = driver.reissued();
-  for (const OperationRecord& rec : trace.ops) {
-    if (rec.completed()) ++out.answered;
-  }
+  static_cast<RunMeasure&>(out) = measure(run);
+  const Trace& trace = run.trace();
 
   // Survivor bound check: replicas with no churn window answer every class
   // within the algorithm's own response bound -- the rejoin protocol never
   // makes them wait.
-  const std::vector<ProcessId> churners = schedule.churners();
-  const AlgorithmDelays& delays = system.algorithm_delays();
+  const std::vector<ProcessId> churners =
+      make_churn_schedule(faults, options.n).churners();
   for (const OperationRecord& rec : trace.ops) {
     if (!rec.completed()) continue;
     if (std::find(churners.begin(), churners.end(), rec.proc) !=
@@ -72,7 +51,7 @@ OneChurnRun run_one(const std::shared_ptr<const ObjectModel>& model,
       continue;
     }
     if (rec.response_time - rec.invoke_time >
-        delays.bound(model->classify(rec.op))) {
+        run.algorithm_delays->bound(model->classify(rec.op))) {
       ++out.survivor_bound_violations;
     }
   }
@@ -80,7 +59,6 @@ OneChurnRun run_one(const std::shared_ptr<const ObjectModel>& model,
   // Recovery timing: per recovery event, the crash->first-response gap and
   // the latency of the first operation completed after the rejoin.
   for (const FaultEvent& f : trace.faults) {
-    if (f.kind == FaultKind::kProcessCrashed) ++out.crashes;
     if (f.kind != FaultKind::kProcessRecovered) continue;
     Tick crash_time = kNoTime;
     for (const FaultEvent& c : trace.faults) {
@@ -97,17 +75,11 @@ OneChurnRun run_one(const std::shared_ptr<const ObjectModel>& model,
     }
     if (!first) continue;  // workload drained before this recovery
     if (crash_time != kNoTime) {
-      const Tick gap = first->response_time - crash_time;
-      if (out.worst_crash_to_response == kNoTime ||
-          gap > out.worst_crash_to_response) {
-        out.worst_crash_to_response = gap;
-      }
+      raise_worst(out.worst_crash_to_response,
+                  first->response_time - crash_time);
     }
     const Tick latency = first->response_time - first->invoke_time;
-    if (out.worst_rejoin_latency == kNoTime ||
-        latency > out.worst_rejoin_latency) {
-      out.worst_rejoin_latency = latency;
-    }
+    raise_worst(out.worst_rejoin_latency, latency);
     if (latency > recovery_bound) ++out.rejoin_bound_violations;
   }
   return out;
@@ -248,22 +220,15 @@ ChurnSweepResult run_churn_sweep(const std::shared_ptr<const ObjectModel>& model
 
       ++cell_result.runs;
       if (run.linearizable) ++cell_result.linearizable;
-      cell_result.invocations += run.invocations;
+      cell_result.invocations += run.invoked;
       cell_result.answered += run.answered;
       cell_result.crashes += run.crashes;
       cell_result.reissued += run.reissued;
       cell_result.rejoin_bound_violations += run.rejoin_bound_violations;
       cell_result.survivor_bound_violations += run.survivor_bound_violations;
-      if (run.worst_crash_to_response != kNoTime &&
-          (cell_result.worst_crash_to_response == kNoTime ||
-           run.worst_crash_to_response > cell_result.worst_crash_to_response)) {
-        cell_result.worst_crash_to_response = run.worst_crash_to_response;
-      }
-      if (run.worst_rejoin_latency != kNoTime &&
-          (cell_result.worst_rejoin_latency == kNoTime ||
-           run.worst_rejoin_latency > cell_result.worst_rejoin_latency)) {
-        cell_result.worst_rejoin_latency = run.worst_rejoin_latency;
-      }
+      raise_worst(cell_result.worst_crash_to_response,
+                  run.worst_crash_to_response);
+      raise_worst(cell_result.worst_rejoin_latency, run.worst_rejoin_latency);
       if (run.report.violated(Assumption::kRecovering)) {
         ++cell_result.runs_with_recovering_attribution;
       }

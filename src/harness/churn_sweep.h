@@ -44,7 +44,9 @@ struct ChurnSweepOptions {
   int ops_per_client = 10;  ///< script length per process
   /// Grid of churn intensities; empty means default_churn_cells().
   std::vector<ChurnCell> cells;
-  /// Link + rejoin knobs for the recoverable replicas.
+  /// Link + rejoin knobs for the recoverable replicas.  link.spike_margin
+  /// is set from the run's faults, as in every sweep: churn injects no
+  /// delay boost, so it is 0.
   RecoverableParams recoverable;
   std::uint64_t base_seed = 0xc4a5'4baccULL;
   /// Worker threads (common/parallel.h); every (cell, seed) run is an

@@ -1,14 +1,186 @@
 #include "harness/experiment.h"
 
+#include <algorithm>
+#include <chrono>
 #include <sstream>
+
+#include "degrade/degrade_system.h"
+#include "fault/churn.h"
 
 namespace linbound {
 
-RunVerdict check_run(ObjectSystem& system) {
-  const RunOutcome outcome = system.run_with_outcome();
-  CheckResult check = check_linearizable_with_pending(
-      system.model(), outcome.history, outcome.pending);
-  return RunVerdict{outcome.status, check.ok, std::move(check.explanation)};
+namespace {
+
+/// Virtual-time slice between watchdog checks.  Part of the run's
+/// definition: run_until stamps the trace end time with the slice horizon,
+/// so every run of a spec (chaos record, replay and both determinism runs)
+/// must use the same value.
+constexpr Tick kWatchdogSlice = 50'000;
+
+/// Fill the measure's operation and fault-event tally from the trace.
+void tally_events(const Trace& trace, RunMeasure* out) {
+  out->invoked = static_cast<std::int64_t>(trace.ops.size());
+  for (const OperationRecord& rec : trace.ops) {
+    if (rec.completed()) ++out->answered;
+  }
+  Tick last_downgrade = kNoTime;
+  for (const FaultEvent& f : trace.faults) {
+    if (f.kind == FaultKind::kModeDowngrade) {
+      last_downgrade = std::max(last_downgrade, f.time);
+    }
+  }
+  int down = 0;
+  bool degraded = false;
+  for (const FaultEvent& f : trace.faults) {
+    switch (f.kind) {
+      case FaultKind::kModeDowngrade:
+        ++out->downgrades;
+        degraded = true;
+        break;
+      case FaultKind::kModeUpgrade:
+        ++out->upgrades;
+        degraded = false;
+        break;
+      case FaultKind::kProcessCrashed:
+        ++out->crashes;
+        ++down;
+        out->max_concurrent_down = std::max(out->max_concurrent_down, down);
+        if (!degraded && last_downgrade < f.time) {
+          ++out->crashes_outside_degraded;
+        }
+        break;
+      case FaultKind::kProcessRecovered:
+        --down;
+        break;
+      default:
+        break;
+    }
+  }
+  out->down_at_end = down;
+}
+
+}  // namespace
+
+Simulation simulate(RunSpec spec) {
+  Simulation out;
+  SystemOptions sys;
+  sys.n = spec.n;
+  sys.timing = spec.timing;
+  sys.x = spec.x;
+  sys.delays = std::move(spec.delays);
+  sys.clock_offsets = std::move(spec.clock_offsets);
+  sys.faults = std::move(spec.fault_policy);
+  sys.algorithm_delays = std::move(spec.algorithm_delays);
+  sys.max_events = spec.event_budget;
+  spec.reliable.link.spike_margin = spec.faults.max_delay_boost();
+  // The switching variant rides the same reliable link in its sync eras; the
+  // margin keeps pre-downgrade responses inside the widened model while the
+  // supervisor gathers its evidence (spiked deliveries still land past the
+  // raw d, so they count as violations).
+  if (spec.variant == ChaosVariant::kHardened ||
+      spec.variant == ChaosVariant::kModeSwitching) {
+    sys.hardened = spec.reliable.link;
+  }
+  if (spec.variant == ChaosVariant::kRecoverable) {
+    sys.recoverable = spec.reliable;
+  }
+  if (degradation_variant(spec.variant)) {
+    DegradeOptions dopt;
+    dopt.base = std::move(sys);
+    dopt.switching = spec.variant == ChaosVariant::kModeSwitching;
+    out.system = std::make_unique<DegradeSystem>(std::move(spec.model), dopt);
+  } else {
+    auto rs = std::make_unique<ReplicaSystem>(std::move(spec.model), sys);
+    out.algorithm_delays = &rs->algorithm_delays();
+    out.system = std::move(rs);
+  }
+
+  // The driver's part ends with the run: nothing after simulate() runs the
+  // sim.
+  Simulator& sim = out.system->sim();
+  WorkloadDriver driver(sim, std::move(spec.scripts), {}, {},
+                        spec.reissue_cut_ops);
+  driver.arm();
+  if (spec.faults.churn.any()) {
+    make_churn_schedule(spec.faults, spec.n).apply(sim);
+  }
+
+  // The watchdog loop: advance in fixed virtual-time slices, checking the
+  // wall clock between slices.  The event budget is the simulator's own
+  // max_events, so a budget abort lands after *exactly* event_budget events
+  // -- deterministic, hence shrinkable; a wall-clock trip is not.
+  sim.start();
+  Tick horizon = 0;
+  const auto wall_start = std::chrono::steady_clock::now();
+  for (;;) {
+    horizon += kWatchdogSlice;
+    if (!sim.event_queue().empty() && sim.event_queue().next_time() > horizon) {
+      // Nothing due this slice; jump to the next event (the horizon only
+      // stamps the trace at the end of the run).
+      horizon = sim.event_queue().next_time();
+    }
+    out.drained = sim.run_until(horizon);
+    if (out.drained) break;
+    if (sim.events_processed() >= spec.event_budget) break;
+    if (spec.wall_budget_ms > 0) {
+      const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - wall_start);
+      if (elapsed.count() > spec.wall_budget_ms) {
+        out.wall_clock_tripped = true;
+        break;
+      }
+    }
+  }
+  out.reissued = driver.reissued();
+  return out;
+}
+
+RunMeasure measure(const Simulation& run) {
+  const Trace& trace = run.trace();
+  ObjectSystem& system = *run.system;
+  RunMeasure out;
+  out.reissued = run.reissued;
+  auto [history, pending] = history_with_pending(trace);
+  out.status = !run.drained ? RunStatus::kAborted
+               : pending.empty() ? RunStatus::kComplete
+                                 : RunStatus::kStalled;
+  CheckResult check = check_linearizable_with_pending(system.model(), history,
+                                                      pending, CheckOptions{});
+  out.linearizable = check.ok;
+  out.explanation = std::move(check.explanation);
+  out.report = audit_assumptions(trace);
+  // Covers the mode-switching replica too: it *is* a hardened replica in its
+  // synchronous eras.
+  for (int pid = 0; pid < system.n(); ++pid) {
+    if (const auto* h = dynamic_cast<const HardenedReplicaProcess*>(
+            &system.sim().process(pid))) {
+      out.link_give_ups += h->link_give_ups();
+      out.retransmissions += h->retransmissions();
+      out.duplicates_suppressed += h->duplicates_suppressed();
+    }
+  }
+  if (run.algorithm_delays) out.latency.absorb(system.model(), trace);
+  tally_events(trace, &out);
+  return out;
+}
+
+RunSpec grid_run_spec(std::shared_ptr<const ObjectModel> model, int n,
+                      const SystemTiming& timing, Tick x,
+                      const WorkloadFactory& workload, const GridSeeds& seeds,
+                      int seed, const FaultConfig& faults,
+                      ChaosVariant variant) {
+  RunSpec spec;
+  spec.model = std::move(model);
+  spec.n = n;
+  spec.timing = timing;
+  spec.x = x;
+  spec.variant = variant;
+  spec.delays = std::make_shared<UniformDelayPolicy>(timing, seeds.delay(seed));
+  if (faults.any()) spec.fault_policy = make_fault_policy(faults);
+  spec.faults = faults;
+  spec.scripts = client_scripts(n, Rng(seeds.workload(seed)),
+                                /*think_time=*/0, workload);
+  return spec;
 }
 
 namespace {

@@ -3,61 +3,8 @@
 #include <iomanip>
 #include <sstream>
 
-#include "fault/assumption_monitor.h"
-#include "fault/fault_policy.h"
-
 namespace linbound {
 namespace {
-
-/// Everything the sweep needs to know about one run.
-struct OneRun : RunVerdict {
-  AssumptionReport report;
-  LatencyReport latency;
-  std::int64_t retransmissions = 0;
-  std::int64_t duplicates_suppressed = 0;
-
-  bool flagged() const {
-    return !linearizable || status != RunStatus::kComplete;
-  }
-};
-
-OneRun run_one(const std::shared_ptr<const ObjectModel>& model,
-               const WorkloadFactory& workload, const FaultSweepOptions& options,
-               const FaultConfig& faults, bool hardened, const GridSeeds& seeds,
-               int seed) {
-  SystemOptions sys;
-  sys.n = options.n;
-  sys.timing = options.timing;
-  sys.x = options.x;
-  sys.delays =
-      std::make_shared<UniformDelayPolicy>(options.timing, seeds.delay(seed));
-  if (faults.any()) sys.faults = make_fault_policy(faults);
-  if (hardened) {
-    HardenedParams params = options.hardened;
-    params.spike_margin = faults.max_delay_boost();
-    sys.hardened = params;
-  }
-  ReplicaSystem system(model, sys);
-
-  WorkloadDriver driver(system.sim(),
-                        client_scripts(options.n, Rng(seeds.workload(seed)),
-                                       /*think_time=*/0, workload));
-  driver.arm();
-
-  OneRun out;
-  static_cast<RunVerdict&>(out) = check_run(system);
-  out.report = audit_assumptions(system.sim().trace());
-  out.latency.absorb(*model, system.sim().trace());
-  if (hardened) {
-    for (int pid = 0; pid < options.n; ++pid) {
-      auto& replica =
-          dynamic_cast<HardenedReplicaProcess&>(system.replica(pid));
-      out.retransmissions += replica.retransmissions();
-      out.duplicates_suppressed += replica.duplicates_suppressed();
-    }
-  }
-  return out;
-}
 
 Tick worst_latency(const LatencyReport& report) {
   Tick worst = kNoTime;
@@ -155,22 +102,28 @@ FaultSweepResult run_fault_sweep(const std::shared_ptr<const ObjectModel>& model
       options.cells.empty() ? default_fault_cells(options.timing) : options.cells;
 
   const GridSeeds seeds{options.base_seed};
+  const auto run = [&](const FaultConfig& faults, ChaosVariant variant,
+                       int seed) {
+    RunSpec spec = grid_run_spec(model, options.n, options.timing, options.x,
+                                 workload, seeds, seed, faults, variant);
+    spec.reliable.link = options.hardened;
+    return measure(simulate(std::move(spec)));
+  };
 
   // Phase 1: the clean baseline, one run per seed.
-  const std::vector<OneRun> clean_runs = map_grid<OneRun>(
+  const std::vector<RunMeasure> clean_runs = map_grid<RunMeasure>(
       options.jobs, 1, options.seeds, [&](std::size_t, int seed) {
-        return run_one(model, workload, options, FaultConfig{},
-                       /*hardened=*/false, seeds, seed);
+        return run(FaultConfig{}, ChaosVariant::kStock, seed);
       });
-  for (const OneRun& clean : clean_runs) {
+  for (const RunMeasure& clean : clean_runs) {
     result.clean_latency.merge(clean.latency);
   }
 
   // Phase 2: the grid.  One task per (cell, seed) computes the hardened
   // and stock variants together over identical fault and delay randomness.
   struct PairRuns {
-    OneRun hardened;
-    OneRun stock;
+    RunMeasure hardened;
+    RunMeasure stock;
   };
   const std::vector<PairRuns> grid_runs = map_grid<PairRuns>(
       options.jobs, cells.size(), options.seeds, [&](std::size_t ci, int seed) {
@@ -180,10 +133,8 @@ FaultSweepResult run_fault_sweep(const std::shared_ptr<const ObjectModel>& model
         faults.spike_p = cells[ci].spike_p;
         faults.spike_max = cells[ci].spike_max;
         faults.seed = seeds.faults(ci, seed);
-        return PairRuns{run_one(model, workload, options, faults,
-                                /*hardened=*/true, seeds, seed),
-                        run_one(model, workload, options, faults,
-                                /*hardened=*/false, seeds, seed)};
+        return PairRuns{run(faults, ChaosVariant::kHardened, seed),
+                        run(faults, ChaosVariant::kStock, seed)};
       });
 
   std::size_t next = 0;  // grid_runs is cell-major: the loops walk it in order
@@ -192,8 +143,8 @@ FaultSweepResult run_fault_sweep(const std::shared_ptr<const ObjectModel>& model
     cell_result.cell = cells[ci];
     for (int seed = 0; seed < options.seeds; ++seed) {
       const PairRuns& pair = grid_runs[next++];
-      const OneRun& hardened = pair.hardened;
-      const OneRun& stock = pair.stock;
+      const RunMeasure& hardened = pair.hardened;
+      const RunMeasure& stock = pair.stock;
 
       ++cell_result.runs;
       cell_result.retransmissions += hardened.retransmissions;
@@ -203,9 +154,9 @@ FaultSweepResult run_fault_sweep(const std::shared_ptr<const ObjectModel>& model
 
       if (stock.linearizable) ++cell_result.unhardened_linearizable;
 
-      for (const OneRun* run : {&hardened, &stock}) {
+      for (const RunMeasure* run : {&hardened, &stock}) {
         const bool is_hardened = run == &hardened;
-        if (!run->flagged()) continue;
+        if (run->linearizable && run->complete()) continue;  // not flagged
         if (!is_hardened) ++cell_result.unhardened_flagged;
         if (run->report.clean()) {
           ++cell_result.failures_unattributed;

@@ -5,121 +5,55 @@
 #include <iomanip>
 #include <sstream>
 
-#include "fault/churn.h"
-
 namespace linbound {
 namespace {
 
-struct OneRun : RunVerdict {
-  int downgrades = 0;
-  int upgrades = 0;
-  std::int64_t ops_invoked = 0;
-  std::int64_t ops_answered = 0;
-  std::vector<Tick> switch_latencies;
-
-  bool complete() const { return status == RunStatus::kComplete; }
-};
-
-/// Pull the degradation metrics out of a finished run's trace.
-void absorb_trace(const Trace& trace, OneRun* out) {
+/// Handoff pauses: per mode-switch signal, the time to the next answered
+/// operation.  A switch after the last response contributes no sample
+/// (nobody was waiting).
+std::vector<Tick> switch_latencies(const Trace& trace) {
   std::vector<Tick> response_times;
   for (const OperationRecord& rec : trace.ops) {
-    ++out->ops_invoked;
-    if (rec.response_time != kNoTime) {
-      ++out->ops_answered;
-      response_times.push_back(rec.response_time);
-    }
+    if (rec.completed()) response_times.push_back(rec.response_time);
   }
   std::sort(response_times.begin(), response_times.end());
+  std::vector<Tick> out;
   for (const FaultEvent& f : trace.faults) {
     if (f.kind != FaultKind::kModeDowngrade &&
         f.kind != FaultKind::kModeUpgrade) {
       continue;
     }
-    if (f.kind == FaultKind::kModeDowngrade) ++out->downgrades;
-    if (f.kind == FaultKind::kModeUpgrade) ++out->upgrades;
-    // Handoff pause: signal time to the next answered operation.  A switch
-    // after the last response contributes no sample (nobody was waiting).
     const auto it = std::lower_bound(response_times.begin(),
                                      response_times.end(), f.time);
-    if (it != response_times.end()) {
-      out->switch_latencies.push_back(*it - f.time);
-    }
+    if (it != response_times.end()) out.push_back(*it - f.time);
   }
-}
-
-SystemOptions base_options(const ModeSweepOptions& options,
-                           const FaultConfig& faults,
-                           std::uint64_t delay_seed) {
-  SystemOptions sys;
-  sys.n = options.n;
-  sys.timing = options.timing;
-  sys.x = options.x;
-  sys.delays = std::make_shared<UniformDelayPolicy>(options.timing, delay_seed);
-  if (faults.any()) sys.faults = make_fault_policy(faults);
-  return sys;
-}
-
-/// A reliable link wide enough to absorb the storm's worst delay boost.
-HardenedParams hardened_link(const FaultConfig& faults) {
-  HardenedParams link;
-  link.spike_margin = faults.max_delay_boost();
-  return link;
-}
-
-/// Drive `system` with the seed's scripts, then churn, run and check it.
-/// No client reissue in any variant: the switching system answers
-/// crash-cut operations itself from the durable quorum log, and in the
-/// fixed-mode runs a cut operation stays pending -- the stall this sweep
-/// measures.  (A retry could race the late answer from durable state, and
-/// the two completions would overlap within the process, which the checker
-/// rejects.)
-OneRun drive(ObjectSystem& system, const WorkloadFactory& workload,
-             const ModeSweepOptions& options, const FaultConfig& faults,
-             std::uint64_t workload_seed) {
-  WorkloadDriver driver(system.sim(),
-                        client_scripts(options.n, Rng(workload_seed),
-                                       /*think_time=*/0, workload),
-                        {}, {}, /*reissue_cut_ops=*/false);
-  driver.arm();
-  // Churn goes in after arm(): moving it before would reorder same-tick
-  // events and change the trace.
-  if (faults.churn.any()) {
-    make_churn_schedule(faults, options.n).apply(system.sim());
-  }
-  OneRun out;
-  static_cast<RunVerdict&>(out) = check_run(system);
-  absorb_trace(system.sim().trace(), &out);
   return out;
-}
-
-OneRun run_switching(const std::shared_ptr<const ObjectModel>& model,
-                     const WorkloadFactory& workload,
-                     const ModeSweepOptions& options, const FaultConfig& faults,
-                     const GridSeeds& seeds, int seed) {
-  DegradeOptions dopt;
-  dopt.base = base_options(options, faults, seeds.delay(seed));
-  dopt.base.hardened = hardened_link(faults);
-  dopt.switching = true;
-  DegradeSystem system(model, dopt);
-  return drive(system, workload, options, faults, seeds.workload(seed));
-}
-
-OneRun run_fixed(const std::shared_ptr<const ObjectModel>& model,
-                 const WorkloadFactory& workload, const ModeSweepOptions& options,
-                 const FaultConfig& faults, bool hardened,
-                 const GridSeeds& seeds, int seed) {
-  SystemOptions sys = base_options(options, faults, seeds.delay(seed));
-  if (hardened) sys.hardened = hardened_link(faults);
-  ReplicaSystem system(model, sys);
-  return drive(system, workload, options, faults, seeds.workload(seed));
 }
 
 }  // namespace
 
+FaultConfig full_storm(const SystemTiming& timing, int n) {
+  const Tick d = timing.d;
+  FaultConfig f;
+  f.spike_p = 0.25;
+  f.spike_max = 4 * d;
+  PartitionWindow w;
+  w.from = 1500;
+  w.until = w.from + 6 * d;
+  w.component_of.assign(static_cast<std::size_t>(n), 0);
+  w.component_of[0] = 1;
+  f.partitions.push_back(std::move(w));
+  f.churn.mean_uptime = 10 * d;
+  f.churn.mean_downtime = 2 * d;
+  f.churn.start = 2000;
+  f.churn.horizon = 20 * d;
+  f.churn.max_down = (n - 1) / 2;
+  return f;
+}
+
 std::vector<ModeStormCell> default_mode_storm_cells(const SystemTiming& timing,
                                                     int n) {
-  const Tick d = timing.d;
+  const FaultConfig storm = full_storm(timing, n);
   std::vector<ModeStormCell> cells;
 
   // A barrage of delay spikes far past the envelope: enough violations to
@@ -127,45 +61,23 @@ std::vector<ModeStormCell> default_mode_storm_cells(const SystemTiming& timing,
   {
     ModeStormCell cell;
     cell.name = "spike-barrage";
-    cell.faults.spike_p = 0.25;
-    cell.faults.spike_max = 4 * d;
+    cell.faults.spike_p = storm.spike_p;
+    cell.faults.spike_max = storm.spike_max;
     cells.push_back(std::move(cell));
   }
 
-  // A healed partition with spikes on top: messages both late and lost.
+  // The storm's healed partition with lighter spikes on top: messages both
+  // late and lost.
   {
     ModeStormCell cell;
     cell.name = "partition+spikes";
     cell.faults.spike_p = 0.15;
-    cell.faults.spike_max = 4 * d;
-    PartitionWindow w;
-    w.from = 1500;
-    w.until = w.from + 6 * d;
-    w.component_of.assign(static_cast<std::size_t>(n), 0);
-    w.component_of[0] = 1;
-    cell.faults.partitions.push_back(std::move(w));
+    cell.faults.spike_max = storm.spike_max;
+    cell.faults.partitions = storm.partitions;
     cells.push_back(std::move(cell));
   }
 
-  // The full cocktail: spikes, a partition, and minority crash churn.
-  {
-    ModeStormCell cell;
-    cell.name = "full-storm";
-    cell.faults.spike_p = 0.25;
-    cell.faults.spike_max = 4 * d;
-    PartitionWindow w;
-    w.from = 1500;
-    w.until = w.from + 6 * d;
-    w.component_of.assign(static_cast<std::size_t>(n), 0);
-    w.component_of[0] = 1;
-    cell.faults.partitions.push_back(std::move(w));
-    cell.faults.churn.mean_uptime = 10 * d;
-    cell.faults.churn.mean_downtime = 2 * d;
-    cell.faults.churn.start = 2000;
-    cell.faults.churn.horizon = 20 * d;
-    cell.faults.churn.max_down = (n - 1) / 2;
-    cells.push_back(std::move(cell));
-  }
+  cells.push_back(ModeStormCell{"full-storm", storm});
   return cells;
 }
 
@@ -247,21 +159,41 @@ ModeSweepResult run_mode_sweep(const std::shared_ptr<const ObjectModel>& model,
                             : options.cells;
 
   struct CellRuns {
-    OneRun switching;
-    OneRun stock;
-    OneRun hardened;
+    RunMeasure switching;
+    std::vector<Tick> switch_latencies;
+    RunMeasure stock;
+    RunMeasure hardened;
   };
   const GridSeeds seeds{options.base_seed};
+  // No client reissue in any variant: the switching system answers
+  // crash-cut operations itself from the durable quorum log, and in the
+  // fixed-mode runs a cut operation stays pending -- the stall this sweep
+  // measures.  (A retry could race the late answer from durable state, and
+  // the two completions would overlap within the process, which the checker
+  // rejects.)
+  const auto spec = [&](const FaultConfig& faults, ChaosVariant variant,
+                        int seed) {
+    RunSpec s = grid_run_spec(model, options.n, options.timing, options.x,
+                              workload, seeds, seed, faults, variant);
+    s.reissue_cut_ops = false;
+    return s;
+  };
   const std::vector<CellRuns> grid = map_grid<CellRuns>(
       options.jobs, cells.size(), options.seeds, [&](std::size_t ci, int seed) {
         FaultConfig faults = cells[ci].faults;
         faults.seed = seeds.faults(ci, seed);
-        return CellRuns{
-            run_switching(model, workload, options, faults, seeds, seed),
-            run_fixed(model, workload, options, faults, /*hardened=*/false,
-                      seeds, seed),
-            run_fixed(model, workload, options, faults, /*hardened=*/true,
-                      seeds, seed)};
+        CellRuns runs;
+        {
+          const Simulation sw =
+              simulate(spec(faults, ChaosVariant::kModeSwitching, seed));
+          runs.switching = measure(sw);
+          runs.switch_latencies = switch_latencies(sw.trace());
+        }
+        runs.stock =
+            measure(simulate(spec(faults, ChaosVariant::kStock, seed)));
+        runs.hardened =
+            measure(simulate(spec(faults, ChaosVariant::kHardened, seed)));
+        return runs;
       });
 
   std::size_t next = 0;  // grid is cell-major: the loops walk it in order
@@ -270,17 +202,17 @@ ModeSweepResult run_mode_sweep(const std::shared_ptr<const ObjectModel>& model,
     cell_result.cell = cells[ci];
     for (int seed = 0; seed < options.seeds; ++seed) {
       const CellRuns& runs = grid[next++];
-      const OneRun& sw = runs.switching;
+      const RunMeasure& sw = runs.switching;
       ++cell_result.runs;
       if (sw.complete()) ++cell_result.switching_complete;
       if (sw.linearizable) ++cell_result.switching_linearizable;
       cell_result.downgrades += sw.downgrades;
       cell_result.upgrades += sw.upgrades;
-      cell_result.ops_invoked += sw.ops_invoked;
-      cell_result.ops_answered += sw.ops_answered;
+      cell_result.ops_invoked += sw.invoked;
+      cell_result.ops_answered += sw.answered;
       cell_result.switch_latencies.insert(cell_result.switch_latencies.end(),
-                                          sw.switch_latencies.begin(),
-                                          sw.switch_latencies.end());
+                                          runs.switch_latencies.begin(),
+                                          runs.switch_latencies.end());
       if (runs.stock.complete()) ++cell_result.stock_complete;
       if (runs.hardened.complete()) ++cell_result.hardened_complete;
       if (!sw.complete() || !sw.linearizable) {

@@ -14,9 +14,9 @@
 //      degraded_availability.
 //
 // Every (cell, seed) run is an independent deterministic simulation built
-// from the shared run recipe in harness/experiment.h (client_scripts,
-// GridSeeds, map_grid, check_run), so the sweep gives byte-identical results
-// at any job count.  Supervisor and switching knobs are the shipped
+// by the shared run builder in harness/experiment.h (grid_run_spec,
+// simulate, measure) over a map_grid, so the sweep gives byte-identical
+// results at any job count.  Supervisor and switching knobs are the shipped
 // defaults (MonitorOptions, SwitchingParams).
 #pragma once
 
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/system.h"
-#include "degrade/degrade_system.h"
 #include "fault/fault_policy.h"
 #include "harness/experiment.h"
 
@@ -48,8 +47,14 @@ struct ModeSweepOptions {
   int jobs = 1;  ///< worker threads; results identical at any value
 };
 
+/// The full cocktail: a delay-spike barrage, a partition that heals, and
+/// minority crash churn -- heavy enough to drive the fixed-mode variants to
+/// give up, yet sure to heal.  The sweep's "full-storm" cell and the chaos
+/// grid's degradation storm (chaos/search.cpp).
+FaultConfig full_storm(const SystemTiming& timing, int n);
+
 /// The standard storms: a spike barrage, a healed partition under spikes,
-/// and the full cocktail with minority churn on top.
+/// and the full storm.
 std::vector<ModeStormCell> default_mode_storm_cells(const SystemTiming& timing,
                                                     int n);
 
