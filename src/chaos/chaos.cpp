@@ -267,9 +267,11 @@ bool storm_heals(const ChaosRunSpec& spec, const RunMeasure& exec) {
 /// -- the eager variants fail linearizability, not their self-declared
 /// latency).  The degradation variants trade latency for availability by
 /// design and carry no fixed per-class bound, so they keep it at 0.
-Tick worst_excess(const Simulation& run, const LatencyReport& latency) {
+Tick worst_excess(const Simulation& run) {
   Tick excess = 0;
   if (!run.algorithm_delays) return excess;
+  LatencyReport latency;
+  latency.absorb(run.system->model(), run.trace());
   for (const OpClass cls : {OpClass::kPureMutator, OpClass::kPureAccessor,
                             OpClass::kOther}) {
     const Tick worst = latency.worst_for_class(cls);
@@ -287,7 +289,7 @@ ChaosRunResult judge(const ChaosRunSpec& spec, const Simulation& run) {
   r.linearizable = exec.linearizable;
   r.assumptions_clean = exec.report.clean();
   r.link_give_ups = exec.link_give_ups;
-  r.worst_excess = worst_excess(run, exec.latency);
+  r.worst_excess = worst_excess(run);
   r.trace_hash = hash_trace(run.trace());
   r.wall_clock_tripped = run.wall_clock_tripped;
   r.downgrades = exec.downgrades;

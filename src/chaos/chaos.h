@@ -45,8 +45,6 @@
 #include <string>
 
 #include "chaos/fault_script.h"
-#include "core/system.h"
-#include "fault/fault_policy.h"
 #include "harness/experiment.h"
 
 namespace linbound {

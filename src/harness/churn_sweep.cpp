@@ -20,10 +20,6 @@ struct OneChurnRun : RunMeasure {
   Tick worst_rejoin_latency = kNoTime;
   int rejoin_bound_violations = 0;
   int survivor_bound_violations = 0;
-
-  bool flagged() const {
-    return !linearizable || status == RunStatus::kAborted;
-  }
 };
 
 OneChurnRun run_one(const std::shared_ptr<const ObjectModel>& model,
@@ -232,7 +228,7 @@ ChurnSweepResult run_churn_sweep(const std::shared_ptr<const ObjectModel>& model
       if (run.report.violated(Assumption::kRecovering)) {
         ++cell_result.runs_with_recovering_attribution;
       }
-      if (run.flagged()) {
+      if (!run.linearizable || run.status == RunStatus::kAborted) {  // flagged
         if (run.report.clean()) ++cell_result.failures_unattributed;
         std::ostringstream note;
         note << "seed=" << seed << " [" << cells[ci].label()

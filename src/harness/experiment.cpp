@@ -159,7 +159,6 @@ RunMeasure measure(const Simulation& run) {
       out.duplicates_suppressed += h->duplicates_suppressed();
     }
   }
-  if (run.algorithm_delays) out.latency.absorb(system.model(), trace);
   tally_events(trace, &out);
   return out;
 }

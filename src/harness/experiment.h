@@ -6,7 +6,8 @@
 // Also the one run builder behind the chaos engine (chaos/chaos.h) and every
 // sweep (fault_sweep.h, churn_sweep.h, mode_sweep.h): a caller fills a
 // RunSpec, simulate builds and runs the system it describes, and measure
-// reads off what every caller judges.  The sweeps fill their specs with
+// reads off what every caller judges (a caller that judges latencies
+// absorbs them from the trace itself).  The sweeps fill their specs with
 // grid_run_spec: per-run seeds from GridSeeds, client scripts from
 // client_scripts (core/driver.h); the (cell, seed) grid runs through
 // map_grid.
@@ -111,9 +112,6 @@ struct RunMeasure {
   std::int64_t link_give_ups = 0;
   std::int64_t retransmissions = 0;
   std::int64_t duplicates_suppressed = 0;
-  /// Algorithm 1 variants only: the degradation variants carry no fixed
-  /// per-class bound, so nothing reads their latencies.
-  LatencyReport latency;
   int reissued = 0;
 
   // One tally of the trace's operations and fault events.

@@ -6,6 +6,10 @@
 namespace linbound {
 namespace {
 
+struct FaultRun : RunMeasure {
+  LatencyReport latency;
+};
+
 Tick worst_latency(const LatencyReport& report) {
   Tick worst = kNoTime;
   for (const auto& [code, summary] : report.by_code) {
@@ -107,23 +111,27 @@ FaultSweepResult run_fault_sweep(const std::shared_ptr<const ObjectModel>& model
     RunSpec spec = grid_run_spec(model, options.n, options.timing, options.x,
                                  workload, seeds, seed, faults, variant);
     spec.reliable.link = options.hardened;
-    return measure(simulate(std::move(spec)));
+    const Simulation sim = simulate(std::move(spec));
+    FaultRun out;
+    static_cast<RunMeasure&>(out) = measure(sim);
+    out.latency.absorb(*model, sim.trace());
+    return out;
   };
 
   // Phase 1: the clean baseline, one run per seed.
-  const std::vector<RunMeasure> clean_runs = map_grid<RunMeasure>(
+  const std::vector<FaultRun> clean_runs = map_grid<FaultRun>(
       options.jobs, 1, options.seeds, [&](std::size_t, int seed) {
         return run(FaultConfig{}, ChaosVariant::kStock, seed);
       });
-  for (const RunMeasure& clean : clean_runs) {
+  for (const FaultRun& clean : clean_runs) {
     result.clean_latency.merge(clean.latency);
   }
 
   // Phase 2: the grid.  One task per (cell, seed) computes the hardened
   // and stock variants together over identical fault and delay randomness.
   struct PairRuns {
-    RunMeasure hardened;
-    RunMeasure stock;
+    FaultRun hardened;
+    FaultRun stock;
   };
   const std::vector<PairRuns> grid_runs = map_grid<PairRuns>(
       options.jobs, cells.size(), options.seeds, [&](std::size_t ci, int seed) {
@@ -143,8 +151,8 @@ FaultSweepResult run_fault_sweep(const std::shared_ptr<const ObjectModel>& model
     cell_result.cell = cells[ci];
     for (int seed = 0; seed < options.seeds; ++seed) {
       const PairRuns& pair = grid_runs[next++];
-      const RunMeasure& hardened = pair.hardened;
-      const RunMeasure& stock = pair.stock;
+      const FaultRun& hardened = pair.hardened;
+      const FaultRun& stock = pair.stock;
 
       ++cell_result.runs;
       cell_result.retransmissions += hardened.retransmissions;
@@ -154,7 +162,7 @@ FaultSweepResult run_fault_sweep(const std::shared_ptr<const ObjectModel>& model
 
       if (stock.linearizable) ++cell_result.unhardened_linearizable;
 
-      for (const RunMeasure* run : {&hardened, &stock}) {
+      for (const FaultRun* run : {&hardened, &stock}) {
         const bool is_hardened = run == &hardened;
         if (run->linearizable && run->complete()) continue;  // not flagged
         if (!is_hardened) ++cell_result.unhardened_flagged;

@@ -183,12 +183,10 @@ ModeSweepResult run_mode_sweep(const std::shared_ptr<const ObjectModel>& model,
         FaultConfig faults = cells[ci].faults;
         faults.seed = seeds.faults(ci, seed);
         CellRuns runs;
-        {
-          const Simulation sw =
-              simulate(spec(faults, ChaosVariant::kModeSwitching, seed));
-          runs.switching = measure(sw);
-          runs.switch_latencies = switch_latencies(sw.trace());
-        }
+        const Simulation sw =
+            simulate(spec(faults, ChaosVariant::kModeSwitching, seed));
+        runs.switching = measure(sw);
+        runs.switch_latencies = switch_latencies(sw.trace());
         runs.stock =
             measure(simulate(spec(faults, ChaosVariant::kStock, seed)));
         runs.hardened =
