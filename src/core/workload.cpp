@@ -175,20 +175,24 @@ void HeavyTrafficWorkload::arm() {
                                       ? opt_.messages_per_op
                                       : static_cast<std::size_t>(opt_.clients);
   // Pre-reserve the hot-loop storage: operation and message records for the
-  // whole run, queue capacity for one scheduling burst, the next burst
-  // chained behind it and headroom for in-flight deliveries and timers
-  // (1024, or one burst when the run is smaller: a few hundred arrivals
-  // keep a few dozen events in flight), and (when sized) the arena and
-  // timer-slot pools that make the steady state allocation-free.
-  const std::size_t burst = std::min(opt_.batch, opt_.total_ops);
+  // whole run, queue capacity for event_hint() pending events, and (when
+  // sized) the arena and timer-slot pools that make the steady state
+  // allocation-free.
   PoolSet pools;
   pools.ops = opt_.total_ops;
   pools.messages = opt_.total_ops * msgs_per_op;
-  pools.events = 2 * burst + std::min<std::size_t>(1024, burst);
+  pools.events = event_hint();
   pools.payload_bytes = opt_.total_ops * opt_.payload_bytes_per_op;
   pools.timer_slots = opt_.timer_slots_per_process;
   pools.arm(sim_);
   schedule_batch();
+}
+
+std::size_t HeavyTrafficWorkload::event_hint() const {
+  // In-flight headroom is 1024, or one burst when the run is smaller: a few
+  // hundred arrivals keep a few dozen events in flight.
+  const std::size_t burst = std::min(opt_.batch, opt_.total_ops);
+  return 2 * burst + std::min<std::size_t>(1024, burst);
 }
 
 void HeavyTrafficWorkload::schedule_batch() {

@@ -101,6 +101,13 @@ class HeavyTrafficWorkload {
   /// Simulator::run (before or after start()).
   void arm();
 
+  /// The peak pending-event count arm() reserves the queue for: one
+  /// scheduling burst, the next burst chained behind it and headroom for
+  /// in-flight deliveries and timers.  A caller that pushes events before
+  /// arm() (churn windows, start()) passes it to Simulator::reserve first,
+  /// so the queue sizes its calendar from it at its first push.
+  std::size_t event_hint() const;
+
   std::size_t scheduled() const { return scheduled_; }
   /// Arrival time of the latest scheduled invocation.
   Tick last_arrival() const { return last_time_; }

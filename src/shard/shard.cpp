@@ -235,21 +235,6 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
     state->system->replica(static_cast<ProcessId>(p)).reserve_pending(pending);
   }
 
-  if (faults.churn.any()) {
-    // Generate for the full group, then keep only processes that neither
-    // receive beacons (process 0) nor invoke operations (1..clients): the
-    // open-loop schedule cannot re-issue an operation a crash would cut.
-    // Per-process streams (SplitRng) mean the filter leaves the surviving
-    // processes' windows untouched.
-    const ChurnSchedule full = make_churn_schedule(faults, opt_.replicas);
-    std::vector<ChurnWindow> kept;
-    for (const ChurnWindow& w : full.windows()) {
-      if (w.pid > clients_) kept.push_back(w);
-    }
-    state->churn = ChurnSchedule(std::move(kept));
-    state->churn.apply(state->sim());
-  }
-
   HeavyTrafficOptions w;
   w.clients = clients_;
   w.first_client = 1;  // process 0 is the beacon target
@@ -276,7 +261,25 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
   // Op records for the whole run: the workload slice plus one read per
   // received beacon, so the first beacon does not double the vector and
   // copy every record (reserved before arm(), whose own hint is the slice).
-  state->sim().reserve(loads_[s] + beacons_[s].size(), 0, 0);
+  // The queue's hint goes in here too, before churn windows and start()
+  // push anything: the calendar picks its window at its first push.
+  state->sim().reserve(loads_[s] + beacons_[s].size(), 0,
+                       state->workload->event_hint());
+
+  if (faults.churn.any()) {
+    // Generate for the full group, then keep only processes that neither
+    // receive beacons (process 0) nor invoke operations (1..clients): the
+    // open-loop schedule cannot re-issue an operation a crash would cut.
+    // Per-process streams (SplitRng) mean the filter leaves the surviving
+    // processes' windows untouched.
+    const ChurnSchedule full = make_churn_schedule(faults, opt_.replicas);
+    std::vector<ChurnWindow> kept;
+    for (const ChurnWindow& win : full.windows()) {
+      if (win.pid > clients_) kept.push_back(win);
+    }
+    state->churn = ChurnSchedule(std::move(kept));
+    state->churn.apply(state->sim());
+  }
 
   if (opt_.streaming_check) {
     CheckOptions co;

@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 #include <stdexcept>
@@ -29,9 +30,14 @@ std::int32_t checked_slot_index(std::size_t index) {
 EventQueue::EventQueue(EventQueueImpl) {}
 
 void EventQueue::allocate_calendar() {
+  window_ = hint_ == 0
+                ? kMaxWindow
+                : std::clamp(std::bit_ceil(hint_), kMinWindow, kMaxWindow);
+  log_window_ = static_cast<unsigned>(std::countr_zero(window_));
+  span_ = static_cast<Tick>(window_) * static_cast<Tick>(kL1);
   // Default-initialised on purpose (new T[n], not make_unique<T[]>(n)): the
   // bitmaps say which heads are live, so no head is written before use.
-  buckets_.reset(new Bucket[kWindow]);
+  buckets_.reset(new Bucket[window_]);
   l1_.reset(new Chain[kL1]);
 }
 
@@ -42,6 +48,9 @@ std::uint64_t EventQueue::push(Tick time, EventPriority priority,
   if (free_fn_slots_.empty()) {
     ev.fn_slot = checked_slot_index(fn_pool_.size());
     fn_pool_.push_back(std::move(fire));
+    // The free list never outgrows the pool: size it along, so recycling
+    // a closure at pop never allocates.
+    free_fn_slots_.reserve(fn_pool_.capacity());
   } else {
     ev.fn_slot = free_fn_slots_.back();
     free_fn_slots_.pop_back();
@@ -67,8 +76,8 @@ std::uint64_t EventQueue::push_typed(Tick time, EventPriority priority,
     return ev.seq;
   }
   const Tick off = time - window_start_;
-  if (off >= static_cast<Tick>(kWindow)) {
-    if (off < kSpan) {
+  if (off >= static_cast<Tick>(window_)) {
+    if (off < span_) {
       l1_link(alloc_slot(ev));  // level-1 wheel
     } else {
       heap_push(far_, ev);  // beyond the wheel span
@@ -93,7 +102,7 @@ Tick EventQueue::next_time() const {
     const_cast<EventQueue*>(this)->rotate();
   }
   const std::size_t off = next_populated(cursor_);
-  assert(off < kWindow);
+  assert(off < window_);
   return window_start_ + static_cast<Tick>(off);
 }
 
@@ -106,7 +115,7 @@ SimEvent EventQueue::pop() {
   } else {
     if (calendar_live_ == 0) rotate();
     const std::size_t off = next_populated(cursor_);
-    assert(off < kWindow && "calendar queue lost track of a live bucket");
+    assert(off < window_ && "calendar queue lost track of a live bucket");
     Bucket& bucket = buckets_[off];
     Chain& chain = bucket.chain[bucket.chain[0].head >= 0 ? 0 : 1];
     const std::int32_t slot = chain.head;
@@ -136,14 +145,11 @@ SimEvent EventQueue::pop() {
 
 void EventQueue::reserve(std::size_t events) {
   if (events > 0) checked_slot_index(events - 1);
+  hint_ = std::max(hint_, events);
   if (pool_.capacity() < events) {
     pool_.reserve(events);
     next_.reserve(events);
   }
-  // Far-future bursts are kCall-scheduled workload invocations, each of
-  // which parks a closure; size the pool with them.
-  if (fn_pool_.capacity() < events) fn_pool_.reserve(events);
-  if (free_fn_slots_.capacity() < events) free_fn_slots_.reserve(events);
 }
 
 // --- binary-heap rungs ------------------------------------------------------
@@ -202,7 +208,7 @@ void EventQueue::l1_link(std::int32_t slot) {
 void EventQueue::bucket_link(std::int32_t slot) {
   const SimEvent& ev = pool_[static_cast<std::size_t>(slot)];
   const std::size_t off = static_cast<std::size_t>(ev.time - window_start_);
-  assert(off < kWindow);
+  assert(off < window_);
   Bucket& bucket = buckets_[off];
   const std::uint64_t bit = 1ull << (off % 64);
   if ((words_[off / 64] & bit) == 0) {
@@ -216,13 +222,14 @@ void EventQueue::bucket_link(std::int32_t slot) {
 }
 
 std::size_t EventQueue::next_populated(std::size_t from) const {
-  if (from >= kWindow) return kWindow;
+  if (from >= window_) return window_;
   std::size_t w = from / 64;
   std::uint64_t word = words_[w] & (~0ull << (from % 64));
   if (word == 0) {
+    // summary_ has no bit past the window's last word.
     const std::uint64_t rest =
-        w + 1 < kWords ? summary_ & (~0ull << (w + 1)) : 0;
-    if (rest == 0) return kWindow;
+        w + 1 < kMaxWords ? summary_ & (~0ull << (w + 1)) : 0;
+    if (rest == 0) return window_;
     w = static_cast<std::size_t>(__builtin_ctzll(rest));
     word = words_[w];
   }
@@ -269,7 +276,7 @@ void EventQueue::rotate() {
   }
   window_start_ = new_start;
   cursor_ = 0;
-  const Tick window_end = window_start_ + static_cast<Tick>(kWindow);
+  const Tick window_end = window_start_ + static_cast<Tick>(window_);
   // Far rung first: any (tick, priority) pair split across the two sources
   // has its far events carrying strictly smaller seqs (they were pushed
   // under an older window, or they would have gone onto the wheel), and

@@ -12,10 +12,14 @@
 // every bucketed event held in one recycled slot pool.  Level 0 is a window
 // of per-tick buckets with a two-level bitmap to find the next populated
 // tick; each bucket is two intrusive FIFO chains through the pool, one per
-// priority class.  Level 1 is a timing wheel of kL1 window-sized buckets
-// covering the next ~16.8M ticks, each one chain through the same pool, so
-// any push within the wheel span is one slot write plus a tail link -- no
-// sifting.  When the window drains it rotates to the nearest populated
+// priority class.  The window holds 256..4096 ticks, fixed when the
+// calendar is first allocated from the run's reserve() hint (Brown's
+// calendar queue likewise sizes its buckets to the pending population), so
+// a small run does not pay for a large run's bucket array.  Level 1 is a
+// timing wheel of kL1 window-sized buckets covering the next window * kL1
+// ticks (~16.8M at the full window), each one chain through the same pool,
+// so any push within the wheel span is one slot write plus a tail link --
+// no sifting.  When the window drains it rotates to the nearest populated
 // wheel bucket and relinks that chain (a linear walk, no record copies)
 // into the level-0 chains.  A small binary-heap "far" rung catches times
 // beyond the wheel span, and an "early" rung catches times pushed before
@@ -92,8 +96,9 @@ class EventQueue {
  public:
   /// The argument is ignored (there is one implementation); the parameter
   /// stays because perfbench/harness.cpp passes it.  Allocates nothing: the
-  /// ~96 KB of bucket and wheel chain heads arrives with the first push,
-  /// uninitialised (see Chain), so a run touches only the heads it uses.
+  /// bucket and wheel chain heads (16 B per window tick plus 32 KB of wheel;
+  /// 96 KB at the full window) arrive with the first push, uninitialised
+  /// (see Chain), so a run touches only the heads it uses.
   explicit EventQueue(EventQueueImpl = EventQueueImpl::kCalendar);
 
   /// Insert a generic callback event at `time`.  Returns the sequence
@@ -125,12 +130,21 @@ class EventQueue {
   /// The closure of the kCall event pop() just returned, moved out.
   std::function<void()> take_call() { return std::move(popped_call_); }
 
-  /// Pre-size the slot pool (and the closure pool) for roughly `events`
-  /// simultaneously pending events (workload size hints; see
-  /// Simulator::reserve).  Slots recycle through a free list, so a run
-  /// whose pending count stays within the hint never allocates on push.
-  /// Never shrinks.  Throws std::length_error past the int32 slot range.
+  /// Pre-size the slot pool for roughly `events` simultaneously pending
+  /// events (workload size hints; see Simulator::reserve).  Slots recycle
+  /// through a free list, so a run whose pending count stays within the
+  /// hint never allocates on push.  The largest hint given before the first
+  /// push also picks the window: bit_ceil(events) clamped to [kMinWindow,
+  /// kMaxWindow], kMaxWindow with no hint; a later hint leaves it alone.
+  /// The closure pool is not sized here: invocations are typed events, and
+  /// only batch chaining, monitor polls and scenario glue park closures,
+  /// a handful at a time.  Never shrinks.  Throws std::length_error past
+  /// the int32 slot range.
   void reserve(std::size_t events);
+
+  /// Level-0 window in ticks: 0 until the first push allocates the
+  /// calendar, then the size the reserve() hints picked (tests).
+  std::size_t window() const { return window_; }
 
   /// Peak number of simultaneously pending events seen so far -- the pool
   /// high-water mark the reserve() hints should cover (and a
@@ -162,29 +176,30 @@ class EventQueue {
   static SimEvent heap_pop(std::vector<SimEvent>& heap);
 
   // --- calendar machinery ---
-  void allocate_calendar();  ///< allocate buckets_ and l1_ (first use)
-  /// Window size in ticks (one bucket per tick); power of two.  4096 ticks
-  /// covers several message-delay bounds (default d = 1000), so in steady
-  /// state nearly every delivery/timer lands in a bucket and only far-future
-  /// scheduling (open-loop invocation batches) touches the wheel.
-  static constexpr std::size_t kWindow = 4096;
-  static constexpr std::size_t kLogWindow = 12;
-  static constexpr std::size_t kWords = kWindow / 64;
-  /// Level-1 wheel: kL1 buckets of kWindow ticks each.  The span (~16.8M
-  /// ticks) comfortably exceeds any scheduling horizon the workloads use
-  /// (open-loop batches reach a few million ticks ahead), so the far rung
-  /// is empty in practice.  Within the live range (window_start_,
-  /// window_start_ + kSpan) no two event times can alias one wheel index,
+  /// Pick the window from hint_ and allocate buckets_ and l1_ (first use).
+  void allocate_calendar();
+  /// Window bounds in ticks (one bucket per tick; powers of two).  The full
+  /// 4096-tick window covers several message-delay bounds (default d =
+  /// 1000), so in steady state nearly every delivery/timer of a large run
+  /// lands in a bucket and only far-future scheduling (open-loop invocation
+  /// batches) touches the wheel.  A run hinting at most a few hundred
+  /// pending events rotates a smaller window more often instead.
+  static constexpr std::size_t kMinWindow = 256;
+  static constexpr std::size_t kMaxWindow = 4096;
+  static constexpr std::size_t kMaxWords = kMaxWindow / 64;
+  /// Level-1 wheel: kL1 buckets of one window each, at every window size.
+  /// The span is window * kL1 ticks (1.05M..16.8M); anything past it
+  /// takes the far rung.  Within the live range (window_start_,
+  /// window_start_ + span_) no two event times can alias one wheel index,
   /// so index order equals time order.
   static constexpr std::size_t kL1 = 4096;
   static constexpr std::size_t kL1Words = kL1 / 64;
-  static constexpr Tick kSpan = static_cast<Tick>(kWindow) * static_cast<Tick>(kL1);
 
-  static constexpr Tick align_down(Tick t) {
-    return t & ~static_cast<Tick>(kWindow - 1);
+  Tick align_down(Tick t) const {
+    return t & ~static_cast<Tick>(window_ - 1);
   }
-  static constexpr std::size_t wheel_index(Tick t) {
-    return static_cast<std::size_t>(t >> kLogWindow) & (kL1 - 1);
+  std::size_t wheel_index(Tick t) const {
+    return static_cast<std::size_t>(t >> log_window_) & (kL1 - 1);
   }
 
   /// One intrusive FIFO chain: head/tail slot indices into pool_, links in
@@ -219,7 +234,7 @@ class EventQueue {
   /// Append a pooled event onto the wheel chain for its time (which must
   /// lie past the window but within the wheel span).
   void l1_link(std::int32_t slot);
-  /// Offset (>= from) of the next populated bucket; kWindow when none.
+  /// Offset (>= from) of the next populated bucket; window_ when none.
   std::size_t next_populated(std::size_t from) const;
   /// Wheel index (circularly >= from) of the next populated chain; kL1 when
   /// the whole wheel is empty.
@@ -255,8 +270,13 @@ class EventQueue {
   std::vector<std::int32_t> next_;       ///< chain links, parallel to pool_
   std::int32_t free_ = -1;               ///< free-slot list head
 
-  std::unique_ptr<Bucket[]> buckets_;    ///< kWindow; index = time - window_start_
-  std::uint64_t words_[kWords] = {};     ///< bit b: bucket b populated
+  /// Largest reserve() hint so far; allocate_calendar sizes the window.
+  std::size_t hint_ = 0;
+  std::size_t window_ = 0;               ///< ticks per window; 0 = unallocated
+  unsigned log_window_ = 0;              ///< log2(window_)
+  Tick span_ = 0;                        ///< window_ * kL1: the wheel's reach
+  std::unique_ptr<Bucket[]> buckets_;    ///< window_; index = time - window_start_
+  std::uint64_t words_[kMaxWords] = {};  ///< bit b: bucket b populated
   std::uint64_t summary_ = 0;            ///< bit w: words_[w] != 0
   Tick window_start_ = 0;                ///< first tick covered by buckets_
   std::size_t cursor_ = 0;               ///< scan hint: no live bucket below it
@@ -264,8 +284,9 @@ class EventQueue {
   std::unique_ptr<Chain[]> l1_;          ///< kL1 wheel chains
   std::uint64_t l1_words_[kL1Words] = {};  ///< bit b: chain b populated
   std::uint64_t l1_summary_ = 0;           ///< bit w: l1_words_[w] != 0
-  /// Far rung: events at time >= window_start_ + kSpan (binary heap; empty
-  /// under every shipped workload -- the wheel span exceeds their horizons).
+  /// Far rung: events at time >= window_start_ + span_ (binary heap; empty
+  /// at the full window under every shipped workload, whose horizons the
+  /// 16.8M-tick span exceeds).
   std::vector<SimEvent> far_;
   /// Events pushed at time < window_start_ (the window never moves back).
   /// Empty in simulator runs -- the simulator pushes at t >= now -- but

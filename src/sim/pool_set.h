@@ -3,8 +3,8 @@
 // The steady-state op pipeline is allocation-free only if every pool it
 // draws from was sized for the whole run before the first event: trace
 // staging (operation/message records), the future-event list (its one
-// slot pool plus the closure pool), the payload arena (which
-// grows monotonically, so warm-up alone cannot protect it), and the
+// slot pool; the hint also picks its calendar window), the payload arena
+// (which grows monotonically, so warm-up alone cannot protect it), and the
 // per-process timer slot tables.  A PoolSet bundles those sizes -- all
 // derivable from an open-loop arrival schedule -- and arm() applies them
 // to one Simulator.  The sharded runtime builds one PoolSet per

@@ -175,15 +175,28 @@ bool same_pop(EventQueue& cal, ReferenceHeap& heap, Tick* popped_time) {
          a.a == b.a;
 }
 
-/// Random interleaved push/pop stream through the calendar and the heap.
-/// `spread` is the push horizon above the last popped time,
-/// `far_p`/`far_spread` sends that fraction of pushes into the overflow
-/// rung, and a fixed 10% slice pushes *behind* the last popped time (the
-/// early rung once the window rotated past it).  Every step also
+/// Every level-0 window size the calendar can pick from a reserve() hint.
+constexpr std::size_t kWindows[] = {256, 512, 1024, 2048, 4096};
+
+/// A calendar sized to `window` ticks through its reserve() hint (a hint
+/// of exactly the window size picks it).
+EventQueue calendar_with_window(std::size_t window) {
+  EventQueue q;
+  q.reserve(window);
+  return q;
+}
+
+/// Random interleaved push/pop stream through the calendar (sized to
+/// `window`) and the heap.  `spread` is the push horizon above the last
+/// popped time, `far_p`/`far_spread` sends that fraction of pushes into the
+/// overflow rung, and a fixed 10% slice pushes *behind* the last popped
+/// time (the early rung once the window rotated past it).  Every step also
 /// cross-checks next_time().
-void differential_fuzz(std::uint64_t seed, int steps, Tick spread,
-                       double far_p, Tick far_spread, double pop_p) {
-  EventQueue cal;
+void differential_fuzz(std::size_t window, std::uint64_t seed, int steps,
+                       Tick spread, double far_p, Tick far_spread,
+                       double pop_p) {
+  SCOPED_TRACE(testing::Message() << "window " << window << " seed " << seed);
+  EventQueue cal = calendar_with_window(window);
   ReferenceHeap heap;
   Rng rng(seed);
   Tick horizon = 0;  // latest popped time
@@ -214,6 +227,7 @@ void differential_fuzz(std::uint64_t seed, int steps, Tick spread,
     cal.push_typed(t, priority, ev);
     heap.push_typed(t, priority, ev);
   }
+  EXPECT_EQ(cal.window(), window);
   while (!cal.empty()) {
     ASSERT_TRUE(same_pop(cal, heap, nullptr));
   }
@@ -225,45 +239,58 @@ void differential_fuzz(std::uint64_t seed, int steps, Tick spread,
 TEST(EventQueueDifferential, FuzzTieHeavy) {
   // Times land on ~8 distinct ticks: buckets fill with long two-lane runs,
   // so the (priority, seq) tie-break carries all the ordering weight.
-  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    differential_fuzz(seed, 20'000, /*spread=*/8, /*far_p=*/0.0,
-                      /*far_spread=*/0, /*pop_p=*/0.45);
+  for (const std::size_t w : kWindows) {
+    for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      differential_fuzz(w, seed, 20'000, /*spread=*/8, /*far_p=*/0.0,
+                        /*far_spread=*/0, /*pop_p=*/0.45);
+    }
   }
 }
 
 TEST(EventQueueDifferential, FuzzInWindowSpread) {
-  // Spread just under the 4096-tick window: mostly bucket traffic with
-  // occasional spill into the overflow rung via the behind/ahead mix.
-  for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
-    differential_fuzz(seed, 20'000, /*spread=*/3500, /*far_p=*/0.0,
-                      /*far_spread=*/0, /*pop_p=*/0.45);
+  // Spread just under the window: mostly bucket traffic with occasional
+  // spill into the overflow rung via the behind/ahead mix.
+  for (const std::size_t w : kWindows) {
+    for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
+      differential_fuzz(w, seed, 20'000,
+                        /*spread=*/static_cast<Tick>(w * 3500 / 4096),
+                        /*far_p=*/0.0, /*far_spread=*/0, /*pop_p=*/0.45);
+    }
   }
 }
 
 TEST(EventQueueDifferential, FuzzOverflowAndRotation) {
-  // A third of the pushes land far beyond the window (up to ~30 windows
-  // out), forcing overflow migration and repeated rotation.
-  for (std::uint64_t seed : {21ull, 22ull, 23ull}) {
-    differential_fuzz(seed, 20'000, /*spread=*/2000, /*far_p=*/0.35,
-                      /*far_spread=*/120'000, /*pop_p=*/0.5);
+  // A third of the pushes land far beyond the window (up to ~30 full
+  // windows out, ~470 of the smallest), forcing overflow migration and
+  // repeated rotation.
+  for (const std::size_t w : kWindows) {
+    for (std::uint64_t seed : {21ull, 22ull, 23ull}) {
+      differential_fuzz(w, seed, 20'000, /*spread=*/2000, /*far_p=*/0.35,
+                        /*far_spread=*/120'000, /*pop_p=*/0.5);
+    }
   }
 }
 
 TEST(EventQueueDifferential, FuzzBeyondWheelSpanAndWrap) {
-  // Far pushes reach ~40M ticks out -- past the ~16.8M-tick wheel span, so
-  // they land on the far rung -- and the popped horizon marches across
-  // multiple spans, so wheel indexes wrap and recycle.
-  for (std::uint64_t seed : {41ull, 42ull}) {
-    differential_fuzz(seed, 20'000, /*spread=*/2000, /*far_p=*/0.3,
-                      /*far_spread=*/40'000'000, /*pop_p=*/0.55);
+  // Far pushes reach ~40M ticks out -- past the wheel span (window * 4096:
+  // 1.05M ticks at the smallest window, 16.8M at the largest), so they land
+  // on the far rung -- and the popped horizon marches across multiple
+  // spans, so wheel indexes wrap and recycle.
+  for (const std::size_t w : kWindows) {
+    for (std::uint64_t seed : {41ull, 42ull}) {
+      differential_fuzz(w, seed, 20'000, /*spread=*/2000, /*far_p=*/0.3,
+                        /*far_spread=*/40'000'000, /*pop_p=*/0.55);
+    }
   }
 }
 
 TEST(EventQueueDifferential, FuzzPopHeavyDrains) {
   // Pop-dominated: the queues run near-empty, so rotation fires on almost
   // every overflow push and the drained/reused paths get constant traffic.
-  differential_fuzz(31, 20'000, /*spread=*/500, /*far_p=*/0.2,
-                    /*far_spread=*/50'000, /*pop_p=*/0.7);
+  for (const std::size_t w : kWindows) {
+    differential_fuzz(w, 31, 20'000, /*spread=*/500, /*far_p=*/0.2,
+                      /*far_spread=*/50'000, /*pop_p=*/0.7);
+  }
 }
 
 TEST(EventQueueDifferential, FuzzShortLivedQueuesOnRecycledMemory) {
@@ -275,45 +302,45 @@ TEST(EventQueueDifferential, FuzzShortLivedQueuesOnRecycledMemory) {
   // the queue small, so buckets and wheel chains empty and refill within a
   // window.
   Rng rng(0x5ec1c1ed);
-  for (int round = 0; round < 400; ++round) {
-    EventQueue cal;
-    ReferenceHeap heap;
-    Tick horizon = 0;
-    std::int64_t next_id = 0;
-    const int steps = 40 + static_cast<int>(rng.uniform(0, 160));
-    for (int i = 0; i < steps; ++i) {
-      ASSERT_EQ(cal.next_time(), heap.next_time()) << "round " << round;
-      if (!cal.empty() && rng.chance(0.45)) {
-        Tick t = 0;
-        ASSERT_TRUE(same_pop(cal, heap, &t)) << "round " << round;
-        horizon = std::max(horizon, t);
-        continue;
+  for (const std::size_t w : kWindows) {
+    for (int round = 0; round < 400; ++round) {
+      EventQueue cal = calendar_with_window(w);
+      ReferenceHeap heap;
+      Tick horizon = 0;
+      std::int64_t next_id = 0;
+      const int steps = 40 + static_cast<int>(rng.uniform(0, 160));
+      for (int i = 0; i < steps; ++i) {
+        ASSERT_EQ(cal.next_time(), heap.next_time()) << "round " << round;
+        if (!cal.empty() && rng.chance(0.45)) {
+          Tick t = 0;
+          ASSERT_TRUE(same_pop(cal, heap, &t)) << "round " << round;
+          horizon = std::max(horizon, t);
+          continue;
+        }
+        const Tick t =
+            rng.chance(0.7)
+                ? horizon + rng.uniform(0, 6)
+                : horizon + static_cast<Tick>(w) * rng.uniform(1, 3) +
+                      rng.uniform(0, 6);
+        SimEvent ev;
+        ev.kind = EventKind::kTimer;
+        ev.a = next_id++;
+        const EventPriority priority =
+            rng.chance(0.5) ? EventPriority::kDelivery : EventPriority::kNormal;
+        cal.push_typed(t, priority, ev);
+        heap.push_typed(t, priority, ev);
       }
-      const Tick t = rng.chance(0.7)
-                         ? horizon + rng.uniform(0, 6)
-                         : horizon + 4096 * rng.uniform(1, 3) +
-                               rng.uniform(0, 6);
-      SimEvent ev;
-      ev.kind = EventKind::kTimer;
-      ev.a = next_id++;
-      const EventPriority priority =
-          rng.chance(0.5) ? EventPriority::kDelivery : EventPriority::kNormal;
-      cal.push_typed(t, priority, ev);
-      heap.push_typed(t, priority, ev);
+      while (!cal.empty()) {
+        ASSERT_TRUE(same_pop(cal, heap, nullptr)) << "round " << round;
+      }
+      ASSERT_TRUE(heap.empty());
     }
-    while (!cal.empty()) {
-      ASSERT_TRUE(same_pop(cal, heap, nullptr)) << "round " << round;
-    }
-    ASSERT_TRUE(heap.empty());
   }
 }
 
-TEST(EventQueueDifferential, PushIntoDrainingBucket) {
-  // Level-0 buckets are two slot chains: pushes at the tick being drained
-  // must link behind the chain head in seq order, restart an emptied
-  // delivery chain ahead of the remaining timers, and do the same in a
-  // window reached by relinking a wheel chain.
-  EventQueue cal;
+void push_into_draining_bucket(std::size_t window) {
+  const auto w = static_cast<Tick>(window);
+  EventQueue cal = calendar_with_window(window);
   ReferenceHeap heap;
   std::int64_t next_id = 0;
   auto push = [&](Tick t, EventPriority p) {
@@ -333,7 +360,7 @@ TEST(EventQueueDifferential, PushIntoDrainingBucket) {
       push(t, kN);
       push(t, kD);
     }
-    if (t == 9'000) push(t + 4'096 * 3, kN);  // a second wheel chain
+    if (t == 9'000) push(t + w * 3, kN);  // a second wheel chain
     pop_n(2);        // partial drain of the delivery chain
     push(t, kD);     // appends behind the remaining deliveries
     push(t, kN);
@@ -356,55 +383,76 @@ TEST(EventQueueDifferential, PushIntoDrainingBucket) {
     const double r = rng.uniform01();
     const Tick t = r < 0.6   ? now
                    : r < 0.9 ? now + rng.uniform(0, 3)
-                             : now + rng.uniform(4'096, 40'000);
+                             : now + rng.uniform(w, w * 40'000 / 4'096);
     push(t, rng.chance(0.5) ? kD : kN);
   }
   while (!cal.empty()) ASSERT_TRUE(same_pop(cal, heap, nullptr));
   EXPECT_TRUE(heap.empty());
 }
 
+TEST(EventQueueDifferential, PushIntoDrainingBucket) {
+  // Level-0 buckets are two slot chains: pushes at the tick being drained
+  // must link behind the chain head in seq order, restart an emptied
+  // delivery chain ahead of the remaining timers, and do the same in a
+  // window reached by relinking a wheel chain.
+  for (const std::size_t w : kWindows) {
+    SCOPED_TRACE(testing::Message() << "window " << w);
+    push_into_draining_bucket(w);
+  }
+}
+
 TEST(EventQueueCalendar, FarRungMergesBySeqOrder) {
   // A tick split across the far rung and the wheel must still fire in seq
   // order: the far-resident event was necessarily pushed under an older
   // window (or it would have gone onto the wheel), so rotation drains the
-  // far rung into the window first.
-  EventQueue q;
-  SimEvent ev;
-  ev.kind = EventKind::kTimer;
-  // Beyond the wheel span from the initial window: the far rung.
-  const std::uint64_t far_seq =
-      q.push_typed(20'000'000, EventPriority::kNormal, ev);
-  // Advance the window deep enough that tick 20M falls within the span.
-  q.push_typed(4'000'000, EventPriority::kNormal, ev);
-  EXPECT_EQ(q.pop().time, 4'000'000);
-  // Same tick again, now within the span: these land on the wheel with
-  // larger seqs.
-  const std::uint64_t wheel_seq1 =
-      q.push_typed(20'000'000, EventPriority::kNormal, ev);
-  const std::uint64_t wheel_seq2 =
-      q.push_typed(20'000'000, EventPriority::kNormal, ev);
-  EXPECT_EQ(q.next_time(), 20'000'000);
-  EXPECT_EQ(q.pop().seq, far_seq);
-  EXPECT_EQ(q.pop().seq, wheel_seq1);
-  EXPECT_EQ(q.pop().seq, wheel_seq2);
-  EXPECT_TRUE(q.empty());
+  // far rung into the window first.  The wheel span is window * 4096 ticks,
+  // so the times scale with it (at the full window: ~18.9M and ~4.2M).
+  for (const std::size_t w : kWindows) {
+    SCOPED_TRACE(testing::Message() << "window " << w);
+    const Tick span = static_cast<Tick>(w) * 4096;
+    const Tick far = span + span / 8;
+    EventQueue q = calendar_with_window(w);
+    SimEvent ev;
+    ev.kind = EventKind::kTimer;
+    // Beyond the wheel span from the initial window: the far rung.
+    const std::uint64_t far_seq = q.push_typed(far, EventPriority::kNormal, ev);
+    // Advance the window deep enough that `far` falls within the span.
+    q.push_typed(span / 4, EventPriority::kNormal, ev);
+    EXPECT_EQ(q.pop().time, span / 4);
+    // Same tick again, now within the span: these land on the wheel with
+    // larger seqs.
+    const std::uint64_t wheel_seq1 =
+        q.push_typed(far, EventPriority::kNormal, ev);
+    const std::uint64_t wheel_seq2 =
+        q.push_typed(far, EventPriority::kNormal, ev);
+    EXPECT_EQ(q.window(), w);
+    EXPECT_EQ(q.next_time(), far);
+    EXPECT_EQ(q.pop().seq, far_seq);
+    EXPECT_EQ(q.pop().seq, wheel_seq1);
+    EXPECT_EQ(q.pop().seq, wheel_seq2);
+    EXPECT_TRUE(q.empty());
+  }
 }
 
 TEST(EventQueueCalendar, SparseRotationAcrossManyWindows) {
   // One event every ~2.4 windows: every pop after the first crosses empty
   // window space and must rotate straight to the overflow minimum.
-  EventQueue q;
-  for (int k = 9; k >= 0; --k) q.push(k * 10'000, [] {});
-  Tick last = -1;
-  int pops = 0;
-  while (!q.empty()) {
-    const SimEvent ev = q.pop();
-    EXPECT_EQ(ev.time, pops * 10'000);
-    EXPECT_GT(ev.time, last);
-    last = ev.time;
-    ++pops;
+  for (const std::size_t w : kWindows) {
+    SCOPED_TRACE(testing::Message() << "window " << w);
+    const Tick gap = static_cast<Tick>(w) * 10'000 / 4096;
+    EventQueue q = calendar_with_window(w);
+    for (int k = 9; k >= 0; --k) q.push(k * gap, [] {});
+    Tick last = -1;
+    int pops = 0;
+    while (!q.empty()) {
+      const SimEvent ev = q.pop();
+      EXPECT_EQ(ev.time, pops * gap);
+      EXPECT_GT(ev.time, last);
+      last = ev.time;
+      ++pops;
+    }
+    EXPECT_EQ(pops, 10);
   }
-  EXPECT_EQ(pops, 10);
 }
 
 TEST(EventQueueCalendar, EarlyRungFiresBeforeWindow) {
@@ -450,6 +498,47 @@ TEST(EventQueue, ReserveKeepsBehavior) {
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.pop().time, 1);
   EXPECT_EQ(q.pop().time, 2);
+}
+
+TEST(EventQueue, WindowFollowsTheLargestHintBeforeTheFirstPush) {
+  // bit_ceil(hint) clamped to [256, 4096]; no hint or a zero hint keeps the
+  // full window.  Nothing is allocated (window 0) until the first push.
+  struct Case {
+    std::vector<std::size_t> hints;
+    std::size_t window;
+  };
+  const Case cases[] = {
+      {{}, 4096},          {{0}, 4096},     {{1}, 256},
+      {{100}, 256},        {{256}, 256},    {{257}, 512},
+      {{1000}, 1024},      {{2048}, 2048},  {{3072}, 4096},
+      {{9216}, 4096},      {{300, 2000}, 2048},
+      {{2000, 300}, 2048},  // the largest hint counts, not the last
+  };
+  for (const Case& c : cases) {
+    EventQueue q;
+    for (const std::size_t hint : c.hints) q.reserve(hint);
+    EXPECT_EQ(q.window(), 0u);
+    q.push(5, [] {});
+    EXPECT_EQ(q.window(), c.window) << "first hint "
+                                    << (c.hints.empty() ? 0 : c.hints[0]);
+    EXPECT_EQ(q.pop().time, 5);
+  }
+}
+
+TEST(EventQueue, HintAfterTheFirstPushKeepsTheWindow) {
+  // The window is fixed when the calendar is allocated: a later hint grows
+  // the slot pool only, and ordering across the old window size holds.
+  EventQueue q;
+  q.reserve(300);
+  q.push(1'000, [] {});  // beyond the 512-tick window: the wheel
+  q.push(3, [] {});
+  q.reserve(9'216);
+  EXPECT_EQ(q.window(), 512u);
+  q.push(600, [] {});
+  EXPECT_EQ(q.pop().time, 3);
+  EXPECT_EQ(q.pop().time, 600);
+  EXPECT_EQ(q.pop().time, 1'000);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, ReserveBeyondSlotIndexRangeThrows) {
