@@ -97,19 +97,47 @@ void WglSearch::load(const History& history,
   reset(pending, scope);
 }
 
-/// Operations arrive in invocation order and a process's operations never
-/// overlap, so arrival order within a process IS its program order: a
-/// counting sort by process builds the index, no sort needed.
 void WglSearch::load(const std::vector<HistoryOp>& ops,
                      const std::vector<PendingInvocation>& pending,
                      const SearchScope& scope) {
   ops_ = &ops;
   real_time_order_ = true;
+  ProcessId first_pid = -1;
   ProcessId max_pid = -1;
+  bool one_process = true;
   for (const HistoryOp& op : ops) {
-    if (op.response != kNoTime) max_pid = std::max(max_pid, op.proc);
+    if (op.response == kNoTime) continue;
+    if (first_pid < 0) first_pid = op.proc;
+    one_process = one_process && op.proc == first_pid;
+    max_pid = std::max(max_pid, op.proc);
   }
   procs_ = static_cast<std::size_t>(max_pid + 1);
+  if (one_process && pending.empty()) {
+    // replay() decides this search from a single start, and needs only the
+    // operations in program order -- arrival order, for one process.  The
+    // per-process index, the key and the memo wait for a search from
+    // several starts (begin() calls index_ops()).
+    pending_ = &pending;
+    scope_ = scope;
+    replayable_ = true;
+    indexed_ = false;
+    proc_ops_.clear();
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (ops[i].response != kNoTime) proc_ops_.push_back(i);
+    }
+    chosen_.reserve(proc_ops_.size());
+    if (memo_nodes_ != 0) clear_memo();  // dead_states() reads 0 after replay
+    return;
+  }
+  index_ops();
+  reset(pending, scope);
+}
+
+/// Operations arrive in invocation order and a process's operations never
+/// overlap, so arrival order within a process IS its program order: a
+/// counting sort by process builds the index, no sort needed.
+void WglSearch::index_ops() {
+  const std::vector<HistoryOp>& ops = *ops_;
   // Count process p's operations into [p + 2] and prefix-sum, so [p + 1]
   // is p's begin; filling with [p + 1] as p's cursor leaves it at p's end,
   // which is p + 1's begin.
@@ -127,13 +155,13 @@ void WglSearch::load(const std::vector<HistoryOp>& ops,
     if (ops[i].response == kNoTime) continue;
     proc_ops_[proc_begin_[static_cast<std::size_t>(ops[i].proc) + 1]++] = i;
   }
-  reset(pending, scope);
 }
 
 void WglSearch::reset(const std::vector<PendingInvocation>& pending,
                       const SearchScope& scope) {
   pending_ = &pending;
   scope_ = scope;
+  indexed_ = true;
   // One process (or none) and nothing pending: program order is the only
   // permutation consistent with both real-time and per-process order, and
   // the empty witness linearizes the empty history.
@@ -197,6 +225,10 @@ bool WglSearch::replay(const Snapshot& start, CheckResult& acc) {
 /// Open the root node at `start`; true when it is already complete
 /// (nothing to linearize), with final_ = start.
 bool WglSearch::begin(const Snapshot& start, CheckResult& acc) {
+  if (!indexed_) {
+    index_ops();
+    reset(*pending_, scope_);
+  }
   std::fill(key_.begin(), key_.end(), 0);
   chosen_.clear();
   stack_.clear();

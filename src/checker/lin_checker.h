@@ -266,6 +266,8 @@ class WglSearch {
   };
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
+  /// Build proc_begin_/proc_ops_ from the operation vector load() took.
+  void index_ops();
   void reset(const std::vector<PendingInvocation>& pending,
              const SearchScope& scope);
   void clear_memo();
@@ -293,6 +295,9 @@ class WglSearch {
   SearchScope scope_;
   std::size_t procs_ = 0;
   bool replayable_ = false;  ///< one process, nothing pending: replay()
+  /// proc_begin_, key_ and the memo match the loaded operations; false
+  /// after a replayable load(ops), which fills proc_ops_ alone.
+  bool indexed_ = false;
   std::vector<std::size_t> proc_begin_;
   std::vector<std::size_t> proc_ops_;
 

@@ -97,6 +97,27 @@ struct StateEntry {
 
 const std::vector<PendingInvocation> kNoPending;
 
+/// Index of `t` in `sorted` (ascending, and holding `t`), searched in a
+/// window around `hint` that doubles until it brackets `t`.  A witness
+/// stays close to invocation (= token) order, so each token's rank lies a
+/// few places from the previous one's and the search stays local, where a
+/// binary search over the whole array would miss the cache at every step.
+std::size_t rank_near(const std::vector<std::int64_t>& sorted,
+                      std::size_t hint, std::int64_t t) {
+  const std::size_t n = sorted.size();
+  for (std::size_t reach = 8;; reach *= 2) {
+    const std::size_t lo = hint > reach ? hint - reach : 0;
+    const std::size_t hi = std::min(n, hint + reach);
+    if ((lo == 0 || sorted[lo] <= t) && (hi == n || sorted[hi - 1] >= t)) {
+      return static_cast<std::size_t>(
+          std::lower_bound(sorted.begin() + static_cast<std::ptrdiff_t>(lo),
+                           sorted.begin() + static_cast<std::ptrdiff_t>(hi),
+                           t) -
+          sorted.begin());
+    }
+  }
+}
+
 }  // namespace
 
 /// The single-threaded checker around the search engine.  Feed
@@ -350,10 +371,10 @@ CheckResult StreamingChecker::Impl::finalize() {
       std::vector<std::int64_t> sorted = tokens;
       std::sort(sorted.begin(), sorted.end());
       result.witness.reserve(tokens.size());
+      std::size_t rank = 0;
       for (std::int64_t t : tokens) {
-        result.witness.push_back(static_cast<std::size_t>(
-            std::lower_bound(sorted.begin(), sorted.end(), t) -
-            sorted.begin()));
+        rank = rank_near(sorted, rank, t);
+        result.witness.push_back(rank);
       }
     }
   }

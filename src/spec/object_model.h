@@ -49,6 +49,12 @@ class ObjectState {
     return do_apply(op);
   }
 
+  /// Apply an operation the caller guarantees is a pure accessor (never
+  /// mutates): the cached fingerprint stays valid, so the next memo lookup
+  /// does not re-hash the state.  Debug builds re-hash before and after to
+  /// verify the guarantee.
+  Value apply_accessor(const Operation& op);
+
   /// Structural equality of abstract states (used as sequence equivalence;
   /// see the header comment).
   virtual bool equals(const ObjectState& other) const = 0;

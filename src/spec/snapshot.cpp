@@ -1,21 +1,7 @@
 #include "spec/snapshot.h"
 
-#include <cassert>
-
 namespace linbound {
 
 Snapshot ObjectState::snapshot() const { return Snapshot(clone()); }
-
-Value Snapshot::apply_accessor(const Operation& op) {
-#ifndef NDEBUG
-  const std::uint64_t before = state_->fingerprint();
-#endif
-  Value out = state_->apply(op);
-#ifndef NDEBUG
-  assert(state_->fingerprint() == before &&
-         "apply_accessor used on a mutating operation");
-#endif
-  return out;
-}
 
 }  // namespace linbound

@@ -53,9 +53,12 @@ class Snapshot {
   }
 
   /// Apply an operation the caller guarantees is a pure accessor (never
-  /// mutates), skipping the copy-on-write clone even when shared.  Debug
-  /// builds verify the guarantee by fingerprint.
-  Value apply_accessor(const Operation& op);
+  /// mutates), skipping the copy-on-write clone even when shared and
+  /// keeping the cached fingerprint (ObjectState::apply_accessor, which
+  /// verifies the guarantee in debug builds).
+  Value apply_accessor(const Operation& op) {
+    return state_->apply_accessor(op);
+  }
 
   /// A detached deep copy as a plain state (for callers that need to own
   /// a mutable ObjectState outright).
