@@ -56,9 +56,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nclaim 1 (hardened always linearizable):      %s\n"
-      "claim 2 (stock flagged under message loss):  %s\n"
-      "claim 3 (every failure attributed):          %s\n",
+      "\nclaim 1 (hardened linearizable unless its link gave up): %s\n"
+      "claim 2 (stock flagged under message loss):              %s\n"
+      "claim 3 (every failure attributed):                      %s\n",
       result.hardened_all_linearizable() ? "holds" : "VIOLATED",
       result.unhardened_flagged_under_drops() ? "holds" : "VIOLATED",
       result.all_failures_attributed() ? "holds" : "VIOLATED");

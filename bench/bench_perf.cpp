@@ -9,6 +9,7 @@
 // BENCH_perf.json, and exits 0 only when
 //   * the parallel fault and churn sweeps are byte-identical to their
 //     serial runs (tables and aggregate counters compared verbatim),
+//   * the fault sweep's three claims hold (harness/fault_sweep.h),
 //   * the checker returns the known verdicts on the adversarial shapes,
 //     and
 //   * with jobs >= 4 available, at least one sweep speeds up >= 2x.
@@ -204,11 +205,15 @@ int main(int argc, char** argv) {
   fault_opts.seeds = 480;
 
   SweepTimings fault;
+  bool fault_claims[3] = {};
   {
     fault_opts.jobs = 1;
     const double t0 = now_seconds();
     const FaultSweepResult serial = run_fault_sweep(model, workload, fault_opts);
     fault.serial_s = now_seconds() - t0;
+    fault_claims[0] = serial.hardened_all_linearizable();
+    fault_claims[1] = serial.unhardened_flagged_under_drops();
+    fault_claims[2] = serial.all_failures_attributed();
     fault_opts.jobs = jobs;
     const double t1 = now_seconds();
     const FaultSweepResult parallel = run_fault_sweep(model, workload, fault_opts);
@@ -220,6 +225,12 @@ int main(int argc, char** argv) {
   std::printf("fault sweep: serial %.3fs, --jobs %d %.3fs  (%.2fx, %s)\n",
               fault.serial_s, jobs, fault.parallel_s, fault.speedup(),
               fault.identical ? "byte-identical" : "RESULTS DIVERGED");
+  std::printf(
+      "fault sweep claims: hardened linearizable unless its link gave up %s, "
+      "stock flagged under drops %s, every failure attributed %s\n",
+      fault_claims[0] ? "holds" : "VIOLATED",
+      fault_claims[1] ? "holds" : "VIOLATED",
+      fault_claims[2] ? "holds" : "VIOLATED");
 
   ChurnSweepOptions churn_opts;
   churn_opts.n = kN;
@@ -252,6 +263,7 @@ int main(int argc, char** argv) {
   const bool speedup_applicable = bench::speedup_gates_enforced(jobs);
   const bool speedup_ok = !speedup_applicable || best_speedup >= 2.0;
   const bool ok = all_ok && fault.identical && churn.identical &&
+                  fault_claims[0] && fault_claims[1] && fault_claims[2] &&
                   core_verdicts_ok && speedup_ok;
 
   if (speedup_applicable) {
@@ -285,6 +297,9 @@ int main(int argc, char** argv) {
   json.set("fault_sweep_speedup", fault.speedup());
   json.set("fault_sweep_speedup_threads", bench::hardware_threads());
   json.set("fault_sweep_identical", fault.identical);
+  json.set("fault_sweep_claim_hardened_linearizable", fault_claims[0]);
+  json.set("fault_sweep_claim_stock_flagged", fault_claims[1]);
+  json.set("fault_sweep_claim_failures_attributed", fault_claims[2]);
   json.set("churn_sweep_serial_s", churn.serial_s);
   json.set("churn_sweep_parallel_s", churn.parallel_s);
   json.set("churn_sweep_speedup", churn.speedup());
