@@ -51,6 +51,10 @@ gate_keys=(
   shard_scaling_speedup
   shard_speedup_gate_enforced
   shard_identity_ok
+  # Per-shard memory (bench/bench_shard.cpp): the fixed per-shard cost
+  # the pool sizing rules (DESIGN.md section 15) keep small.
+  shard_minflt
+  shard_peak_rss_mib
   # Online (streaming) checker gates: verdict/witness identity with the
   # offline checker, the observation-only tap, and the bounded-memory
   # contract (bench/bench_throughput.cpp --checked).
