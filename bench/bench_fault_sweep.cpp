@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
       "effective delivery bound d_eff = %lld (vs d = %lld) -- the price of\n"
       "loss tolerance, visible in the worst-latency column.\n\n",
       static_cast<long long>(hardened.first_timeout_for(t)),
-      hardened.max_attempts, hardened.backoff,
+      hardened.max_attempts, HardenedParams::kBackoff,
       static_cast<long long>(hardened.effective_d(t)),
       static_cast<long long>(t.d));
 

@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
   std::printf(
       "%d shards x %zu total ops (zipf s=%.2f), %d replicas/shard, "
       "lookahead=%lld, %d sync epochs every %lld ticks\n",
-      opt.shards, opt.total_ops, opt.zipf_s, opt.replicas,
+      opt.shards, opt.total_ops, opt.zipf_s, ShardOptions::kReplicas,
       static_cast<long long>(sim.lookahead()), opt.sync_epochs,
       static_cast<long long>(sim.sync_interval()));
 

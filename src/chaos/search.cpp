@@ -169,8 +169,7 @@ std::vector<ChaosRunSpec> chaos_search_grid(const ChaosSearchOptions& options) {
           spec.mutant = options.mutant;
           spec.workload = workload;
           spec.ops_per_client = options.ops_per_client;
-          spec.think_time = options.think_time;
-          spec.event_budget = options.event_budget;
+          spec.event_budget = kChaosSearchEventBudget;
           // A covered cell must size its watchdog to the variant too: under
           // a persistent spike barrage the supervisor legitimately cycles
           // the era machinery thousands of times before the run drains

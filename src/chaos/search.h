@@ -38,6 +38,10 @@
 
 namespace linbound {
 
+/// Event budget of every grid spec (ten times this for mode switching).
+/// Grid specs run their clients back to back (think time 0).
+constexpr std::size_t kChaosSearchEventBudget = 300'000;
+
 struct ChaosSearchOptions {
   /// Variants to sweep; empty means every variant.
   std::vector<ChaosVariant> variants;
@@ -49,9 +53,7 @@ struct ChaosSearchOptions {
   Tick x = 0;
   int seeds = 6;  ///< randomized runs per (variant, cell, workload)
   int ops_per_client = 6;
-  Tick think_time = 0;
   std::uint64_t base_seed = 0xc4a0'55ee'dULL;
-  std::size_t event_budget = 300'000;
   std::int64_t wall_budget_ms = 0;  ///< per run; 0 disables
   /// Whole-search wall-clock budget in seconds; 0 runs the full grid once.
   /// The task list is deterministic; the budget only truncates it.

@@ -3,8 +3,9 @@
 // The harness sweeps share this executor: each (config, seed) cell builds
 // its own Rng, delay/fault policies and Simulator from values derived
 // purely from the cell's indices, runs one deterministic simulation, and
-// yields a result.  So do the sharded runtime's PDES windows and the
-// per-shard checks (checker/multi_check.h).
+// yields a result.  So do the sharded runtime's PDES windows (each window
+// steps every shard, and a shard's streaming check runs on the worker that
+// drains it).
 //
 // The executor exploits exactly that shape and nothing more:
 //

@@ -8,12 +8,11 @@ namespace linbound {
 Tick HardenedParams::first_timeout_for(const SystemTiming& timing) const {
   // A round trip (data out, ack back) takes at most 2(d + spike_margin);
   // only after that can the first attempt be declared lost.
-  return retrans_timeout > 0 ? retrans_timeout
-                             : 2 * (timing.d + spike_margin) + 1;
+  return 2 * (timing.d + spike_margin) + 1;
 }
 
 Tick HardenedParams::step_cap_for(const SystemTiming& timing) const {
-  return timeout_cap > 0 ? timeout_cap : 8 * timing.d;
+  return 8 * timing.d;
 }
 
 Tick HardenedParams::effective_d(const SystemTiming& timing) const {
@@ -24,8 +23,7 @@ Tick HardenedParams::effective_d(const SystemTiming& timing) const {
   for (int k = 0; k + 1 < max_attempts; ++k) {
     // Each retransmission wait may be stretched by up to retrans_jitter.
     total += step + retrans_jitter;
-    step = (step >= cap / backoff) ? cap : step * backoff;
-    step = std::min(step, cap);
+    step = std::min(step * kBackoff, cap);
   }
   return total;
 }
@@ -111,17 +109,15 @@ void HardenedReplicaProcess::on_timer(TimerId id, const TimerTag& tag) {
   ++retransmissions_;
   raw_send(pending.to, pending.frame);
   const Tick cap = params_.step_cap_for(timing());
-  pending.next_timeout = (pending.next_timeout >= cap / params_.backoff)
-                             ? cap
-                             : pending.next_timeout * params_.backoff;
-  pending.next_timeout = std::min(pending.next_timeout, cap);
+  pending.next_timeout =
+      std::min(pending.next_timeout * HardenedParams::kBackoff, cap);
   // Deterministic desynchronization: stretch this wait by a per-process
   // draw so concurrent losers do not retransmit in lockstep.  The stored
   // next_timeout stays unjittered -- the backoff ladder (and effective_d's
   // accounting of it) is unchanged; jitter only shifts firing times.
   Tick jitter = 0;
   if (params_.retrans_jitter > 0) {
-    if (!jitter_rng_) jitter_rng_ = Rng(params_.jitter_seed).split(
+    if (!jitter_rng_) jitter_rng_ = Rng(HardenedParams::kJitterSeed).split(
         static_cast<std::uint64_t>(this->id()));
     jitter = jitter_rng_->uniform_tick(0, params_.retrans_jitter);
   }

@@ -10,8 +10,9 @@
 //     receiver acks it and suppresses redundant deliveries (tolerates
 //     duplication -- both injected duplicates and our own retransmissions);
 //   * the sender retransmits unacked messages on a timer with bounded
-//     exponential backoff, giving up after max_attempts (tolerates loss up
-//     to the configured attempt budget);
+//     exponential backoff -- first timeout 2(d + spike_margin) + 1,
+//     doubling per attempt up to 8d -- giving up after max_attempts
+//     (tolerates loss up to the configured attempt budget);
 //   * the algorithm's waits are computed against the *effective* delivery
 //     bound d_eff -- the worst case where every attempt but the last is
 //     lost -- so the timestamp-order safety argument (Lemma C.8/C.9) holds
@@ -36,34 +37,33 @@
 
 namespace linbound {
 
-/// Knobs of the reliable-link layer.  Defaults are filled in from the
+/// Knobs of the reliable-link layer.  The waits are fixed formulas in the
 /// system timing: first timeout 2(d + spike_margin) + 1 (a full round trip
-/// must have failed), per-step cap 8d.
+/// must have failed), backoff x kBackoff per attempt, per-step cap 8d.
 struct HardenedParams {
-  /// First retransmission timeout; 0 means 2*(d + spike_margin) + 1.
-  Tick retrans_timeout = 0;
+  /// Exponential backoff factor between attempts.
+  static constexpr int kBackoff = 2;
+  /// Root seed of the jitter streams; process `pid` draws from
+  /// Rng(kJitterSeed).split(pid).
+  static constexpr std::uint64_t kJitterSeed = 0x6a17'7e12'0b5eULL;
+
   /// Total transmissions per (message, destination), first send included.
   int max_attempts = 6;
-  /// Exponential backoff factor between attempts.
-  int backoff = 2;
-  /// Cap on a single backoff step; 0 means 8d.
-  Tick timeout_cap = 0;
   /// Extra one-way delay the link must absorb (set to the fault policy's
-  /// spike_max when delay spikes are injected).
+  /// max_delay_boost() when delays are widened).
   Tick spike_margin = 0;
   /// Deterministic jitter added to every *retransmission* wait: each backoff
   /// step is stretched by a uniform draw in [0, retrans_jitter] from this
-  /// process's split RNG stream (seed below, split by process id), breaking
+  /// process's split RNG stream (kJitterSeed, split by process id), breaking
   /// the lockstep retransmission bursts a shared timeout produces.  The draw
   /// happens only when a retransmission actually fires -- the first-attempt
   /// timer is never jittered -- so fault-free runs consume no randomness and
   /// stay byte-identical to jitter-free ones.  0 disables jitter.
   Tick retrans_jitter = 0;
-  /// Root seed of the jitter streams; process `pid` draws from
-  /// Rng(jitter_seed).split(pid).
-  std::uint64_t jitter_seed = 0x6a17'7e12'0b5eULL;
 
+  /// First retransmission timeout, 2(d + spike_margin) + 1.
   Tick first_timeout_for(const SystemTiming& timing) const;
+  /// Cap on a single backoff step, 8d.
   Tick step_cap_for(const SystemTiming& timing) const;
 
   /// Worst-case end-to-end delivery bound d_eff: all attempts but the last
@@ -76,8 +76,7 @@ struct HardenedParams {
   SystemTiming effective_timing(const SystemTiming& timing) const;
 
   bool valid() const {
-    return max_attempts >= 1 && backoff >= 1 && retrans_timeout >= 0 &&
-           timeout_cap >= 0 && spike_margin >= 0 && retrans_jitter >= 0;
+    return max_attempts >= 1 && spike_margin >= 0 && retrans_jitter >= 0;
   }
 };
 

@@ -1,26 +1,22 @@
 #include "core/recoverable_replica.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace linbound {
 
 Tick RecoverableParams::join_retry_for(const SystemTiming& timing) const {
-  return join_retry > 0 ? join_retry
-                        : 2 * link.effective_d(timing) + 1;
+  return 2 * link.effective_d(timing) + 1;
 }
 
 Tick RecoverableParams::catchup_for(const SystemTiming& timing) const {
-  return link.effective_d(timing) + timing.eps + catchup_margin;
+  return link.effective_d(timing) + timing.eps;
 }
 
 RecoverableReplicaProcess::RecoverableReplicaProcess(
     std::shared_ptr<const ObjectModel> model, AlgorithmDelays delays,
     RecoverableParams params)
     : HardenedReplicaProcess(std::move(model), delays, params.link),
-      params_(params) {
-  if (!params_.valid()) throw std::invalid_argument("invalid RecoverableParams");
-}
+      params_(params) {}
 
 void RecoverableReplicaProcess::on_recover() {
   // A crash wiped everything volatile: algorithm state, link state, and any

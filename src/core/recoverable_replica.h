@@ -8,8 +8,8 @@
 //
 //   1. On recovery it picks a fresh link incarnation (the local clock at
 //      recovery: monotonically larger than any previous life's, with no
-//      stable storage) and broadcasts JoinRequest, retrying every
-//      join_retry ticks until answered.
+//      stable storage) and broadcasts JoinRequest, retrying every round
+//      trip over the effective link (2 * d_eff + 1) until answered.
 //   2. Every joined peer replies with a JoinSnapshot: a clone of its object
 //      copy, the timestamp frontier that copy reflects (its executed
 //      prefix), and its pending To_Execute entries.  Meanwhile the rejoiner
@@ -21,7 +21,7 @@
 //      snapshot frontier, deduplicating across the two sources), and then
 //      waits one catch-up window,
 //
-//          catchup = d_eff + eps   (+ catchup_margin),
+//          catchup = d_eff + eps,
 //
 //      before serving invocations: the adopted snapshot is at most d_eff
 //      stale (any operation it misses was broadcast less than d_eff before
@@ -57,21 +57,16 @@
 
 namespace linbound {
 
-/// Knobs of the recovery layer, on top of the reliable link's.
+/// Knobs of the recovery layer: the reliable link's.  The rejoin waits are
+/// fixed formulas over the effective link.
 struct RecoverableParams {
   HardenedParams link;
-  /// JoinRequest retry period; 0 means a round trip over the effective
-  /// link, 2 * d_eff + 1.
-  Tick join_retry = 0;
-  /// Extra catch-up wait on top of d_eff + eps.
-  Tick catchup_margin = 0;
 
+  /// JoinRequest retry period: a round trip over the effective link,
+  /// 2 * d_eff + 1.
   Tick join_retry_for(const SystemTiming& timing) const;
+  /// Catch-up window after adopting a snapshot, d_eff + eps.
   Tick catchup_for(const SystemTiming& timing) const;
-
-  bool valid() const {
-    return link.valid() && join_retry >= 0 && catchup_margin >= 0;
-  }
 };
 
 /// Rejoiner -> everyone: "I am back (as incarnation `incarnation`), send me

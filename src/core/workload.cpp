@@ -151,10 +151,6 @@ HeavyTrafficWorkload::HeavyTrafficWorkload(Simulator& sim,
   }
   if (opt_.jitter < 0) throw std::invalid_argument("HeavyTraffic: negative jitter");
   if (opt_.batch == 0) opt_.batch = 1;
-  if (opt_.accessors < 0 || opt_.mutators < 0 ||
-      opt_.accessors + opt_.mutators <= 0) {
-    throw std::invalid_argument("HeavyTraffic: bad accessor/mutator weights");
-  }
   if (opt_.first_client < 0) {
     throw std::invalid_argument("HeavyTraffic: negative first_client");
   }
@@ -165,7 +161,7 @@ HeavyTrafficWorkload::HeavyTrafficWorkload(Simulator& sim,
     rngs_.push_back(root.stream(static_cast<std::uint64_t>(c)));
     // Stagger the first arrivals across one mean gap so the clients do not
     // start in lockstep.
-    next_time_.push_back(opt_.start_time +
+    next_time_.push_back(HeavyTrafficOptions::kStartTime +
                          rngs_.back().uniform(0, opt_.min_gap + opt_.jitter));
   }
 }
@@ -196,7 +192,6 @@ std::size_t HeavyTrafficWorkload::event_hint() const {
 }
 
 void HeavyTrafficWorkload::schedule_batch() {
-  const int total_weight = opt_.accessors + opt_.mutators;
   std::size_t issued = 0;
   while (issued < opt_.batch && scheduled_ < opt_.total_ops) {
     // Next arrival across the clients in global time order (ties by client
@@ -211,7 +206,7 @@ void HeavyTrafficWorkload::schedule_batch() {
     const auto ci = static_cast<std::size_t>(client);
     Rng& rng = rngs_[ci];
     const Tick t = next_time_[ci];
-    const bool accessor = rng.uniform(0, total_weight - 1) < opt_.accessors;
+    const bool accessor = rng.uniform(0, 1) == 0;
     sim_.invoke_at(t, static_cast<ProcessId>(opt_.first_client + client),
                    accessor ? reg::read() : reg::write(small_value(rng)));
     next_time_[ci] = t + opt_.min_gap +

@@ -32,8 +32,11 @@ std::vector<Operation> random_array_ops(Rng& rng, int count, const OpMix& mix,
 
 /// Configuration for HeavyTrafficWorkload (see below).  The effective
 /// per-client arrival rate is 1 / (min_gap + jitter/2) operations per tick,
-/// i.e. clients / (min_gap + jitter/2) system-wide.
+/// i.e. clients / (min_gap + jitter/2) system-wide.  Arrivals start at
+/// kStartTime and are an even mix of register reads and writes.
 struct HeavyTrafficOptions {
+  static constexpr Tick kStartTime = 1000;  ///< earliest possible arrival
+
   int clients = 4;                 ///< number of invoking processes
   /// Process id of the first client; arrivals target processes
   /// first_client .. first_client + clients - 1.  The sharded runtime
@@ -41,7 +44,6 @@ struct HeavyTrafficOptions {
   /// clients are dedicated invoker processes.
   int first_client = 0;
   std::size_t total_ops = 1'000'000;
-  Tick start_time = 1000;          ///< earliest possible arrival
   /// Per-client inter-arrival floor.  Open-loop scheduling does not wait
   /// for responses, but the model allows one pending operation per process
   /// (the simulator throws on overlap), so this must exceed the worst-case
@@ -49,8 +51,6 @@ struct HeavyTrafficOptions {
   /// ~2d for the centralized/TOB baselines; bench_throughput uses 4d).
   Tick min_gap = 4000;
   Tick jitter = 0;                 ///< extra uniform spacing in [0, jitter]
-  int accessors = 1;               ///< weight of register reads
-  int mutators = 1;                ///< weight of register writes
   /// Root seed; each client draws from SplitRng(seed).stream(client_index),
   /// so client c's schedule is a pure function of (seed, c) -- independent
   /// of how many clients run beside it.
@@ -88,7 +88,7 @@ std::vector<std::size_t> zipfian_shard_loads(int shards, std::size_t total_ops,
 
 /// Open-loop traffic at a configurable arrival rate: every arrival time is
 /// fixed up front from the seed (never response-driven, unlike the
-/// closed-loop WorkloadDriver), with a read/write register mix.  arm()
+/// closed-loop WorkloadDriver), with an even read/write register mix.  arm()
 /// pre-reserves Trace::ops / Trace::messages / EventQueue storage from the
 /// size hints and schedules the first burst; the rest of the schedule
 /// installs itself as the run progresses.  Deterministic: one

@@ -13,13 +13,9 @@ DegradeSystem::DegradeSystem(std::shared_ptr<const ObjectModel> model,
         "DegradeOptions: algorithm_delays / recoverable / give_up_after do "
         "not apply to degradation systems");
   }
-  if (!options.params.valid()) {
-    throw std::invalid_argument("DegradeOptions: invalid SwitchingParams");
-  }
   if (!options.switching) {
     for (int i = 0; i < options.base.n; ++i) {
-      sim_->add_process(std::make_unique<QuorumReplicaProcess>(
-          model_, options.params.quorum, options.params.seed));
+      sim_->add_process(std::make_unique<QuorumReplicaProcess>(model_));
     }
     return;
   }
@@ -27,10 +23,10 @@ DegradeSystem::DegradeSystem(std::shared_ptr<const ObjectModel> model,
       options.base.hardened ? *options.base.hardened : HardenedParams{};
   delays_ = AlgorithmDelays::standard(link.effective_timing(options.base.timing),
                                       options.base.x);
-  monitor_ = std::make_unique<SynchronyMonitor>(*sim_, options.monitor);
+  monitor_ = std::make_unique<SynchronyMonitor>(*sim_, MonitorOptions{});
   for (int i = 0; i < options.base.n; ++i) {
-    auto replica = std::make_unique<ModeSwitchingReplica>(
-        model_, delays_, link, options.params);
+    auto replica =
+        std::make_unique<ModeSwitchingReplica>(model_, delays_, link);
     replica->set_monitor(monitor_.get());
     monitor_->add_target(static_cast<ProcessId>(i), replica.get());
     sim_->add_process(std::move(replica));

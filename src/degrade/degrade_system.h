@@ -30,11 +30,9 @@ struct DegradeOptions {
   /// are filled in when unset); `algorithm_delays`, `recoverable` and
   /// `give_up_after` are meaningless here and rejected if set.
   SystemOptions base;
-  /// true: supervisor + mode-switching replicas.  false: pure quorum
-  /// backend (no monitor, no synchronous era at all).
+  /// true: supervisor (default MonitorOptions) + mode-switching replicas.
+  /// false: pure quorum backend (no monitor, no synchronous era at all).
   bool switching = true;
-  MonitorOptions monitor;
-  SwitchingParams params;
 };
 
 class DegradeSystem final : public ObjectSystem {

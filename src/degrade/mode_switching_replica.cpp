@@ -1,23 +1,17 @@
 #include "degrade/mode_switching_replica.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace linbound {
 
 ModeSwitchingReplica::ModeSwitchingReplica(
     std::shared_ptr<const ObjectModel> model, AlgorithmDelays delays,
-    HardenedParams link_params, SwitchingParams params)
+    HardenedParams link_params)
     : HardenedReplicaProcess(model, delays, link_params),
-      params_(params),
-      era_start_state_(Snapshot::initial(*model)) {
-  if (!params_.valid()) throw std::invalid_argument("invalid SwitchingParams");
-}
+      era_start_state_(Snapshot::initial(*model)) {}
 
 Tick ModeSwitchingReplica::drain_fallback_delay() const {
-  return params_.drain_fallback > 0
-             ? params_.drain_fallback
-             : 2 * link_params().effective_d(timing()) + 1;
+  return 2 * link_params().effective_d(timing()) + 1;
 }
 
 QuorumEngine& ModeSwitchingReplica::ensure_engine(int era) {
@@ -25,8 +19,7 @@ QuorumEngine& ModeSwitchingReplica::ensure_engine(int era) {
   if (it == engines_.end()) {
     it = engines_
              .emplace(era, std::make_unique<QuorumEngine>(
-                               *this, era, id(), process_count(), timing(),
-                               params_.quorum, params_.seed))
+                               *this, era, id(), process_count(), timing()))
              .first;
   }
   return *it->second;

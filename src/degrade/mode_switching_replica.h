@@ -48,7 +48,7 @@
 //     pause-resume: the replica rejoins but a cut operation may stall --
 //     that is RecoverableReplicaProcess's job, not this class's.
 //   * Stale synchronous timers surviving a downgrade fire within holdback
-//     (u+eps) of the drain; the supervisor's clean_window (>= 8d) keeps any
+//     (u+eps) of the drain; the supervisor's 8d clean window keeps any
 //     new sync era comfortably clear of them.
 #pragma once
 
@@ -66,21 +66,6 @@
 #include "spec/snapshot.h"
 
 namespace linbound {
-
-/// Degradation knobs, on top of the hardened layer's HardenedParams.
-struct SwitchingParams {
-  QuorumParams quorum;
-  /// How long a draining replica waits for missing drain reports before
-  /// proposing a partial base; 0 means 2 * d_eff + 1 (one framed round
-  /// trip) -- peers that miss it are exactly the dead/partitioned ones the
-  /// downgrade is for.
-  Tick drain_fallback = 0;
-  /// Root seed of the quorum engines' retry-jitter streams (each engine
-  /// splits by process id and era).
-  std::uint64_t seed = 0xdeb'ade'5eedULL;
-
-  bool valid() const { return quorum.valid() && drain_fallback >= 0; }
-};
 
 /// The era-stamped frame around Algorithm 1's broadcast.
 struct EraOpPayload final : MessagePayload {
@@ -111,10 +96,9 @@ class ModeSwitchingReplica final : public HardenedReplicaProcess,
                                    public ModeSwitchTarget {
  public:
   /// As HardenedReplicaProcess (delays computed against the hardened
-  /// effective timing), plus the degradation knobs.
+  /// effective timing).
   ModeSwitchingReplica(std::shared_ptr<const ObjectModel> model,
-                       AlgorithmDelays delays, HardenedParams link_params,
-                       SwitchingParams params);
+                       AlgorithmDelays delays, HardenedParams link_params);
 
   /// Where a recovering replica re-reads the target era (signals fired
   /// while it was crashed are skipped, not queued).  Optional: without a
@@ -175,6 +159,10 @@ class ModeSwitchingReplica final : public HardenedReplicaProcess,
     bool responded = false;
   };
 
+  /// How long a draining replica waits for missing drain reports before
+  /// proposing a partial base: one framed round trip, 2 * d_eff + 1 --
+  /// peers that miss it are exactly the dead/partitioned ones the
+  /// downgrade is for.
   Tick drain_fallback_delay() const;
   QuorumEngine& ensure_engine(int era);
 
@@ -191,7 +179,6 @@ class ModeSwitchingReplica final : public HardenedReplicaProcess,
   void do_seal(int era);
   void flush_deferred();
 
-  SwitchingParams params_;
   const SynchronyMonitor* monitor_ = nullptr;
 
   Phase phase_ = Phase::kSync;

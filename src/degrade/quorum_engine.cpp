@@ -1,7 +1,6 @@
 #include "degrade/quorum_engine.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace linbound {
 
@@ -34,32 +33,15 @@ bool same_proposal(const QuorumValue& a, const QuorumValue& b) {
 }
 
 QuorumEngine::QuorumEngine(QuorumHost& host, std::int64_t tag, ProcessId self,
-                           int n, const SystemTiming& timing,
-                           QuorumParams params, std::uint64_t seed)
+                           int n, const SystemTiming& timing)
     : host_(host),
       tag_(tag),
       self_(self),
       n_(n),
       timing_(timing),
-      params_(params),
-      rng_(Rng(seed)
+      rng_(Rng(kQuorumSeed)
                .split(static_cast<std::uint64_t>(self))
-               .split(static_cast<std::uint64_t>(tag))) {
-  if (!params_.valid()) throw std::invalid_argument("invalid QuorumParams");
-}
-
-Tick QuorumEngine::retry_initial() const {
-  return params_.retry_initial > 0 ? params_.retry_initial
-                                   : 2 * timing_.d + 1;
-}
-
-Tick QuorumEngine::retry_cap() const {
-  return params_.retry_cap > 0 ? params_.retry_cap : 8 * timing_.d;
-}
-
-Tick QuorumEngine::gap_fill_delay() const {
-  return params_.gap_fill_delay > 0 ? params_.gap_fill_delay : 4 * timing_.d;
-}
+               .split(static_cast<std::uint64_t>(tag))) {}
 
 void QuorumEngine::send_others(const MessagePayload* payload) {
   for (ProcessId to = 0; to < static_cast<ProcessId>(n_); ++to) {
@@ -125,15 +107,14 @@ void QuorumEngine::maybe_start_next() {
 }
 
 void QuorumEngine::arm_retry() {
-  Tick jitter_max = params_.retry_jitter > 0 ? params_.retry_jitter : timing_.d;
-  const Tick jitter = rng_.uniform_tick(0, jitter_max);
+  const Tick jitter = rng_.uniform_tick(0, timing_.d);
   host_.quorum_set_timer(tag_, retry_wait_ + jitter, ++retry_seq_);
 }
 
 void QuorumEngine::arm_gap_timer() {
   if (gap_timer_armed_) return;
   gap_timer_armed_ = true;
-  host_.quorum_set_timer(tag_, gap_fill_delay(), kGapCookie);
+  host_.quorum_set_timer(tag_, 4 * timing_.d, kGapCookie);
 }
 
 void QuorumEngine::start_attempt(std::int64_t slot) {
@@ -177,10 +158,7 @@ void QuorumEngine::on_timer(std::int64_t cookie) {
   // Proposal retry: only the most recently armed timer counts.
   if (cookie != retry_seq_ || !driving_) return;
   ++retries_;
-  retry_wait_ = (retry_wait_ >= retry_cap() / params_.retry_backoff)
-                    ? retry_cap()
-                    : retry_wait_ * params_.retry_backoff;
-  retry_wait_ = std::min(retry_wait_, retry_cap());
+  retry_wait_ = std::min(2 * retry_wait_, 8 * timing_.d);
   start_attempt(driving_->slot);
 }
 

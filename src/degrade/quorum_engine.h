@@ -156,33 +156,23 @@ class QuorumHost {
                                 const QuorumValue& value) = 0;
 };
 
-struct QuorumParams {
-  /// First proposal-retry wait; 0 means 2d+1 (a prepare/promise round trip
-  /// under healthy timing -- under broken timing the backoff takes over).
-  Tick retry_initial = 0;
-  /// Cap on a single retry wait; 0 means 8d.
-  Tick retry_cap = 0;
-  int retry_backoff = 2;
-  /// Deterministic jitter added to every retry wait, drawn from the
-  /// engine's split RNG stream: dueling proposers must not re-prepare in
-  /// lockstep or they livelock.  0 means d.
-  Tick retry_jitter = 0;
-  /// How long a delivery gap (a chosen slot above an unchosen one) may
-  /// stand before the engine proposes a kNoop to resolve it; also recovers
-  /// slots whose QChosen notification was lost.  0 means 4d.
-  Tick gap_fill_delay = 0;
+/// Root seed of the engines' retry-jitter streams; each engine splits it by
+/// process id and tag.
+constexpr std::uint64_t kQuorumSeed = 0xdeb'ade'5eedULL;
 
-  bool valid() const {
-    return retry_initial >= 0 && retry_cap >= 0 && retry_backoff >= 1 &&
-           retry_jitter >= 0 && gap_fill_delay >= 0;
-  }
-};
-
+/// The engine's waits are fixed formulas in d:
+///   * proposal retry: first 2d+1 (a prepare/promise round trip under
+///     healthy timing -- under broken timing the backoff takes over),
+///     doubled per retry up to 8d, each wait stretched by a jitter draw in
+///     [0, d] from the engine's split RNG stream (dueling proposers must not
+///     re-prepare in lockstep or they livelock);
+///   * gap fill: a delivery gap (a chosen slot above an unchosen one) may
+///     stand 4d before the engine proposes a kNoop to resolve it; this also
+///     recovers slots whose QChosen notification was lost.
 class QuorumEngine {
  public:
   QuorumEngine(QuorumHost& host, std::int64_t tag, ProcessId self, int n,
-               const SystemTiming& timing, QuorumParams params,
-               std::uint64_t seed);
+               const SystemTiming& timing);
 
   /// Feed a received payload; returns false if it was not an engine message
   /// (the host should then try its other handlers).
@@ -239,9 +229,7 @@ class QuorumEngine {
   };
 
   int majority() const { return n_ / 2 + 1; }
-  Tick retry_initial() const;
-  Tick retry_cap() const;
-  Tick gap_fill_delay() const;
+  Tick retry_initial() const { return 2 * timing_.d + 1; }
 
   void send_others(const MessagePayload* payload);
   std::int64_t lowest_unchosen() const;
@@ -274,7 +262,6 @@ class QuorumEngine {
   ProcessId self_;
   int n_;
   SystemTiming timing_;
-  QuorumParams params_;
   /// Engine-owned payload storage: the engine is not a Process and cannot
   /// reach the run arena; it lives as long as its replica, which outlives
   /// every in-flight delivery of its payloads.

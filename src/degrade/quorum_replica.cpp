@@ -3,17 +3,12 @@
 namespace linbound {
 
 QuorumReplicaProcess::QuorumReplicaProcess(
-    std::shared_ptr<const ObjectModel> model, QuorumParams params,
-    std::uint64_t seed)
-    : model_(std::move(model)),
-      params_(params),
-      seed_(seed),
-      obj_(model_->initial_state()) {}
+    std::shared_ptr<const ObjectModel> model)
+    : model_(std::move(model)), obj_(model_->initial_state()) {}
 
 void QuorumReplicaProcess::on_start() {
   engine_ = std::make_unique<QuorumEngine>(*this, /*tag=*/0, id(),
-                                           process_count(), timing(), params_,
-                                           seed_);
+                                           process_count(), timing());
 }
 
 void QuorumReplicaProcess::on_invoke(std::int64_t token, const Operation& op) {

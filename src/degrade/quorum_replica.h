@@ -27,8 +27,7 @@ namespace linbound {
 
 class QuorumReplicaProcess final : public Process, public QuorumHost {
  public:
-  QuorumReplicaProcess(std::shared_ptr<const ObjectModel> model,
-                       QuorumParams params, std::uint64_t seed);
+  explicit QuorumReplicaProcess(std::shared_ptr<const ObjectModel> model);
 
   void on_start() override;
   void on_invoke(std::int64_t token, const Operation& op) override;
@@ -53,8 +52,6 @@ class QuorumReplicaProcess final : public Process, public QuorumHost {
   static constexpr int kQuorumTimer = 300;
 
   std::shared_ptr<const ObjectModel> model_;
-  QuorumParams params_;
-  std::uint64_t seed_;
   /// Created in on_start (needs id() and process_count()).
   std::unique_ptr<QuorumEngine> engine_;
   std::unique_ptr<ObjectState> obj_;

@@ -11,22 +11,6 @@ SynchronyMonitor::SynchronyMonitor(Simulator& sim, MonitorOptions options)
   if (!options_.valid()) throw std::invalid_argument("invalid MonitorOptions");
 }
 
-Tick SynchronyMonitor::poll_interval() const {
-  return options_.poll_interval > 0 ? options_.poll_interval : timing_.d;
-}
-
-Tick SynchronyMonitor::clean_window() const {
-  return options_.clean_window > 0 ? options_.clean_window : 8 * timing_.d;
-}
-
-Tick SynchronyMonitor::min_dwell() const {
-  return options_.min_dwell > 0 ? options_.min_dwell : 16 * timing_.d;
-}
-
-Tick SynchronyMonitor::late_slack() const {
-  return options_.late_slack > 0 ? options_.late_slack : timing_.d;
-}
-
 void SynchronyMonitor::add_target(ProcessId pid, ModeSwitchTarget* target) {
   if (armed_) throw std::logic_error("add_target after arm()");
   targets_.emplace_back(pid, target);
@@ -55,7 +39,7 @@ void SynchronyMonitor::arm() {
       }
     }
   }
-  sim_.call_at(sim_.now() + poll_interval(), [this] { poll(); });
+  sim_.call_at(sim_.now() + timing_.d, [this] { poll(); });
 }
 
 void SynchronyMonitor::observe_delivery(const MessageRecord& rec) {
@@ -72,7 +56,7 @@ void SynchronyMonitor::note_violation(Tick when) {
 void SynchronyMonitor::scan_trace() {
   const std::vector<MessageRecord>& msgs = sim_.trace().messages;
   const Tick now = sim_.now();
-  const Tick overdue = timing_.d + late_slack();
+  const Tick overdue = 2 * timing_.d;  // d, plus a grace of d
   // Re-examine earlier undelivered messages first: each either got
   // delivered since, is now overdue (one violation, then forgotten -- a
   // lost message must not count once per poll forever), or stays watched.
@@ -103,8 +87,8 @@ void SynchronyMonitor::scan_trace() {
 void SynchronyMonitor::poll() {
   scan_trace();
   const Tick now = sim_.now();
-  const bool dwelled =
-      last_switch_time_ == kNoTime || now - last_switch_time_ >= min_dwell();
+  const bool dwelled = last_switch_time_ == kNoTime ||
+                       now - last_switch_time_ >= kMinDwellD * timing_.d;
   const bool degraded = (target_era_ % 2) != 0;
   if (!degraded) {
     const bool evidence = permanent_ ||
@@ -118,7 +102,7 @@ void SynchronyMonitor::poll() {
       last_violation_time_ = std::max(last_violation_time_, now);
     }
   } else if (!permanent_ && dwelled && last_violation_time_ != kNoTime &&
-             now - last_violation_time_ >= clean_window()) {
+             now - last_violation_time_ >= kCleanWindowD * timing_.d) {
     ++upgrades_;
     signal(target_era_ + 1, FaultKind::kModeUpgrade);
     violations_mark_ = violations_;  // degraded-era violations are forgiven
@@ -127,7 +111,7 @@ void SynchronyMonitor::poll() {
   // drained, stop polling so Simulator::run can end.  (The current poll's
   // event has already been popped.)
   if (!sim_.event_queue().empty()) {
-    sim_.call_at(now + poll_interval(), [this] { poll(); });
+    sim_.call_at(now + timing_.d, [this] { poll(); });
   }
 }
 

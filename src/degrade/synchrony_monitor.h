@@ -4,17 +4,20 @@
 //
 // The model promises every delivered message a delay in [d-u, d] and
 // pairwise clock skew <= eps.  The monitor checks the observable half of
-// that promise online: it scans the trace incrementally (each message record
-// is examined O(1) times), flags deliveries outside the envelope and
-// messages overdue past d + late_slack, and keeps per-link delay samples for
-// percentile introspection.  Clock skew is checked once, at arm(): offsets
-// are static in this simulator, and a skew violation is *permanent* -- the
-// monitor downgrades at the first poll and never upgrades.
+// that promise online: every d it scans the trace incrementally (each
+// message record is examined O(1) times), flags deliveries outside the
+// envelope and messages overdue past 2d (d plus a grace of d), and keeps
+// per-link delay samples for percentile introspection.  Clock skew is
+// checked once, at arm(): offsets are static in this simulator, and a skew
+// violation is *permanent* -- the monitor downgrades at the first poll and
+// never upgrades.
 //
 // Mode changes use hysteresis so a single spike does not flap the system:
 //   downgrade  -- cumulative violations >= downgrade_after, and at least
-//                 min_dwell since the last switch;
-//   upgrade    -- no violation observed for clean_window, and min_dwell.
+//                 the minimum dwell (kMinDwellD = 16d) since the last
+//                 switch;
+//   upgrade    -- no violation observed for the clean window
+//                 (kCleanWindowD = 8d), and the minimum dwell.
 // Every switch is recorded in the trace as a kModeDowngrade / kModeUpgrade
 // fault event (magnitude = target era), so mode history is replayable and
 // auditable like any other fault.
@@ -48,24 +51,10 @@ class ModeSwitchTarget {
 };
 
 struct MonitorOptions {
-  /// Trace-scan period; 0 means d.
-  Tick poll_interval = 0;
   /// Cumulative envelope violations before a downgrade fires.
   int downgrade_after = 3;
-  /// Violation-free observation time before an upgrade; 0 means 8d.  Must
-  /// comfortably exceed the synchronous algorithm's holdback (u + eps) so
-  /// stale pre-downgrade timers have all fired before a sync era restarts.
-  Tick clean_window = 0;
-  /// Minimum time between switches (anti-flap); 0 means 16d.
-  Tick min_dwell = 0;
-  /// Grace beyond d before an undelivered message counts as a violation;
-  /// 0 means d.
-  Tick late_slack = 0;
 
-  bool valid() const {
-    return poll_interval >= 0 && downgrade_after >= 1 && clean_window >= 0 &&
-           min_dwell >= 0 && late_slack >= 0;
-  }
+  bool valid() const { return downgrade_after >= 1; }
 };
 
 class SynchronyMonitor {
@@ -100,10 +89,13 @@ class SynchronyMonitor {
   Tick link_delay_percentile(ProcessId from, ProcessId to, double pct) const;
 
  private:
-  Tick poll_interval() const;
-  Tick clean_window() const;
-  Tick min_dwell() const;
-  Tick late_slack() const;
+  /// Violation-free observation time before an upgrade, in units of d.  It
+  /// must comfortably exceed the synchronous algorithm's holdback (u + eps)
+  /// so stale pre-downgrade timers have all fired before a sync era
+  /// restarts.
+  static constexpr Tick kCleanWindowD = 8;
+  /// Minimum time between switches (anti-flap), in units of d.
+  static constexpr Tick kMinDwellD = 16;
 
   void poll();
   void scan_trace();

@@ -16,8 +16,8 @@
 // Every (cell, seed) run is an independent deterministic simulation built
 // by the shared run builder in harness/experiment.h (grid_run_spec,
 // simulate, measure) over a map_grid, so the sweep gives byte-identical
-// results at any job count.  Supervisor and switching knobs are the shipped
-// defaults (MonitorOptions, SwitchingParams).
+// results at any job count.  The supervisor runs with its default
+// MonitorOptions.
 #pragma once
 
 #include <memory>

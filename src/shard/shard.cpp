@@ -68,11 +68,6 @@ ShardedSimulation::ShardedSimulation(ShardOptions options)
   if (opt_.shards < 1) {
     throw std::invalid_argument("ShardedSimulation: need at least one shard");
   }
-  if (opt_.replicas < 3) {
-    throw std::invalid_argument(
-        "ShardedSimulation: need >= 3 replicas per shard (process 0 takes "
-        "beacons, >= 1 client, >= 1 spare)");
-  }
   if (!opt_.timing.valid()) {
     throw std::invalid_argument("ShardedSimulation: invalid SystemTiming");
   }
@@ -107,45 +102,21 @@ ShardedSimulation::ShardedSimulation(ShardOptions options)
     opt_.variant = ShardVariant::kRecoverable;
   }
 
-  clients_ = opt_.clients > 0 ? opt_.clients : std::max(1, opt_.replicas - 2);
-  if (clients_ > opt_.replicas - 1) {
-    throw std::invalid_argument(
-        "ShardedSimulation: clients must leave process 0 free for beacons "
-        "(clients <= replicas - 1)");
-  }
-  if (opt_.faults.churn.any() && clients_ + 1 >= opt_.replicas) {
-    throw std::invalid_argument(
-        "ShardedSimulation: churn needs a replica that neither receives "
-        "beacons nor invokes (clients <= replicas - 2)");
-  }
-
   // Worst-case response bound of the variant: the open-loop gap and the
   // beacon spacing are derived from it so no process ever has two
-  // operations pending at once.
+  // operations pending at once.  The link absorbs the config's worst delay
+  // boost, as the run builder's links do (harness/experiment.h).
   HardenedParams hp;
-  hp.spike_margin = opt_.faults.spike_p > 0 ? opt_.faults.spike_max : 0;
+  hp.spike_margin = opt_.faults.max_delay_boost();
   const Tick bound = opt_.variant == ShardVariant::kStock
                          ? opt_.timing.d + opt_.timing.eps
                          : hp.effective_d(opt_.timing) + opt_.timing.eps;
-  min_gap_ = opt_.min_gap > 0 ? opt_.min_gap : bound + 1000;
-  sync_interval_ = opt_.sync_interval > 0 ? opt_.sync_interval : 2 * min_gap_;
-  if (sync_interval_ <= bound) {
-    throw std::invalid_argument(
-        "ShardedSimulation: sync_interval must exceed the response bound " +
-        std::to_string(bound) + " (beacons would overlap on process 0)");
-  }
+  min_gap_ = bound + 1000;
 
-  lookahead_ = opt_.lookahead > 0 ? opt_.lookahead : opt_.timing.min_delay();
-  if (lookahead_ < 1) {
+  if (lookahead() < 1) {
     throw std::invalid_argument(
         "ShardedSimulation: conservative lookahead requires d > u (a zero "
         "minimum delay admits same-instant cross-shard delivery)");
-  }
-  if (lookahead_ > opt_.timing.min_delay()) {
-    throw std::invalid_argument(
-        "ShardedSimulation: lookahead " + std::to_string(lookahead_) +
-        " exceeds the minimum cross-shard delay d - u = " +
-        std::to_string(opt_.timing.min_delay()));
   }
 
   loads_ = zipfian_shard_loads(opt_.shards, opt_.total_ops, opt_.zipf_s,
@@ -157,15 +128,17 @@ ShardedSimulation::ShardedSimulation(ShardOptions options)
   // from the (epoch, destination) stream.
   const SplitRng root(opt_.seed);
   beacons_.assign(static_cast<std::size_t>(opt_.shards), {});
-  const Tick spread = opt_.timing.max_delay() - lookahead_;
+  const Tick lookahead = this->lookahead();
+  const Tick spread = opt_.timing.max_delay() - lookahead;
   for (int k = 0; k < opt_.sync_epochs; ++k) {
-    const Tick send = opt_.start_time + static_cast<Tick>(k) * sync_interval_;
+    const Tick send = HeavyTrafficOptions::kStartTime +
+                      static_cast<Tick>(k) * sync_interval();
     for (int dst = 0; dst < opt_.shards; ++dst) {
       Rng draw = root.stream(kBeaconStreamBase +
                              static_cast<std::uint64_t>(k) *
                                  static_cast<std::uint64_t>(opt_.shards) +
                              static_cast<std::uint64_t>(dst));
-      Tick delay = lookahead_ + (spread > 0 ? draw.uniform_tick(0, spread) : 0);
+      Tick delay = lookahead + (spread > 0 ? draw.uniform_tick(0, spread) : 0);
       if (k == 0 && dst == opt_.mutant_early_epoch_shard) {
         // Planted violation: delivered the instant it is sent, below every
         // possible lookahead -- the barrier validation must reject it.
@@ -190,10 +163,10 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
       kShardStreamBase + static_cast<std::uint64_t>(shard)));
 
   SystemOptions so;
-  so.n = opt_.replicas;
+  so.n = ShardOptions::kReplicas;
   so.timing = opt_.timing;
   so.x = opt_.x;
-  so.max_events = opt_.max_events_per_shard;
+  so.max_events = ShardOptions::kMaxEventsPerShard;
   if (s < opt_.shard_budget_override.size() && opt_.shard_budget_override[s]) {
     so.max_events = opt_.shard_budget_override[s];
   }
@@ -205,7 +178,7 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
   if (faults.any()) so.faults = make_fault_policy(faults);
 
   HardenedParams hp;
-  hp.spike_margin = faults.spike_p > 0 ? faults.spike_max : 0;
+  hp.spike_margin = faults.max_delay_boost();
   if (opt_.variant == ShardVariant::kHardened) {
     so.hardened = hp;
   } else if (opt_.variant == ShardVariant::kRecoverable) {
@@ -229,26 +202,25 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
   // catch-up buffer on top, each up to one operation per client.
   const bool link = opt_.variant != ShardVariant::kStock;
   const std::size_t pending =
-      (static_cast<std::size_t>(clients_) + 1) *
+      (static_cast<std::size_t>(clients()) + 1) *
       (opt_.variant == ShardVariant::kRecoverable ? 2 : 1);
-  for (int p = 0; p < opt_.replicas; ++p) {
+  for (int p = 0; p < ShardOptions::kReplicas; ++p) {
     state->system->replica(static_cast<ProcessId>(p)).reserve_pending(pending);
   }
 
   HeavyTrafficOptions w;
-  w.clients = clients_;
+  w.clients = clients();
   w.first_client = 1;  // process 0 is the beacon target
   w.total_ops = loads_[s];
-  w.start_time = opt_.start_time;
   w.min_gap = min_gap_;
-  w.jitter = opt_.jitter;
+  w.jitter = ShardOptions::kJitter;
   w.seed = streams.stream_seed(kWorkloadStream);
   w.batch = 1024;
   // Messages per op: a mutator's broadcast sends one copy per peer, and the
   // link acks each copy.  Accessors send nothing, so this bounds the op
   // pipeline (a churned replica's rejoin traffic comes on top).
   w.messages_per_op =
-      (link ? 2 : 1) * (static_cast<std::size_t>(opt_.replicas) - 1);
+      (link ? 2 : 1) * (static_cast<std::size_t>(ShardOptions::kReplicas) - 1);
   // Arena volume per op: the broadcast payload plus (hardened/recoverable)
   // per-peer link frames, acks and destructor-list nodes.
   w.payload_bytes_per_op = link ? 512 : 128;
@@ -272,19 +244,18 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
     // open-loop schedule cannot re-issue an operation a crash would cut.
     // Per-process streams (SplitRng) mean the filter leaves the surviving
     // processes' windows untouched.
-    const ChurnSchedule full = make_churn_schedule(faults, opt_.replicas);
+    const ChurnSchedule full =
+        make_churn_schedule(faults, ShardOptions::kReplicas);
     std::vector<ChurnWindow> kept;
     for (const ChurnWindow& win : full.windows()) {
-      if (win.pid > clients_) kept.push_back(win);
+      if (win.pid > clients()) kept.push_back(win);
     }
     state->churn = ChurnSchedule(std::move(kept));
     state->churn.apply(state->sim());
   }
 
   if (opt_.streaming_check) {
-    CheckOptions co;
-    co.limits = opt_.streaming_check_limits;
-    state->checker = std::make_unique<StreamingChecker>(*model_, co);
+    state->checker = std::make_unique<StreamingChecker>(*model_);
     state->checker->attach(state->sim());
   }
 
@@ -374,8 +345,8 @@ ShardRunReport ShardedSimulation::drive(
   const std::size_t count = states.size();
 
   if (opt_.sync_epochs > 0) {
-    for (Tick window_start = 0;; window_start += lookahead_) {
-      const Tick horizon = window_start + lookahead_;
+    for (Tick window_start = 0;; window_start += lookahead()) {
+      const Tick horizon = window_start + lookahead();
       // All shards advance to the horizon in parallel; map() returning is
       // the barrier.  An aborted shard stops stepping (its budget tripped;
       // the trace is frozen at the trip point) but stays in the report.
@@ -398,7 +369,7 @@ ShardRunReport ShardedSimulation::drive(
           // hash must differ from its single-threaded reference.  Placed
           // two epochs past the last beacon so it cannot overlap a pending
           // beacon on process 0.
-          state->sim().invoke_at(last_beacon_send_ + 2 * sync_interval_,
+          state->sim().invoke_at(last_beacon_send_ + 2 * sync_interval(),
                                  /*pid=*/0, reg::read());
         }
       }

@@ -57,11 +57,22 @@ enum class ShardVariant {
 
 const char* shard_variant_name(ShardVariant variant);
 
+/// One sharded run.  The shard shape is fixed: kReplicas replicas per
+/// shard, process 0 reserved for incoming clock-sync beacons, clients()
+/// invoking processes 1..clients, and the rest free for churn.  Every
+/// other value -- lookahead, open-loop gap, epoch spacing -- is derived
+/// from these fields (see the ShardedSimulation accessors).
 struct ShardOptions {
+  /// Replicas per shard.
+  static constexpr int kReplicas = 4;
+  /// Extra uniform spacing in [0, kJitter] between a client's arrivals.
+  static constexpr Tick kJitter = 97;
+  /// Per-shard event budget (each shard's SimConfig.max_events).  A shard
+  /// that trips its own budget aborts alone -- RunStatus::kAborted with its
+  /// shard id in the ShardResult -- without draining any other shard's.
+  static constexpr std::size_t kMaxEventsPerShard = 10'000'000;
+
   int shards = 8;
-  /// Replicas per shard.  Process 0 of every shard is reserved for incoming
-  /// clock-sync beacons; client invocations target processes 1..clients.
-  int replicas = 4;
   SystemTiming timing;
   Tick x = 0;  ///< Algorithm 1 trade-off parameter
   ShardVariant variant = ShardVariant::kStock;
@@ -78,35 +89,16 @@ struct ShardOptions {
   /// Each shard sizes its pools from its own share, not from this total.
   std::size_t total_ops = 8192;
   double zipf_s = 0.9;  ///< zipfian popularity exponent (0 = uniform)
-  /// Invoking processes per shard; 0 = replicas - 2 (leaving process 0 for
-  /// beacons and at least one replica free for churn), minimum 1.
-  int clients = 0;
-  Tick start_time = 1000;
-  /// Per-client inter-arrival floor; 0 = auto: the variant's worst-case
-  /// response bound (d + eps stock, d_eff + eps hardened/recoverable) plus
-  /// a 1000-tick margin, so open-loop arrivals never overlap a pending
-  /// operation.
-  Tick min_gap = 0;
-  Tick jitter = 97;
   std::uint64_t seed = 0x5eed'ed0bULL;
-  /// Per-shard event budget (each shard's SimConfig.max_events).  A shard
-  /// that trips its own budget aborts alone -- RunStatus::kAborted with its
-  /// shard id in the ShardResult -- without draining any other shard's.
-  std::size_t max_events_per_shard = 10'000'000;
-  /// Per-shard overrides of max_events_per_shard (tests plant a tiny budget
+  /// Per-shard overrides of kMaxEventsPerShard (tests plant a tiny budget
   /// on one shard to pin abort attribution); 0 or out-of-range = default.
   std::vector<std::size_t> shard_budget_override;
-  /// Cross-shard clock-sync epochs: at E_k = start_time + k*sync_interval
-  /// every shard's ring predecessor emits a beacon to it, delivered as a
-  /// register read on process 0 after an admissible delay in [d-u, d].
-  /// 0 epochs = no cross-shard traffic (pure terminal-window run).
+  /// Cross-shard clock-sync epochs: at E_k = HeavyTrafficOptions::kStartTime
+  /// + k * sync_interval() every shard's ring predecessor emits a beacon to
+  /// it, delivered as a register read on process 0 after an admissible
+  /// delay in [d-u, d].  0 epochs = no cross-shard traffic (pure
+  /// terminal-window run).
   int sync_epochs = 4;
-  /// Epoch spacing; 0 = auto: twice the effective min_gap (beacons on
-  /// process 0 can never overlap their own response bound).
-  Tick sync_interval = 0;
-  /// Conservative lookahead; 0 = auto: timing.min_delay() = d - u.  Must
-  /// not exceed the minimum cross-shard delay or construction throws.
-  Tick lookahead = 0;
 
   // --- planted-mutant knobs (tests only) ---
   /// Shard whose epoch-0 beacon is delivered *before* the window ends,
@@ -125,11 +117,10 @@ struct ShardOptions {
   /// search runs right after the shard's terminal drain, on the same
   /// worker.  Observation only: hooks never touch the event schedule, so
   /// per-shard traces and hashes stay byte-identical to an unchecked run at
-  /// every --jobs value.  Results land in ShardResult::check*.
+  /// every --jobs value.  Results land in ShardResult::check*.  Each shard
+  /// checks under the default CheckLimits; a shard that trips the state
+  /// budget reports check_error instead of aborting the whole run.
   bool streaming_check = false;
-  /// State budget per shard for the streaming check.  A shard that trips it
-  /// reports check_error instead of aborting the whole run.
-  CheckLimits streaming_check_limits;
 };
 
 /// Outcome of one shard's run, in canonical shard order.
@@ -171,10 +162,9 @@ struct ShardRunReport {
 class ShardedSimulation {
  public:
   /// Validates and freezes the configuration: derived values (lookahead,
-  /// clients, min_gap, sync interval, per-shard loads, the full beacon
-  /// schedule) are computed here, purely from `options`.
-  /// Throws std::invalid_argument on rejected configurations (see
-  /// ShardOptions::faults, u == d, too many clients, ...).
+  /// min_gap, sync interval, per-shard loads, the full beacon schedule) are
+  /// computed here, purely from `options`.  Throws std::invalid_argument on
+  /// rejected configurations (see ShardOptions::faults, u == d, ...).
   explicit ShardedSimulation(ShardOptions options);
   ~ShardedSimulation();
 
@@ -182,10 +172,19 @@ class ShardedSimulation {
   ShardedSimulation& operator=(const ShardedSimulation&) = delete;
 
   const ShardOptions& options() const { return opt_; }
-  Tick lookahead() const { return lookahead_; }
+  /// Conservative lookahead: the minimum delay d - u.
+  Tick lookahead() const { return opt_.timing.min_delay(); }
+  /// Per-client inter-arrival floor: the variant's worst-case response
+  /// bound (d + eps stock, d_eff + eps hardened/recoverable) plus a
+  /// 1000-tick margin, so open-loop arrivals never overlap a pending
+  /// operation.
   Tick min_gap() const { return min_gap_; }
-  Tick sync_interval() const { return sync_interval_; }
-  int clients() const { return clients_; }
+  /// Epoch spacing: twice min_gap(), so beacons on process 0 never overlap
+  /// their own response bound.
+  Tick sync_interval() const { return 2 * min_gap_; }
+  /// Invoking processes per shard: kReplicas - 2, leaving process 0 for
+  /// beacons and one replica free for churn.
+  static constexpr int clients() { return ShardOptions::kReplicas - 2; }
   /// Workload operations apportioned to each shard (zipfian_shard_loads).
   const std::vector<std::size_t>& loads() const { return loads_; }
 
@@ -246,10 +245,7 @@ class ShardedSimulation {
 
   ShardOptions opt_;
   std::shared_ptr<const ObjectModel> model_;
-  Tick lookahead_ = 0;
   Tick min_gap_ = 0;
-  Tick sync_interval_ = 0;
-  int clients_ = 0;
   Tick last_beacon_send_ = kNoTime;  ///< kNoTime when sync_epochs == 0
   std::vector<std::size_t> loads_;
   std::vector<std::vector<Beacon>> beacons_;  ///< per dst shard, epoch order

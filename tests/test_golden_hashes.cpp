@@ -146,7 +146,6 @@ TEST(GoldenHashes, ChurnedRecoverableWithStalls) {
 TEST(GoldenHashes, FourShardSimulation) {
   ShardOptions o;
   o.shards = 4;
-  o.replicas = 4;
   o.timing = kTiming;
   o.total_ops = 48;
   o.sync_epochs = 3;

@@ -210,10 +210,6 @@ TEST(HeavyTraffic, RejectsBadOptions) {
   w = traffic(10);
   w.min_gap = 0;
   EXPECT_THROW(HeavyTrafficWorkload(system.sim(), w), std::invalid_argument);
-  w = traffic(10);
-  w.accessors = 0;
-  w.mutators = 0;
-  EXPECT_THROW(HeavyTrafficWorkload(system.sim(), w), std::invalid_argument);
 }
 
 }  // namespace

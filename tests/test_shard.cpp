@@ -4,8 +4,8 @@
 // at any --jobs count, across clean, faulted and churned configurations.
 // Plus: watchdog attribution (a runaway shard aborts alone), the planted
 // cross-shard mutants (early beacon, extra operation) that the machinery
-// must catch, the zipfian load apportionment, and the harness/checker
-// layers over the same runs.
+// must catch, the zipfian load apportionment, the derived bounds, and the
+// per-shard streaming check's failure count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,12 +13,12 @@
 #include <stdexcept>
 #include <vector>
 
-#include "checker/multi_check.h"
+#include "checker/history.h"
+#include "checker/lin_checker.h"
+#include "core/hardened_replica.h"
 #include "core/workload.h"
-#include "harness/shard_sweep.h"
 #include "shard/shard.h"
 #include "sim/trace_io.h"
-#include "types/register_type.h"
 
 namespace linbound {
 namespace {
@@ -29,7 +29,6 @@ SystemTiming timing() { return SystemTiming{1000, 400, 300}; }
 ShardOptions base_options(int shards, std::size_t total_ops = 60) {
   ShardOptions o;
   o.shards = shards;
-  o.replicas = 4;
   o.timing = timing();
   o.total_ops = total_ops;
   o.sync_epochs = 3;
@@ -220,10 +219,25 @@ TEST(Shard, RejectsLossFaultsAndZeroLookahead) {
   ShardOptions no_uncertainty = base_options(2);
   no_uncertainty.timing = SystemTiming{1000, 1000, 300};  // u == d
   EXPECT_THROW(ShardedSimulation{no_uncertainty}, std::invalid_argument);
+}
 
-  ShardOptions too_deep = base_options(2);
-  too_deep.lookahead = timing().min_delay() + 1;
-  EXPECT_THROW(ShardedSimulation{too_deep}, std::invalid_argument);
+// The link absorbs the config's worst delay boost, per-link delays
+// included, so the open-loop gap covers the widened response bound.
+TEST(Shard, LinkDelayBoostWidensTheBound) {
+  ShardOptions o = base_options(2);
+  o.variant = ShardVariant::kHardened;
+  LinkFault slow;
+  slow.from = 1;
+  slow.to = 2;
+  slow.delay_p = 0.5;
+  slow.delay_max = 2000;
+  o.faults.links.push_back(slow);
+  const ShardedSimulation sim(o);
+  const HardenedParams link{.spike_margin = 2000};
+  EXPECT_EQ(sim.min_gap(),
+            link.effective_d(timing()) + timing().eps + 1000);
+  EXPECT_EQ(sim.sync_interval(), 2 * sim.min_gap());
+  EXPECT_EQ(sim.lookahead(), timing().min_delay());
 }
 
 TEST(Shard, RunIsSingleShot) {
@@ -263,63 +277,33 @@ TEST(Shard, ZipfianLoadsSumExactlyAndSkew) {
             zipfian_shard_loads(16, 10'000, 1.0, 2));
 }
 
-// --- harness + checker layers ---------------------------------------------
+// --- streaming check ------------------------------------------------------
 
-TEST(Shard, SweepVerifiesIdentityChecksAndAggregates) {
-  ShardSweepOptions opts;
-  opts.shard = base_options(4, 48);
-  opts.jobs = 2;
-  const ShardSweepReport report = run_shard_sweep(opts);
-  EXPECT_TRUE(report.identity_ok());
-  EXPECT_TRUE(report.checks.all_ok);
-  EXPECT_EQ(report.checks.first_failure(), -1);
-  EXPECT_EQ(report.checks.total_pending, 0u);
-  EXPECT_EQ(report.availability, 1.0);
-  EXPECT_GT(report.latency.worst_for_class(OpClass::kPureAccessor), 0);
-  EXPECT_FALSE(report.summary().empty());
-
-  // The sweep report is byte-equal at any jobs value.
-  ShardSweepOptions serial = opts;
-  serial.jobs = 1;
-  const ShardSweepReport again = run_shard_sweep(serial);
-  EXPECT_EQ(hashes_of(again.run), hashes_of(report.run));
-  EXPECT_EQ(again.reference_hashes, report.reference_hashes);
-  EXPECT_EQ(again.summary(), report.summary());
-}
-
-TEST(Shard, SweepCatchesPlantedDivergence) {
-  ShardSweepOptions opts;
-  opts.shard = base_options(3);
-  opts.shard.mutant_extra_op_shard = 2;
-  opts.jobs = 2;
-  opts.check = false;
-  const ShardSweepReport report = run_shard_sweep(opts);
-  EXPECT_FALSE(report.identity_ok());
-  ASSERT_EQ(report.identity_failures.size(), 1u);
-  EXPECT_EQ(report.identity_failures[0], 2);
-}
-
-TEST(Shard, MultiCheckFlagsANonLinearizableTrace) {
-  // Splice one shard's trace into an impossible shape: two completed reads
-  // returning values never written.  check_shards must flag exactly it.
-  ShardedSimulation sim(base_options(3, 24));
-  sim.run(1);
-  Trace doctored = sim.trace(1);
-  bool planted = false;
-  for (auto& op : doctored.ops) {
-    if (op.op.code == RegisterModel::kRead && op.response_time != kNoTime) {
-      op.ret = Value{77};  // never written: the register domain is 0..9
-      planted = true;
-      break;
-    }
+TEST(Shard, StreamingCheckCountsTheShardsThatFail) {
+  // Stock Algorithm 1 assumes every delay is at most d; spikes past d let
+  // replicas execute writes out of timestamp order, so some shards answer
+  // non-linearizably.  Its responses are timer-driven, so open-loop
+  // arrivals still never overlap.
+  ShardOptions o = base_options(6, 120);
+  o.faults.spike_p = 0.3;
+  o.faults.spike_max = 4 * timing().d;
+  o.seed = 0x7e57'0004ULL;
+  o.streaming_check = true;
+  ShardedSimulation sim(o);
+  const ShardRunReport report = sim.run(2);
+  EXPECT_EQ(report.checked, o.shards);
+  int failing = 0;
+  for (int s = 0; s < o.shards; ++s) {
+    const ShardResult& r = report.shards[static_cast<std::size_t>(s)];
+    ASSERT_TRUE(r.checked) << "shard " << s << ": " << r.check_error;
+    auto [history, pending] = history_with_pending(sim.trace(s));
+    const bool ok =
+        check_linearizable_with_pending(sim.model(), history, pending).ok;
+    EXPECT_EQ(r.check_ok, ok) << "shard " << s;
+    if (!ok) ++failing;
   }
-  ASSERT_TRUE(planted);
-  std::vector<const Trace*> traces{&sim.trace(0), &doctored, &sim.trace(2)};
-  const MultiCheckReport report = check_shards(sim.model(), traces, {});
-  EXPECT_FALSE(report.all_ok);
-  EXPECT_EQ(report.first_failure(), 1);
-  EXPECT_TRUE(report.shards[0].result.ok);
-  EXPECT_TRUE(report.shards[2].result.ok);
+  EXPECT_GT(failing, 0);
+  EXPECT_EQ(report.check_failures, failing);
 }
 
 }  // namespace

@@ -627,7 +627,6 @@ TEST(StreamingChecker, ResultCountersPinned) {
 ShardOptions shard_options() {
   ShardOptions o;
   o.shards = 3;
-  o.replicas = 4;
   o.timing = live_timing();
   o.total_ops = 48;
   o.sync_epochs = 3;

@@ -117,7 +117,7 @@ TEST(SynchronyMonitor, SpikesPastEnvelopeDowngrade) {
 
 TEST(SynchronyMonitor, HealedStormUpgradesBack) {
   // An early healed partition makes messages overdue (violations), then the
-  // long tail of the workload runs clean past clean_window -> upgrade.
+  // long tail of the workload runs clean past the clean window -> upgrade.
   FaultConfig faults;
   faults.seed = 13;
   PartitionWindow w;
