@@ -17,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "common/format.h"
 #include "harness/bounds_table.h"
 #include "harness/experiment.h"
@@ -49,6 +51,14 @@ inline bool speedup_gates_enforced(int jobs = kMaxJobs) {
 inline double now_seconds() {
   using Clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(Clock::now().time_since_epoch()).count();
+}
+
+/// The process's peak resident set so far, in MiB (getrusage's
+/// ru_maxrss, which Linux reports in KiB).
+inline double peak_rss_mib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
 /// Scoped phase timer: accumulate per-phase wall clock (e.g. simulate vs

@@ -58,12 +58,6 @@ long minor_faults() {
   return ru.ru_minflt;
 }
 
-double peak_rss_mib() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
-}
-
 std::string parse_flag(int argc, char** argv, const char* flag,
                        const char* fallback) {
   const std::size_t flag_len = std::strlen(flag);

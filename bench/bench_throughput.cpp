@@ -26,7 +26,9 @@
 //   * with --checked, the online check passes (see run_checked below).
 //
 // Results merge into BENCH_perf.json under throughput_* keys (JsonReport
-// preserves bench_perf's keys).
+// preserves bench_perf's keys), plus trace_op_record_bytes (the trace's
+// bytes per operation, OpLog::kSlotBytes) and, with --checked,
+// throughput_checked_peak_rss_mib.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -206,6 +208,9 @@ struct CheckedRun {
   bool memory_ok = false;
   double run_s = 0;             ///< simulate + inline checking
   double finalize_s = 0;        ///< final-window search + witness assembly
+  /// Process peak RSS right after finalize: the checked run's resident
+  /// trace plus the checker at its peak (every earlier phase holds less).
+  double peak_rss_mib = 0;
   std::size_t events = 0;
   CheckResult live;
   std::size_t max_window = 0;
@@ -236,6 +241,7 @@ CheckedRun run_checked(const std::shared_ptr<const ObjectModel>& model,
   out.run_s = now_seconds() - t0;
   out.live = checker.finalize();
   out.finalize_s = now_seconds() - t0 - out.run_s;
+  out.peak_rss_mib = peak_rss_mib();
 
   const Trace& trace = system.sim().trace();
   out.complete = quiescent && trace.complete() && trace.ops.size() == ops &&
@@ -383,9 +389,10 @@ int main(int argc, char** argv) {
         checked.live.max_resident_states, checked.offline_resident,
         checked.max_window,
         checked.memory_ok ? "bounded" : "UNBOUNDED (>= ops/100)");
-    std::printf("trace:     %s\n",
+    std::printf("trace:     %s, %zu B per op record, peak RSS %.1f MiB\n",
                 checked.tap_invisible ? "byte-identical to unchecked run"
-                                      : "PERTURBED BY THE TAP");
+                                      : "PERTURBED BY THE TAP",
+                OpLog::kSlotBytes, checked.peak_rss_mib);
     // The overhead ratio is wall-clock, so it follows the thread waiver;
     // verdict/witness identity, tap invisibility and the memory bound are
     // structural and always gate.
@@ -446,6 +453,7 @@ int main(int argc, char** argv) {
   json.set("throughput_tob_max_latency",
            static_cast<long long>(
                class_max(tob.latency, OpClass::kPureAccessor)));
+  json.set("trace_op_record_bytes", OpLog::kSlotBytes);
   if (checked_mode) {
     json.set("streaming_checker_ops", ops);
     json.set("streaming_checker_ok", checked.live.ok);
@@ -473,6 +481,7 @@ int main(int argc, char** argv) {
     json.set("streaming_checker_memory_ok", checked.memory_ok);
     json.set("streaming_checker_identical", checked.identical);
     json.set("streaming_checker_tap_invisible", checked.tap_invisible);
+    json.set("throughput_checked_peak_rss_mib", checked.peak_rss_mib);
   }
   std::printf(json.write() ? "wrote %s\n" : "FAILED writing %s\n",
               json.path().c_str());

@@ -13,14 +13,14 @@ History::History(std::vector<HistoryOp> ops) : ops_(std::move(ops)) { index(); }
 History History::from_trace(const Trace& trace) {
   std::vector<HistoryOp> ops;
   ops.reserve(trace.ops.size());
-  for (const OperationRecord& rec : trace.ops) {
+  for (OperationRecord rec : trace.ops) {
     if (!rec.completed()) {
       throw std::invalid_argument("History::from_trace: operation token " +
                                   std::to_string(rec.token) +
                                   " has no response");
     }
-    ops.push_back(HistoryOp{rec.proc, rec.op, rec.ret, rec.invoke_time,
-                            rec.response_time});
+    ops.push_back(HistoryOp{rec.proc, std::move(rec.op), std::move(rec.ret),
+                            rec.invoke_time, rec.response_time});
   }
   return History(std::move(ops));
 }
@@ -62,13 +62,15 @@ std::pair<History, std::vector<PendingInvocation>> history_with_pending(
     const Trace& trace) {
   std::vector<HistoryOp> completed;
   std::vector<PendingInvocation> pending;
-  for (const OperationRecord& rec : trace.ops) {
+  for (OperationRecord rec : trace.ops) {
     if (rec.invoke_time == kNoTime) continue;  // never dispatched
     if (rec.completed()) {
-      completed.push_back(HistoryOp{rec.proc, rec.op, rec.ret, rec.invoke_time,
+      completed.push_back(HistoryOp{rec.proc, std::move(rec.op),
+                                    std::move(rec.ret), rec.invoke_time,
                                     rec.response_time});
     } else {
-      pending.push_back(PendingInvocation{rec.proc, rec.op, rec.invoke_time});
+      pending.push_back(
+          PendingInvocation{rec.proc, std::move(rec.op), rec.invoke_time});
     }
   }
   return {History(std::move(completed)), std::move(pending)};

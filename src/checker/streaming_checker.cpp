@@ -13,6 +13,7 @@
 #include "checker/streaming_checker.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -71,20 +72,23 @@ struct WitnessLog {
     return links.size() - 1;
   }
 
-  /// Every token on the chain ending at `last`, oldest segment first.
-  std::vector<std::int64_t> stitch(std::size_t last) const {
-    std::vector<std::size_t> chain;
+  /// Append every token on the chain ending at `last` to `out`, oldest
+  /// segment first.  The chain is walked newest first, so each link's run
+  /// is written back to front into space sized by a first walk.
+  void stitch(std::size_t last, std::vector<std::size_t>& out) const {
+    std::size_t end = out.size();
     for (std::size_t l = last; l != kRoot; l = links[l].parent) {
-      chain.push_back(l);
+      end += links[l].len;
     }
-    std::vector<std::int64_t> out;
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      const auto first = tokens.begin() +
-                         static_cast<std::ptrdiff_t>(links[*it].begin);
-      out.insert(out.end(), first,
-                 first + static_cast<std::ptrdiff_t>(links[*it].len));
+    out.resize(end);
+    for (std::size_t l = last; l != kRoot; l = links[l].parent) {
+      const auto first =
+          tokens.begin() + static_cast<std::ptrdiff_t>(links[l].begin);
+      end -= links[l].len;
+      std::transform(first, first + static_cast<std::ptrdiff_t>(links[l].len),
+                     out.begin() + static_cast<std::ptrdiff_t>(end),
+                     [](std::int64_t t) { return static_cast<std::size_t>(t); });
     }
-    return out;
   }
 };
 
@@ -97,24 +101,44 @@ struct StateEntry {
 
 const std::vector<PendingInvocation> kNoPending;
 
-/// Index of `t` in `sorted` (ascending, and holding `t`), searched in a
-/// window around `hint` that doubles until it brackets `t`.  A witness
-/// stays close to invocation (= token) order, so each token's rank lies a
-/// few places from the previous one's and the search stays local, where a
-/// binary search over the whole array would miss the cache at every step.
-std::size_t rank_near(const std::vector<std::int64_t>& sorted,
-                      std::size_t hint, std::int64_t t) {
-  const std::size_t n = sorted.size();
-  for (std::size_t reach = 8;; reach *= 2) {
-    const std::size_t lo = hint > reach ? hint - reach : 0;
-    const std::size_t hi = std::min(n, hint + reach);
-    if ((lo == 0 || sorted[lo] <= t) && (hi == n || sorted[hi - 1] >= t)) {
-      return static_cast<std::size_t>(
-          std::lower_bound(sorted.begin() + static_cast<std::ptrdiff_t>(lo),
-                           sorted.begin() + static_cast<std::ptrdiff_t>(hi),
-                           t) -
+/// Replace each token in `w` (each present once) by its rank among them:
+/// the number of tokens in `w` below it.  Tokens are stored as size_t
+/// (bit-for-bit int64) and ranked by their signed value.  A bitmap over the
+/// tokens' span, with a set-bit count before each word, ranks in place;
+/// tokens too sparse for a bitmap the size of `w` are ranked in a sorted
+/// copy instead.
+void rank_tokens(std::vector<std::size_t>& w) {
+  if (w.empty()) return;
+  const auto signed_less = [](std::size_t a, std::size_t b) {
+    return static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b);
+  };
+  const std::size_t lo = *std::min_element(w.begin(), w.end(), signed_less);
+  const std::size_t hi = *std::max_element(w.begin(), w.end(), signed_less);
+  // Unsigned subtraction gives the signed distance: hi >= lo as int64.
+  const std::size_t words = (hi - lo) / 64 + 1;
+  if (words > w.size()) {
+    std::vector<std::size_t> sorted = w;
+    std::sort(sorted.begin(), sorted.end(), signed_less);
+    for (std::size_t& t : w) {
+      t = static_cast<std::size_t>(
+          std::lower_bound(sorted.begin(), sorted.end(), t, signed_less) -
           sorted.begin());
     }
+    return;
+  }
+  std::vector<std::uint64_t> bits(words, 0);
+  for (std::size_t t : w) bits[(t - lo) / 64] |= std::uint64_t{1} << ((t - lo) % 64);
+  std::vector<std::uint32_t> before(words);
+  std::uint32_t count = 0;
+  for (std::size_t k = 0; k < words; ++k) {
+    before[k] = count;
+    count += static_cast<std::uint32_t>(std::popcount(bits[k]));
+  }
+  for (std::size_t& t : w) {
+    const std::size_t off = t - lo;
+    const std::uint64_t below = (std::uint64_t{1} << (off % 64)) - 1;
+    t = before[off / 64] +
+        static_cast<std::size_t>(std::popcount(bits[off / 64] & below));
   }
 }
 
@@ -358,24 +382,20 @@ CheckResult StreamingChecker::Impl::finalize() {
 
     if (winner != nullptr) {
       result.ok = true;
-      // Stitch the witness: retired-segment runs in order, then the final
-      // window's.  Tokens map to history_with_pending indices by rank among
-      // the completed tokens (the witness is a permutation of exactly
-      // those).
-      std::vector<std::int64_t> tokens = log_.stitch(winner->link);
-      tokens.reserve(completed_seen_);
-      for (std::size_t i : acc_.witness) tokens.push_back(window_.tokens[i]);
+      // Stitch the witness's tokens in place: retired-segment runs in
+      // order, then the final window's.  Tokens map to history_with_pending
+      // indices by rank among the completed tokens (the witness is a
+      // permutation of exactly those).
+      std::vector<std::size_t>& witness = result.witness;
+      witness.reserve(completed_seen_);
+      log_.stitch(winner->link, witness);
+      for (std::size_t i : acc_.witness) {
+        witness.push_back(static_cast<std::size_t>(window_.tokens[i]));
+      }
+      rank_tokens(witness);
       // Branch-local mismatches recorded on the way to a successful search
       // are not failures; report an explanation only without a witness.
       acc_.explanation.clear();
-      std::vector<std::int64_t> sorted = tokens;
-      std::sort(sorted.begin(), sorted.end());
-      result.witness.reserve(tokens.size());
-      std::size_t rank = 0;
-      for (std::int64_t t : tokens) {
-        rank = rank_near(sorted, rank, t);
-        result.witness.push_back(rank);
-      }
     }
   }
   result.explanation = acc_.explanation;
@@ -438,15 +458,17 @@ CheckResult streaming_check_trace(const ObjectModel& model, const Trace& trace,
     Tick time;
     std::int64_t token;
     int kind;  // 0 invoke, 1 response
-    const OperationRecord* rec;
+    std::size_t index;  // into trace.ops
   };
+  const OpLog& ops = trace.ops;
   std::vector<Ev> events;
-  events.reserve(trace.ops.size() * 2);
-  for (const OperationRecord& rec : trace.ops) {
-    if (rec.invoke_time == kNoTime) continue;  // never dispatched
-    events.push_back(Ev{rec.invoke_time, rec.token, 0, &rec});
-    if (rec.completed()) {
-      events.push_back(Ev{rec.response_time, rec.token, 1, &rec});
+  events.reserve(ops.size() * 2);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (ops.invoke_time(i) == kNoTime) continue;  // never dispatched
+    const std::int64_t token = ops.token(i);
+    events.push_back(Ev{ops.invoke_time(i), token, 0, i});
+    if (ops.completed(i)) {
+      events.push_back(Ev{ops.response_time(i), token, 1, i});
     }
   }
   std::sort(events.begin(), events.end(), [](const Ev& a, const Ev& b) {
@@ -456,9 +478,9 @@ CheckResult streaming_check_trace(const ObjectModel& model, const Trace& trace,
   });
   for (const Ev& ev : events) {
     if (ev.kind == 0) {
-      checker.on_invoke(*ev.rec);
+      checker.on_invoke(ops[ev.index]);
     } else {
-      checker.on_response(*ev.rec);
+      checker.on_response(ops[ev.index]);
     }
   }
   return checker.finalize();

@@ -13,8 +13,9 @@
 //     live region (amortized O(1) per pop, bounds memory under sustained
 //     non-empty operation).
 //
-// Users: the replica hot path's pending tables (core/pending_tables.h) and
-// the streaming checker's in-flight index (checker/streaming_checker.cpp).
+// Users: the replica hot path's pending tables (core/pending_tables.h),
+// the streaming checker's in-flight index (checker/streaming_checker.cpp)
+// and the trace op log's cold table (sim/trace.h).
 // tests/test_pending_tables.cpp fuzzes both tables against std::map /
 // std::set.
 #pragma once

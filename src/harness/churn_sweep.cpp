@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 
 #include "fault/churn.h"
@@ -63,18 +64,19 @@ OneChurnRun run_one(const std::shared_ptr<const ObjectModel>& model,
         crash_time = c.time;
       }
     }
-    const OperationRecord* first = nullptr;
-    for (const OperationRecord& rec : trace.ops) {
-      if (rec.proc != f.proc || !rec.completed()) continue;
-      if (rec.invoke_time < f.time) continue;
-      if (!first || rec.response_time < first->response_time) first = &rec;
+    const OpLog& ops = trace.ops;
+    std::optional<std::size_t> first;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (ops.proc(i) != f.proc || !ops.completed(i)) continue;
+      if (ops.invoke_time(i) < f.time) continue;
+      if (!first || ops.response_time(i) < ops.response_time(*first)) first = i;
     }
     if (!first) continue;  // workload drained before this recovery
+    const Tick first_response = ops.response_time(*first);
     if (crash_time != kNoTime) {
-      raise_worst(out.worst_crash_to_response,
-                  first->response_time - crash_time);
+      raise_worst(out.worst_crash_to_response, first_response - crash_time);
     }
-    const Tick latency = first->response_time - first->invoke_time;
+    const Tick latency = first_response - ops.invoke_time(*first);
     raise_worst(out.worst_rejoin_latency, latency);
     if (latency > recovery_bound) ++out.rejoin_bound_violations;
   }

@@ -20,8 +20,8 @@ constexpr Tick kWatchdogSlice = 50'000;
 /// Fill the measure's operation and fault-event tally from the trace.
 void tally_events(const Trace& trace, RunMeasure* out) {
   out->invoked = static_cast<std::int64_t>(trace.ops.size());
-  for (const OperationRecord& rec : trace.ops) {
-    if (rec.completed()) ++out->answered;
+  for (std::size_t i = 0; i < trace.ops.size(); ++i) {
+    if (trace.ops.completed(i)) ++out->answered;
   }
   Tick last_downgrade = kNoTime;
   for (const FaultEvent& f : trace.faults) {

@@ -13,8 +13,10 @@ namespace {
 /// (nobody was waiting).
 std::vector<Tick> switch_latencies(const Trace& trace) {
   std::vector<Tick> response_times;
-  for (const OperationRecord& rec : trace.ops) {
-    if (rec.completed()) response_times.push_back(rec.response_time);
+  for (std::size_t i = 0; i < trace.ops.size(); ++i) {
+    if (trace.ops.completed(i)) {
+      response_times.push_back(trace.ops.response_time(i));
+    }
   }
   std::sort(response_times.begin(), response_times.end());
   std::vector<Tick> out;

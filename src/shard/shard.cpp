@@ -230,9 +230,10 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
   w.timer_slots_per_process = (link ? 3 : 2) * pending;
   state->workload =
       std::make_unique<HeavyTrafficWorkload>(state->sim(), std::move(w));
-  // Op records for the whole run: the workload slice plus one read per
-  // received beacon, so the first beacon does not double the vector and
-  // copy every record (reserved before arm(), whose own hint is the slice).
+  // Op log slots for the whole run: the workload slice plus one read per
+  // received beacon, so the first beacon does not double the slot vector
+  // and copy every slot (reserved before arm(), whose own hint is the
+  // slice).
   // The queue's hint goes in here too, before churn windows and start()
   // push anything: the calendar picks its window at its first push.
   state->sim().reserve(loads_[s] + beacons_[s].size(), 0,

@@ -54,14 +54,13 @@ Trace chop_trace(const Trace& trace, const std::vector<Tick>& view_end) {
     out.messages.push_back(copy);
   }
 
-  for (const OperationRecord& rec : trace.ops) {
+  for (OperationRecord rec : trace.ops) {
     if (rec.invoke_time == kNoTime || !inside(rec.proc, rec.invoke_time)) continue;
-    OperationRecord copy = rec;
-    if (copy.completed() && !inside(copy.proc, copy.response_time)) {
-      copy.response_time = kNoTime;
-      copy.ret = Value::unit();
+    if (rec.completed() && !inside(rec.proc, rec.response_time)) {
+      rec.response_time = kNoTime;
+      rec.ret = Value::unit();
     }
-    out.ops.push_back(copy);
+    out.ops.append(rec);
   }
   return out;
 }

@@ -80,7 +80,7 @@ std::int64_t Simulator::invoke_at(Tick t, ProcessId pid, Operation op) {
   // past relative to queue processing only if the caller made an error; the
   // event queue still fires it in time order).
   rec.invoke_time = kNoTime;
-  trace_.ops.push_back(std::move(rec));
+  trace_.ops.append(rec);
   queue_.push_typed(t, EventPriority::kNormal,
                     process_event(EventKind::kInvoke, pid, token));
   return token;
@@ -415,24 +415,26 @@ void Simulator::cancel_timer_for(ProcessId pid, TimerId id) {
 
 void Simulator::respond_for(ProcessId pid, std::int64_t token, Value ret) {
   if (crashed(pid)) return;  // a crashed process cannot respond
-  OperationRecord& rec = trace_.ops.at(static_cast<std::size_t>(token));
-  if (rec.proc != pid) throw std::logic_error("respond from wrong process");
-  if (rec.gave_up) return;  // late answer to an abandoned operation: ignored
-  if (rec.completed()) throw std::logic_error("double response for operation");
-  rec.response_time = now_;
-  rec.ret = std::move(ret);
+  OpLog& ops = trace_.ops;
+  const auto i = static_cast<std::size_t>(token);
+  if (i >= ops.size()) throw std::out_of_range("respond to unknown operation");
+  if (ops.proc(i) != pid) throw std::logic_error("respond from wrong process");
+  if (ops.gave_up(i)) return;  // late answer to an abandoned operation: ignored
+  if (ops.completed(i)) throw std::logic_error("double response for operation");
+  ops.respond(i, now_, ret);
   op_pending_[static_cast<std::size_t>(pid)] = false;
-  if (response_hook_) response_hook_(rec);
+  if (response_hook_) response_hook_(ops[i]);
 }
 
 void Simulator::give_up_for(ProcessId pid, std::int64_t token) {
   if (crashed(pid)) return;  // a crashed process takes no steps
-  OperationRecord& rec = trace_.ops.at(static_cast<std::size_t>(token));
-  if (rec.proc != pid) throw std::logic_error("give_up from wrong process");
-  if (rec.completed()) throw std::logic_error("give_up after response");
-  if (rec.gave_up) throw std::logic_error("double give_up for operation");
-  rec.gave_up = true;
-  rec.give_up_time = now_;
+  OpLog& ops = trace_.ops;
+  const auto i = static_cast<std::size_t>(token);
+  if (i >= ops.size()) throw std::out_of_range("give_up on unknown operation");
+  if (ops.proc(i) != pid) throw std::logic_error("give_up from wrong process");
+  if (ops.completed(i)) throw std::logic_error("give_up after response");
+  if (ops.gave_up(i)) throw std::logic_error("double give_up for operation");
+  ops.give_up(i, now_);
   op_pending_[static_cast<std::size_t>(pid)] = false;
   trace_.faults.push_back(
       {FaultKind::kOperationGivenUp, now_, pid, kNoProcess, -1, token});
@@ -456,8 +458,10 @@ void Simulator::dispatch_invoke(ProcessId pid, std::int64_t token) {
         std::to_string(pid));
   }
   op_pending_[static_cast<std::size_t>(pid)] = true;
-  OperationRecord& rec = trace_.ops.at(static_cast<std::size_t>(token));
-  rec.invoke_time = now_;
+  const auto i = static_cast<std::size_t>(token);
+  trace_.ops.stamp_invoke(i, now_);
+  // One materialisation serves both the hook and the process.
+  const OperationRecord rec = trace_.ops[i];
   if (invoke_hook_) invoke_hook_(rec);
   procs_[static_cast<std::size_t>(pid)]->on_invoke(token, rec.op);
 }

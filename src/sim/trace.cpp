@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 namespace linbound {
 
@@ -39,12 +40,122 @@ FaultKind fault_kind_from_name(const std::string& name) {
   return FaultKind::kFaultKindCount;
 }
 
-std::vector<FaultEvent> Trace::faults_for_message(MessageId id) const {
-  std::vector<FaultEvent> out;
-  for (const FaultEvent& f : faults) {
-    if (f.msg == id) out.push_back(f);
+std::int64_t OpLog::put(const Value& v, Kind& kind) {
+  if (v.is_unit()) {
+    kind = Kind::kUnit;
+    return 0;
   }
-  return out;
+  if (v.is_int()) {
+    kind = Kind::kInt;
+    return v.as_int();
+  }
+  if (v.is_bool()) {
+    kind = Kind::kBool;
+    return v.as_bool() ? 1 : 0;
+  }
+  kind = Kind::kSide;
+  side_.push_back(v);
+  return static_cast<std::int64_t>(side_.size() - 1);
+}
+
+Value OpLog::get(Kind kind, std::int64_t bits) const {
+  switch (kind) {
+    case Kind::kUnit:
+      return Value();
+    case Kind::kInt:
+      return Value(bits);
+    case Kind::kBool:
+      return Value(bits != 0);
+    case Kind::kSide:
+      break;
+  }
+  return side_[static_cast<std::size_t>(bits)];
+}
+
+void OpLog::append(const OperationRecord& rec) {
+  const std::size_t i = slots_.size();
+  Slot& slot = slots_.emplace_back();
+  slot.invoke_time = rec.invoke_time;
+  slot.response_time = rec.response_time;
+  slot.ret = put(rec.ret, slot.ret_kind);
+  const Value::List& args = rec.op.args;
+  if (args.size() <= 2) {
+    slot.argc = static_cast<std::uint8_t>(args.size());
+    for (std::size_t a = 0; a < args.size(); ++a) {
+      slot.args[a] = put(args[a], slot.arg_kind[a]);
+    }
+  } else {
+    slot.argc = kSpilledArgs;
+    slot.args[0] = put(Value(args), slot.arg_kind[0]);
+  }
+  slot.proc = static_cast<std::int16_t>(rec.proc);
+  slot.code = static_cast<std::int16_t>(rec.op.code);
+  slot.gave_up = rec.gave_up ? 1 : 0;
+  if (rec.token != static_cast<std::int64_t>(i) || slot.proc != rec.proc ||
+      slot.code != rec.op.code || rec.give_up_time != kNoTime) {
+    slot.cold = 1;
+    cold_.insert_or_assign(
+        i, Cold{rec.token, rec.proc, rec.op.code, rec.give_up_time});
+  }
+}
+
+void OpLog::respond(std::size_t i, Tick t, const Value& ret) {
+  Slot& slot = slots_[i];
+  slot.response_time = t;
+  slot.ret = put(ret, slot.ret_kind);
+}
+
+void OpLog::give_up(std::size_t i, Tick t) {
+  Slot& slot = slots_[i];
+  slot.gave_up = 1;
+  if (!slot.cold) {
+    slot.cold = 1;
+    cold_.insert_or_assign(
+        i, Cold{static_cast<std::int64_t>(i), slot.proc, slot.code, t});
+  } else {
+    cold_.find(i)->give_up_time = t;
+  }
+}
+
+std::int64_t OpLog::token(std::size_t i) const {
+  return slots_[i].cold ? cold_.find(i)->token : static_cast<std::int64_t>(i);
+}
+
+ProcessId OpLog::proc(std::size_t i) const {
+  return slots_[i].cold ? cold_.find(i)->proc : slots_[i].proc;
+}
+
+const OperationRecord OpLog::operator[](std::size_t i) const {
+  const Slot& slot = slots_[i];
+  OperationRecord rec;
+  rec.invoke_time = slot.invoke_time;
+  rec.response_time = slot.response_time;
+  rec.ret = get(slot.ret_kind, slot.ret);
+  if (slot.argc == kSpilledArgs) {
+    rec.op.args = side_[static_cast<std::size_t>(slot.args[0])].as_list();
+  } else {
+    for (std::size_t a = 0; a < slot.argc; ++a) {
+      rec.op.args.push_back(get(slot.arg_kind[a], slot.args[a]));
+    }
+  }
+  rec.gave_up = slot.gave_up != 0;
+  if (slot.cold) {
+    const Cold& c = *cold_.find(i);
+    rec.token = c.token;
+    rec.proc = c.proc;
+    rec.op.code = c.code;
+    rec.give_up_time = c.give_up_time;
+  } else {
+    rec.token = static_cast<std::int64_t>(i);
+    rec.proc = slot.proc;
+    rec.op.code = slot.code;
+  }
+  return rec;
+}
+
+const OperationRecord OpLog::at(std::size_t i) const {
+  if (i >= slots_.size()) throw std::out_of_range("OpLog::at");
+  return (*this)[i];
 }
 
 AdmissibilityReport Trace::audit() const {
@@ -96,19 +207,10 @@ AdmissibilityReport Trace::audit() const {
 }
 
 bool Trace::complete() const {
-  for (const OperationRecord& rec : ops) {
-    if (!rec.completed()) return false;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (!ops.completed(i)) return false;
   }
   return true;
-}
-
-std::vector<OperationRecord> Trace::completed_ops() const {
-  std::vector<OperationRecord> out;
-  out.reserve(ops.size());
-  for (const OperationRecord& rec : ops) {
-    if (rec.completed()) out.push_back(rec);
-  }
-  return out;
 }
 
 }  // namespace linbound

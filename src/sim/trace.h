@@ -8,9 +8,13 @@
 // Chapter III.B.3.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/time.h"
 #include "common/value.h"
 #include "sim/message.h"
@@ -46,6 +50,116 @@ struct OperationRecord {
 
   bool completed() const { return response_time != kNoTime; }
   Tick latency() const { return response_time - invoke_time; }
+};
+
+/// A trace's operations, stored compactly: one 48-byte slot per operation
+/// (DESIGN.md section 15), against 152 bytes for an OperationRecord.
+///
+/// Values are 8-byte handles with a kind tag beside them in the slot: unit,
+/// bool and int sit inline; strings and lists go to one per-log side table
+/// of Values.  A token equal to the slot's index (the simulator assigns
+/// tokens that way) is implicit.  A differing token (read_trace and
+/// chop_trace can make one), a give-up time, and a process id or opcode
+/// past 16 bits go to a sparse per-index cold table, and an argument list
+/// longer than two goes to the side table as one list.  A register run
+/// touches neither table, so appending stays allocation-free once the
+/// slots are reserved.
+///
+/// Reads materialise: operator[], at() and the iterators return a const
+/// OperationRecord by value, so `for (const OperationRecord& rec : ops)`
+/// reads as it always did -- but the record lives for one loop step, and
+/// an address taken from it dangles after.  Keep indices instead.  Writes
+/// go through append, stamp_invoke, respond and give_up.
+class OpLog {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = OperationRecord;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = const OperationRecord;
+
+    const_iterator(const OpLog* log, std::size_t i) : log_(log), i_(i) {}
+    const OperationRecord operator*() const { return (*log_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.i_ == b.i_;
+    }
+
+   private:
+    const OpLog* log_;
+    std::size_t i_;
+  };
+
+  std::size_t size() const { return slots_.size(); }
+  std::size_t capacity() const { return slots_.capacity(); }
+  void reserve(std::size_t n) { slots_.reserve(n); }
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, slots_.size()}; }
+
+  /// The record at index `i`, materialised.  at() throws std::out_of_range.
+  /// The copy is const, so a write through it (`ops[i].ret = v`) does not
+  /// compile instead of silently changing nothing.
+  const OperationRecord operator[](std::size_t i) const;
+  const OperationRecord at(std::size_t i) const;
+
+  /// Single fields, without materialising the record.
+  std::int64_t token(std::size_t i) const;
+  ProcessId proc(std::size_t i) const;
+  Tick invoke_time(std::size_t i) const { return slots_[i].invoke_time; }
+  Tick response_time(std::size_t i) const { return slots_[i].response_time; }
+  bool completed(std::size_t i) const { return response_time(i) != kNoTime; }
+  bool gave_up(std::size_t i) const { return slots_[i].gave_up; }
+
+  /// Append `rec` as index size(); every field materialises back equal.
+  void append(const OperationRecord& rec);
+  void stamp_invoke(std::size_t i, Tick t) { slots_[i].invoke_time = t; }
+  void respond(std::size_t i, Tick t, const Value& ret);
+  void give_up(std::size_t i, Tick t);
+
+ private:
+  enum class Kind : std::uint8_t { kUnit, kInt, kBool, kSide };
+  /// `argc` value for an argument list kept whole in the side table.
+  static constexpr std::uint8_t kSpilledArgs = 3;
+
+  struct Slot {
+    Tick invoke_time = kNoTime;
+    Tick response_time = kNoTime;
+    std::int64_t ret = 0;
+    std::int64_t args[2] = {0, 0};
+    std::int16_t proc = 0;
+    std::int16_t code = 0;
+    Kind ret_kind = Kind::kUnit;
+    Kind arg_kind[2] = {Kind::kUnit, Kind::kUnit};
+    std::uint8_t argc : 2 = 0;
+    std::uint8_t gave_up : 1 = 0;
+    std::uint8_t cold : 1 = 0;  ///< token/proc/code/give-up time in cold_
+  };
+
+  /// The fields a slot keeps out of line, whole.
+  struct Cold {
+    std::int64_t token = 0;
+    ProcessId proc = kNoProcess;
+    OpCode code = 0;
+    Tick give_up_time = kNoTime;
+  };
+
+ public:
+  /// Bytes per operation in the log (the bound tests/test_trace.cpp pins).
+  static constexpr std::size_t kSlotBytes = sizeof(Slot);
+  static_assert(kSlotBytes <= 48, "an operation slot must stay within 48 B");
+
+ private:
+  std::int64_t put(const Value& v, Kind& kind);
+  Value get(Kind kind, std::int64_t bits) const;
+
+  std::vector<Slot> slots_;
+  std::vector<Value> side_;          ///< string and list values, by handle
+  FlatMap<std::size_t, Cold> cold_;  ///< by slot index; sparse
 };
 
 /// Kinds of model-assumption breakage the simulator can record.  Injected
@@ -120,7 +234,7 @@ struct Trace {
   SystemTiming timing;
   std::vector<Tick> clock_offsets;  ///< c_i: local = real + c_i
   std::vector<MessageRecord> messages;
-  std::vector<OperationRecord> ops;
+  OpLog ops;
   /// Injected faults and failures, in event order; empty for a run under
   /// the paper's base model (no fault policy, no crashes).
   std::vector<FaultEvent> faults;
@@ -135,14 +249,8 @@ struct Trace {
   /// send tick, message id and the observed delay against [d-u, d].
   AdmissibilityReport audit() const;
 
-  /// Fault events affecting message `id`, in order.
-  std::vector<FaultEvent> faults_for_message(MessageId id) const;
-
   /// All operations completed?
   bool complete() const;
-
-  /// Records of completed operations only.
-  std::vector<OperationRecord> completed_ops() const;
 
   /// Worst-case latency among completed operations selected by `pred`;
   /// kNoTime when none matched.

@@ -1,10 +1,12 @@
 #include "sim/trace_io.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstring>
 #include <ostream>
 #include <sstream>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace linbound {
@@ -169,6 +171,9 @@ std::uint64_t hash_trace(const Trace& trace) {
 std::optional<Trace> read_trace(std::istream& is, std::string* error) {
   Trace trace;
   std::string line;
+  // First op index per token, for the ops whose token is not their index
+  // (the give-up pass below); every other token finds its op directly.
+  std::unordered_map<std::int64_t, std::size_t> moved_tokens;
 
   if (!std::getline(is, line) || line != "trace v1") {
     fail(error, "missing 'trace v1' header");
@@ -257,7 +262,11 @@ std::optional<Trace> read_trace(std::istream& is, std::string* error) {
         }
         rec.op.args.push_back(std::move(*arg));
       }
-      trace.ops.push_back(std::move(rec));
+      const std::size_t index = trace.ops.size();
+      if (rec.token != static_cast<std::int64_t>(index)) {
+        moved_tokens.try_emplace(rec.token, index);
+      }
+      trace.ops.append(rec);
     } else if (kind == "fault") {
       FaultEvent f;
       std::string kind_name;
@@ -280,15 +289,19 @@ std::optional<Trace> read_trace(std::istream& is, std::string* error) {
   // gave_up / give_up_time are not serialized as op fields: they are fully
   // determined by the kOperationGivenUp fault events (magnitude = token),
   // so they are reconstructed here and the v1 grammar -- and every archived
-  // trace hash -- stays unchanged.
+  // trace hash -- stays unchanged.  Each event marks the first op carrying
+  // its token.
+  const std::size_t n = trace.ops.size();
   for (const FaultEvent& f : trace.faults) {
     if (f.kind != FaultKind::kOperationGivenUp) continue;
-    for (OperationRecord& rec : trace.ops) {
-      if (rec.token != f.magnitude) continue;
-      rec.gave_up = true;
-      rec.give_up_time = f.time;
-      break;
+    std::size_t first = n;
+    const auto at = static_cast<std::size_t>(f.magnitude);
+    if (f.magnitude >= 0 && at < n && trace.ops.token(at) == f.magnitude) {
+      first = at;
     }
+    const auto moved = moved_tokens.find(f.magnitude);
+    if (moved != moved_tokens.end()) first = std::min(first, moved->second);
+    if (first < n) trace.ops.give_up(first, f.time);
   }
   return trace;
 }

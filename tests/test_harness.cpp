@@ -32,7 +32,8 @@ TEST(LatencyReport, AbsorbsCompletedOpsOnly) {
   pending.op = reg::read();
   pending.invoke_time = 100;
   pending.response_time = kNoTime;
-  trace.ops = {done, pending};
+  trace.ops.append(done);
+  trace.ops.append(pending);
 
   LatencyReport report;
   report.absorb(model, trace);

@@ -45,10 +45,9 @@ TEST(History, FromTraceRequiresCompletion) {
   rec.op = reg::read();
   rec.invoke_time = 5;
   rec.response_time = kNoTime;
-  trace.ops.push_back(rec);
+  trace.ops.append(rec);
   EXPECT_THROW(History::from_trace(trace), std::invalid_argument);
-  trace.ops[0].response_time = 9;
-  trace.ops[0].ret = Value(0);
+  trace.ops.respond(0, 9, Value(0));
   EXPECT_EQ(History::from_trace(trace).size(), 1u);
 }
 

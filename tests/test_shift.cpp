@@ -98,7 +98,7 @@ TEST(Shift, ChopTraceDropsLateReceiptsAndOps) {
   op.invoke_time = 50;
   op.response_time = 1150;
   op.ret = Value(1);
-  trace.ops.push_back(op);
+  trace.ops.append(op);
 
   const Trace chopped = chop_trace(trace, {1150, 1150});
   ASSERT_EQ(chopped.messages.size(), 2u);

@@ -58,7 +58,7 @@ Trace make_trace(std::vector<OperationRecord> ops) {
   for (std::size_t i = 0; i < ops.size(); ++i) {
     ops[i].token = static_cast<std::int64_t>(i);
   }
-  t.ops = std::move(ops);
+  for (const OperationRecord& rec : ops) t.ops.append(rec);
   return t;
 }
 
@@ -170,7 +170,7 @@ TEST(StreamingChecker, TrivialTraces) {
   ghost.token = 99;
   ghost.proc = 1;
   ghost.op = reg::read();
-  undispatched.ops.push_back(ghost);
+  undispatched.ops.append(ghost);
   const CheckResult got = streaming_check_trace(model, undispatched);
   EXPECT_TRUE(got.ok);
   EXPECT_EQ(got.witness.size(), 1u);
@@ -371,14 +371,15 @@ TEST_P(StreamingCheckerFuzz, MutatedCleanTracesFlipIdentically) {
       ops.push_back(done(static_cast<ProcessId>(k % 2), op, state->apply(op),
                          invoke, response));
     }
-    Trace clean = make_trace(std::move(ops));
+    const Trace clean = make_trace(ops);
     ASSERT_TRUE(offline(*model, clean).ok);
     ASSERT_TRUE(streaming_check_trace(*model, clean).ok);
     // Mutate one return to a value the replay cannot produce there.
     const auto victim = static_cast<std::size_t>(rng.uniform(0, 5));
-    clean.ops[victim].ret = Value(4242);
-    const CheckResult off = offline(*model, clean);
-    const CheckResult got = streaming_check_trace(*model, clean);
+    ops[victim].ret = Value(4242);
+    const Trace dirty = make_trace(std::move(ops));
+    const CheckResult off = offline(*model, dirty);
+    const CheckResult got = streaming_check_trace(*model, dirty);
     EXPECT_FALSE(off.ok);
     EXPECT_EQ(off.ok, got.ok);
     EXPECT_FALSE(got.explanation.empty());
@@ -417,6 +418,37 @@ TEST(StreamingChecker, DeepSegmentChainsStitchIntoTheWitness) {
   // The whole point of streaming: resident state stays tiny while the
   // history (and its witness chain) grows without bound.
   EXPECT_LT(got.max_resident_states, 64u);
+}
+
+TEST(StreamingChecker, WitnessRanksTokensThatAreNotIndices) {
+  // The witness maps tokens to history indices by rank.  Tokens offset
+  // from their indices (dense: ranked through a bitmap) and tokens far
+  // apart, negative ones included (sparse: ranked through a sorted copy),
+  // must both give the offline checker's witness.
+  RegisterModel model;
+  for (const std::int64_t stride : {std::int64_t{1}, std::int64_t{1} << 40}) {
+    std::vector<OperationRecord> ops;
+    for (int i = 0; i < 40; ++i) {
+      // Overlapping pairs whose read sees the previous pair's write, so
+      // it linearizes first and the witness is not the identity.
+      const Tick invoke = static_cast<Tick>(i / 2) * 100 + (i % 2);
+      ops.push_back(i % 2 == 0
+                        ? done(0, reg::write(i + 1), Value::unit(), invoke,
+                               invoke + 10)
+                        : done(1, reg::read(), Value(i == 1 ? 0 : i - 2),
+                               invoke, invoke + 10));
+      ops.back().token = (i - 7) * stride - 5000;
+    }
+    Trace trace;
+    for (const OperationRecord& rec : ops) trace.ops.append(rec);
+    const CheckResult off = offline(model, trace);
+    ASSERT_TRUE(off.ok) << stride;
+    ASSERT_EQ(off.witness.size(), 40u);
+    EXPECT_EQ(off.witness[0], 1u);
+    const CheckResult got = streaming_check_trace(model, trace);
+    EXPECT_TRUE(got.ok) << stride;
+    EXPECT_EQ(off.witness, got.witness) << stride;
+  }
 }
 
 TEST(StreamingChecker, DeepConfirmedSegmentEnumeratesIteratively) {

@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/system.h"
 #include "fault/churn.h"
 #include "fault/fault_policy.h"
@@ -76,12 +78,12 @@ TEST(TraceIo, RoundTripsHandBuiltTrace) {
   rec.invoke_time = 200;
   rec.response_time = 500;
   rec.ret = Value::unit();
-  trace.ops.push_back(rec);
+  trace.ops.append(rec);
   rec.token = 1;
   rec.op = queue_ops::dequeue();
   rec.invoke_time = 600;
   rec.response_time = kNoTime;  // pending
-  trace.ops.push_back(rec);
+  trace.ops.append(rec);
 
   std::string error;
   auto parsed = trace_from_string(trace_to_string(trace), &error);
@@ -137,7 +139,7 @@ TEST(TraceIo, ReconstructsGiveUpFromFaultEvents) {
   rec.invoke_time = 200;
   rec.response_time = 900;
   rec.ret = Value::unit();
-  trace.ops.push_back(rec);
+  trace.ops.append(rec);
   rec.token = 1;
   rec.proc = 1;
   rec.op = reg::read();
@@ -146,7 +148,7 @@ TEST(TraceIo, ReconstructsGiveUpFromFaultEvents) {
   rec.ret = Value();
   rec.gave_up = true;
   rec.give_up_time = 4200;
-  trace.ops.push_back(rec);
+  trace.ops.append(rec);
   FaultEvent f;
   f.kind = FaultKind::kOperationGivenUp;
   f.time = 4200;
@@ -163,6 +165,131 @@ TEST(TraceIo, ReconstructsGiveUpFromFaultEvents) {
   EXPECT_EQ(parsed->ops[1].give_up_time, 4200);
   EXPECT_FALSE(parsed->ops[1].completed());
   EXPECT_EQ(trace_to_string(*parsed), trace_to_string(trace));
+  EXPECT_EQ(hash_trace(*parsed), hash_trace(trace));
+}
+
+TEST(TraceIo, GiveUpFindsItsOpWhereTheTokenIsNotTheIndex) {
+  // Tokens 10..13 sit at indices 0..3, and token 2 appears twice (index 4
+  // and index 2's token is 12): each give-up event marks the first op in
+  // trace order that carries its token, wherever that op sits.
+  Trace trace;
+  trace.timing = SystemTiming{1000, 400, 300};
+  trace.end_time = 9000;
+  OperationRecord rec;
+  rec.op = reg::read();
+  rec.invoke_time = 100;
+  for (const std::int64_t token : {10, 11, 12, 13, 2, 5, 2}) {
+    rec.token = token;
+    trace.ops.append(rec);
+  }
+  for (const std::int64_t token : {12, 2, 5, 99}) {
+    FaultEvent f;
+    f.kind = FaultKind::kOperationGivenUp;
+    f.time = 1000 + token;
+    f.magnitude = token;
+    trace.faults.push_back(f);
+  }
+  std::string error;
+  auto parsed = trace_from_string(trace_to_string(trace), &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  const std::vector<bool> gave_up{false, false, true, false, true, true, false};
+  ASSERT_EQ(parsed->ops.size(), gave_up.size());
+  for (std::size_t i = 0; i < gave_up.size(); ++i) {
+    const OperationRecord got = parsed->ops[i];
+    EXPECT_EQ(got.gave_up, gave_up[i]) << i;
+    EXPECT_EQ(got.give_up_time, gave_up[i] ? 1000 + got.token : kNoTime) << i;
+  }
+  // Index 5's token equals the index, so its event finds it directly.
+  EXPECT_EQ(parsed->ops.token(5), 5);
+  EXPECT_EQ(trace_to_string(*parsed), trace_to_string(trace));
+}
+
+/// A value of every shape the trace grammar carries: unit, bools, ints up
+/// to the int64 limits, strings and nested lists.
+Value fuzz_value(Rng& rng, int depth = 0) {
+  switch (rng.uniform(0, depth < 2 ? 7 : 5)) {
+    case 0:
+      return Value::unit();
+    case 1:
+      return Value(rng.chance(0.5));
+    case 2:
+      return Value(std::numeric_limits<std::int64_t>::min());
+    case 3:
+      return Value(std::numeric_limits<std::int64_t>::max());
+    case 4:
+      return Value(rng.uniform(-1000, 1000));
+    case 5:
+      return Value("v " + std::to_string(rng.uniform(0, 3)));
+    default: {
+      Value::List xs;
+      const std::int64_t n = rng.uniform(0, 3);
+      for (std::int64_t k = 0; k < n; ++k) xs.push_back(fuzz_value(rng, depth + 1));
+      return Value(std::move(xs));
+    }
+  }
+}
+
+TEST(TraceIo, FuzzedOpLogRoundTrips) {
+  // Seeded fuzz over the op log's shapes: 0..3 arguments of every value
+  // kind, pending / completed / given-up records, and (unique) tokens that
+  // are not their index.  Reading the text back materialises every record
+  // field-equal, and writing it again gives the same text.
+  Rng rng(7);
+  Trace trace;
+  trace.timing = SystemTiming{1000, 400, 300};
+  trace.clock_offsets = {0, 10, -20};
+  trace.end_time = 200000;
+  std::vector<OperationRecord> want;
+  for (std::size_t i = 0; i < 1500; ++i) {
+    OperationRecord rec;
+    rec.token = rng.chance(0.8) ? static_cast<std::int64_t>(i)
+                                : -1 - static_cast<std::int64_t>(i);
+    rec.proc = static_cast<ProcessId>(rng.uniform(0, 2));
+    rec.op.code = static_cast<OpCode>(rng.uniform(0, 12));
+    const std::int64_t argc = rng.uniform(0, 3);
+    for (std::int64_t a = 0; a < argc; ++a) rec.op.args.push_back(fuzz_value(rng));
+    rec.invoke_time = rng.chance(0.05) ? kNoTime : rng.uniform(0, 100000);
+    switch (rng.uniform(0, 3)) {
+      case 0:  // pending
+        break;
+      case 1: {  // given up: the fault event carries it on the wire
+        rec.gave_up = true;
+        rec.give_up_time = rng.uniform(0, 150000);
+        FaultEvent f;
+        f.kind = FaultKind::kOperationGivenUp;
+        f.time = rec.give_up_time;
+        f.proc = rec.proc;
+        f.magnitude = rec.token;
+        trace.faults.push_back(f);
+        break;
+      }
+      default:
+        rec.response_time = rng.uniform(0, 150000);
+        rec.ret = fuzz_value(rng);
+        break;
+    }
+    trace.ops.append(rec);
+    want.push_back(rec);
+  }
+  const std::string text = trace_to_string(trace);
+  std::string error;
+  auto parsed = trace_from_string(text, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  ASSERT_EQ(parsed->ops.size(), want.size());
+  std::size_t i = 0;
+  for (const OperationRecord& got : parsed->ops) {
+    const OperationRecord& w = want[i];
+    EXPECT_EQ(got.token, w.token) << i;
+    EXPECT_EQ(got.proc, w.proc) << i;
+    EXPECT_EQ(got.op, w.op) << i;
+    EXPECT_EQ(got.invoke_time, w.invoke_time) << i;
+    EXPECT_EQ(got.response_time, w.response_time) << i;
+    EXPECT_EQ(got.ret, w.ret) << i;
+    EXPECT_EQ(got.gave_up, w.gave_up) << i;
+    EXPECT_EQ(got.give_up_time, w.give_up_time) << i;
+    ++i;
+  }
+  EXPECT_EQ(trace_to_string(*parsed), text);
   EXPECT_EQ(hash_trace(*parsed), hash_trace(trace));
 }
 
@@ -211,7 +338,7 @@ Trace edge_case_trace() {
   rec.invoke_time = kNoTime;
   rec.response_time = kNoTime;
   rec.ret = Value::unit();
-  trace.ops.push_back(rec);
+  trace.ops.append(rec);
   rec.token = kMax;
   rec.proc = 0;
   rec.op.code = 3;
@@ -219,7 +346,7 @@ Trace edge_case_trace() {
   rec.invoke_time = -20;
   rec.response_time = kMax;
   rec.ret = Value(std::string(5000, 's'));
-  trace.ops.push_back(rec);
+  trace.ops.append(rec);
   for (int k = 0; k < static_cast<int>(FaultKind::kFaultKindCount); ++k) {
     FaultEvent f;
     f.kind = static_cast<FaultKind>(k);

@@ -65,6 +65,10 @@ gate_keys=(
   streaming_checker_max_resident_states
   streaming_checker_speedup
   streaming_checker_speedup_gate_enforced
+  # Trace memory (bench/bench_throughput.cpp --checked): bytes per
+  # operation record and the checked million-op run's peak RSS.
+  trace_op_record_bytes
+  throughput_checked_peak_rss_mib
   # Offline search core on the adversarial shapes (bench/bench_perf.cpp).
   checker_verdicts_ok
   checker_max_resident_states
