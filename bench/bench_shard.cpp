@@ -1,13 +1,13 @@
 // Multi-tenant sharded simulation at scale: --shards independent register
 // groups (default 1024) absorbing --ops total operations (default 1M,
-// zipfian-apportioned), advanced by the conservative-PDES window protocol
-// of src/shard/ at several worker counts.
+// zipfian-apportioned), each shard stepped through conservative-PDES
+// windows by src/shard/, at several worker counts.
 //
 // What runs:
 //   * One ShardedSimulation is configured (stock variant, default timing,
 //     4 cross-shard clock-sync epochs) and its per-shard single-threaded
 //     references are computed first: run_solo for every shard, each the
-//     identical window/barrier sequence with the other shards absent.
+//     same per-shard function run() calls, with the other shards absent.
 //   * The full parallel run then executes at --jobs-list (default 1,2,4).
 //     After every run, ALL per-shard trace hashes are compared to the solo
 //     references -- the determinism contract (DESIGN.md section 14) at
@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
   // (ShardOptions::streaming_check): the whole multi-tenant history is
   // verified linearizable *during* the PDES drain, and the traces must stay
   // byte-identical to the unchecked solo references -- the tap is
-  // observation-only even under the window protocol's barrier scheduling.
+  // observation-only.
   const bool checked_mode = has_flag(argc, argv, "--checked");
   bool checked_ok = true;
   double checked_seconds = 0;

@@ -449,38 +449,39 @@ std::size_t StreamingChecker::max_resident_states() const {
 CheckResult streaming_check_trace(const ObjectModel& model, const Trace& trace,
                                   const CheckOptions& options) {
   StreamingChecker checker(model, options);
-  // Feed in (time, token, invoke-before-response) order.  Cut decisions are
-  // insensitive to same-tick orderings, so any time-sorted replay matches
-  // the live tap; invoke-before-response keeps a zero-latency operation's
-  // own events well-formed, and the token tiebreak makes the replay a total
-  // (deterministic) order.
+  // Feed in (time, trace index, invoke-before-response) order, each op
+  // under its trace index as its token: the witness ranks tokens, and
+  // history_with_pending numbers ops in trace order, so a trace whose
+  // tokens do not rise in trace order (any read from text) still gets the
+  // offline witness.  Cut decisions are insensitive to same-tick orderings,
+  // so any time-sorted replay matches the live tap; invoke-before-response
+  // keeps a zero-latency operation's own events well-formed, and the index
+  // tiebreak makes the replay a total (deterministic) order.
   struct Ev {
     Tick time;
-    std::int64_t token;
-    int kind;  // 0 invoke, 1 response
     std::size_t index;  // into trace.ops
+    int kind;  // 0 invoke, 1 response
   };
   const OpLog& ops = trace.ops;
   std::vector<Ev> events;
   events.reserve(ops.size() * 2);
   for (std::size_t i = 0; i < ops.size(); ++i) {
     if (ops.invoke_time(i) == kNoTime) continue;  // never dispatched
-    const std::int64_t token = ops.token(i);
-    events.push_back(Ev{ops.invoke_time(i), token, 0, i});
-    if (ops.completed(i)) {
-      events.push_back(Ev{ops.response_time(i), token, 1, i});
-    }
+    events.push_back(Ev{ops.invoke_time(i), i, 0});
+    if (ops.completed(i)) events.push_back(Ev{ops.response_time(i), i, 1});
   }
   std::sort(events.begin(), events.end(), [](const Ev& a, const Ev& b) {
     if (a.time != b.time) return a.time < b.time;
-    if (a.token != b.token) return a.token < b.token;
+    if (a.index != b.index) return a.index < b.index;
     return a.kind < b.kind;
   });
   for (const Ev& ev : events) {
+    OperationRecord rec = ops[ev.index];
+    rec.token = static_cast<std::int64_t>(ev.index);
     if (ev.kind == 0) {
-      checker.on_invoke(ops[ev.index]);
+      checker.on_invoke(rec);
     } else {
-      checker.on_response(ops[ev.index]);
+      checker.on_response(rec);
     }
   }
   return checker.finalize();

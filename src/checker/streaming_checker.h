@@ -121,8 +121,10 @@ class StreamingChecker {
 };
 
 /// Replay a finished trace through a StreamingChecker: events are fed in
-/// (time, token, invoke-before-response) order, which reproduces the live
-/// tap's segmentation exactly (cut decisions are insensitive to same-tick
+/// (time, trace index, invoke-before-response) order, each operation under
+/// its trace index as its token (so the witness names trace positions even
+/// where a trace read from text carries other tokens), which reproduces the
+/// live tap's segmentation exactly (cut decisions are insensitive to same-tick
 /// orderings; DESIGN.md).  The differential anchor for tests and benches:
 /// for any trace, verdict and witness equal
 /// check_linearizable[_with_pending](model, history_with_pending(trace)...)

@@ -31,10 +31,4 @@ std::shared_ptr<const std::string> intern_string(std::string s) {
   return stored;
 }
 
-std::size_t intern_pool_size() {
-  Pool& p = pool();
-  std::lock_guard<std::mutex> lock(p.mu);
-  return p.map.size();
-}
-
 }  // namespace linbound

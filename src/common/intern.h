@@ -12,7 +12,6 @@
 // std::string enters the system -- never on copy, compare or hash.
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -22,8 +21,5 @@ namespace linbound {
 /// strings always yield the same pointer, so pointer equality implies (and
 /// with interning as the only producer, coincides with) string equality.
 std::shared_ptr<const std::string> intern_string(std::string s);
-
-/// Number of distinct strings currently pooled (bench/diagnostics).
-std::size_t intern_pool_size();
 
 }  // namespace linbound

@@ -3,9 +3,9 @@
 // The harness sweeps share this executor: each (config, seed) cell builds
 // its own Rng, delay/fault policies and Simulator from values derived
 // purely from the cell's indices, runs one deterministic simulation, and
-// yields a result.  So do the sharded runtime's PDES windows (each window
-// steps every shard, and a shard's streaming check runs on the worker that
-// drains it).
+// yields a result.  So does the sharded runtime: one task per shard builds,
+// steps, drains and checks that shard and tears it down, keeping only its
+// trace, so a shard never leaves the worker that runs it.
 //
 // The executor exploits exactly that shape and nothing more:
 //

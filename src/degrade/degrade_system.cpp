@@ -34,12 +34,4 @@ DegradeSystem::DegradeSystem(std::shared_ptr<const ObjectModel> model,
   monitor_->arm();
 }
 
-ModeSwitchingReplica& DegradeSystem::switching_replica(ProcessId pid) {
-  return dynamic_cast<ModeSwitchingReplica&>(sim_->process(pid));
-}
-
-QuorumReplicaProcess& DegradeSystem::quorum_replica(ProcessId pid) {
-  return dynamic_cast<QuorumReplicaProcess&>(sim_->process(pid));
-}
-
 }  // namespace linbound

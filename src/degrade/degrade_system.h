@@ -45,9 +45,6 @@ class DegradeSystem final : public ObjectSystem {
   /// The supervisor (switching variant only; null for pure quorum).
   const SynchronyMonitor* monitor() const { return monitor_.get(); }
 
-  ModeSwitchingReplica& switching_replica(ProcessId pid);
-  QuorumReplicaProcess& quorum_replica(ProcessId pid);
-
   /// Algorithm 1 delays the switching replicas run in their sync eras.
   const AlgorithmDelays& algorithm_delays() const { return delays_; }
 

@@ -4,20 +4,6 @@
 
 namespace linbound {
 
-const char* quorum_value_kind_name(QuorumValueKind kind) {
-  switch (kind) {
-    case QuorumValueKind::kNoop:
-      return "noop";
-    case QuorumValueKind::kOp:
-      return "op";
-    case QuorumValueKind::kBase:
-      return "base";
-    case QuorumValueKind::kSeal:
-      return "seal";
-  }
-  return "?";
-}
-
 bool same_proposal(const QuorumValue& a, const QuorumValue& b) {
   if (a.kind != b.kind) return false;
   switch (a.kind) {

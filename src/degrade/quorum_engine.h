@@ -58,8 +58,6 @@ enum class QuorumValueKind {
   kSeal,  ///< era seal: everything after it in this era's log is void
 };
 
-const char* quorum_value_kind_name(QuorumValueKind kind);
-
 /// One entry of a kBase value: a synchronous-era operation at its Algorithm 1
 /// timestamp (replayed in ts order from the era's start state).
 struct BaseEntry {

@@ -39,28 +39,17 @@ const char* shard_variant_name(ShardVariant variant) {
   return "?";
 }
 
-/// Everything one shard owns: its replica group (inside its own Simulator),
-/// its workload, its churn schedule and its barrier-protocol cursor.
+/// Everything one shard owns while its task runs: its replica group (inside
+/// its own Simulator), its workload and its streaming checker.  run_shard
+/// builds, steps and destroys it on one worker; only the trace outlives it.
 struct ShardedSimulation::ShardState {
-  int shard = -1;
   std::unique_ptr<ReplicaSystem> system;
   std::unique_ptr<HeavyTrafficWorkload> workload;
-  ChurnSchedule churn;
-  std::size_t next_beacon = 0;
-  std::size_t beacons_received = 0;
-  bool aborted = false;
-  /// Streaming check riding the shard's hooks (ShardOptions::streaming_check).
-  /// Inline (jobs = 1): the checker advances on whichever PDES worker steps
-  /// the shard's window; the inter-window barriers order those accesses, so
-  /// the single-threaded checker core never runs concurrently with itself.
+  /// Streaming check riding the shard's hooks (ShardOptions::streaming_check),
+  /// inline: the one worker that runs the shard is the only one to touch it.
   std::unique_ptr<StreamingChecker> checker;
-  CheckResult check_result;
-  std::size_t check_max_window = 0;
-  bool check_done = false;
-  std::string check_error;
 
   Simulator& sim() { return system->sim(); }
-  const Simulator& sim() const { return system->sim(); }
 };
 
 ShardedSimulation::ShardedSimulation(ShardOptions options)
@@ -141,7 +130,7 @@ ShardedSimulation::ShardedSimulation(ShardOptions options)
       Tick delay = lookahead + (spread > 0 ? draw.uniform_tick(0, spread) : 0);
       if (k == 0 && dst == opt_.mutant_early_epoch_shard) {
         // Planted violation: delivered the instant it is sent, below every
-        // possible lookahead -- the barrier validation must reject it.
+        // possible lookahead -- the injection's validation must reject it.
         delay = 0;
       }
       beacons_[static_cast<std::size_t>(dst)].push_back(
@@ -151,12 +140,8 @@ ShardedSimulation::ShardedSimulation(ShardOptions options)
   }
 }
 
-ShardedSimulation::~ShardedSimulation() = default;
-
-std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
-    int shard) const {
-  auto state = std::make_unique<ShardState>();
-  state->shard = shard;
+ShardedSimulation::ShardState ShardedSimulation::build_shard(int shard) const {
+  ShardState state;
   const auto s = static_cast<std::size_t>(shard);
   // The shard's own stream family: a pure function of (seed, shard id).
   const SplitRng streams(SplitRng(opt_.seed).stream_seed(
@@ -187,7 +172,7 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
     so.recoverable = rp;
   }
 
-  state->system = std::make_unique<ReplicaSystem>(model_, so);
+  state.system = std::make_unique<ReplicaSystem>(model_, so);
   // Per-shard pool sizing (sim/pool_set.h, applied through the workload's
   // arm() below plus the per-replica pending reserves here): each shard
   // worker owns warmed pools, so its steady-state window stepping does not
@@ -205,7 +190,7 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
       (static_cast<std::size_t>(clients()) + 1) *
       (opt_.variant == ShardVariant::kRecoverable ? 2 : 1);
   for (int p = 0; p < ShardOptions::kReplicas; ++p) {
-    state->system->replica(static_cast<ProcessId>(p)).reserve_pending(pending);
+    state.system->replica(static_cast<ProcessId>(p)).reserve_pending(pending);
   }
 
   HeavyTrafficOptions w;
@@ -228,16 +213,16 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
   // own operation's timers; the link adds a retransmission timer per copy
   // awaiting its ack.
   w.timer_slots_per_process = (link ? 3 : 2) * pending;
-  state->workload =
-      std::make_unique<HeavyTrafficWorkload>(state->sim(), std::move(w));
+  state.workload =
+      std::make_unique<HeavyTrafficWorkload>(state.sim(), std::move(w));
   // Op log slots for the whole run: the workload slice plus one read per
   // received beacon, so the first beacon does not double the slot vector
   // and copy every slot (reserved before arm(), whose own hint is the
   // slice).
   // The queue's hint goes in here too, before churn windows and start()
   // push anything: the calendar picks its window at its first push.
-  state->sim().reserve(loads_[s] + beacons_[s].size(), 0,
-                       state->workload->event_hint());
+  state.sim().reserve(loads_[s] + beacons_[s].size(), 0,
+                       state.workload->event_hint());
 
   if (faults.churn.any()) {
     // Generate for the full group, then keep only processes that neither
@@ -251,156 +236,95 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
     for (const ChurnWindow& win : full.windows()) {
       if (win.pid > clients()) kept.push_back(win);
     }
-    state->churn = ChurnSchedule(std::move(kept));
-    state->churn.apply(state->sim());
+    ChurnSchedule(std::move(kept)).apply(state.sim());
   }
 
   if (opt_.streaming_check) {
-    state->checker = std::make_unique<StreamingChecker>(*model_);
-    state->checker->attach(state->sim());
+    state.checker = std::make_unique<StreamingChecker>(*model_);
+    state.checker->attach(state.sim());
   }
 
-  state->sim().start();
-  state->workload->arm();
+  state.sim().start();
+  state.workload->arm();
   return state;
 }
 
-void ShardedSimulation::step_window(ShardState& state, Tick horizon) {
-  if (state.sim().run_window(horizon) == WindowOutcome::kBudget) {
-    state.aborted = true;
-  }
-}
-
-void ShardedSimulation::run_terminal(ShardState& state) {
-  // The terminal infinite window: no cross-shard input can arrive anymore,
-  // so the shard drains to quiescence with no further barriers.  A false
-  // return is the event budget tripping (Simulator::run contract).
-  if (!state.sim().run()) state.aborted = true;
-}
-
-void ShardedSimulation::inject_beacons(ShardState& state, Tick horizon) const {
-  const auto& schedule = beacons_[static_cast<std::size_t>(state.shard)];
-  while (state.next_beacon < schedule.size() &&
-         schedule[state.next_beacon].send < horizon) {
-    const Beacon& b = schedule[state.next_beacon];
-    if (b.recv < horizon) {
-      // A beacon sent inside the window [window_start, horizon) that
-      // arrives before the horizon would have had to be processed inside
-      // the very window that just ran without it -- the conservative
-      // lookahead was violated and the trace can no longer be trusted.
-      throw std::logic_error(
-          "ShardedSimulation: beacon for shard " + std::to_string(b.dst) +
-          " epoch " + std::to_string(b.epoch) + " sent at " +
-          std::to_string(b.send) + " arrives at " + std::to_string(b.recv) +
-          " < window end " + std::to_string(horizon) +
-          " -- cross-shard delay below the conservative lookahead");
-    }
-    state.sim().invoke_at(b.recv, /*pid=*/0, reg::read());
-    ++state.next_beacon;
-    ++state.beacons_received;
-  }
-}
-
-void ShardedSimulation::finalize_check(ShardState& state) {
-  if (!state.checker || state.check_done || !state.check_error.empty()) return;
-  try {
-    state.check_result = state.checker->finalize();
-    state.check_max_window = state.checker->max_window_ops();
-    state.check_done = true;
-  } catch (const std::exception& e) {
-    // A tripped state budget poisons this shard's verdict only; the run
-    // (and every other shard's check) carries on.
-    state.check_error = e.what();
-  }
-}
-
-ShardResult ShardedSimulation::finish_shard(const ShardState& state) const {
+ShardResult ShardedSimulation::run_shard(int shard, bool plant_extra,
+                                         Trace* keep) const {
+  ShardState state = build_shard(shard);
+  Simulator& sim = state.sim();
+  const auto& schedule = beacons_[static_cast<std::size_t>(shard)];
   ShardResult r;
-  r.shard = state.shard;
-  const Trace& trace = state.sim().trace();
-  r.status = state.aborted
-                 ? RunStatus::kAborted
-                 : (trace.complete() ? RunStatus::kComplete
-                                     : RunStatus::kStalled);
+  r.shard = shard;
+  bool aborted = false;
+  for (std::size_t w = 1; w <= windows(); ++w) {
+    const Tick horizon = static_cast<Tick>(w) * lookahead();
+    // An aborted shard stops stepping: its budget tripped, and its trace
+    // is frozen at the trip point.
+    if (sim.run_window(horizon) == WindowOutcome::kBudget) {
+      aborted = true;
+      break;
+    }
+    // Deliver every beacon whose send time fell inside the window that
+    // just closed.
+    for (; r.beacons < schedule.size() && schedule[r.beacons].send < horizon;
+         ++r.beacons) {
+      const Beacon& b = schedule[r.beacons];
+      if (b.recv < horizon) {
+        // A beacon sent inside the window [horizon - lookahead, horizon)
+        // that arrives before the horizon would have had to be processed
+        // inside the very window that just ran without it -- the
+        // conservative lookahead was violated and the trace can no longer
+        // be trusted.
+        throw std::logic_error(
+            "ShardedSimulation: beacon for shard " + std::to_string(b.dst) +
+            " epoch " + std::to_string(b.epoch) + " sent at " +
+            std::to_string(b.send) + " arrives at " + std::to_string(b.recv) +
+            " < window end " + std::to_string(horizon) +
+            " -- cross-shard delay below the conservative lookahead");
+      }
+      sim.invoke_at(b.recv, /*pid=*/0, reg::read());
+    }
+    if (plant_extra && shard == opt_.mutant_extra_op_shard && w == 1) {
+      // Planted divergence (run() only -- run_solo strips the knob): one
+      // operation the reference never schedules, so this shard's hash must
+      // differ from it.  Placed two epochs past the last beacon so it
+      // cannot overlap a pending beacon on process 0.
+      sim.invoke_at(last_beacon_send_ + 2 * sync_interval(), /*pid=*/0,
+                    reg::read());
+    }
+  }
+  // The terminal infinite window: no cross-shard input can arrive anymore,
+  // so the shard drains to quiescence.  A false return is the event budget
+  // tripping (Simulator::run contract).
+  if (!aborted && !sim.run()) aborted = true;
+
+  if (state.checker) {
+    try {
+      const CheckResult check = state.checker->finalize();
+      r.checked = true;
+      r.check_ok = check.ok;
+      r.check_states = check.states_explored;
+      r.check_segments = check.segments;
+      r.check_max_resident = check.max_resident_states;
+      r.check_max_window = state.checker->max_window_ops();
+    } catch (const std::exception& e) {
+      // A tripped state budget poisons this shard's verdict only; the run
+      // (and every other shard's check) carries on.
+      r.check_error = e.what();
+    }
+  }
+
+  const Trace& trace = sim.trace();
+  r.status = aborted ? RunStatus::kAborted
+                     : (trace.complete() ? RunStatus::kComplete
+                                         : RunStatus::kStalled);
   r.trace_hash = hash_trace(trace);
-  r.events = state.sim().events_processed();
+  r.events = sim.events_processed();
   r.ops = trace.ops.size();
   r.end_time = trace.end_time;
-  if (state.check_done) {
-    r.checked = true;
-    r.check_ok = state.check_result.ok;
-    r.check_states = state.check_result.states_explored;
-    r.check_segments = state.check_result.segments;
-    r.check_max_resident = state.check_result.max_resident_states;
-    r.check_max_window = state.check_max_window;
-  }
-  r.check_error = state.check_error;
+  if (keep) *keep = sim.release_trace();
   return r;
-}
-
-ShardRunReport ShardedSimulation::drive(
-    std::vector<std::unique_ptr<ShardState>>& states, int jobs,
-    bool plant_extra) const {
-  ShardRunReport report;
-  const ParallelSweepExecutor exec(resolve_jobs(jobs));
-  const std::size_t count = states.size();
-
-  if (opt_.sync_epochs > 0) {
-    for (Tick window_start = 0;; window_start += lookahead()) {
-      const Tick horizon = window_start + lookahead();
-      // All shards advance to the horizon in parallel; map() returning is
-      // the barrier.  An aborted shard stops stepping (its budget tripped;
-      // the trace is frozen at the trip point) but stays in the report.
-      exec.map<int>(count, [&](std::size_t i) {
-        if (!states[i]->aborted) step_window(*states[i], horizon);
-        return 0;
-      });
-      ++report.windows;
-      // Barrier exchange, serially in canonical shard order: deliver every
-      // beacon whose send time fell inside the closed window.  Each push
-      // lands in its destination shard's private queue, so the cross-shard
-      // iteration order cannot perturb any shard's push sequence.
-      for (auto& state : states) {
-        if (state->aborted) continue;
-        inject_beacons(*state, horizon);
-        if (plant_extra && state->shard == opt_.mutant_extra_op_shard &&
-            report.windows == 1) {
-          // Planted divergence (parallel runs only -- run_solo strips the
-          // knob): one operation run_solo never schedules, so this shard's
-          // hash must differ from its single-threaded reference.  Placed
-          // two epochs past the last beacon so it cannot overlap a pending
-          // beacon on process 0.
-          state->sim().invoke_at(last_beacon_send_ + 2 * sync_interval(),
-                                 /*pid=*/0, reg::read());
-        }
-      }
-      if (horizon > last_beacon_send_) break;
-    }
-  }
-
-  exec.map<int>(count, [&](std::size_t i) {
-    if (!states[i]->aborted) run_terminal(*states[i]);
-    // Final-window search on the same worker, right after the drain: the
-    // checked run's only serial tail is per shard, not global.
-    finalize_check(*states[i]);
-    return 0;
-  });
-
-  // Canonical-order aggregation (hashing each trace is the expensive part,
-  // so it runs on the pool; the result vector is ordered by index).
-  report.shards = exec.map<ShardResult>(
-      count, [&](std::size_t i) { return finish_shard(*states[i]); });
-  for (std::size_t i = 0; i < count; ++i) {
-    report.beacons += states[i]->beacons_received;
-    report.total_events += report.shards[i].events;
-    report.total_ops += report.shards[i].ops;
-    if (report.shards[i].status == RunStatus::kAborted) ++report.aborted;
-    if (report.shards[i].checked) {
-      ++report.checked;
-      if (!report.shards[i].check_ok) ++report.check_failures;
-    }
-  }
-  return report;
 }
 
 ShardRunReport ShardedSimulation::run(int jobs) {
@@ -410,17 +334,26 @@ ShardRunReport ShardedSimulation::run(int jobs) {
         "another run");
   }
   ran_ = true;
-  std::vector<std::unique_ptr<ShardState>> states(
-      static_cast<std::size_t>(opt_.shards));
+  std::vector<Trace> traces(static_cast<std::size_t>(opt_.shards));
   const ParallelSweepExecutor exec(resolve_jobs(jobs));
-  // Construction is per-shard pure, so it parallelizes like the run itself;
-  // each worker writes only its own slot.
-  exec.map<int>(states.size(), [&](std::size_t i) {
-    states[i] = build_shard(static_cast<int>(i));
-    return 0;
+  // One task per shard, each writing only its own slots; the report is
+  // aggregated serially in canonical shard order.
+  ShardRunReport report;
+  report.shards = exec.map<ShardResult>(traces.size(), [&](std::size_t i) {
+    return run_shard(static_cast<int>(i), /*plant_extra=*/true, &traces[i]);
   });
-  ShardRunReport report = drive(states, jobs, /*plant_extra=*/true);
-  states_ = std::move(states);
+  report.windows = windows();
+  for (const ShardResult& r : report.shards) {
+    report.beacons += r.beacons;
+    report.total_events += r.events;
+    report.total_ops += r.ops;
+    if (r.status == RunStatus::kAborted) ++report.aborted;
+    if (r.checked) {
+      ++report.checked;
+      if (!r.check_ok) ++report.check_failures;
+    }
+  }
+  traces_ = std::move(traces);
   return report;
 }
 
@@ -430,19 +363,17 @@ ShardResult ShardedSimulation::run_solo(int shard) const {
   }
   // The reference run never carries the planted extra operation: that
   // divergence is exactly what references exist to expose.
-  std::vector<std::unique_ptr<ShardState>> states;
-  states.push_back(build_shard(shard));
-  return drive(states, /*jobs=*/1, /*plant_extra=*/false).shards.front();
+  return run_shard(shard, /*plant_extra=*/false, /*keep=*/nullptr);
 }
 
 const Trace& ShardedSimulation::trace(int shard) const {
-  if (states_.empty()) {
+  if (traces_.empty()) {
     throw std::logic_error("ShardedSimulation::trace before run()");
   }
-  if (shard < 0 || static_cast<std::size_t>(shard) >= states_.size()) {
+  if (shard < 0 || static_cast<std::size_t>(shard) >= traces_.size()) {
     throw std::out_of_range("ShardedSimulation::trace: unknown shard");
   }
-  return states_[static_cast<std::size_t>(shard)]->sim().trace();
+  return traces_[static_cast<std::size_t>(shard)];
 }
 
 }  // namespace linbound

@@ -1,21 +1,23 @@
 // Multi-tenant sharded simulation: many independent shared objects, each a
-// full replica group inside its own deterministic Simulator, advanced in
-// parallel by a conservative-PDES window protocol.
+// full replica group inside its own deterministic Simulator, run in
+// parallel one task per shard.
 //
 // The paper's delay uncertainty is the key: no message is delivered before
-// d - u, so that quantity is a sound conservative lookahead.  All shards
-// advance their local event queues to a global horizon T + lookahead
-// (Simulator::run_window), then barrier, exchange cross-shard clock-sync
-// beacons whose send times fell inside the closed window, and open the next
-// window.  Once the (finite, configuration-pure) beacon schedule is
-// exhausted no cross-shard event can ever arrive again, so the remaining
-// run is one terminal infinite window per shard -- embarrassingly parallel.
+// d - u, so that quantity is a sound conservative lookahead.  A shard
+// advances its event queue window by window to horizons k * lookahead
+// (Simulator::run_window) and, after each window, receives the cross-shard
+// clock-sync beacons whose send times fell inside it.  The beacon schedule
+// is a pure function of ShardOptions, fixed in the constructor, so no
+// shard's execution can change another shard's input and no shard waits
+// for another: one task builds a shard, steps it through every window,
+// drains it to quiescence once the schedule is exhausted (the terminal
+// infinite window), finalizes its streaming check and keeps only its
+// trace -- the rest of the shard dies on that same worker.
 //
 // The determinism contract (DESIGN.md section 14): for every shard, the
 // trace produced by the parallel run is byte-identical -- hash_trace equal,
-// and therefore serialization equal -- to running that shard alone through
-// the *same* window sequence single-threaded (run_solo), at any --jobs
-// count.  Three properties carry the proof:
+// and therefore serialization equal -- to running that shard alone
+// (run_solo), at any --jobs count.  Three properties carry the proof:
 //
 //   1. shard isolation: each shard owns its Simulator, so the (time,
 //      priority, push-seq) tie-break order that makes a trace is confined
@@ -23,16 +25,15 @@
 //   2. configuration-pure exchange: the beacon schedule (epochs, sources,
 //      delays, receive times) is a pure function of ShardOptions -- never
 //      of any shard's execution state -- drawn from SplitRng streams;
-//   3. identical stepping: run() and run_solo() drive a shard through the
-//      same sequence of run_window horizons and barrier injections, so its
-//      queue sees the same pushes and pops in the same order.
+//   3. one function: run() and run_solo() both call run_shard, so a
+//      parallel shard *is* its solo run.
 //
 // Injected faults (duplication, delay spikes, stalls, churn) only ever
 // *widen* delivery envelopes upward, so the d - u lookahead stays sound
-// under every fault config this runtime accepts; the barrier validates
-// receive times against the open window's end and throws std::logic_error
-// on any beacon that would violate the lookahead (the planted
-// mutant_early_epoch_shard knob exercises exactly that guard).
+// under every fault config this runtime accepts; beacon injection
+// validates receive times against the closed window's end and throws
+// std::logic_error on any beacon that would violate the lookahead (the
+// planted mutant_early_epoch_shard knob exercises exactly that guard).
 #pragma once
 
 #include <cstdint>
@@ -102,7 +103,7 @@ struct ShardOptions {
 
   // --- planted-mutant knobs (tests only) ---
   /// Shard whose epoch-0 beacon is delivered *before* the window ends,
-  /// violating the conservative lookahead; the barrier validation must
+  /// violating the conservative lookahead; the injection's validation must
   /// catch it (std::logic_error).  -1 = off.
   int mutant_early_epoch_shard = -1;
   /// Shard that receives one extra cross-shard operation in the parallel
@@ -113,11 +114,11 @@ struct ShardOptions {
 
   /// Check each shard's history for linearizability *while it runs*: a
   /// per-shard StreamingChecker rides the shard's Simulator hooks (inline:
-  /// the PDES workers are the parallelism) and its final-window
-  /// search runs right after the shard's terminal drain, on the same
-  /// worker.  Observation only: hooks never touch the event schedule, so
-  /// per-shard traces and hashes stay byte-identical to an unchecked run at
-  /// every --jobs value.  Results land in ShardResult::check*.  Each shard
+  /// the shard tasks are the parallelism) and its final-window search
+  /// runs right after the shard's terminal drain, on the same worker.
+  /// Observation only: hooks never touch the event schedule, so per-shard
+  /// traces and hashes stay byte-identical to an unchecked run at every
+  /// --jobs value.  Results land in ShardResult::check*.  Each shard
   /// checks under the default CheckLimits; a shard that trips the state
   /// budget reports check_error instead of aborting the whole run.
   bool streaming_check = false;
@@ -130,6 +131,7 @@ struct ShardResult {
   std::uint64_t trace_hash = 0;  ///< hash_trace of the shard's trace
   std::size_t events = 0;        ///< events processed by the shard's Simulator
   std::size_t ops = 0;           ///< trace ops (workload + received beacons)
+  std::size_t beacons = 0;       ///< cross-shard beacons received
   Tick end_time = 0;             ///< trace end time
 
   // --- streaming check (ShardOptions::streaming_check only) ---
@@ -146,7 +148,7 @@ struct ShardResult {
 
 struct ShardRunReport {
   std::vector<ShardResult> shards;  ///< canonical order, size == options.shards
-  std::size_t windows = 0;          ///< conservative windows before terminal
+  std::size_t windows = 0;          ///< each shard's windows before terminal
   std::size_t beacons = 0;          ///< cross-shard beacons delivered
   std::size_t total_events = 0;
   std::size_t total_ops = 0;
@@ -166,7 +168,6 @@ class ShardedSimulation {
   /// computed here, purely from `options`.  Throws std::invalid_argument on
   /// rejected configurations (see ShardOptions::faults, u == d, ...).
   explicit ShardedSimulation(ShardOptions options);
-  ~ShardedSimulation();
 
   ShardedSimulation(const ShardedSimulation&) = delete;
   ShardedSimulation& operator=(const ShardedSimulation&) = delete;
@@ -188,16 +189,17 @@ class ShardedSimulation {
   /// Workload operations apportioned to each shard (zipfian_shard_loads).
   const std::vector<std::size_t>& loads() const { return loads_; }
 
-  /// Run every shard through the window protocol on `jobs` workers
-  /// (resolve_jobs semantics; <= 1 is serial).  Shard traces are retained
-  /// for trace()/checking until destruction.  Single-shot: a second call
-  /// throws std::logic_error -- build a fresh simulation per run, so no run
-  /// holds or tears down another run's shards.
+  /// Run every shard, one task each, on `jobs` workers (resolve_jobs
+  /// semantics; <= 1 is serial).  Each task tears its shard down when it
+  /// finishes; only the shard traces are retained, for trace(), until
+  /// destruction.  Single-shot: a second call throws std::logic_error --
+  /// build a fresh simulation per run, so no run holds or tears down
+  /// another run's shards.
   ShardRunReport run(int jobs);
 
-  /// Single-threaded reference for one shard: the identical window/barrier
-  /// sequence with every other shard absent.  Self-contained (builds its
-  /// own state; does not disturb run()'s traces), so references
+  /// Single-threaded reference for one shard: the very function run()
+  /// calls per shard, without the planted extra operation.  Self-contained
+  /// (builds its own state; does not disturb run()'s traces), so references
   /// for different shards may themselves be computed concurrently.
   ShardResult run_solo(int shard) const;
 
@@ -220,28 +222,24 @@ class ShardedSimulation {
 
   /// Build and arm one shard: its group, churn and workload slice, with
   /// every pool sized from the shard's own load, beacons and variant
-  /// (DESIGN.md section 15, per-shard sizing rule).  Called inside run()
-  /// and run_solo(), so building is part of a run and parallel like it.
-  std::unique_ptr<ShardState> build_shard(int shard) const;
-  /// Step `state` to `horizon`; marks it aborted if its budget trips.
-  static void step_window(ShardState& state, Tick horizon);
-  /// Drain `state` to quiescence (the terminal infinite window).
-  static void run_terminal(ShardState& state);
-  /// Run the streaming checker's final-window search and stash the verdict
-  /// on the state (no-op unless streaming_check; a state-budget trip is
-  /// recorded as check_error rather than thrown).
-  static void finalize_check(ShardState& state);
-  /// Deliver every not-yet-injected beacon for `state`'s shard whose send
-  /// time fell inside the window that just closed at `horizon`, validating
-  /// recv >= horizon.
-  void inject_beacons(ShardState& state, Tick horizon) const;
-  ShardResult finish_shard(const ShardState& state) const;
-  /// Drive one already-built set of shard states through the whole
-  /// protocol; the shared implementation behind run() and run_solo().
+  /// (DESIGN.md section 15, per-shard sizing rule).  Called inside the
+  /// shard's task, so building is part of a run and parallel like it.
+  ShardState build_shard(int shard) const;
+  /// One shard's whole run, the one function behind run() and run_solo():
+  /// build it, step it through windows() windows injecting its beacons
+  /// after each, drain it, finalize its streaming check and report.  The
+  /// trace moves into `*keep` when non-null; everything else dies here.
+  /// A state-budget trip becomes check_error rather than a throw.
   /// `plant_extra` enables the mutant_extra_op_shard knob (run() only --
   /// references must not carry the planted divergence).
-  ShardRunReport drive(std::vector<std::unique_ptr<ShardState>>& states,
-                       int jobs, bool plant_extra) const;
+  ShardResult run_shard(int shard, bool plant_extra, Trace* keep) const;
+  /// Conservative windows each shard steps before its terminal drain: up
+  /// to the first horizon past the last beacon send (0 without epochs).
+  std::size_t windows() const {
+    return opt_.sync_epochs > 0
+               ? static_cast<std::size_t>(last_beacon_send_ / lookahead()) + 1
+               : 0;
+  }
 
   ShardOptions opt_;
   std::shared_ptr<const ObjectModel> model_;
@@ -249,7 +247,7 @@ class ShardedSimulation {
   Tick last_beacon_send_ = kNoTime;  ///< kNoTime when sync_epochs == 0
   std::vector<std::size_t> loads_;
   std::vector<std::vector<Beacon>> beacons_;  ///< per dst shard, epoch order
-  std::vector<std::unique_ptr<ShardState>> states_;  ///< run()'s shards
+  std::vector<Trace> traces_;  ///< run()'s shard traces
   bool ran_ = false;  ///< run() was called (it is single-shot)
 };
 

@@ -203,6 +203,8 @@ class Simulator {
   }
 
   const Trace& trace() const { return trace_; }
+  /// Move the finished run's trace out; the simulator must not run again.
+  Trace release_trace() { return std::move(trace_); }
 
   /// Append a fault event to the trace on behalf of a harness-side
   /// supervisor (src/degrade/synchrony_monitor.h records kModeDowngrade /

@@ -14,15 +14,6 @@ bool CommutativityGraph::non_commuting(OpCode a, OpCode b) const {
   return false;
 }
 
-std::vector<CommutativityGraph::Edge> CommutativityGraph::edges_of(
-    OpCode code) const {
-  std::vector<Edge> out;
-  for (const Edge& e : edges) {
-    if (e.a == code || e.b == code) out.push_back(e);
-  }
-  return out;
-}
-
 std::string CommutativityGraph::render(const ObjectModel& model) const {
   std::ostringstream os;
   os << "commutativity graph of '" << model.name()

@@ -29,9 +29,6 @@ struct CommutativityGraph {
   /// Is {a, b} an edge (immediately non-commuting)?  Symmetric.
   bool non_commuting(OpCode a, OpCode b) const;
 
-  /// The edges incident to `code`.
-  std::vector<Edge> edges_of(OpCode code) const;
-
   /// Render as an adjacency matrix ("X" = immediately non-commuting) plus
   /// the implied pair bounds.
   std::string render(const ObjectModel& model) const;

@@ -1,11 +1,11 @@
 // The sharded runtime's determinism contract (src/shard/shard.h): for
 // every shard, the parallel run's trace is byte-identical -- hash_trace
-// equal -- to running that shard alone through the same window protocol,
-// at any --jobs count, across clean, faulted and churned configurations.
-// Plus: watchdog attribution (a runaway shard aborts alone), the planted
-// cross-shard mutants (early beacon, extra operation) that the machinery
-// must catch, the zipfian load apportionment, the derived bounds, and the
-// per-shard streaming check's failure count.
+// equal -- to running that shard alone (run_solo), at any --jobs count,
+// across clean, faulted and churned configurations.  Plus: watchdog
+// attribution (a runaway shard aborts alone), the planted cross-shard
+// mutants (early beacon, extra operation) that the machinery must catch,
+// the zipfian load apportionment, the derived bounds, the per-shard
+// streaming check's failure count, and the traces each task keeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -191,8 +191,14 @@ TEST(Shard, RunawayShardAbortsAloneWithAttribution) {
 TEST(Shard, EarlyBeaconMutantIsCaughtByLookaheadValidation) {
   ShardOptions o = base_options(3);
   o.mutant_early_epoch_shard = 1;
-  ShardedSimulation sim(o);
-  EXPECT_THROW(sim.run(2), std::logic_error);
+  // The guard throws inside the victim shard's task; the throw reaches
+  // the caller from the calling thread (jobs 1) and across a worker.
+  for (int jobs : {1, 2, 4}) {
+    ShardedSimulation sim(o);
+    EXPECT_THROW(sim.run(jobs), std::logic_error) << "jobs " << jobs;
+    // A run that threw kept no traces.
+    EXPECT_THROW(sim.trace(0), std::logic_error) << "jobs " << jobs;
+  }
   // The violation is in the schedule, not the parallelism: the solo
   // reference of the victim shard trips the same guard.
   EXPECT_THROW(ShardedSimulation(o).run_solo(1), std::logic_error);
@@ -241,14 +247,34 @@ TEST(Shard, LinkDelayBoostWidensTheBound) {
 }
 
 TEST(Shard, RunIsSingleShot) {
-  // A repeat would hold two runs' shards at once and bill the first run's
-  // teardown to the second; the API refuses it, and the first run's
-  // traces stay readable.
+  // A repeat would hold two runs' traces at once; the API refuses it, and
+  // the first run's traces stay readable.
   ShardedSimulation sim(base_options(3, 24));
   const ShardRunReport report = sim.run(1);
   EXPECT_THROW(sim.run(1), std::logic_error);
   EXPECT_THROW(sim.run(2), std::logic_error);
   EXPECT_EQ(hash_trace(sim.trace(0)), report.shards[0].trace_hash);
+}
+
+// Each task keeps only its shard's trace and tears the rest down on its
+// worker: the kept traces are exactly the ones the report hashed.
+TEST(Shard, KeptTracesOutliveTheirSimulatorsIntact) {
+  for (const bool checked : {false, true}) {
+    for (int jobs : {1, 4}) {
+      ShardOptions o = faulted_options(5);
+      o.streaming_check = checked;
+      ShardedSimulation sim(o);
+      const ShardRunReport report = sim.run(jobs);
+      ASSERT_EQ(report.aborted, 0);
+      EXPECT_EQ(report.checked, checked ? o.shards : 0);
+      for (int s = 0; s < o.shards; ++s) {
+        const ShardResult& r = report.shards[static_cast<std::size_t>(s)];
+        EXPECT_EQ(hash_trace(sim.trace(s)), r.trace_hash)
+            << "shard " << s << " jobs " << jobs << " checked " << checked;
+        EXPECT_EQ(sim.trace(s).ops.size(), r.ops) << "shard " << s;
+      }
+    }
+  }
 }
 
 TEST(Shard, ChurnAutoPromotesToRecoverable) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -424,7 +425,8 @@ TEST(StreamingChecker, WitnessRanksTokensThatAreNotIndices) {
   // The witness maps tokens to history indices by rank.  Tokens offset
   // from their indices (dense: ranked through a bitmap) and tokens far
   // apart, negative ones included (sparse: ranked through a sorted copy),
-  // must both give the offline checker's witness.
+  // fed straight to the checker in time order, must both give the offline
+  // checker's witness.
   RegisterModel model;
   for (const std::int64_t stride : {std::int64_t{1}, std::int64_t{1} << 40}) {
     std::vector<OperationRecord> ops;
@@ -445,10 +447,40 @@ TEST(StreamingChecker, WitnessRanksTokensThatAreNotIndices) {
     ASSERT_TRUE(off.ok) << stride;
     ASSERT_EQ(off.witness.size(), 40u);
     EXPECT_EQ(off.witness[0], 1u);
-    const CheckResult got = streaming_check_trace(model, trace);
+    // Each pair's two invocations, then its two responses: the records
+    // are in invocation order and every pair ends before the next starts.
+    StreamingChecker checker(model);
+    for (std::size_t i = 0; i < ops.size(); i += 2) {
+      checker.on_invoke(ops[i]);
+      checker.on_invoke(ops[i + 1]);
+      checker.on_response(ops[i]);
+      checker.on_response(ops[i + 1]);
+    }
+    const CheckResult got = checker.finalize();
     EXPECT_TRUE(got.ok) << stride;
     EXPECT_EQ(off.witness, got.witness) << stride;
   }
+}
+
+TEST(StreamingChecker, ReplayWitnessNamesTracePositionsNotTokens) {
+  // A trace read from text may carry any tokens.  Three sequential ops on
+  // one process, tokens falling 2, 1, 0 in trace order: the history (and
+  // the offline witness) numbers them by trace position, so the replay's
+  // witness must be {0, 1, 2} too, not the tokens' order {2, 1, 0}.
+  const std::string text =
+      "trace v1\ntiming 1000 400 300\noffsets 0\nend 100\n"
+      "op 2 0 1 10 20\t()\t1\n"
+      "op 1 0 1 30 40\t()\t2\n"
+      "op 0 0 0 50 60\t2\n";
+  std::string error;
+  const std::optional<Trace> trace = trace_from_string(text, &error);
+  ASSERT_TRUE(trace.has_value()) << error;
+  ASSERT_EQ(trace->ops.token(0), 2);
+  RegisterModel model;
+  const CheckResult off = offline(model, *trace);
+  ASSERT_TRUE(off.ok);
+  EXPECT_EQ(off.witness, (std::vector<std::size_t>{0, 1, 2}));
+  expect_matches_offline(model, *trace, "descending tokens");
 }
 
 TEST(StreamingChecker, DeepConfirmedSegmentEnumeratesIteratively) {
