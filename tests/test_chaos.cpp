@@ -192,6 +192,52 @@ TEST(ChaosRun, ResultsPinned) {
                 "eager-aop under loss");
 }
 
+/// Folds one 64-bit word into an FNV-1a accumulator, byte by byte.
+void fold(std::uint64_t& h, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b) {
+    h = (h ^ ((word >> (8 * b)) & 0xff)) * 1099511628211ull;
+  }
+}
+
+// The degraded backends' whole output on a small grid, folded into one
+// pin: every quorum and mode-switching spec of a one-seed search grid (the
+// quorum cells bring loss, spikes, a partition and churn with catch-up on
+// recovery; three clients proposing back to back duel for slots; the
+// mode-switching cells trip the supervisor).  Holds the quorum engine to
+// byte-identical traces, verdicts, fault scripts and mode switches.
+TEST(ChaosRun, DegradedGridPinned) {
+  ChaosSearchOptions options;
+  options.variants = {ChaosVariant::kQuorum, ChaosVariant::kModeSwitching};
+  options.seeds = 1;
+  options.ops_per_client = 3;
+  const std::vector<ChaosRunSpec> grid = chaos_search_grid(options);
+  ASSERT_EQ(grid.size(), 14u);
+  std::uint64_t h = 14695981039346656037ull;
+  int churned = 0;
+  int lossy = 0;
+  int switched = 0;
+  for (const ChaosRunSpec& spec : grid) {
+    const ChaosRunResult r = run_chaos(spec);
+    fold(h, r.trace_hash);
+    fold(h, static_cast<std::uint64_t>(r.verdict));
+    fold(h, fnv1a(fault_script_to_string(r.script)));
+    fold(h, static_cast<std::uint64_t>(r.downgrades));
+    fold(h, static_cast<std::uint64_t>(r.upgrades));
+    if (r.max_concurrent_down > 0) ++churned;
+    for (const ScriptedDecision& d : r.script.decisions) {
+      if (d.decision.drop) {
+        ++lossy;
+        break;
+      }
+    }
+    if (r.downgrades > 0) ++switched;
+  }
+  EXPECT_GT(churned, 0);
+  EXPECT_GT(lossy, 0);
+  EXPECT_GT(switched, 0);
+  EXPECT_EQ(h, 0x2197e5ece04d849aull) << "grid hash 0x" << std::hex << h;
+}
+
 TEST(ChaosSearch, GridIsAPureFunctionOfOptions) {
   ChaosSearchOptions options;
   options.seeds = 2;

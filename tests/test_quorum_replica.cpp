@@ -179,6 +179,43 @@ TEST(QuorumReplica, PermanentMinorityCrashKeepsMajorityLive) {
   }
 }
 
+// Each engine's counters after a crash-and-catch-up run under loss, pinned:
+// replica 1 is down while the others decide slots, then recovers and
+// catches up.  Retries (duels and lost messages), gap fills and the chosen
+// and delivered logs must come out exactly as before any change to the
+// engine's internals.
+TEST(QuorumReplica, CrashCatchUpCountersPinned) {
+  auto model = std::make_shared<RegisterModel>();
+  DegradeOptions opt = quorum_options(71);
+  FaultConfig faults;
+  faults.drop_p = 0.10;
+  faults.seed = 73;
+  opt.base.faults = make_fault_policy(faults);
+  DegradeSystem system(model, opt);
+  WorkloadDriver driver(system.sim(), scripts_for(*model, opt.base.n, 6, 79),
+                        {}, {}, /*reissue_cut_ops=*/false);
+  driver.arm();
+  system.sim().crash_at(2200, 1);
+  system.sim().recover_at(2200 + 5 * kTiming.d, 1);
+  const RunOutcome outcome = system.run_with_outcome();
+  EXPECT_EQ(outcome.status, RunStatus::kComplete);
+
+  struct Counters {
+    std::int64_t retries, noop_fills, chosen, delivered;
+  };
+  const Counters want[3] = {{21, 0, 18, 18}, {13, 0, 18, 18}, {10, 2, 18, 18}};
+  for (ProcessId pid = 0; pid < 3; ++pid) {
+    const QuorumEngine& engine =
+        dynamic_cast<const QuorumReplicaProcess&>(system.sim().process(pid))
+            .engine();
+    const Counters& w = want[pid];
+    EXPECT_EQ(engine.proposal_retries(), w.retries) << "p" << pid;
+    EXPECT_EQ(engine.noop_fills(), w.noop_fills) << "p" << pid;
+    EXPECT_EQ(engine.chosen_count(), w.chosen) << "p" << pid;
+    EXPECT_EQ(engine.delivered_count(), w.delivered) << "p" << pid;
+  }
+}
+
 TEST(QuorumReplica, WorksForQueues) {
   auto model = std::make_shared<QueueModel>();
   DegradeOptions opt = quorum_options(53);
