@@ -379,34 +379,65 @@ std::shared_ptr<RecordingFaultPolicy> recording_policy(
 
 }  // namespace
 
+std::string replay_divergence(const Trace& first,
+                              const FaultScript& first_script,
+                              const Trace& replay,
+                              const FaultScript& replay_script) {
+  std::ostringstream out;
+  if (!same_trace(first, replay)) {
+    out << "double-run divergence: trace hash " << std::hex
+        << hash_trace(first) << " vs " << hash_trace(replay);
+    return out.str();
+  }
+  const std::vector<ScriptedDecision>& a = first_script.decisions;
+  const std::vector<ScriptedDecision>& b = replay_script.decisions;
+  std::size_t i = 0;
+  while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
+  if (i == a.size() && i == b.size()) return "";
+  const auto decision = [](const std::vector<ScriptedDecision>& ds,
+                           std::size_t k) {
+    if (k >= ds.size()) return std::string("none");
+    const ScriptedDecision& d = ds[k];
+    return "msg " + std::to_string(d.msg_seq) + " drop " +
+           std::to_string(d.decision.drop ? 1 : 0) + " copies " +
+           std::to_string(d.decision.extra_copies) + " boost " +
+           std::to_string(d.decision.delay_boost);
+  };
+  out << "double-run divergence: fault script decision " << i << " is "
+      << decision(a, i) << " vs " << decision(b, i);
+  return out.str();
+}
+
 ChaosRunResult run_chaos(const ChaosRunSpec& spec) {
   spec.validate();
   const auto recorder = recording_policy(spec);
-  ChaosRunResult result = judge(spec, simulate(run_spec(spec, recorder)));
+  Simulation first = simulate(run_spec(spec, recorder));
+  ChaosRunResult result = judge(spec, first);
   result.script = recorder->script();
   if (result.wall_clock_tripped) return result;  // cut at a wall-dependent point
+  // Only the first run's trace is kept for the comparison; its system goes
+  // before the replay is built.
+  const Trace first_trace = first.system->sim().release_trace();
+  first.system.reset();
 
   // Determinism oracle: an independent second execution from the same spec
-  // must reproduce the trace bit-for-bit (and the same fault script).  Only
-  // its hash and script are compared, so it is simulated, not judged.
+  // must reproduce the trace field for field (and the same fault script).
+  // It is compared with the first run, not judged or hashed.
   const auto replay_recorder = recording_policy(spec);
   const Simulation replay = simulate(run_spec(spec, replay_recorder));
   if (replay.wall_clock_tripped) {
-    // The replay was cut at a wall-dependent point, so its hash says
+    // The replay was cut at a wall-dependent point, so its trace says
     // nothing about determinism: report the trip, not a divergence.
     result.verdict = ChaosVerdict::kAborted;
     result.wall_clock_tripped = true;
     result.detail = "wall-clock budget exceeded in the determinism replay";
     return result;
   }
-  const std::uint64_t replay_hash = hash_trace(replay.trace());
-  if (replay_hash != result.trace_hash ||
-      !(replay_recorder->script() == result.script)) {
+  std::string divergence = replay_divergence(
+      first_trace, result.script, replay.trace(), replay_recorder->script());
+  if (!divergence.empty()) {
     result.verdict = ChaosVerdict::kNonDeterministic;
-    std::ostringstream detail;
-    detail << "double-run divergence: trace hash " << std::hex
-           << result.trace_hash << " vs " << replay_hash;
-    result.detail = detail.str();
+    result.detail = std::move(divergence);
   }
   return result;
 }

@@ -12,8 +12,9 @@
 // the spec once, recording the fault layer's concrete decisions into a
 // FaultScript, judges that run with the layered oracles below, then
 // simulates the spec a second time for the determinism oracle.  The second
-// run is only hashed and its script compared -- nothing else reads it, so
-// it is not judged:
+// run's trace is compared with the first's field by field (same_trace) and
+// its script with the first's -- nothing else reads it, so it is neither
+// judged nor hashed:
 //
 //   kAborted           the watchdog ended the run: the deterministic event
 //                      budget tripped (always reproducible) or the
@@ -23,7 +24,9 @@
 //                      guarantee applied (see below) -- a real bug;
 //   kBoundViolated     an operation exceeded its per-class latency bound
 //                      while the assumption monitor saw a clean run;
-//   kNonDeterministic  the two runs produced different trace hashes;
+//   kNonDeterministic  the two runs produced different traces or fault
+//                      scripts (the detail says which, with both trace
+//                      hashes or the first differing decision);
 //   kOk                none of the above.
 //
 // Guarantee gating is what keeps the linearizability oracle sound: Algorithm
@@ -150,8 +153,17 @@ struct ChaosRunResult {
 std::shared_ptr<const ObjectModel> chaos_model(ChaosWorkload workload);
 
 /// Execute and judge the spec, recording the fault script, then simulate it
-/// again and compare trace hash and script (determinism oracle).
+/// again and compare trace and script (determinism oracle).
 ChaosRunResult run_chaos(const ChaosRunSpec& spec);
+
+/// The determinism oracle's account of a double run: empty when the replay
+/// reproduced the first run (same_trace and the same fault script), else
+/// which part diverged -- the trace, with both trace hashes, or the fault
+/// script, with its first differing decision.
+std::string replay_divergence(const Trace& first,
+                              const FaultScript& first_script,
+                              const Trace& replay,
+                              const FaultScript& replay_script);
 
 /// Execute the spec once with the fault layer scripted: the given decisions
 /// at their msg_seqs, no fault anywhere else.  Stalls and churn still come

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <typeinfo>
 
 namespace linbound {
 
@@ -12,11 +13,12 @@ void LundeliusLynchProcess::on_start() {
 
 void LundeliusLynchProcess::on_message(ProcessId /*from*/,
                                        const MessagePayload& payload) {
-  const auto& msg = dynamic_cast<const ClockReadingPayload&>(payload);
+  const auto* msg = payload_as<ClockReadingPayload>(payload);
+  if (msg == nullptr) throw std::bad_cast();
   // est = (T_j + d - u/2) - local_time(), doubled to stay in integers:
   // 2*est = 2*T_j + 2*d - u - 2*local_time().
   doubled_estimate_sum_ +=
-      2 * msg.sender_clock + 2 * timing().d - timing().u - 2 * local_time();
+      2 * msg->sender_clock + 2 * timing().d - timing().u - 2 * local_time();
   ++heard_from_;
 }
 

@@ -26,7 +26,7 @@
 
 namespace linbound {
 
-struct ClockReadingPayload final : MessagePayload {
+struct ClockReadingPayload final : TaggedPayload<ClockReadingPayload> {
   Tick sender_clock = 0;
   explicit ClockReadingPayload(Tick t) : sender_clock(t) {}
 };

@@ -14,8 +14,9 @@
 //     non-empty operation).
 //
 // Users: the replica hot path's pending tables (core/pending_tables.h),
-// the streaming checker's in-flight index (checker/streaming_checker.cpp)
-// and the trace op log's cold table (sim/trace.h).
+// the streaming checker's in-flight index (checker/streaming_checker.cpp),
+// the trace op log's cold table (sim/trace.h) and the quorum engine's
+// acceptor and chosen logs (degrade/quorum_engine.h).
 // tests/test_pending_tables.cpp fuzzes both tables against std::map /
 // std::set.
 #pragma once
@@ -46,6 +47,23 @@ class FlatMap {
   const V* find(const K& key) const {
     return const_cast<FlatMap*>(this)->find(key);
   }
+
+  /// map[key]: the value at `key`, default-constructed first when absent.
+  /// An insert may move every entry, so the reference lasts until the next
+  /// insert.
+  V& operator[](const K& key) {
+    if (items_.size() == head_ || items_.back().key < key) {
+      return items_.emplace_back(Entry{key, V{}}).val;
+    }
+    auto it = live_lower_bound(key);
+    if (it == items_.end() || !(it->key == key)) {
+      it = items_.insert(it, Entry{key, V{}});
+    }
+    return it->val;
+  }
+
+  /// The largest live key; the map must not be empty.
+  const K& max_key() const { return items_.back().key; }
 
   /// map[key] = value.
   void insert_or_assign(const K& key, V value) {

@@ -24,13 +24,13 @@ void CentralizedProcess::on_invoke(std::int64_t token, const Operation& op) {
 }
 
 void CentralizedProcess::on_message(ProcessId from, const MessagePayload& payload) {
-  if (const auto* req = dynamic_cast<const CentralRequestPayload*>(&payload)) {
+  if (const auto* req = payload_as<CentralRequestPayload>(payload)) {
     // Linearization point: application at the coordinator, in arrival order.
     Value ret = obj_->apply(req->op);
     send(from, make_msg<CentralReplyPayload>(req->token, std::move(ret)));
     return;
   }
-  if (const auto* reply = dynamic_cast<const CentralReplyPayload*>(&payload)) {
+  if (const auto* reply = payload_as<CentralReplyPayload>(payload)) {
     if (give_up_token_ == reply->token) {
       cancel_timer(give_up_timer_);
       give_up_token_ = -1;

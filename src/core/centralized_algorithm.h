@@ -12,13 +12,13 @@
 
 namespace linbound {
 
-struct CentralRequestPayload final : MessagePayload {
+struct CentralRequestPayload final : TaggedPayload<CentralRequestPayload> {
   Operation op;
   std::int64_t token = -1;  ///< the invoker's token, echoed in the reply
   CentralRequestPayload(Operation o, std::int64_t t) : op(std::move(o)), token(t) {}
 };
 
-struct CentralReplyPayload final : MessagePayload {
+struct CentralReplyPayload final : TaggedPayload<CentralReplyPayload> {
   std::int64_t token = -1;
   Value ret;
   CentralReplyPayload(std::int64_t t, Value r) : token(t), ret(std::move(r)) {}

@@ -63,7 +63,7 @@ void HardenedReplicaProcess::send(ProcessId to, const MessagePayload* payload) {
 
 void HardenedReplicaProcess::on_message(ProcessId from,
                                         const MessagePayload& payload) {
-  if (const auto* ack = dynamic_cast<const LinkAckPayload*>(&payload)) {
+  if (const auto* ack = payload_as<LinkAckPayload>(payload)) {
     // Acks addressed to a previous life are stale: this incarnation may be
     // reusing the acked sequence number for a different message.
     if (ack->incarnation != my_incarnation_) return;
@@ -72,7 +72,7 @@ void HardenedReplicaProcess::on_message(ProcessId from,
     pending_sends_.erase(link_key(from, ack->seq));
     return;
   }
-  if (const auto* frame = dynamic_cast<const LinkDataPayload*>(&payload)) {
+  if (const auto* frame = payload_as<LinkDataPayload>(payload)) {
     // Always (re-)ack: the sender may be retransmitting because our
     // previous ack was lost.  Acks go out raw -- acking an ack would loop.
     raw_send(from, make_msg<LinkAckPayload>(frame->seq, frame->incarnation));

@@ -86,7 +86,7 @@ struct HardenedParams {
 /// (sender, incarnation) so a recycled seq 0 is not suppressed as a
 /// duplicate of the previous life's seq 0.  Failure-free runs keep
 /// incarnation 0 everywhere and behave exactly as before.
-struct LinkDataPayload final : MessagePayload {
+struct LinkDataPayload final : TaggedPayload<LinkDataPayload> {
   std::int64_t seq = 0;
   Tick incarnation = 0;
   const MessagePayload* inner = nullptr;  ///< arena-owned, outlives the frame
@@ -97,7 +97,7 @@ struct LinkDataPayload final : MessagePayload {
 /// Receiver's acknowledgment of LinkDataPayload <seq, incarnation>.  The
 /// echoed incarnation lets a restarted sender ignore acks addressed to its
 /// previous life (whose sequence numbers it is reusing).
-struct LinkAckPayload final : MessagePayload {
+struct LinkAckPayload final : TaggedPayload<LinkAckPayload> {
   std::int64_t seq = 0;
   Tick incarnation = 0;
   explicit LinkAckPayload(std::int64_t s, Tick inc = 0)

@@ -100,7 +100,7 @@ void RecoverableReplicaProcess::on_invoke(std::int64_t token,
 
 void RecoverableReplicaProcess::deliver_app(ProcessId from,
                                             const MessagePayload& payload) {
-  if (const auto* join = dynamic_cast<const JoinRequestPayload*>(&payload)) {
+  if (const auto* join = payload_as<JoinRequestPayload>(payload)) {
     // Serve state to a rejoiner -- but only from a joined copy; a replica
     // that is itself mid-rejoin has nothing trustworthy to hand out.
     if (joined_) {
@@ -109,7 +109,7 @@ void RecoverableReplicaProcess::deliver_app(ProcessId from,
     }
     return;
   }
-  if (const auto* snap = dynamic_cast<const JoinSnapshotPayload*>(&payload)) {
+  if (const auto* snap = payload_as<JoinSnapshotPayload>(payload)) {
     // Adopt the first snapshot for *this* incarnation; later ones (other
     // peers answering, or retransmissions) are redundant.
     if (!joined_ && snap->incarnation == link_incarnation()) {
@@ -117,7 +117,7 @@ void RecoverableReplicaProcess::deliver_app(ProcessId from,
     }
     return;
   }
-  if (const auto* op = dynamic_cast<const OpBroadcastPayload*>(&payload)) {
+  if (const auto* op = payload_as<OpBroadcastPayload>(payload)) {
     if (!joined_) {
       // No state to order against yet; hold it for adoption time.
       buffered_.emplace_back(op->ts, op->op);

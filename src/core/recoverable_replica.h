@@ -71,7 +71,7 @@ struct RecoverableParams {
 
 /// Rejoiner -> everyone: "I am back (as incarnation `incarnation`), send me
 /// your state."
-struct JoinRequestPayload final : MessagePayload {
+struct JoinRequestPayload final : TaggedPayload<JoinRequestPayload> {
   Tick incarnation = 0;
   explicit JoinRequestPayload(Tick inc) : incarnation(inc) {}
 };
@@ -82,7 +82,7 @@ struct JoinRequestPayload final : MessagePayload {
 /// `pending` the peer's queued-but-unexecuted entries (timestamp order).
 /// `incarnation` echoes the request, so a stale snapshot from a previous
 /// join attempt cannot be adopted by a later life.
-struct JoinSnapshotPayload final : MessagePayload {
+struct JoinSnapshotPayload final : TaggedPayload<JoinSnapshotPayload> {
   Snapshot state;
   std::optional<Timestamp> frontier;
   std::size_t executed = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <typeinfo>
 
 namespace linbound {
 
@@ -112,8 +113,9 @@ void ReplicaProcess::on_invoke(std::int64_t token, const Operation& op) {
 }
 
 void ReplicaProcess::on_message(ProcessId /*from*/, const MessagePayload& payload) {
-  const auto& msg = dynamic_cast<const OpBroadcastPayload&>(payload);
-  enqueue_replicated(msg.ts, msg.op);
+  const auto* msg = payload_as<OpBroadcastPayload>(payload);
+  if (msg == nullptr) throw std::bad_cast();
+  enqueue_replicated(msg->ts, msg->op);
 }
 
 void ReplicaProcess::on_timer(TimerId /*id*/, const TimerTag& tag) {

@@ -211,7 +211,7 @@ class ReplicaProcess : public Process {
 };
 
 /// The broadcast payload <op, arg, ts> of Algorithm 1.
-struct OpBroadcastPayload final : MessagePayload {
+struct OpBroadcastPayload final : TaggedPayload<OpBroadcastPayload> {
   Operation op;
   Timestamp ts;
   OpBroadcastPayload(Operation o, Timestamp t) : op(std::move(o)), ts(t) {}

@@ -23,7 +23,7 @@ void SyncedReplicaProcess::begin_round() {
 }
 
 void SyncedReplicaProcess::on_message(ProcessId from, const MessagePayload& payload) {
-  if (const auto* sync = dynamic_cast<const SyncReadingPayload*>(&payload)) {
+  if (const auto* sync = payload_as<SyncReadingPayload>(payload)) {
     RoundState& state = rounds_[sync->round];
     // Midpoint estimate of (sender's adjusted clock - mine), doubled so it
     // stays an exact integer: 2*est = 2*T_j + 2*d - u - 2*my_reading.

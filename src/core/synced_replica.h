@@ -25,7 +25,7 @@
 namespace linbound {
 
 /// The sync round message: the sender's adjusted clock reading.
-struct SyncReadingPayload final : MessagePayload {
+struct SyncReadingPayload final : TaggedPayload<SyncReadingPayload> {
   std::int64_t round = 0;
   Tick reading = 0;
   SyncReadingPayload(std::int64_t r, Tick t) : round(r), reading(t) {}

@@ -31,11 +31,11 @@ void TobProcess::on_timer(TimerId /*id*/, const TimerTag& tag) {
 }
 
 void TobProcess::on_message(ProcessId /*from*/, const MessagePayload& payload) {
-  if (const auto* submit = dynamic_cast<const TobSubmitPayload*>(&payload)) {
+  if (const auto* submit = payload_as<TobSubmitPayload>(payload)) {
     sequence(submit->op, submit->token, submit->origin);
     return;
   }
-  if (const auto* deliver_msg = dynamic_cast<const TobDeliverPayload*>(&payload)) {
+  if (const auto* deliver_msg = payload_as<TobDeliverPayload>(payload)) {
     deliver(*deliver_msg);
     return;
   }

@@ -27,7 +27,7 @@
 
 namespace linbound {
 
-struct TobSubmitPayload final : MessagePayload {
+struct TobSubmitPayload final : TaggedPayload<TobSubmitPayload> {
   Operation op;
   std::int64_t token = -1;
   ProcessId origin = kNoProcess;
@@ -35,7 +35,7 @@ struct TobSubmitPayload final : MessagePayload {
       : op(std::move(o)), token(t), origin(p) {}
 };
 
-struct TobDeliverPayload final : MessagePayload {
+struct TobDeliverPayload final : TaggedPayload<TobDeliverPayload> {
   Operation op;
   std::int64_t token = -1;
   ProcessId origin = kNoProcess;

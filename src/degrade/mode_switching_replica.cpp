@@ -28,7 +28,7 @@ QuorumEngine& ModeSwitchingReplica::ensure_engine(int era) {
 // --- routing ------------------------------------------------------------
 
 void ModeSwitchingReplica::send(ProcessId to, const MessagePayload* payload) {
-  if (const auto* op = dynamic_cast<const OpBroadcastPayload*>(payload)) {
+  if (const auto* op = payload_as<OpBroadcastPayload>(*payload)) {
     // Called once per broadcast recipient; the emplace dedups.  Recording
     // at send (not at invoke) also catches enqueue_replicated re-feeds.
     era_ops_.emplace(op->ts, op->op);
@@ -40,7 +40,7 @@ void ModeSwitchingReplica::send(ProcessId to, const MessagePayload* payload) {
 
 void ModeSwitchingReplica::deliver_app(ProcessId from,
                                        const MessagePayload& payload) {
-  if (const auto* eo = dynamic_cast<const EraOpPayload*>(&payload)) {
+  if (const auto* eo = payload_as<EraOpPayload>(payload)) {
     if (eo->era == era_ &&
         (phase_ == Phase::kSync || phase_ == Phase::kDraining)) {
       era_ops_.emplace(eo->inner->ts, eo->inner->op);
@@ -53,7 +53,7 @@ void ModeSwitchingReplica::deliver_app(ProcessId from,
     }
     return;  // broadcasts of ended eras are settled history: ignore
   }
-  if (const auto* dr = dynamic_cast<const DrainReportPayload*>(&payload)) {
+  if (const auto* dr = payload_as<DrainReportPayload>(payload)) {
     if (dr->era == era_ &&
         (phase_ == Phase::kSync || phase_ == Phase::kDraining)) {
       reports_[from] = dr->entries;
@@ -61,7 +61,7 @@ void ModeSwitchingReplica::deliver_app(ProcessId from,
     }
     return;
   }
-  if (const auto* qe = dynamic_cast<const QEraPayload*>(&payload)) {
+  if (const auto* qe = payload_as<QEraPayload>(payload)) {
     // Any era: sealed engines still serve catch-up, future engines start
     // life as acceptors (always safe) and stash their commits for later.
     ensure_engine(qe->era).on_message(from, *qe->inner);

@@ -68,7 +68,7 @@
 namespace linbound {
 
 /// The era-stamped frame around Algorithm 1's broadcast.
-struct EraOpPayload final : MessagePayload {
+struct EraOpPayload final : TaggedPayload<EraOpPayload> {
   int era = 0;
   const OpBroadcastPayload* inner = nullptr;  ///< arena-owned
   EraOpPayload(int e, const OpBroadcastPayload* in) : era(e), inner(in) {}
@@ -76,15 +76,15 @@ struct EraOpPayload final : MessagePayload {
 
 /// The era-stamped frame around a quorum-engine message.  Sent raw (the
 /// engine does its own retrying; the reliable link would re-retry it).
-struct QEraPayload final : MessagePayload {
+struct QEraPayload final : TaggedPayload<QEraPayload> {
   int era = 0;
-  const MessagePayload* inner = nullptr;  ///< engine-arena-owned
+  const MessagePayload* inner = nullptr;  ///< arena-owned
   QEraPayload(int e, const MessagePayload* in) : era(e), inner(in) {}
 };
 
 /// A draining replica's view of its ending sync era: every <ts, op>
 /// broadcast it saw, plus its own not-yet-broadcast operations.
-struct DrainReportPayload final : MessagePayload {
+struct DrainReportPayload final : TaggedPayload<DrainReportPayload> {
   int era = 0;
   std::vector<BaseEntry> entries;
   DrainReportPayload(int e, std::vector<BaseEntry> es)
@@ -113,6 +113,7 @@ class ModeSwitchingReplica final : public HardenedReplicaProcess,
   void on_mode_signal(int target_era) override;
 
   // QuorumHost
+  PayloadArena& quorum_arena() override { return arena(); }
   void quorum_send(std::int64_t tag, ProcessId to,
                    const MessagePayload* payload) override;
   void quorum_set_timer(std::int64_t tag, Tick delta,

@@ -1,6 +1,9 @@
 #include "degrade/quorum_engine.h"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
+#include <utility>
 
 namespace linbound {
 
@@ -27,7 +30,12 @@ QuorumEngine::QuorumEngine(QuorumHost& host, std::int64_t tag, ProcessId self,
       timing_(timing),
       rng_(Rng(kQuorumSeed)
                .split(static_cast<std::uint64_t>(self))
-               .split(static_cast<std::uint64_t>(tag))) {}
+               .split(static_cast<std::uint64_t>(tag))) {
+  if (n > kMaxProcesses) {
+    throw std::invalid_argument(
+        "QuorumEngine: at most 64 processes (promise/accept bitmasks)");
+  }
+}
 
 void QuorumEngine::send_others(const MessagePayload* payload) {
   for (ProcessId to = 0; to < static_cast<ProcessId>(n_); ++to) {
@@ -38,14 +46,14 @@ void QuorumEngine::send_others(const MessagePayload* payload) {
 
 std::int64_t QuorumEngine::lowest_unchosen() const {
   std::int64_t slot = apply_next_;
-  while (chosen_.count(slot) != 0) ++slot;
+  while (chosen_.find(slot) != nullptr) ++slot;
   return slot;
 }
 
 bool QuorumEngine::has_gap() const {
   if (chosen_.empty()) return false;
-  return chosen_.rbegin()->first >= apply_next_ &&
-         chosen_.count(apply_next_) == 0;
+  return chosen_.max_key() >= apply_next_ &&
+         chosen_.find(apply_next_) == nullptr;
 }
 
 void QuorumEngine::propose(QuorumValue value) {
@@ -54,11 +62,12 @@ void QuorumEngine::propose(QuorumValue value) {
 }
 
 void QuorumEngine::abandon_kind(QuorumValueKind kind) {
-  backlog_.erase(std::remove_if(backlog_.begin(), backlog_.end(),
-                                [kind](const QuorumValue& v) {
-                                  return v.kind == kind;
-                                }),
-                 backlog_.end());
+  backlog_.erase(
+      std::remove_if(
+          backlog_.begin() + static_cast<std::ptrdiff_t>(backlog_head_),
+          backlog_.end(),
+          [kind](const QuorumValue& v) { return v.kind == kind; }),
+      backlog_.end());
   if (driving_ && !driving_->noop_fill && driving_->value.kind == kind) {
     driving_.reset();
     ++retry_seq_;  // pending retry timer goes stale
@@ -74,17 +83,19 @@ void QuorumEngine::reawaken() {
   }
   gap_timer_armed_ = false;  // its timer died with the crash
   if (has_gap()) arm_gap_timer();
-  auto* req = arena_.make<QCatchupReqPayload>(apply_next_);
+  auto* req = make_payload<QCatchupReqPayload>(apply_next_);
   send_others(req);
 }
 
 void QuorumEngine::maybe_start_next() {
   if (driving_) return;
-  if (!backlog_.empty()) {
-    Driving d;
-    d.value = std::move(backlog_.front());
-    backlog_.pop_front();
-    driving_ = std::move(d);
+  if (backlog_head_ < backlog_.size()) {
+    driving_.emplace();
+    driving_->value = std::move(backlog_[backlog_head_++]);
+    if (backlog_head_ == backlog_.size()) {
+      backlog_.clear();
+      backlog_head_ = 0;
+    }
     retry_wait_ = retry_initial();
     start_attempt(lowest_unchosen());
     return;
@@ -108,16 +119,16 @@ void QuorumEngine::start_attempt(std::int64_t slot) {
   d.slot = slot;
   d.ballot = Ballot{++round_, self_};
   d.phase2 = false;
-  d.promises.clear();
+  d.promises = 0;
   d.best_accepted_ballot.reset();
-  d.accepteds.clear();
+  d.accepteds = 0;
   arm_retry();
   // Self is an acceptor too; its promise is collected inline before the
   // prepare goes on the wire (collect_promise may already complete phase 1
   // when n == 1).
   accept_prepare(self_, d.slot, d.ballot);
   if (driving_ && driving_->slot == slot && !driving_->phase2) {
-    auto* prep = arena_.make<QPreparePayload>(slot, driving_->ballot);
+    auto* prep = make_payload<QPreparePayload>(slot, driving_->ballot);
     send_others(prep);
   }
 }
@@ -132,10 +143,8 @@ void QuorumEngine::on_timer(std::int64_t cookie) {
       arm_gap_timer();
       return;
     }
-    Driving d;
-    d.value = QuorumValue{};  // kNoop
-    d.noop_fill = true;
-    driving_ = std::move(d);
+    driving_.emplace();  // its value is a kNoop
+    driving_->noop_fill = true;
     ++noop_fills_;
     retry_wait_ = retry_initial();
     start_attempt(apply_next_);
@@ -149,43 +158,43 @@ void QuorumEngine::on_timer(std::int64_t cookie) {
 }
 
 bool QuorumEngine::on_message(ProcessId from, const MessagePayload& payload) {
-  if (const auto* prep = dynamic_cast<const QPreparePayload*>(&payload)) {
+  if (const auto* prep = payload_as<QPreparePayload>(payload)) {
     accept_prepare(from, prep->slot, prep->ballot);
     return true;
   }
-  if (const auto* prom = dynamic_cast<const QPromisePayload*>(&payload)) {
+  if (const auto* prom = payload_as<QPromisePayload>(payload)) {
     collect_promise(from, *prom);
     return true;
   }
-  if (const auto* acc = dynamic_cast<const QAcceptPayload*>(&payload)) {
+  if (const auto* acc = payload_as<QAcceptPayload>(payload)) {
     accept_accept(from, acc->slot, acc->ballot, acc->value);
     return true;
   }
-  if (const auto* accd = dynamic_cast<const QAcceptedPayload*>(&payload)) {
+  if (const auto* accd = payload_as<QAcceptedPayload>(payload)) {
     collect_accepted(from, accd->slot, accd->ballot);
     return true;
   }
-  if (const auto* nack = dynamic_cast<const QNackPayload*>(&payload)) {
+  if (const auto* nack = payload_as<QNackPayload>(payload)) {
     // Outballoted: remember the competing round so the next attempt (on
     // the jittered retry timer -- immediate re-prepare would duel) wins.
     round_ = std::max(round_, nack->promised.round);
     return true;
   }
-  if (const auto* chosen = dynamic_cast<const QChosenPayload*>(&payload)) {
+  if (const auto* chosen = payload_as<QChosenPayload>(payload)) {
     on_chosen(chosen->slot, chosen->value);
     return true;
   }
-  if (const auto* req = dynamic_cast<const QCatchupReqPayload*>(&payload)) {
-    auto* reply = arena_.make<QCatchupReplyPayload>();
-    for (const auto& [slot, value] : chosen_) {
-      if (slot < req->from_slot) continue;
+  if (const auto* req = payload_as<QCatchupReqPayload>(payload)) {
+    auto* reply = make_payload<QCatchupReplyPayload>();
+    chosen_.for_each([&](std::int64_t slot, const QuorumValue& value) {
+      if (slot < req->from_slot) return;
       reply->slots.push_back(slot);
       reply->values.push_back(value);
-    }
+    });
     if (!reply->slots.empty()) host_.quorum_send(tag_, from, reply);
     return true;
   }
-  if (const auto* reply = dynamic_cast<const QCatchupReplyPayload*>(&payload)) {
+  if (const auto* reply = payload_as<QCatchupReplyPayload>(payload)) {
     for (std::size_t i = 0; i < reply->slots.size(); ++i) {
       on_chosen(reply->slots[i], reply->values[i]);
     }
@@ -200,7 +209,7 @@ void QuorumEngine::accept_prepare(ProcessId from, std::int64_t slot,
   if (b < acc.promised) {
     if (from != self_) {
       host_.quorum_send(tag_, from,
-                        arena_.make<QNackPayload>(slot, acc.promised));
+                        make_payload<QNackPayload>(slot, acc.promised));
     }
     return;
   }
@@ -211,7 +220,7 @@ void QuorumEngine::accept_prepare(ProcessId from, std::int64_t slot,
                           acc.accepted_value);
     return;
   }
-  auto* prom = arena_.make<QPromisePayload>(slot, b);
+  auto* prom = make_payload<QPromisePayload>(slot, b);
   if (acc.accepted_ballot) {
     prom->has_accepted = true;
     prom->accepted_ballot = *acc.accepted_ballot;
@@ -226,7 +235,7 @@ void QuorumEngine::accept_accept(ProcessId from, std::int64_t slot,
   if (b < acc.promised) {
     if (from != self_) {
       host_.quorum_send(tag_, from,
-                        arena_.make<QNackPayload>(slot, acc.promised));
+                        make_payload<QNackPayload>(slot, acc.promised));
     }
     return;
   }
@@ -237,7 +246,7 @@ void QuorumEngine::accept_accept(ProcessId from, std::int64_t slot,
     collect_accepted(self_, slot, b);
     return;
   }
-  host_.quorum_send(tag_, from, arena_.make<QAcceptedPayload>(slot, b));
+  host_.quorum_send(tag_, from, make_payload<QAcceptedPayload>(slot, b));
 }
 
 void QuorumEngine::collect_promise(ProcessId from, const QPromisePayload& p) {
@@ -252,25 +261,29 @@ void QuorumEngine::collect_promise_parts(ProcessId from, std::int64_t slot,
   if (!driving_ || driving_->phase2) return;
   Driving& d = *driving_;
   if (slot != d.slot || b != d.ballot) return;
-  d.promises.insert(from);
+  d.promises |= std::uint64_t{1} << from;
   if (has_accepted &&
       (!d.best_accepted_ballot || acc_b > *d.best_accepted_ballot)) {
     d.best_accepted_ballot = acc_b;
     d.best_accepted_value = acc_v;
   }
-  if (static_cast<int>(d.promises.size()) < majority()) return;
+  if (std::popcount(d.promises) < majority()) return;
   // Phase 2: a previously accepted value must be recovered (it may already
   // be chosen somewhere we cannot see); otherwise drive our own.
   d.phase2 = true;
-  d.phase2_value = d.best_accepted_ballot ? d.best_accepted_value : d.value;
+  if (d.best_accepted_ballot) {
+    d.phase2_value = std::move(d.best_accepted_value);
+  } else {
+    d.phase2_value = d.value;
+  }
   const std::int64_t drive_slot = d.slot;
   const Ballot drive_ballot = d.ballot;
   // Self-accept first (may complete the slot when n == 1).
   accept_accept(self_, drive_slot, drive_ballot, d.phase2_value);
   if (driving_ && driving_->slot == drive_slot &&
       driving_->ballot == drive_ballot) {
-    auto* acc = arena_.make<QAcceptPayload>(drive_slot, drive_ballot,
-                                            driving_->phase2_value);
+    auto* acc = make_payload<QAcceptPayload>(drive_slot, drive_ballot,
+                                             driving_->phase2_value);
     send_others(acc);
   }
 }
@@ -280,25 +293,27 @@ void QuorumEngine::collect_accepted(ProcessId from, std::int64_t slot,
   if (!driving_ || !driving_->phase2) return;
   Driving& d = *driving_;
   if (slot != d.slot || b != d.ballot) return;
-  d.accepteds.insert(from);
-  if (static_cast<int>(d.accepteds.size()) < majority()) return;
+  d.accepteds |= std::uint64_t{1} << from;
+  if (std::popcount(d.accepteds) < majority()) return;
   // Decided.  Tell everyone, then deliver locally (on_chosen also advances
-  // or completes the driving proposal).
-  const QuorumValue decided = d.phase2_value;
-  auto* chosen = arena_.make<QChosenPayload>(slot, decided);
+  // or completes the driving proposal, which leaves phase2_value dead).
+  QuorumValue decided = std::move(d.phase2_value);
+  auto* chosen = make_payload<QChosenPayload>(slot, decided);
   send_others(chosen);
-  on_chosen(slot, decided);
+  on_chosen(slot, std::move(decided));
 }
 
-void QuorumEngine::on_chosen(std::int64_t slot, const QuorumValue& value) {
-  if (chosen_.count(slot) != 0) {
+template <typename V>
+void QuorumEngine::on_chosen(std::int64_t slot, V&& value) {
+  if (chosen_.find(slot) != nullptr) {
     // Paxos guarantees any second decision for a slot is the same value.
     return;
   }
-  chosen_[slot] = value;
+  const bool ours = driving_ && same_proposal(value, driving_->value);
+  chosen_.insert_or_assign(slot, std::forward<V>(value));
   if (driving_) {
     Driving& d = *driving_;
-    if (same_proposal(value, d.value)) {
+    if (ours) {
       // Our value made it -- possibly driven by a peer that recovered it
       // from a half-accepted slot.  Done either way.
       driving_.reset();
@@ -323,12 +338,12 @@ void QuorumEngine::on_chosen(std::int64_t slot, const QuorumValue& value) {
 
 void QuorumEngine::deliver_committed() {
   while (true) {
-    auto it = chosen_.find(apply_next_);
-    if (it == chosen_.end()) return;
+    const QuorumValue* value = chosen_.find(apply_next_);
+    if (value == nullptr) return;
     const std::int64_t slot = apply_next_;
     ++apply_next_;
     // The host may reenter propose()/abandon_kind() from this upcall.
-    host_.quorum_committed(tag_, slot, it->second);
+    host_.quorum_committed(tag_, slot, *value);
   }
 }
 

@@ -16,8 +16,14 @@
 // The engine is deliberately not a Process: the mode-switching replica is
 // already one, and one object must be able to host several engines (one per
 // degraded era) concurrently for laggards catching up.  All I/O goes
-// through the small QuorumHost interface; payloads live in the engine's own
-// arena so hosts never marshal.
+// through the small QuorumHost interface; payloads are built in the run's
+// arena (QuorumHost::quorum_arena) so hosts never marshal.
+//
+// State is flat: the acceptor and chosen logs are sorted vectors keyed by
+// slot (common/flat_map.h; slots mostly rise, so inserts are appends), the
+// promise and accept sets of the driven proposal are 64-bit masks over
+// process ids -- so an engine serves at most 64 processes -- and the
+// backlog is a vector with a head index.  A fresh engine allocates nothing.
 //
 // Crash model (documented, standard): acceptor state and the chosen log are
 // treated as *stable storage* -- the simulator's crash keeps member state
@@ -26,13 +32,13 @@
 // broadcast a catch-up request.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
-#include <set>
+#include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/rng.h"
 #include "common/time.h"
 #include "common/timestamp.h"
@@ -80,13 +86,13 @@ bool same_proposal(const QuorumValue& a, const QuorumValue& b);
 
 // --- wire payloads (engine-internal; hosts may wrap them opaquely) ---
 
-struct QPreparePayload final : MessagePayload {
+struct QPreparePayload final : TaggedPayload<QPreparePayload> {
   std::int64_t slot = 0;
   Ballot ballot{};
   QPreparePayload(std::int64_t s, Ballot b) : slot(s), ballot(b) {}
 };
 
-struct QPromisePayload final : MessagePayload {
+struct QPromisePayload final : TaggedPayload<QPromisePayload> {
   std::int64_t slot = 0;
   Ballot ballot{};
   bool has_accepted = false;
@@ -95,7 +101,7 @@ struct QPromisePayload final : MessagePayload {
   QPromisePayload(std::int64_t s, Ballot b) : slot(s), ballot(b) {}
 };
 
-struct QAcceptPayload final : MessagePayload {
+struct QAcceptPayload final : TaggedPayload<QAcceptPayload> {
   std::int64_t slot = 0;
   Ballot ballot{};
   QuorumValue value;
@@ -103,30 +109,30 @@ struct QAcceptPayload final : MessagePayload {
       : slot(s), ballot(b), value(std::move(v)) {}
 };
 
-struct QAcceptedPayload final : MessagePayload {
+struct QAcceptedPayload final : TaggedPayload<QAcceptedPayload> {
   std::int64_t slot = 0;
   Ballot ballot{};
   QAcceptedPayload(std::int64_t s, Ballot b) : slot(s), ballot(b) {}
 };
 
-struct QNackPayload final : MessagePayload {
+struct QNackPayload final : TaggedPayload<QNackPayload> {
   std::int64_t slot = 0;
   Ballot promised{};
   QNackPayload(std::int64_t s, Ballot p) : slot(s), promised(p) {}
 };
 
-struct QChosenPayload final : MessagePayload {
+struct QChosenPayload final : TaggedPayload<QChosenPayload> {
   std::int64_t slot = 0;
   QuorumValue value;
   QChosenPayload(std::int64_t s, QuorumValue v) : slot(s), value(std::move(v)) {}
 };
 
-struct QCatchupReqPayload final : MessagePayload {
+struct QCatchupReqPayload final : TaggedPayload<QCatchupReqPayload> {
   std::int64_t from_slot = 0;
   explicit QCatchupReqPayload(std::int64_t s) : from_slot(s) {}
 };
 
-struct QCatchupReplyPayload final : MessagePayload {
+struct QCatchupReplyPayload final : TaggedPayload<QCatchupReplyPayload> {
   std::vector<std::int64_t> slots;
   std::vector<QuorumValue> values;
 };
@@ -137,6 +143,10 @@ struct QCatchupReplyPayload final : MessagePayload {
 class QuorumHost {
  public:
   virtual ~QuorumHost() = default;
+
+  /// The run's payload arena (Process::arena): the engine builds its
+  /// payloads there, like every other payload of the run.
+  virtual PayloadArena& quorum_arena() = 0;
 
   /// Ship an engine payload to peer `to` (never the engine's own process).
   virtual void quorum_send(std::int64_t tag, ProcessId to,
@@ -149,7 +159,8 @@ class QuorumHost {
                                 std::int64_t cookie) = 0;
 
   /// Slot `slot` decided `value`, and every smaller slot has already been
-  /// delivered (in-order, exactly once per slot).
+  /// delivered (in-order, exactly once per slot).  `value` lives in the
+  /// engine's chosen log: copy what outlives a call back into the engine.
   virtual void quorum_committed(std::int64_t tag, std::int64_t slot,
                                 const QuorumValue& value) = 0;
 };
@@ -169,6 +180,10 @@ constexpr std::uint64_t kQuorumSeed = 0xdeb'ade'5eedULL;
 ///     recovers slots whose QChosen notification was lost.
 class QuorumEngine {
  public:
+  /// Most processes an engine serves: promise and accept sets are bitmasks.
+  static constexpr int kMaxProcesses = 64;
+
+  /// Throws std::invalid_argument when n > kMaxProcesses.
   QuorumEngine(QuorumHost& host, std::int64_t tag, ProcessId self, int n,
                const SystemTiming& timing);
 
@@ -197,7 +212,7 @@ class QuorumEngine {
   // --- introspection (tests / benches) ---
   std::int64_t delivered_count() const { return apply_next_; }
   std::int64_t chosen_count() const { return static_cast<std::int64_t>(chosen_.size()); }
-  bool idle() const { return !driving_ && backlog_.empty(); }
+  bool idle() const { return !driving_ && backlog_head_ == backlog_.size(); }
   std::int64_t proposal_retries() const { return retries_; }
   std::int64_t noop_fills() const { return noop_fills_; }
 
@@ -220,15 +235,20 @@ class QuorumEngine {
     Ballot ballot{};
     bool phase2 = false;
     QuorumValue phase2_value;  ///< own value, or a recovered accepted value
-    std::set<ProcessId> promises;
+    std::uint64_t promises = 0;  ///< bit p: process p promised `ballot`
     std::optional<Ballot> best_accepted_ballot;
     QuorumValue best_accepted_value;
-    std::set<ProcessId> accepteds;
+    std::uint64_t accepteds = 0;  ///< bit p: process p accepted `ballot`
   };
 
   int majority() const { return n_ / 2 + 1; }
   Tick retry_initial() const { return 2 * timing_.d + 1; }
 
+  /// A payload built in the run's arena.
+  template <typename T, typename... Args>
+  T* make_payload(Args&&... args) {
+    return host_.quorum_arena().make<T>(std::forward<Args>(args)...);
+  }
   void send_others(const MessagePayload* payload);
   std::int64_t lowest_unchosen() const;
   bool has_gap() const;
@@ -251,7 +271,10 @@ class QuorumEngine {
                              const Ballot& acc_b, const QuorumValue& acc_v);
   void collect_accepted(ProcessId from, std::int64_t slot, const Ballot& b);
 
-  void on_chosen(std::int64_t slot, const QuorumValue& value);
+  /// Record `slot`'s decision (the first one only) and react to it; moves
+  /// `value` in when given an rvalue.
+  template <typename V>
+  void on_chosen(std::int64_t slot, V&& value);
   void deliver_committed();
   void maybe_start_next();
 
@@ -260,19 +283,18 @@ class QuorumEngine {
   ProcessId self_;
   int n_;
   SystemTiming timing_;
-  /// Engine-owned payload storage: the engine is not a Process and cannot
-  /// reach the run arena; it lives as long as its replica, which outlives
-  /// every in-flight delivery of its payloads.
-  PayloadArena arena_;
   Rng rng_;
 
-  std::map<std::int64_t, AcceptorSlot> acceptors_;  ///< stable storage
-  std::map<std::int64_t, QuorumValue> chosen_;      ///< stable storage
+  FlatMap<std::int64_t, AcceptorSlot> acceptors_;  ///< stable storage
+  FlatMap<std::int64_t, QuorumValue> chosen_;      ///< stable storage
   std::int64_t apply_next_ = 0;  ///< next slot to deliver to the host
   std::int64_t round_ = 0;       ///< monotonic ballot-round counter
 
   std::optional<Driving> driving_;
-  std::deque<QuorumValue> backlog_;
+  /// Proposals waiting their turn: backlog_[backlog_head_, size()).  The
+  /// vector is cleared whenever the head catches up with its end.
+  std::vector<QuorumValue> backlog_;
+  std::size_t backlog_head_ = 0;
   std::int64_t retry_seq_ = 0;  ///< stale retry timers carry an older value
   Tick retry_wait_ = 0;
   bool gap_timer_armed_ = false;

@@ -36,6 +36,7 @@ class QuorumReplicaProcess final : public Process, public QuorumHost {
   void on_recover() override;
 
   // QuorumHost
+  PayloadArena& quorum_arena() override { return arena(); }
   void quorum_send(std::int64_t tag, ProcessId to,
                    const MessagePayload* payload) override;
   void quorum_set_timer(std::int64_t tag, Tick delta,

@@ -72,6 +72,10 @@ class Process {
   int process_count() const;
   const SystemTiming& timing() const;
 
+  /// The run's payload arena; hosts hand it to the payload builders they
+  /// embed (QuorumHost::quorum_arena), so every payload of a run lives in it.
+  PayloadArena& arena() const;
+
   /// Construct a payload in the run's arena (sim/arena.h): the allocation
   /// is a pointer bump, the arena owns the object for the whole run, and
   /// the returned pointer can be sent any number of times.  Payloads are
@@ -114,7 +118,6 @@ class Process {
 
  private:
   friend class Simulator;
-  PayloadArena& arena() const;
 
   Simulator* sim_ = nullptr;
   ProcessId id_ = kNoProcess;

@@ -58,7 +58,7 @@ std::int64_t OpLog::put(const Value& v, Kind& kind) {
   return static_cast<std::int64_t>(side_.size() - 1);
 }
 
-Value OpLog::get(Kind kind, std::int64_t bits) const {
+Value OpLog::ValueRef::value() const {
   switch (kind) {
     case Kind::kUnit:
       return Value();
@@ -69,7 +69,14 @@ Value OpLog::get(Kind kind, std::int64_t bits) const {
     case Kind::kSide:
       break;
   }
-  return side_[static_cast<std::size_t>(bits)];
+  return *side;
+}
+
+bool operator==(const OpLog::ValueRef& a, const OpLog::ValueRef& b) {
+  if (a.side == nullptr && b.side == nullptr) {
+    return a.kind == b.kind && a.bits == b.bits;
+  }
+  return a.value() == b.value();
 }
 
 void OpLog::append(const OperationRecord& rec) {
@@ -125,17 +132,34 @@ ProcessId OpLog::proc(std::size_t i) const {
   return slots_[i].cold ? cold_.find(i)->proc : slots_[i].proc;
 }
 
+OpCode OpLog::code(std::size_t i) const {
+  return slots_[i].cold ? cold_.find(i)->code : slots_[i].code;
+}
+
+std::size_t OpLog::arg_count(std::size_t i) const {
+  return slots_[i].argc == kSpilledArgs ? spilled_args(i).size()
+                                        : slots_[i].argc;
+}
+
+OpLog::ValueRef OpLog::arg(std::size_t i, std::size_t a) const {
+  const Slot& slot = slots_[i];
+  if (slot.argc == kSpilledArgs) {
+    return {Kind::kSide, 0, &spilled_args(i)[a]};
+  }
+  return ref(slot.arg_kind[a], slot.args[a]);
+}
+
 const OperationRecord OpLog::operator[](std::size_t i) const {
   const Slot& slot = slots_[i];
   OperationRecord rec;
   rec.invoke_time = slot.invoke_time;
   rec.response_time = slot.response_time;
-  rec.ret = get(slot.ret_kind, slot.ret);
+  rec.ret = ret(i).value();
   if (slot.argc == kSpilledArgs) {
-    rec.op.args = side_[static_cast<std::size_t>(slot.args[0])].as_list();
+    rec.op.args = spilled_args(i);
   } else {
     for (std::size_t a = 0; a < slot.argc; ++a) {
-      rec.op.args.push_back(get(slot.arg_kind[a], slot.args[a]));
+      rec.op.args.push_back(arg(i, a).value());
     }
   }
   rec.gave_up = slot.gave_up != 0;

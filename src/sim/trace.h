@@ -29,6 +29,8 @@ struct MessageRecord {
   Tick send_time = kNoTime;  ///< real time
   Tick recv_time = kNoTime;  ///< real time; kNoTime if not delivered in the run
 
+  friend bool operator==(const MessageRecord&, const MessageRecord&) = default;
+
   bool delivered() const { return recv_time != kNoTime; }
   Tick delay() const { return recv_time - send_time; }
 };
@@ -68,10 +70,27 @@ struct OperationRecord {
 /// Reads materialise: operator[], at() and the iterators return a const
 /// OperationRecord by value, so `for (const OperationRecord& rec : ops)`
 /// reads as it always did -- but the record lives for one loop step, and
-/// an address taken from it dangles after.  Keep indices instead.  Writes
-/// go through append, stamp_invoke, respond and give_up.
+/// an address taken from it dangles after.  Keep indices instead.  The
+/// single-field accessors (token, proc, code, the times, ret and arg) read
+/// a slot without materialising it; trace_io formats and compares traces
+/// through them.  Writes go through append, stamp_invoke, respond and
+/// give_up.
 class OpLog {
  public:
+  enum class Kind : std::uint8_t { kUnit, kInt, kBool, kSide };
+
+  /// One stored value, read in place: unit, int and bool inline in `bits`,
+  /// anything else (`kSide`) at `side`, in the log's side table.  Valid
+  /// until the log changes.
+  struct ValueRef {
+    Kind kind = Kind::kUnit;
+    std::int64_t bits = 0;
+    const Value* side = nullptr;
+
+    Value value() const;
+    friend bool operator==(const ValueRef& a, const ValueRef& b);
+  };
+
   class const_iterator {
    public:
     using iterator_category = std::input_iterator_tag;
@@ -110,6 +129,12 @@ class OpLog {
   /// Single fields, without materialising the record.
   std::int64_t token(std::size_t i) const;
   ProcessId proc(std::size_t i) const;
+  OpCode code(std::size_t i) const;
+  ValueRef ret(std::size_t i) const {
+    return ref(slots_[i].ret_kind, slots_[i].ret);
+  }
+  std::size_t arg_count(std::size_t i) const;
+  ValueRef arg(std::size_t i, std::size_t a) const;
   Tick invoke_time(std::size_t i) const { return slots_[i].invoke_time; }
   Tick response_time(std::size_t i) const { return slots_[i].response_time; }
   bool completed(std::size_t i) const { return response_time(i) != kNoTime; }
@@ -122,7 +147,6 @@ class OpLog {
   void give_up(std::size_t i, Tick t);
 
  private:
-  enum class Kind : std::uint8_t { kUnit, kInt, kBool, kSide };
   /// `argc` value for an argument list kept whole in the side table.
   static constexpr std::uint8_t kSpilledArgs = 3;
 
@@ -155,7 +179,15 @@ class OpLog {
 
  private:
   std::int64_t put(const Value& v, Kind& kind);
-  Value get(Kind kind, std::int64_t bits) const;
+  ValueRef ref(Kind kind, std::int64_t bits) const {
+    return {kind, bits,
+            kind == Kind::kSide ? &side_[static_cast<std::size_t>(bits)]
+                                : nullptr};
+  }
+  /// The argument list kept whole in the side table (argc == kSpilledArgs).
+  const Value::List& spilled_args(std::size_t i) const {
+    return side_[static_cast<std::size_t>(slots_[i].args[0])].as_list();
+  }
 
   std::vector<Slot> slots_;
   std::vector<Value> side_;          ///< string and list values, by handle
@@ -195,6 +227,8 @@ struct FaultEvent {
   /// Spike boost, stall deferral length, duplicate's original message id,
   /// or the given-up operation token -- per kind.
   Tick magnitude = 0;
+
+  friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
 
 const char* fault_kind_name(FaultKind kind);

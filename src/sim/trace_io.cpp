@@ -72,6 +72,25 @@ class TraceFormatter {
     ((ch(' '), num(xs)), ...);
   }
 
+  /// A stored value in the Value::to_string grammar: unit, int and bool
+  /// straight into the buffer, side-table values through to_string.
+  void value(const OpLog::ValueRef& v) {
+    switch (v.kind) {
+      case OpLog::Kind::kUnit:
+        text("()");
+        return;
+      case OpLog::Kind::kInt:
+        num(v.bits);
+        return;
+      case OpLog::Kind::kBool:
+        text(v.bits != 0 ? "true" : "false");
+        return;
+      case OpLog::Kind::kSide:
+        text(v.side->to_string());
+        return;
+    }
+  }
+
   /// " <t>", or " -" for kNoTime.
   void time_field(Tick t) {
     if (t == kNoTime) {
@@ -110,16 +129,17 @@ void format_trace(const Trace& trace, Sink& sink) {
     out.time_field(m.recv_time);
     out.ch('\n');
   }
-  for (const OperationRecord& rec : trace.ops) {
+  const OpLog& ops = trace.ops;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
     out.text("op");
-    out.fields(rec.token, rec.proc, rec.op.code);
-    out.time_field(rec.invoke_time);
-    out.time_field(rec.response_time);
+    out.fields(ops.token(i), ops.proc(i), ops.code(i));
+    out.time_field(ops.invoke_time(i));
+    out.time_field(ops.response_time(i));
     out.ch(kFieldSep);
-    out.text(rec.ret.to_string());
-    for (const Value& arg : rec.op.args) {
+    out.value(ops.ret(i));
+    for (std::size_t a = 0, argc = ops.arg_count(i); a < argc; ++a) {
       out.ch(kFieldSep);
-      out.text(arg.to_string());
+      out.value(ops.arg(i, a));
     }
     out.ch('\n');
   }
@@ -166,6 +186,30 @@ std::uint64_t hash_trace(const Trace& trace) {
   FnvSink sink;
   format_trace(trace, sink);
   return sink.hash;
+}
+
+bool same_trace(const Trace& a, const Trace& b) {
+  if (a.timing.d != b.timing.d || a.timing.u != b.timing.u ||
+      a.timing.eps != b.timing.eps || a.clock_offsets != b.clock_offsets ||
+      a.end_time != b.end_time || a.messages != b.messages ||
+      a.ops.size() != b.ops.size() || a.faults != b.faults) {
+    return false;
+  }
+  const OpLog& x = a.ops;
+  const OpLog& y = b.ops;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x.token(i) != y.token(i) || x.proc(i) != y.proc(i) ||
+        x.code(i) != y.code(i) || x.invoke_time(i) != y.invoke_time(i) ||
+        x.response_time(i) != y.response_time(i) || !(x.ret(i) == y.ret(i))) {
+      return false;
+    }
+    const std::size_t argc = x.arg_count(i);
+    if (argc != y.arg_count(i)) return false;
+    for (std::size_t j = 0; j < argc; ++j) {
+      if (!(x.arg(i, j) == y.arg(i, j))) return false;
+    }
+  }
+  return true;
 }
 
 std::optional<Trace> read_trace(std::istream& is, std::string* error) {

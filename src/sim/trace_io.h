@@ -43,10 +43,19 @@ std::optional<Trace> trace_from_string(const std::string& text,
 
 /// FNV-1a (64-bit, unchanged) over write_trace's bytes, streamed through
 /// the formatter's buffer (a ~100MB serialized trace is hashed without
-/// materializing it).  Two traces hash equal iff their serializations are
-/// byte-identical -- the determinism oracle of bench_throughput, the chaos
-/// engine's double-run check (src/chaos) and the repro-bundle replay gate
-/// all compare this.
+/// materializing it).  Byte-identical serializations hash equal -- the
+/// determinism oracle of bench_throughput, the chaos engine's pinned
+/// trace_hash (src/chaos) and the repro-bundle replay gate all compare
+/// this.
 std::uint64_t hash_trace(const Trace& trace);
+
+/// Do `a` and `b` agree on every field write_trace serializes -- timing,
+/// clock offsets, end time, messages, operations and fault events?  Equal
+/// fields imply equal serializations (and hashes); the converse holds too,
+/// up to value texts two different Values share.  The chaos engine's
+/// determinism replay compares this against the first run's trace instead
+/// of formatting and hashing the replay again.  Unserialized fields (stats,
+/// give-up marks) are not compared.
+bool same_trace(const Trace& a, const Trace& b);
 
 }  // namespace linbound

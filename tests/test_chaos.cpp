@@ -4,11 +4,13 @@
 // decisions, and replayed byte-identically from its repro bundle.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
 
 #include "chaos/chaos.h"
 #include "chaos/search.h"
 #include "chaos/shrink.h"
+#include "sim/trace_io.h"
 
 namespace linbound {
 namespace {
@@ -236,6 +238,36 @@ TEST(ChaosRun, DegradedGridPinned) {
   EXPECT_GT(lossy, 0);
   EXPECT_GT(switched, 0);
   EXPECT_EQ(h, 0x2197e5ece04d849aull) << "grid hash 0x" << std::hex << h;
+}
+
+// The determinism oracle's detail names the part that diverged: the trace,
+// with both hashes, or the fault script, with its first differing decision
+// -- never "trace hash X vs X" for a script-only divergence.
+TEST(ChaosRun, ReplayDivergenceNamesWhatDiverged) {
+  Trace trace;
+  trace.clock_offsets = {0, 5};
+  trace.end_time = 900;
+  FaultScript script;
+  script.decisions.push_back({3, FaultDecision{true, 0, 0}});
+  script.decisions.push_back({8, FaultDecision{false, 1, 0}});
+  EXPECT_EQ(replay_divergence(trace, script, trace, script), "");
+
+  FaultScript other = script;
+  other.decisions[1].decision.delay_boost = 40;
+  EXPECT_EQ(replay_divergence(trace, script, trace, other),
+            "double-run divergence: fault script decision 1 is msg 8 drop 0 "
+            "copies 1 boost 0 vs msg 8 drop 0 copies 1 boost 40");
+  other.decisions.pop_back();
+  EXPECT_EQ(replay_divergence(trace, script, trace, other),
+            "double-run divergence: fault script decision 1 is msg 8 drop 0 "
+            "copies 1 boost 0 vs none");
+
+  Trace replay = trace;
+  replay.end_time = 901;
+  std::ostringstream want;
+  want << "double-run divergence: trace hash " << std::hex << hash_trace(trace)
+       << " vs " << hash_trace(replay);
+  EXPECT_EQ(replay_divergence(trace, script, replay, script), want.str());
 }
 
 TEST(ChaosSearch, GridIsAPureFunctionOfOptions) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "core/driver.h"
 #include "core/workload.h"
@@ -214,6 +215,20 @@ TEST(QuorumReplica, CrashCatchUpCountersPinned) {
     EXPECT_EQ(engine.chosen_count(), w.chosen) << "p" << pid;
     EXPECT_EQ(engine.delivered_count(), w.delivered) << "p" << pid;
   }
+}
+
+// Promise and accept sets are 64-bit masks over process ids.
+TEST(QuorumReplica, EngineRejectsMoreThan64Processes) {
+  struct NullHost final : QuorumHost {
+    PayloadArena arena;
+    PayloadArena& quorum_arena() override { return arena; }
+    void quorum_send(std::int64_t, ProcessId, const MessagePayload*) override {}
+    void quorum_set_timer(std::int64_t, Tick, std::int64_t) override {}
+    void quorum_committed(std::int64_t, std::int64_t,
+                          const QuorumValue&) override {}
+  } host;
+  EXPECT_NO_THROW(QuorumEngine(host, 0, 0, 64, kTiming));
+  EXPECT_THROW(QuorumEngine(host, 0, 0, 65, kTiming), std::invalid_argument);
 }
 
 TEST(QuorumReplica, WorksForQueues) {

@@ -8,7 +8,7 @@
 namespace linbound {
 namespace {
 
-struct PingPayload final : MessagePayload {
+struct PingPayload final : TaggedPayload<PingPayload> {
   int value = 0;
   explicit PingPayload(int v) : value(v) {}
 };
@@ -18,7 +18,7 @@ struct PingPayload final : MessagePayload {
 class ProbeProcess final : public Process {
  public:
   void on_message(ProcessId from, const MessagePayload& payload) override {
-    const auto& ping = dynamic_cast<const PingPayload&>(payload);
+    const auto& ping = *payload_as<PingPayload>(payload);
     received.push_back({from, ping.value, local_time()});
   }
   void on_timer(TimerId, const TimerTag& tag) override {

@@ -412,6 +412,116 @@ TEST(TraceIo, HashIsFnvOfSerialization) {
   EXPECT_EQ(hash_trace(run), fnv1a(trace_to_string(run)));
 }
 
+/// `t` with operation `i` rebuilt by `edit`: the op log has no setter for
+/// codes, arguments or tokens, so the log is appended afresh.
+template <typename Edit>
+Trace with_op(const Trace& t, std::size_t i, Edit edit) {
+  Trace out = t;
+  out.ops = OpLog();
+  for (std::size_t j = 0; j < t.ops.size(); ++j) {
+    OperationRecord rec = t.ops[j];
+    if (j == i) edit(rec);
+    out.ops.append(rec);
+  }
+  return out;
+}
+
+/// Copies of `base`, each with one serialized field changed.
+std::vector<Trace> one_field_mutants(const Trace& base) {
+  std::vector<Trace> out;
+  const auto mutate = [&](auto edit) {
+    Trace t = base;
+    edit(t);
+    out.push_back(std::move(t));
+  };
+  mutate([](Trace& t) { ++t.timing.d; });
+  mutate([](Trace& t) { ++t.timing.u; });
+  mutate([](Trace& t) { ++t.timing.eps; });
+  mutate([](Trace& t) { t.clock_offsets.front() ^= 1; });
+  mutate([](Trace& t) { t.clock_offsets.push_back(0); });
+  mutate([](Trace& t) { t.end_time ^= 1; });
+  for (std::size_t m = 0; m < base.messages.size(); m += 7) {
+    mutate([m](Trace& t) { t.messages[m].id ^= 1; });
+    mutate([m](Trace& t) { t.messages[m].from ^= 1; });
+    mutate([m](Trace& t) { t.messages[m].to ^= 1; });
+    mutate([m](Trace& t) { t.messages[m].send_time ^= 1; });
+    mutate([m](Trace& t) {
+      Tick& r = t.messages[m].recv_time;
+      r = r == kNoTime ? 0 : kNoTime;
+    });
+  }
+  mutate([](Trace& t) { t.messages.pop_back(); });
+  for (std::size_t i = 0; i < base.ops.size(); i += 3) {
+    out.push_back(with_op(base, i, [](OperationRecord& r) { r.token ^= 1; }));
+    out.push_back(with_op(base, i, [](OperationRecord& r) { r.proc ^= 1; }));
+    out.push_back(with_op(base, i, [](OperationRecord& r) { r.op.code ^= 1; }));
+    mutate([i](Trace& t) {
+      t.ops.stamp_invoke(i, t.ops.invoke_time(i) == 5 ? 6 : 5);
+    });
+    mutate([i](Trace& t) {
+      t.ops.respond(i, t.ops.response_time(i) ^ 1, t.ops[i].ret);
+    });
+    mutate([i](Trace& t) {
+      t.ops.respond(i, t.ops.response_time(i), Value(std::int64_t{-77}));
+    });
+    mutate([i](Trace& t) { t.ops.respond(i, t.ops.response_time(i), "r"); });
+    out.push_back(with_op(base, i, [](OperationRecord& r) {
+      r.op.args.push_back(Value(true));
+    }));
+    out.push_back(with_op(base, i, [](OperationRecord& r) {
+      if (r.op.args.empty()) {
+        r.op.args.push_back(Value::unit());
+      } else {
+        r.op.args[0] = r.op.args[0] == Value(1) ? Value(2) : Value(1);
+      }
+    }));
+  }
+  mutate([](Trace& t) { t.ops = with_op(t, 0, [](OperationRecord&) {}).ops; });
+  for (std::size_t f = 0; f < base.faults.size(); f += 2) {
+    mutate([f](Trace& t) {
+      FaultKind& k = t.faults[f].kind;
+      k = k == FaultKind::kMessageDropped ? FaultKind::kDelaySpike
+                                          : FaultKind::kMessageDropped;
+    });
+    mutate([f](Trace& t) { t.faults[f].time ^= 1; });
+    mutate([f](Trace& t) { t.faults[f].proc ^= 1; });
+    mutate([f](Trace& t) { t.faults[f].peer ^= 1; });
+    mutate([f](Trace& t) { t.faults[f].msg ^= 1; });
+    mutate([f](Trace& t) { t.faults[f].magnitude ^= 1; });
+  }
+  mutate([](Trace& t) { t.faults.pop_back(); });
+  return out;
+}
+
+// same_trace is the serialization's equality, read off the fields: it
+// agrees with comparing trace_to_string texts on every one-field mutant of
+// the edge-case trace and of a faulted, churned run, and ignores what the
+// text leaves out (stats, give-up marks).
+TEST(TraceIo, SameTraceAgreesWithTheSerialization) {
+  for (const Trace& base : {edge_case_trace(), faulted_churned_run()}) {
+    const std::string text = trace_to_string(base);
+    const Trace copy = base;
+    EXPECT_TRUE(same_trace(base, copy));
+
+    int differing = 0;
+    const std::vector<Trace> mutants = one_field_mutants(base);
+    for (std::size_t k = 0; k < mutants.size(); ++k) {
+      const bool same_text = trace_to_string(mutants[k]) == text;
+      EXPECT_EQ(same_trace(base, mutants[k]), same_text) << "mutant " << k;
+      EXPECT_EQ(same_trace(mutants[k], base), same_text) << "mutant " << k;
+      if (!same_text) ++differing;
+    }
+    // Every mutant but the op log rebuilt unchanged changes the text.
+    EXPECT_EQ(differing, static_cast<int>(mutants.size()) - 1);
+
+    Trace unserialized = base;
+    ++unserialized.stats.timers_set;
+    unserialized.ops.give_up(0, 123);
+    EXPECT_EQ(trace_to_string(unserialized), text);
+    EXPECT_TRUE(same_trace(base, unserialized));
+  }
+}
+
 TEST(TraceIo, RejectsGarbage) {
   std::string error;
   EXPECT_FALSE(trace_from_string("not a trace", &error).has_value());
