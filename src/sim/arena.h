@@ -7,7 +7,8 @@
 // is the arena's alone (everyone else holds `const T*`), and the whole
 // population dies with the Simulator.  A run has exactly one: processes
 // build in it through Process::make_msg, and components that are not
-// processes (the quorum engine) through their host (QuorumHost::quorum_arena).  Non-trivially-destructible payloads
+// processes (the quorum engine) through their host
+// (QuorumHost::quorum_arena).  Non-trivially-destructible payloads
 // register themselves on an intrusive list (its nodes live in the arena
 // too) and are destroyed in reverse construction order.
 #pragma once

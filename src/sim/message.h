@@ -26,8 +26,8 @@ struct MessagePayload {
 };
 
 /// CRTP base of every payload type: gives `T` its own tag, so an exact-type
-/// test is one virtual call and one compare.  The tag lives in the vtable,
-/// so no payload object grows.
+/// test is one virtual call and one compare.  The tag is reached through
+/// the vtable every payload already has, so no payload object grows.
 template <typename T>
 struct TaggedPayload : MessagePayload {
   /// One object per payload type; its address is the type's identity.

@@ -51,11 +51,11 @@ std::uint64_t hash_trace(const Trace& trace);
 
 /// Do `a` and `b` agree on every field write_trace serializes -- timing,
 /// clock offsets, end time, messages, operations and fault events?  Equal
-/// fields imply equal serializations (and hashes); the converse holds too,
-/// up to value texts two different Values share.  The chaos engine's
-/// determinism replay compares this against the first run's trace instead
-/// of formatting and hashing the replay again.  Unserialized fields (stats,
-/// give-up marks) are not compared.
+/// fields imply equal serializations, so this is at least as strict as
+/// comparing hash_trace values.  The chaos engine's determinism replay
+/// compares this against the first run's trace instead of formatting and
+/// hashing the replay again.  Unserialized fields (stats, give-up marks)
+/// are not compared.
 bool same_trace(const Trace& a, const Trace& b);
 
 }  // namespace linbound
