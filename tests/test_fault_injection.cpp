@@ -376,6 +376,116 @@ TEST(AssumptionMonitor, ViolationDetailsPinned) {
   }
 }
 
+/// FNV-1a fold of both audits of a trace: every audit_assumptions
+/// violation (assumption, detail, time, proc, msg) and every line of
+/// Trace::audit, so a change to the order, the text or a field moves it.
+void fold_audits(std::uint64_t& h, const Trace& trace) {
+  const auto bytes = [&h](const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto word = [&bytes](std::int64_t x) { bytes(&x, sizeof x); };
+  const AssumptionReport report = audit_assumptions(trace);
+  word(static_cast<std::int64_t>(report.violations.size()));
+  for (const AssumptionViolation& v : report.violations) {
+    word(static_cast<std::int64_t>(v.assumption));
+    bytes(v.detail.data(), v.detail.size());
+    word(v.time);
+    word(v.proc);
+    word(v.msg);
+  }
+  const AdmissibilityReport audit = trace.audit();
+  word(audit.admissible ? 1 : 0);
+  for (const std::string& line : audit.violations) {
+    bytes(line.data(), line.size());
+  }
+}
+
+TEST(AssumptionMonitor, AuditsPinned) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+
+  // Hand-built edge cases: several fault events on one message (listed in
+  // recording order), a process that crashes twice, a recovery recorded
+  // before the crash it would have to follow, a recipient that crashes
+  // only after the message was due, undelivered messages on either side
+  // of the horizon, and skew on a non-adjacent pair.
+  Trace trace;
+  trace.timing = SystemTiming{1000, 400, 100};
+  trace.clock_offsets = {0, 60, -50, 20};
+  trace.end_time = 12'000;
+  const auto fault = [&](FaultKind kind, Tick time, ProcessId proc,
+                         ProcessId peer, MessageId msg, Tick magnitude) {
+    trace.faults.push_back(FaultEvent{kind, time, proc, peer, msg, magnitude});
+  };
+  const auto message = [&](MessageId id, ProcessId from, ProcessId to,
+                           Tick send, Tick recv) {
+    trace.messages.push_back(MessageRecord{id, from, to, send, recv});
+  };
+  fault(FaultKind::kProcessRecovered, 50, 3, kNoProcess, -1, 1);
+  fault(FaultKind::kDelaySpike, 100, 0, 1, 4, 900);
+  fault(FaultKind::kMessageDropped, 120, 1, 2, 6, 0);
+  fault(FaultKind::kDelaySpike, 130, 0, 1, 4, 300);
+  fault(FaultKind::kMessageDuplicated, 140, 0, 1, 5, 4);
+  fault(FaultKind::kDelaySpike, 140, 0, 1, 5, 50);
+  fault(FaultKind::kMessageDropped, 150, 1, 2, 6, 0);
+  fault(FaultKind::kProcessCrashed, 400, 3, kNoProcess, -1, 0);
+  fault(FaultKind::kProcessStalled, 700, 1, kNoProcess, -1, 250);
+  fault(FaultKind::kProcessCrashed, 3000, 2, kNoProcess, -1, 0);
+  fault(FaultKind::kProcessRecovered, 5000, 2, kNoProcess, -1, 2);
+  fault(FaultKind::kProcessCrashed, 8000, 2, kNoProcess, -1, 0);
+  fault(FaultKind::kOperationGivenUp, 8100, 1, kNoProcess, -1, 7);
+  fault(FaultKind::kProcessCrashed, 9000, 0, kNoProcess, -1, 0);
+  message(4, 0, 1, 100, 2300);       // two spikes, delay 2200
+  message(5, 0, 1, 140, 1190);       // spiked copy, still in bounds
+  message(6, 1, 2, 120, kNoTime);    // dropped twice
+  message(7, 1, 3, 500, kNoTime);    // recipient crashed before, no recovery
+  message(8, 0, 2, 2500, kNoTime);   // recipient 2 down, later recovered
+  message(9, 1, 2, 7500, kNoTime);   // recipient 2 crashed for good after
+  message(10, 2, 0, 6000, kNoTime);  // recipient 0 crashes only after due
+  message(11, 3, 1, 1000, 1500);     // too fast: delay 500 < d-u
+  message(12, 1, 0, 11'500, kNoTime);  // run ended first
+  fold_audits(h, trace);
+
+  // Real runs: every injected kind plus churn (recovering and permanent
+  // crashes) and skew past eps, one run drained and one cut short with
+  // messages in flight.
+  for (const std::uint64_t seed : {3u, 11u, 29u}) {
+    auto model = std::make_shared<RegisterModel>();
+    SystemOptions o = system_options();
+    o.n = 4;
+    o.clock_offsets = {0, 40, 130, -20};
+    FaultConfig faults;
+    faults.seed = seed;
+    faults.drop_p = 0.15;
+    faults.dup_p = 0.1;
+    faults.spike_p = 0.2;
+    faults.spike_max = 1800;
+    faults.stalls.push_back(StallWindow{1, 2000, 2600});
+    faults.churn.mean_uptime = 3000;
+    faults.churn.mean_downtime = 1200;
+    faults.churn.start = 1500;
+    faults.churn.horizon = 5000;  // every churn crash recovers by 6800
+    for (const bool cut : {false, true}) {
+      o.faults = make_fault_policy(faults);
+      ReplicaSystem system(model, o);
+      arm_workload(system.sim());
+      make_churn_schedule(faults, o.n).apply(system.sim());
+      system.sim().crash_at(7000, 3);  // for good
+      system.sim().start();
+      if (cut) {
+        system.sim().run_until(6000);
+      } else {
+        EXPECT_TRUE(system.sim().run());
+      }
+      fold_audits(h, system.sim().trace());
+    }
+  }
+  EXPECT_EQ(h, 0xc6be28764cc0eefeull) << "audit pin 0x" << std::hex << h;
+}
+
 TEST(FaultInjection, PartitionDropsOnlyCrossComponentMessages) {
   SimConfig config = base_config();
   config.delays = std::make_shared<FixedDelayPolicy>(700);
