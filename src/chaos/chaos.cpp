@@ -494,12 +494,6 @@ void write_repro_bundle(std::ostream& os, const ReproBundle& bundle) {
   write_fault_script(os, bundle.script);
 }
 
-std::string repro_bundle_to_string(const ReproBundle& bundle) {
-  std::ostringstream os;
-  write_repro_bundle(os, bundle);
-  return os.str();
-}
-
 std::optional<ReproBundle> read_repro_bundle(std::istream& is,
                                              std::string* error) {
   std::string line;
@@ -626,12 +620,6 @@ std::optional<ReproBundle> read_repro_bundle(std::istream& is,
   }
   fail(error, "chaosrepro missing its faultscript section");
   return std::nullopt;
-}
-
-std::optional<ReproBundle> repro_bundle_from_string(const std::string& text,
-                                                    std::string* error) {
-  std::istringstream is(text);
-  return read_repro_bundle(is, error);
 }
 
 ReplayOutcome replay_bundle(const ReproBundle& bundle) {

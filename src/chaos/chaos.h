@@ -183,11 +183,8 @@ struct ReproBundle {
 };
 
 void write_repro_bundle(std::ostream& os, const ReproBundle& bundle);
-std::string repro_bundle_to_string(const ReproBundle& bundle);
 std::optional<ReproBundle> read_repro_bundle(std::istream& is,
                                              std::string* error = nullptr);
-std::optional<ReproBundle> repro_bundle_from_string(const std::string& text,
-                                                    std::string* error = nullptr);
 
 struct ReplayOutcome {
   ChaosRunResult result;

@@ -23,12 +23,6 @@ void write_fault_script(std::ostream& os, const FaultScript& script) {
   os << "end\n";
 }
 
-std::string fault_script_to_string(const FaultScript& script) {
-  std::ostringstream os;
-  write_fault_script(os, script);
-  return os.str();
-}
-
 std::optional<FaultScript> read_fault_script(std::istream& is,
                                              std::string* error) {
   std::string line;

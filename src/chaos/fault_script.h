@@ -62,7 +62,6 @@ struct FaultScript {
 /// documents (the chaos repro bundle); read_fault_script consumes exactly
 /// through the end marker.
 void write_fault_script(std::ostream& os, const FaultScript& script);
-std::string fault_script_to_string(const FaultScript& script);
 std::optional<FaultScript> read_fault_script(std::istream& is,
                                              std::string* error = nullptr);
 std::optional<FaultScript> fault_script_from_string(const std::string& text,

@@ -253,7 +253,7 @@ ChaosSearchResult run_chaos_search(const ChaosSearchOptions& options) {
       ++result.violations;
       if (r.reproducible_violation()) {
         ++result.reproducible;
-        if (static_cast<int>(result.findings.size()) < options.max_findings) {
+        if (result.findings.size() < ChaosSearchResult::kMaxFindings) {
           result.findings.push_back(ChaosFinding{grid[base + i], r});
         }
       }

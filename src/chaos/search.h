@@ -59,8 +59,6 @@ struct ChaosSearchOptions {
   /// The task list is deterministic; the budget only truncates it.
   double time_budget_s = 0;
   int jobs = 1;
-  /// Stop collecting findings past this many (runs are still counted).
-  int max_findings = 8;
 };
 
 struct ChaosFinding {
@@ -69,12 +67,15 @@ struct ChaosFinding {
 };
 
 struct ChaosSearchResult {
+  /// Findings kept; later reproducible violations are still counted.
+  static constexpr std::size_t kMaxFindings = 8;
+
   int runs = 0;        ///< specs executed (each spec runs twice internally)
   int violations = 0;  ///< verdicts != ok
   int reproducible = 0;
   int wall_trips = 0;  ///< wall-clock aborts (reported, never shrunk)
   bool truncated = false;  ///< the time budget cut the grid short
-  std::vector<ChaosFinding> findings;  ///< reproducible, capped
+  std::vector<ChaosFinding> findings;  ///< reproducible, first kMaxFindings
 
   bool found_violation() const { return violations > 0; }
   std::string summary() const;

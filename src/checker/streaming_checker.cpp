@@ -191,7 +191,6 @@ struct StreamingChecker::Impl {
   std::size_t ops_seen() const { return ops_seen_; }
   std::size_t segments_retired() const { return segments_retired_; }
   std::size_t max_window_ops() const { return max_window_ops_; }
-  std::size_t max_resident_states() const { return peak_resident_; }
 
  private:
   // --- online cut detection -------------------------------------------------
@@ -307,6 +306,8 @@ struct StreamingChecker::Impl {
   std::size_t ops_seen_ = 0;
   std::size_t completed_seen_ = 0;
   std::size_t max_window_ops_ = 0;
+  /// Peak of open-window ops + unconfirmed segment ops + state-set entries
+  /// + one segment's memo scratch (CheckResult::max_resident_states).
   std::size_t peak_resident_ = 0;
 };
 
@@ -441,9 +442,6 @@ std::size_t StreamingChecker::segments_retired() const {
 }
 std::size_t StreamingChecker::max_window_ops() const {
   return impl_->max_window_ops();
-}
-std::size_t StreamingChecker::max_resident_states() const {
-  return impl_->max_resident_states();
 }
 
 CheckResult streaming_check_trace(const ObjectModel& model, const Trace& trace,

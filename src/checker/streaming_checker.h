@@ -109,11 +109,6 @@ class StreamingChecker {
   std::size_t ops_seen() const;          ///< invocations consumed
   std::size_t segments_retired() const;  ///< confirmed segments enumerated
   std::size_t max_window_ops() const;    ///< largest open window (ops)
-  /// Peak resident search state: open-window ops + unconfirmed segment ops
-  /// + state-set entries + one segment's visited-memo scratch.  The
-  /// O(window) number the bench gates (witness chains excluded -- they are
-  /// the output; see CheckResult::max_resident_states).
-  std::size_t max_resident_states() const;
 
  private:
   struct Impl;

@@ -9,10 +9,10 @@
 namespace linbound {
 namespace {
 
-// Relaxed is enough: the counters order nothing, and the readers below are
-// same-thread with the allocations they bracket (run segments are serial).
+// Relaxed is enough: the counter and the trap flag order nothing, and the
+// readers below are same-thread with the allocations they bracket (run
+// segments are serial).
 std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_frees{0};
 std::atomic<bool> g_trap{false};
 
 }  // namespace
@@ -26,7 +26,6 @@ bool alloc_counting_enabled() {
 }
 
 std::uint64_t heap_allocs() { return g_allocs.load(std::memory_order_relaxed); }
-std::uint64_t heap_frees() { return g_frees.load(std::memory_order_relaxed); }
 void set_alloc_trap(bool on) { g_trap.store(on, std::memory_order_relaxed); }
 
 }  // namespace linbound
@@ -58,12 +57,6 @@ void* counted_aligned_alloc(std::size_t size, std::size_t align) {
   return p;
 }
 
-void counted_free(void* p) noexcept {
-  if (p == nullptr) return;
-  linbound::g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-
 }  // namespace
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
@@ -89,23 +82,23 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   }
 }
 
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
+  std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
+  std::free(p);
 }
 void operator delete(void* p, const std::nothrow_t&) noexcept {
-  counted_free(p);
+  std::free(p);
 }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  counted_free(p);
+  std::free(p);
 }
 
 #endif  // COUNT_ALLOCS

@@ -27,10 +27,6 @@ bool alloc_counting_enabled();
 /// start.  Monotonic; 0 forever when the interposer is compiled out.
 std::uint64_t heap_allocs();
 
-/// Number of global operator delete / delete[] calls that freed a non-null
-/// pointer.  0 forever when the interposer is compiled out.
-std::uint64_t heap_frees();
-
 /// Debug aid: while on, the very next counted allocation dumps a raw
 /// backtrace to stderr and exits the process with status 42 -- turning a
 /// nonzero steady-state count into a pinpointed call site.  No-op when the

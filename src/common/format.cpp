@@ -15,20 +15,6 @@ std::string pad_right(const std::string& s, std::size_t width) {
   return s + std::string(width - s.size(), ' ');
 }
 
-std::string pad_left(const std::string& s, std::size_t width) {
-  if (s.size() >= width) return s;
-  return std::string(width - s.size(), ' ') + s;
-}
-
-std::string join(const std::vector<std::string>& parts, const std::string& sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 TextTable::TextTable(std::vector<std::string> header) : header_(std::move(header)) {}
 
 void TextTable::add_row(std::vector<std::string> row) {

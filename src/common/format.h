@@ -12,12 +12,8 @@ namespace linbound {
 /// Render a Tick count as microseconds, e.g. "1500us".
 std::string format_ticks(Tick t);
 
-/// Left-/right-pad to a column width.
+/// Right-pad to a column width.
 std::string pad_right(const std::string& s, std::size_t width);
-std::string pad_left(const std::string& s, std::size_t width);
-
-/// Join strings with a separator.
-std::string join(const std::vector<std::string>& parts, const std::string& sep);
 
 /// An ASCII table with a header row, used by every bench binary that
 /// regenerates one of the paper's tables.  Column widths auto-size.

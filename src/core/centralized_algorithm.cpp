@@ -3,10 +3,9 @@
 namespace linbound {
 
 CentralizedProcess::CentralizedProcess(std::shared_ptr<const ObjectModel> model,
-                                       ProcessId coordinator, Tick give_up_after)
+                                       ProcessId coordinator)
     : model_(std::move(model)),
       coordinator_(coordinator),
-      give_up_after_(give_up_after),
       obj_(model_->initial_state()) {}
 
 void CentralizedProcess::on_invoke(std::int64_t token, const Operation& op) {
@@ -16,11 +15,6 @@ void CentralizedProcess::on_invoke(std::int64_t token, const Operation& op) {
     return;
   }
   send(coordinator_, make_msg<CentralRequestPayload>(op, token));
-  if (give_up_after_ > 0) {
-    give_up_token_ = token;
-    give_up_timer_ =
-        set_timer(give_up_after_, TimerTag{kGiveUp, Timestamp{token, id()}});
-  }
 }
 
 void CentralizedProcess::on_message(ProcessId from, const MessagePayload& payload) {
@@ -31,21 +25,9 @@ void CentralizedProcess::on_message(ProcessId from, const MessagePayload& payloa
     return;
   }
   if (const auto* reply = payload_as<CentralReplyPayload>(payload)) {
-    if (give_up_token_ == reply->token) {
-      cancel_timer(give_up_timer_);
-      give_up_token_ = -1;
-    }
     respond(reply->token, reply->ret);
     return;
   }
-}
-
-void CentralizedProcess::on_timer(TimerId /*id*/, const TimerTag& tag) {
-  if (tag.kind != kGiveUp) return;
-  const std::int64_t token = tag.ts.clock_time;
-  if (give_up_token_ != token) return;  // already answered
-  give_up_token_ = -1;
-  give_up(token);
 }
 
 }  // namespace linbound

@@ -26,32 +26,21 @@ struct CentralReplyPayload final : TaggedPayload<CentralReplyPayload> {
 
 class CentralizedProcess final : public Process {
  public:
-  /// All processes must agree on the coordinator id.  With a positive
-  /// `give_up_after`, a client that hears nothing for that long after an
-  /// invocation abandons it (Process::give_up) -- a dead coordinator then
-  /// degrades to a Stalled run outcome instead of a forever-pending
-  /// operation; 0 keeps the historical wait-forever behavior.
+  /// All processes must agree on the coordinator id.  A client waits for
+  /// its reply forever: with the coordinator dead, the run quiesces as
+  /// kStalled with the operation pending.
   CentralizedProcess(std::shared_ptr<const ObjectModel> model,
-                     ProcessId coordinator, Tick give_up_after = 0);
+                     ProcessId coordinator);
 
   void on_invoke(std::int64_t token, const Operation& op) override;
   void on_message(ProcessId from, const MessagePayload& payload) override;
-  void on_timer(TimerId id, const TimerTag& tag) override;
 
  private:
-  enum TimerKind : int { kGiveUp = 1 };
-
   bool is_coordinator() const { return id() == coordinator_; }
 
   std::shared_ptr<const ObjectModel> model_;
   ProcessId coordinator_;
-  Tick give_up_after_;
   std::unique_ptr<ObjectState> obj_;  ///< live only on the coordinator
-  /// The pending give-up timer, if any.  The model allows one pending
-  /// operation per process, so a scalar slot replaces the seed's per-token
-  /// std::map: -1 means no operation is being timed.
-  std::int64_t give_up_token_ = -1;
-  TimerId give_up_timer_ = 0;
 };
 
 }  // namespace linbound

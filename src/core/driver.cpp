@@ -65,13 +65,6 @@ void WorkloadDriver::arm() {
   }
 }
 
-bool WorkloadDriver::done() const {
-  for (std::size_t s = 0; s < scripts_.size(); ++s) {
-    if (next_op_[s] < scripts_[s].ops.size()) return false;
-  }
-  return true;
-}
-
 void WorkloadDriver::handle_response(const OperationRecord& rec) {
   if (on_response_) on_response_(rec);
   const ProcessId script_idx = script_of_proc_.at(static_cast<std::size_t>(rec.proc));

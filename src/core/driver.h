@@ -50,9 +50,6 @@ class WorkloadDriver {
   /// Simulator::start() is not required -- events are queued either way.
   void arm();
 
-  /// True once every script ran to completion.
-  bool done() const;
-
   /// Number of operations re-issued after a crash cut them.
   int reissued() const { return reissued_; }
 

@@ -21,8 +21,7 @@ Tick HardenedParams::effective_d(const SystemTiming& timing) const {
   Tick step = std::min(first_timeout_for(timing), cap);
   Tick total = timing.d + spike_margin;  // last attempt's one-way flight
   for (int k = 0; k + 1 < max_attempts; ++k) {
-    // Each retransmission wait may be stretched by up to retrans_jitter.
-    total += step + retrans_jitter;
+    total += step;
     step = std::min(step * kBackoff, cap);
   }
   return total;
@@ -111,17 +110,7 @@ void HardenedReplicaProcess::on_timer(TimerId id, const TimerTag& tag) {
   const Tick cap = params_.step_cap_for(timing());
   pending.next_timeout =
       std::min(pending.next_timeout * HardenedParams::kBackoff, cap);
-  // Deterministic desynchronization: stretch this wait by a per-process
-  // draw so concurrent losers do not retransmit in lockstep.  The stored
-  // next_timeout stays unjittered -- the backoff ladder (and effective_d's
-  // accounting of it) is unchanged; jitter only shifts firing times.
-  Tick jitter = 0;
-  if (params_.retrans_jitter > 0) {
-    if (!jitter_rng_) jitter_rng_ = Rng(HardenedParams::kJitterSeed).split(
-        static_cast<std::uint64_t>(this->id()));
-    jitter = jitter_rng_->uniform_tick(0, params_.retrans_jitter);
-  }
-  set_timer(pending.next_timeout + jitter, tag);
+  set_timer(pending.next_timeout, tag);
 }
 
 void HardenedReplicaProcess::reset_link_state(Tick new_incarnation) {

@@ -28,38 +28,26 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/pending_tables.h"
 #include "core/replica_algorithm.h"
 
 namespace linbound {
 
-/// Knobs of the reliable-link layer.  The waits are fixed formulas in the
-/// system timing: first timeout 2(d + spike_margin) + 1 (a full round trip
-/// must have failed), backoff x kBackoff per attempt, per-step cap 8d.
+/// The reliable link's two settable values.  The waits are fixed formulas
+/// in the system timing: first timeout 2(d + spike_margin) + 1 (a full
+/// round trip must have failed), backoff x kBackoff per attempt, per-step
+/// cap 8d, and no jitter -- every retransmission fires exactly on its step.
 struct HardenedParams {
   /// Exponential backoff factor between attempts.
   static constexpr int kBackoff = 2;
-  /// Root seed of the jitter streams; process `pid` draws from
-  /// Rng(kJitterSeed).split(pid).
-  static constexpr std::uint64_t kJitterSeed = 0x6a17'7e12'0b5eULL;
 
   /// Total transmissions per (message, destination), first send included.
   int max_attempts = 6;
   /// Extra one-way delay the link must absorb (set to the fault policy's
   /// max_delay_boost() when delays are widened).
   Tick spike_margin = 0;
-  /// Deterministic jitter added to every *retransmission* wait: each backoff
-  /// step is stretched by a uniform draw in [0, retrans_jitter] from this
-  /// process's split RNG stream (kJitterSeed, split by process id), breaking
-  /// the lockstep retransmission bursts a shared timeout produces.  The draw
-  /// happens only when a retransmission actually fires -- the first-attempt
-  /// timer is never jittered -- so fault-free runs consume no randomness and
-  /// stay byte-identical to jitter-free ones.  0 disables jitter.
-  Tick retrans_jitter = 0;
 
   /// First retransmission timeout, 2(d + spike_margin) + 1.
   Tick first_timeout_for(const SystemTiming& timing) const;
@@ -76,7 +64,7 @@ struct HardenedParams {
   SystemTiming effective_timing(const SystemTiming& timing) const;
 
   bool valid() const {
-    return max_attempts >= 1 && spike_margin >= 0 && retrans_jitter >= 0;
+    return max_attempts >= 1 && spike_margin >= 0;
   }
 };
 
@@ -179,11 +167,6 @@ class HardenedReplicaProcess : public ReplicaProcess {
   std::int64_t retransmissions_ = 0;
   std::int64_t duplicates_suppressed_ = 0;
   std::int64_t link_give_ups_ = 0;
-
-  /// Per-process jitter stream, created on the first retransmission (needs
-  /// id(), which is unknown at construction; and a run with no
-  /// retransmissions must not draw from it at all).
-  std::optional<Rng> jitter_rng_;
 };
 
 }  // namespace linbound

@@ -49,10 +49,6 @@ RunOutcome ObjectSystem::run_with_outcome() {
   return out;
 }
 
-CheckResult ObjectSystem::run_and_check() {
-  return check_linearizable(*model_, run_to_completion());
-}
-
 ReplicaSystem::ReplicaSystem(std::shared_ptr<const ObjectModel> model,
                              const SystemOptions& options)
     : ObjectSystem(std::move(model), options),
@@ -86,26 +82,17 @@ ReplicaProcess& ReplicaSystem::replica(ProcessId pid) {
 CentralizedSystem::CentralizedSystem(std::shared_ptr<const ObjectModel> model,
                                      const SystemOptions& options)
     : ObjectSystem(std::move(model), options) {
-  if (options.give_up_after < 0) {
-    throw std::invalid_argument(
-        "SystemOptions::give_up_after must be >= 0 (0 = wait forever)");
-  }
   for (int i = 0; i < options.n; ++i) {
-    sim_->add_process(std::make_unique<CentralizedProcess>(
-        model_, /*coordinator=*/0, options.give_up_after));
+    sim_->add_process(
+        std::make_unique<CentralizedProcess>(model_, /*coordinator=*/0));
   }
 }
 
 TobSystem::TobSystem(std::shared_ptr<const ObjectModel> model,
                      const SystemOptions& options)
     : ObjectSystem(std::move(model), options) {
-  if (options.give_up_after < 0) {
-    throw std::invalid_argument(
-        "SystemOptions::give_up_after must be >= 0 (0 = wait forever)");
-  }
   for (int i = 0; i < options.n; ++i) {
-    sim_->add_process(std::make_unique<TobProcess>(model_, /*sequencer=*/0,
-                                                   options.give_up_after));
+    sim_->add_process(std::make_unique<TobProcess>(model_, /*sequencer=*/0));
   }
 }
 

@@ -40,13 +40,6 @@ struct SystemOptions {
   /// restarted via Simulator::crash_at/recover_at (e.g. a ChurnSchedule)
   /// catch back up.  Takes precedence over `hardened`.  Algorithm 1 only.
   std::optional<RecoverableParams> recoverable;
-  /// Centralized/TOB only: clients abandon an operation (Process::give_up)
-  /// this long after invoking it without an answer, so a dead coordinator
-  /// or sequencer degrades to a Stalled outcome instead of hanging the
-  /// operation forever.  0 = wait forever (the historical behavior and the
-  /// default); negative values are rejected at system construction
-  /// (std::invalid_argument).
-  Tick give_up_after = 0;
   std::size_t max_events = 10'000'000;
 };
 
@@ -95,9 +88,6 @@ class ObjectSystem {
   /// degraded runs (dead coordinator, given-up operations) come back as
   /// kStalled with the pending invocations listed.
   RunOutcome run_with_outcome();
-
-  /// Shorthand: run to completion and check linearizability.
-  CheckResult run_and_check();
 
  protected:
   ObjectSystem(std::shared_ptr<const ObjectModel> model, const SystemOptions& options);

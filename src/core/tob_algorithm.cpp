@@ -3,10 +3,9 @@
 namespace linbound {
 
 TobProcess::TobProcess(std::shared_ptr<const ObjectModel> model,
-                       ProcessId sequencer, Tick give_up_after)
+                       ProcessId sequencer)
     : model_(std::move(model)),
       sequencer_(sequencer),
-      give_up_after_(give_up_after),
       obj_(model_->initial_state()) {}
 
 void TobProcess::on_invoke(std::int64_t token, const Operation& op) {
@@ -15,19 +14,6 @@ void TobProcess::on_invoke(std::int64_t token, const Operation& op) {
     return;
   }
   send(sequencer_, make_msg<TobSubmitPayload>(op, token, id()));
-  if (give_up_after_ > 0) {
-    give_up_token_ = token;
-    give_up_timer_ =
-        set_timer(give_up_after_, TimerTag{kGiveUp, Timestamp{token, id()}});
-  }
-}
-
-void TobProcess::on_timer(TimerId /*id*/, const TimerTag& tag) {
-  if (tag.kind != kGiveUp) return;
-  const std::int64_t token = tag.ts.clock_time;
-  if (give_up_token_ != token) return;  // already answered
-  give_up_token_ = -1;
-  give_up(token);
 }
 
 void TobProcess::on_message(ProcessId /*from*/, const MessagePayload& payload) {
@@ -60,13 +46,7 @@ void TobProcess::apply_in_order() {
     const Buffered* entry = buffer_.find(next_seq_to_apply_);
     if (entry == nullptr) return;
     const Value ret = obj_->apply(entry->op);
-    if (entry->origin == id()) {
-      if (give_up_token_ == entry->token) {
-        cancel_timer(give_up_timer_);
-        give_up_token_ = -1;
-      }
-      respond(entry->token, ret);
-    }
+    if (entry->origin == id()) respond(entry->token, ret);
     buffer_.erase(next_seq_to_apply_);
     ++next_seq_to_apply_;
   }

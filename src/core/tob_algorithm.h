@@ -46,22 +46,17 @@ struct TobDeliverPayload final : TaggedPayload<TobDeliverPayload> {
 
 class TobProcess final : public Process {
  public:
-  /// With a positive `give_up_after`, a non-sequencer that never sees its
-  /// own operation come back sequenced abandons it after that long
-  /// (Process::give_up), so a dead sequencer degrades to a Stalled run
-  /// outcome; 0 keeps the historical wait-forever behavior.
-  TobProcess(std::shared_ptr<const ObjectModel> model, ProcessId sequencer,
-             Tick give_up_after = 0);
+  /// A non-sequencer waits for its own operation to come back sequenced
+  /// forever: with the sequencer dead, the run quiesces as kStalled with
+  /// the operation pending.
+  TobProcess(std::shared_ptr<const ObjectModel> model, ProcessId sequencer);
 
   void on_invoke(std::int64_t token, const Operation& op) override;
   void on_message(ProcessId from, const MessagePayload& payload) override;
-  void on_timer(TimerId id, const TimerTag& tag) override;
 
   const ObjectState& local_copy() const { return *obj_; }
 
  private:
-  enum TimerKind : int { kGiveUp = 1 };
-
   bool is_sequencer() const { return id() == sequencer_; }
 
   /// Sequence and disseminate one operation (sequencer only).
@@ -73,7 +68,6 @@ class TobProcess final : public Process {
 
   std::shared_ptr<const ObjectModel> model_;
   ProcessId sequencer_;
-  Tick give_up_after_;
   std::unique_ptr<ObjectState> obj_;
   std::int64_t next_seq_to_assign_ = 0;  // sequencer state
   std::int64_t next_seq_to_apply_ = 0;
@@ -86,11 +80,6 @@ class TobProcess final : public Process {
   /// and applied as a head pop once the gap fills, so the flat table's
   /// append/head-pop fast path applies (core/pending_tables.h).
   FlatMap<std::int64_t, Buffered> buffer_;
-  /// The pending give-up timer, if any.  One pending operation per process
-  /// means at most one timed token, so a scalar slot replaces the seed's
-  /// per-token std::map: -1 means no operation is being timed.
-  std::int64_t give_up_token_ = -1;
-  TimerId give_up_timer_ = 0;
 };
 
 }  // namespace linbound

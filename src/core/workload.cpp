@@ -7,7 +7,6 @@
 
 #include "sim/pool_set.h"
 
-#include "types/array_type.h"
 #include "types/queue_type.h"
 #include "types/register_type.h"
 #include "types/set_type.h"
@@ -267,27 +266,6 @@ std::vector<std::size_t> zipfian_shard_loads(int shards, std::size_t total_ops,
     loads[static_cast<std::size_t>(perm[remainder[k % n].second])] += 1;
   }
   return loads;
-}
-
-std::vector<Operation> random_array_ops(Rng& rng, int count, const OpMix& mix,
-                                        int array_size) {
-  std::vector<Operation> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    const std::int64_t idx = rng.uniform(1, array_size);
-    switch (pick_group(rng, mix)) {
-      case Group::kAccessor:
-        out.push_back(array_ops::get(idx));
-        break;
-      case Group::kMutator:
-        out.push_back(array_ops::put(idx, small_value(rng)));
-        break;
-      case Group::kOther:
-        out.push_back(array_ops::update_next(idx, small_value(rng)));
-        break;
-    }
-  }
-  return out;
 }
 
 }  // namespace linbound

@@ -27,8 +27,6 @@ std::vector<Operation> random_queue_ops(Rng& rng, int count, const OpMix& mix);
 std::vector<Operation> random_stack_ops(Rng& rng, int count, const OpMix& mix);
 std::vector<Operation> random_set_ops(Rng& rng, int count, const OpMix& mix);
 std::vector<Operation> random_tree_ops(Rng& rng, int count, const OpMix& mix);
-std::vector<Operation> random_array_ops(Rng& rng, int count, const OpMix& mix,
-                                        int array_size);
 
 /// Configuration for HeavyTrafficWorkload (see below).  The effective
 /// per-client arrival rate is 1 / (min_gap + jitter/2) operations per tick,

@@ -7,11 +7,10 @@ namespace linbound {
 DegradeSystem::DegradeSystem(std::shared_ptr<const ObjectModel> model,
                              const DegradeOptions& options)
     : ObjectSystem(std::move(model), options.base) {
-  if (options.base.algorithm_delays || options.base.recoverable ||
-      options.base.give_up_after != 0) {
+  if (options.base.algorithm_delays || options.base.recoverable) {
     throw std::invalid_argument(
-        "DegradeOptions: algorithm_delays / recoverable / give_up_after do "
-        "not apply to degradation systems");
+        "DegradeOptions: algorithm_delays / recoverable do not apply to "
+        "degradation systems");
   }
   if (!options.switching) {
     for (int i = 0; i < options.base.n; ++i) {
@@ -23,7 +22,7 @@ DegradeSystem::DegradeSystem(std::shared_ptr<const ObjectModel> model,
       options.base.hardened ? *options.base.hardened : HardenedParams{};
   delays_ = AlgorithmDelays::standard(link.effective_timing(options.base.timing),
                                       options.base.x);
-  monitor_ = std::make_unique<SynchronyMonitor>(*sim_, MonitorOptions{});
+  monitor_ = std::make_unique<SynchronyMonitor>(*sim_);
   for (int i = 0; i < options.base.n; ++i) {
     auto replica =
         std::make_unique<ModeSwitchingReplica>(model_, delays_, link);

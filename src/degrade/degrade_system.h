@@ -27,10 +27,10 @@ namespace linbound {
 struct DegradeOptions {
   /// Base system shape: n, timing, delays, faults, clock offsets, caps.
   /// `hardened` supplies the link layer for the switching variant (defaults
-  /// are filled in when unset); `algorithm_delays`, `recoverable` and
-  /// `give_up_after` are meaningless here and rejected if set.
+  /// are filled in when unset); `algorithm_delays` and `recoverable` are
+  /// meaningless here and rejected if set.
   SystemOptions base;
-  /// true: supervisor (default MonitorOptions) + mode-switching replicas.
+  /// true: supervisor (SynchronyMonitor) + mode-switching replicas.
   /// false: pure quorum backend (no monitor, no synchronous era at all).
   bool switching = true;
 };

@@ -1,15 +1,13 @@
 #include "degrade/synchrony_monitor.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace linbound {
 
-SynchronyMonitor::SynchronyMonitor(Simulator& sim, MonitorOptions options)
-    : sim_(sim), options_(options), timing_(sim.config().timing) {
-  if (!options_.valid()) throw std::invalid_argument("invalid MonitorOptions");
-}
+SynchronyMonitor::SynchronyMonitor(Simulator& sim)
+    : sim_(sim), timing_(sim.config().timing) {}
 
 void SynchronyMonitor::add_target(ProcessId pid, ModeSwitchTarget* target) {
   if (armed_) throw std::logic_error("add_target after arm()");
@@ -43,9 +41,7 @@ void SynchronyMonitor::arm() {
 }
 
 void SynchronyMonitor::observe_delivery(const MessageRecord& rec) {
-  const Tick delay = rec.delay();
-  link_delays_[{rec.from, rec.to}].push_back(delay);
-  if (!timing_.delay_admissible(delay)) note_violation(rec.recv_time);
+  if (!timing_.delay_admissible(rec.delay())) note_violation(rec.recv_time);
 }
 
 void SynchronyMonitor::note_violation(Tick when) {
@@ -91,9 +87,8 @@ void SynchronyMonitor::poll() {
                        now - last_switch_time_ >= kMinDwellD * timing_.d;
   const bool degraded = (target_era_ % 2) != 0;
   if (!degraded) {
-    const bool evidence = permanent_ ||
-                          violations_ - violations_mark_ >=
-                              options_.downgrade_after;
+    const bool evidence =
+        permanent_ || violations_ - violations_mark_ >= kDowngradeAfter;
     if (evidence && dwelled) {
       ++downgrades_;
       signal(target_era_ + 1, FaultKind::kModeDowngrade);
@@ -127,30 +122,6 @@ void SynchronyMonitor::signal(int era, FaultKind kind) {
     if (sim_.crashed(pid)) continue;  // reads target_era() on recovery
     target->on_mode_signal(era);
   }
-}
-
-std::size_t SynchronyMonitor::link_sample_count(ProcessId from,
-                                                ProcessId to) const {
-  auto it = link_delays_.find({from, to});
-  return it == link_delays_.end() ? 0 : it->second.size();
-}
-
-Tick SynchronyMonitor::link_delay_percentile(ProcessId from, ProcessId to,
-                                             double pct) const {
-  auto it = link_delays_.find({from, to});
-  if (it == link_delays_.end() || it->second.empty()) return kNoTime;
-  if (pct <= 0.0 || pct > 100.0) {
-    throw std::invalid_argument("percentile must be in (0, 100]");
-  }
-  std::vector<Tick> sorted = it->second;
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t n = sorted.size();
-  // Nearest-rank: the ceil(pct/100 * n)-th smallest sample.
-  std::size_t rank = static_cast<std::size_t>(
-      std::ceil(pct / 100.0 * static_cast<double>(n)));
-  if (rank < 1) rank = 1;
-  if (rank > n) rank = n;
-  return sorted[rank - 1];
 }
 
 }  // namespace linbound

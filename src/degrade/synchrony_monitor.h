@@ -6,16 +6,15 @@
 // pairwise clock skew <= eps.  The monitor checks the observable half of
 // that promise online: every d it scans the trace incrementally (each
 // message record is examined O(1) times), flags deliveries outside the
-// envelope and messages overdue past 2d (d plus a grace of d), and keeps
-// per-link delay samples for percentile introspection.  Clock skew is
-// checked once, at arm(): offsets are static in this simulator, and a skew
+// envelope and messages overdue past 2d (d plus a grace of d).  Clock skew
+// is checked once, at arm(): offsets are static in this simulator, and a skew
 // violation is *permanent* -- the monitor downgrades at the first poll and
 // never upgrades.
 //
 // Mode changes use hysteresis so a single spike does not flap the system:
-//   downgrade  -- cumulative violations >= downgrade_after, and at least
-//                 the minimum dwell (kMinDwellD = 16d) since the last
-//                 switch;
+//   downgrade  -- violations since the last upgrade >= kDowngradeAfter
+//                 (3), and at least the minimum dwell (kMinDwellD = 16d)
+//                 since the last switch;
 //   upgrade    -- no violation observed for the clean window
 //                 (kCleanWindowD = 8d), and the minimum dwell.
 // Every switch is recorded in the trace as a kModeDowngrade / kModeUpgrade
@@ -31,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -50,18 +48,22 @@ class ModeSwitchTarget {
   virtual void on_mode_signal(int target_era) = 0;
 };
 
-struct MonitorOptions {
-  /// Cumulative envelope violations before a downgrade fires.
-  int downgrade_after = 3;
-
-  bool valid() const { return downgrade_after >= 1; }
-};
-
 class SynchronyMonitor {
  public:
+  /// Envelope violations observed since the last upgrade before a downgrade
+  /// fires.
+  static constexpr std::int64_t kDowngradeAfter = 3;
+  /// Violation-free observation time before an upgrade, in units of d.  It
+  /// must comfortably exceed the synchronous algorithm's holdback (u + eps)
+  /// so stale pre-downgrade timers have all fired before a sync era
+  /// restarts.
+  static constexpr Tick kCleanWindowD = 8;
+  /// Minimum time between switches (anti-flap), in units of d.
+  static constexpr Tick kMinDwellD = 16;
+
   /// `sim` must outlive the monitor.  Envelope parameters are taken from
   /// sim.config().timing -- the model the run claims to satisfy.
-  SynchronyMonitor(Simulator& sim, MonitorOptions options);
+  explicit SynchronyMonitor(Simulator& sim);
 
   /// Register `target` as the mode-switching replica behind `pid`; signals
   /// go out in pid order.  A target that is crashed when a switch fires is
@@ -81,31 +83,15 @@ class SynchronyMonitor {
   int downgrade_count() const { return downgrades_; }
   int upgrade_count() const { return upgrades_; }
 
-  /// Observed-delay sample count for the directed link from -> to.
-  std::size_t link_sample_count(ProcessId from, ProcessId to) const;
-
-  /// Nearest-rank percentile (pct in (0, 100]) of observed delays on the
-  /// directed link from -> to; kNoTime when the link has no samples.
-  Tick link_delay_percentile(ProcessId from, ProcessId to, double pct) const;
-
  private:
-  /// Violation-free observation time before an upgrade, in units of d.  It
-  /// must comfortably exceed the synchronous algorithm's holdback (u + eps)
-  /// so stale pre-downgrade timers have all fired before a sync era
-  /// restarts.
-  static constexpr Tick kCleanWindowD = 8;
-  /// Minimum time between switches (anti-flap), in units of d.
-  static constexpr Tick kMinDwellD = 16;
-
   void poll();
   void scan_trace();
-  /// Examine one delivered record: envelope check + delay sample.
+  /// Examine one delivered record: envelope check.
   void observe_delivery(const MessageRecord& rec);
   void note_violation(Tick when);
   void signal(int era, FaultKind kind);
 
   Simulator& sim_;
-  MonitorOptions options_;
   SystemTiming timing_;
 
   std::vector<std::pair<ProcessId, ModeSwitchTarget*>> targets_;
@@ -128,8 +114,6 @@ class SynchronyMonitor {
   int target_era_ = 0;
   int downgrades_ = 0;
   int upgrades_ = 0;
-
-  std::map<std::pair<ProcessId, ProcessId>, std::vector<Tick>> link_delays_;
 };
 
 }  // namespace linbound

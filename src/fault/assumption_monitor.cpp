@@ -2,7 +2,9 @@
 
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <vector>
 
 namespace linbound {
 namespace {
@@ -113,17 +115,39 @@ AssumptionReport audit_assumptions(const Trace& trace) {
   AssumptionReport report;
   const SystemTiming& timing = trace.timing;
 
+  // Each process's earliest crash and latest recovery, in one pass.
   // Recovery makes a crash "churn" rather than a permanent failure: a crash
   // of process p at tick t that p later recovers from is attributed to
   // kRecovering, a crash it never comes back from to kFailureFree.
-  const auto recovers_after = [&trace](ProcessId pid, Tick t) {
-    for (const FaultEvent& f : trace.faults) {
-      if (f.kind == FaultKind::kProcessRecovered && f.proc == pid &&
-          f.time >= t) {
-        return true;
-      }
+  struct Lifecycle {
+    std::optional<Tick> first_crash;
+    std::optional<Tick> last_recovery;
+  };
+  std::vector<Lifecycle> lives;
+  for (const FaultEvent& f : trace.faults) {
+    const bool crash = f.kind == FaultKind::kProcessCrashed;
+    if ((!crash && f.kind != FaultKind::kProcessRecovered) || f.proc < 0) {
+      continue;
     }
-    return false;
+    const auto p = static_cast<std::size_t>(f.proc);
+    if (p >= lives.size()) lives.resize(p + 1);
+    Lifecycle& life = lives[p];
+    if (crash) {
+      if (!life.first_crash || f.time < *life.first_crash) {
+        life.first_crash = f.time;
+      }
+    } else if (!life.last_recovery || f.time > *life.last_recovery) {
+      life.last_recovery = f.time;
+    }
+  }
+  const auto life_of = [&lives](ProcessId pid) {
+    return pid >= 0 && static_cast<std::size_t>(pid) < lives.size()
+               ? lives[static_cast<std::size_t>(pid)]
+               : Lifecycle{};
+  };
+  const auto recovers_after = [&life_of](ProcessId pid, Tick t) {
+    const std::optional<Tick> last = life_of(pid).last_recovery;
+    return last && *last >= t;
   };
 
   // Injected faults and failures, straight from the recorder.
@@ -203,21 +227,17 @@ AssumptionReport audit_assumptions(const Trace& trace) {
   // Undelivered messages the recorder did not already explain: receipt
   // suppressed by a crash counts against failure-freedom; anything else
   // past the horizon is unexplained loss.
+  const FaultsByMessage by_message(trace.faults);
   for (const MessageRecord& m : trace.messages) {
     if (m.delivered()) continue;
     if (trace.end_time < m.send_time + timing.d) continue;  // run ended first
     bool explained = false;
-    bool recipient_crashed = false;
-    for (const FaultEvent& f : trace.faults) {
-      if (f.kind == FaultKind::kMessageDropped && f.msg == m.id) {
-        explained = true;
-      }
-      if (f.kind == FaultKind::kProcessCrashed && f.proc == m.to &&
-          f.time <= m.send_time + timing.d) {
-        recipient_crashed = true;
-      }
-    }
+    by_message.for_each(m.id, [&explained](const FaultEvent& f) {
+      explained = explained || f.kind == FaultKind::kMessageDropped;
+    });
     if (explained) continue;
+    const std::optional<Tick> crash = life_of(m.to).first_crash;
+    const bool recipient_crashed = crash && *crash <= m.send_time + timing.d;
     Detail os;
     os << "message " << m.id << " from " << m.from << " to " << m.to
        << " sent at tick " << m.send_time << " never delivered";

@@ -1,7 +1,6 @@
 #include "fault/churn.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "fault/fault_policy.h"
 #include "sim/simulator.h"
@@ -67,13 +66,6 @@ ChurnSchedule ChurnSchedule::generate(const ChurnConfig& config, int n,
   return ChurnSchedule{std::move(accepted)};
 }
 
-bool ChurnSchedule::down_at(ProcessId pid, Tick t) const {
-  for (const ChurnWindow& w : windows_) {
-    if (w.pid == pid && w.covers(t)) return true;
-  }
-  return false;
-}
-
 std::vector<ProcessId> ChurnSchedule::churners() const {
   std::vector<ProcessId> out;
   for (const ChurnWindow& w : windows_) {
@@ -90,20 +82,6 @@ void ChurnSchedule::apply(Simulator& sim) const {
     sim.crash_at(w.crash_time, w.pid);
     if (w.recover_time != kNoTime) sim.recover_at(w.recover_time, w.pid);
   }
-}
-
-std::string ChurnSchedule::to_string() const {
-  std::ostringstream os;
-  for (const ChurnWindow& w : windows_) {
-    os << "p" << w.pid << " down [" << w.crash_time << ", ";
-    if (w.recover_time == kNoTime) {
-      os << "forever)";
-    } else {
-      os << w.recover_time << ")";
-    }
-    os << "\n";
-  }
-  return os.str();
 }
 
 ChurnSchedule make_churn_schedule(const FaultConfig& config, int n) {

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -29,10 +28,6 @@ struct ChurnWindow {
   ProcessId pid = kNoProcess;
   Tick crash_time = kNoTime;
   Tick recover_time = kNoTime;
-
-  bool covers(Tick t) const {
-    return t >= crash_time && (recover_time == kNoTime || t < recover_time);
-  }
 };
 
 /// Knobs of the generator.  Durations are drawn uniformly from
@@ -72,9 +67,6 @@ class ChurnSchedule {
   const std::vector<ChurnWindow>& windows() const { return windows_; }
   bool empty() const { return windows_.empty(); }
 
-  /// Is `pid` scheduled to be down at real time `t`?
-  bool down_at(ProcessId pid, Tick t) const;
-
   /// Processes with at least one window (the "churners"; everyone else is a
   /// survivor for the whole run).
   std::vector<ProcessId> churners() const;
@@ -82,8 +74,6 @@ class ChurnSchedule {
   /// Arm every window on the simulator (crash_at + recover_at).  Call
   /// before Simulator::run.
   void apply(Simulator& sim) const;
-
-  std::string to_string() const;
 
  private:
   std::vector<ChurnWindow> windows_;

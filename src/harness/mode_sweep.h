@@ -16,8 +16,8 @@
 // Every (cell, seed) run is an independent deterministic simulation built
 // by the shared run builder in harness/experiment.h (grid_run_spec,
 // simulate, measure) over a map_grid, so the sweep gives byte-identical
-// results at any job count.  The supervisor runs with its default
-// MonitorOptions.
+// results at any job count.  The supervisor's hysteresis is fixed
+// (SynchronyMonitor::kDowngradeAfter, kCleanWindowD, kMinDwellD).
 #pragma once
 
 #include <memory>

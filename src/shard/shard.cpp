@@ -27,18 +27,6 @@ constexpr std::uint64_t kWorkloadStream = 3;
 
 }  // namespace
 
-const char* shard_variant_name(ShardVariant variant) {
-  switch (variant) {
-    case ShardVariant::kStock:
-      return "stock";
-    case ShardVariant::kHardened:
-      return "hardened";
-    case ShardVariant::kRecoverable:
-      return "recoverable";
-  }
-  return "?";
-}
-
 /// Everything one shard owns while its task runs: its replica group (inside
 /// its own Simulator), its workload and its streaming checker.  run_shard
 /// builds, steps and destroys it on one worker; only the trace outlives it.

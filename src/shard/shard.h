@@ -56,8 +56,6 @@ enum class ShardVariant {
   kRecoverable,  ///< hardened link + crash-recovery rejoin protocol
 };
 
-const char* shard_variant_name(ShardVariant variant);
-
 /// One sharded run.  The shard shape is fixed: kReplicas replicas per
 /// shard, process 0 reserved for incoming clock-sync beacons, clients()
 /// invoking processes 1..clients, and the rest free for churn.  Every

@@ -1,5 +1,6 @@
 #include "sim/trace.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -182,8 +183,17 @@ const OperationRecord OpLog::at(std::size_t i) const {
   return (*this)[i];
 }
 
+FaultsByMessage::FaultsByMessage(const std::vector<FaultEvent>& faults)
+    : faults_(faults) {
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (faults[i].msg >= 0) index_.emplace_back(faults[i].msg, i);
+  }
+  std::sort(index_.begin(), index_.end());
+}
+
 AdmissibilityReport Trace::audit() const {
   AdmissibilityReport report;
+  const FaultsByMessage by_message(faults);
 
   for (const MessageRecord& m : messages) {
     if (m.delivered()) {
@@ -193,11 +203,11 @@ AdmissibilityReport Trace::audit() const {
            << " sent at tick " << m.send_time << ": observed delay "
            << m.delay() << " outside [" << timing.min_delay() << ", "
            << timing.max_delay() << "]";
-        for (const FaultEvent& f : faults) {
-          if (f.msg == m.id && f.kind == FaultKind::kDelaySpike) {
+        by_message.for_each(m.id, [&os](const FaultEvent& f) {
+          if (f.kind == FaultKind::kDelaySpike) {
             os << " (injected spike +" << f.magnitude << ")";
           }
-        }
+        });
         report.fail(os.str());
       }
     } else if (end_time >= m.send_time + timing.d) {
@@ -206,11 +216,11 @@ AdmissibilityReport Trace::audit() const {
          << " sent at tick " << m.send_time
          << ": undelivered although the run lasted past "
          << m.send_time + timing.d;
-      for (const FaultEvent& f : faults) {
-        if (f.msg == m.id && f.kind == FaultKind::kMessageDropped) {
+      by_message.for_each(m.id, [&os](const FaultEvent& f) {
+        if (f.kind == FaultKind::kMessageDropped) {
           os << " (dropped by fault injection)";
         }
-      }
+      });
       report.fail(os.str());
     }
   }

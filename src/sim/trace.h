@@ -8,10 +8,12 @@
 // Chapter III.B.3.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -236,6 +238,28 @@ const char* fault_kind_name(FaultKind kind);
 /// Inverse of fault_kind_name (trace deserialization); returns
 /// kFaultKindCount for an unknown name.
 FaultKind fault_kind_from_name(const std::string& name);
+
+/// The fault events that name a message (msg >= 0: drops, duplicate
+/// copies, spikes), indexed by message id in one pass and one sort, so an
+/// audit looks up each offending message's events instead of rescanning
+/// every fault.  `faults` must outlive the index.
+class FaultsByMessage {
+ public:
+  explicit FaultsByMessage(const std::vector<FaultEvent>& faults);
+
+  /// Calls fn(event) for every event naming `msg`, in recording order.
+  template <typename Fn>
+  void for_each(MessageId msg, Fn fn) const {
+    auto it = std::lower_bound(index_.begin(), index_.end(),
+                               std::pair<MessageId, std::size_t>{msg, 0});
+    for (; it != index_.end() && it->first == msg; ++it) fn(faults_[it->second]);
+  }
+
+ private:
+  const std::vector<FaultEvent>& faults_;
+  /// (message id, index into faults_), sorted.
+  std::vector<std::pair<MessageId, std::size_t>> index_;
+};
 
 struct AdmissibilityReport {
   bool admissible = true;

@@ -4,8 +4,10 @@
 // decisions, and replayed byte-identically from its repro bundle.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "chaos/chaos.h"
 #include "chaos/search.h"
@@ -110,6 +112,24 @@ ChaosRunSpec grid_spec(ChaosVariant variant, std::size_t index,
   return chaos_search_grid(options).at(index);
 }
 
+std::string script_text(const FaultScript& script) {
+  std::ostringstream os;
+  write_fault_script(os, script);
+  return os.str();
+}
+
+std::string bundle_text(const ReproBundle& bundle) {
+  std::ostringstream os;
+  write_repro_bundle(os, bundle);
+  return os.str();
+}
+
+std::optional<ReproBundle> parse_bundle(const std::string& text,
+                                        std::string* error = nullptr) {
+  std::istringstream is(text);
+  return read_repro_bundle(is, error);
+}
+
 std::uint64_t fnv1a(const std::string& bytes) {
   std::uint64_t h = 14695981039346656037ull;
   for (const char c : bytes) {
@@ -124,7 +144,7 @@ struct PinnedChaos {
   const char* detail;
   std::uint64_t trace_hash;
   Tick worst_excess;
-  std::uint64_t script_hash;  ///< FNV-1a of fault_script_to_string
+  std::uint64_t script_hash;  ///< FNV-1a of the faultscript v1 text
 };
 
 void expect_pinned(const ChaosRunSpec& spec, const PinnedChaos& want,
@@ -137,7 +157,7 @@ void expect_pinned(const ChaosRunSpec& spec, const PinnedChaos& want,
   EXPECT_EQ(got.trace_hash, want.trace_hash)
       << label << ": trace hash 0x" << std::hex << got.trace_hash;
   EXPECT_EQ(got.worst_excess, want.worst_excess) << label;
-  const std::uint64_t script_hash = fnv1a(fault_script_to_string(got.script));
+  const std::uint64_t script_hash = fnv1a(script_text(got.script));
   EXPECT_EQ(script_hash, want.script_hash)
       << label << ": script hash 0x" << std::hex << script_hash;
 }
@@ -222,7 +242,7 @@ TEST(ChaosRun, DegradedGridPinned) {
     const ChaosRunResult r = run_chaos(spec);
     fold(h, r.trace_hash);
     fold(h, static_cast<std::uint64_t>(r.verdict));
-    fold(h, fnv1a(fault_script_to_string(r.script)));
+    fold(h, fnv1a(script_text(r.script)));
     fold(h, static_cast<std::uint64_t>(r.downgrades));
     fold(h, static_cast<std::uint64_t>(r.upgrades));
     if (r.max_concurrent_down > 0) ++churned;
@@ -306,7 +326,6 @@ TEST_P(PlantedMutantTest, FoundShrunkAndReplayedExactly) {
   options.seeds = 12;  // mirrors bench_chaos --plant
   options.base_seed = 3405691582ull;
   options.jobs = 2;
-  options.max_findings = 2;
   const ChaosSearchResult result = run_chaos_search(options);
   ASSERT_GT(result.reproducible, 0)
       << chaos_mutant_name(GetParam()) << " slipped through:\n"
@@ -331,7 +350,7 @@ TEST_P(PlantedMutantTest, FoundShrunkAndReplayedExactly) {
   bundle.expected_hash = replayed.trace_hash;
   std::string error;
   const auto loaded =
-      repro_bundle_from_string(repro_bundle_to_string(bundle), &error);
+      parse_bundle(bundle_text(bundle), &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   const ReplayOutcome outcome = replay_bundle(*loaded);
   EXPECT_TRUE(outcome.verdict_matches)
@@ -353,18 +372,18 @@ INSTANTIATE_TEST_SUITE_P(Mutants, PlantedMutantTest,
                          });
 
 TEST(ReproBundleIo, RejectsMalformedBundles) {
-  EXPECT_FALSE(repro_bundle_from_string("not a bundle").has_value());
+  EXPECT_FALSE(parse_bundle("not a bundle").has_value());
   std::string error;
   EXPECT_FALSE(
-      repro_bundle_from_string("chaosrepro v1\nbogus line\n", &error)
+      parse_bundle("chaosrepro v1\nbogus line\n", &error)
           .has_value());
   EXPECT_FALSE(error.empty());
   // A spec section without its faultscript is incomplete.
   ReproBundle bundle;
   bundle.spec = base_spec();
-  std::string text = repro_bundle_to_string(bundle);
+  std::string text = bundle_text(bundle);
   text = text.substr(0, text.find("faultscript"));
-  EXPECT_FALSE(repro_bundle_from_string(text, &error).has_value());
+  EXPECT_FALSE(parse_bundle(text, &error).has_value());
 }
 
 TEST(ReproBundleIo, RoundTripsAFullSpec) {
@@ -385,7 +404,7 @@ TEST(ReproBundleIo, RoundTripsAFullSpec) {
 
   std::string error;
   const auto loaded =
-      repro_bundle_from_string(repro_bundle_to_string(bundle), &error);
+      parse_bundle(bundle_text(bundle), &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(loaded->spec.variant, ChaosVariant::kHardened);
   EXPECT_EQ(loaded->spec.faults.drop_p, 0.125);

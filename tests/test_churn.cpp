@@ -34,19 +34,27 @@ bool overlap(const ChurnWindow& a, const ChurnWindow& b) {
   return a.crash_time < b.recover_time && b.crash_time < a.recover_time;
 }
 
+bool same_windows(const ChurnSchedule& a, const ChurnSchedule& b) {
+  if (a.windows().size() != b.windows().size()) return false;
+  for (std::size_t i = 0; i < a.windows().size(); ++i) {
+    const ChurnWindow& x = a.windows()[i];
+    const ChurnWindow& y = b.windows()[i];
+    if (x.pid != y.pid || x.crash_time != y.crash_time ||
+        x.recover_time != y.recover_time) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(ChurnSchedule, DeterministicFromConfigAndSeed) {
   const ChurnConfig config = busy_churn();
   const ChurnSchedule a = ChurnSchedule::generate(config, 4, 42);
   const ChurnSchedule b = ChurnSchedule::generate(config, 4, 42);
-  ASSERT_EQ(a.windows().size(), b.windows().size());
   EXPECT_FALSE(a.empty());
-  for (std::size_t i = 0; i < a.windows().size(); ++i) {
-    EXPECT_EQ(a.windows()[i].pid, b.windows()[i].pid);
-    EXPECT_EQ(a.windows()[i].crash_time, b.windows()[i].crash_time);
-    EXPECT_EQ(a.windows()[i].recover_time, b.windows()[i].recover_time);
-  }
+  EXPECT_TRUE(same_windows(a, b));
   const ChurnSchedule c = ChurnSchedule::generate(config, 4, 43);
-  EXPECT_NE(a.to_string(), c.to_string());
+  EXPECT_FALSE(same_windows(a, c));
 }
 
 TEST(ChurnSchedule, ZeroConfigProducesNoWindows) {
@@ -71,8 +79,6 @@ TEST(ChurnSchedule, WindowsRespectStartHorizonAndOrdering) {
       EXPECT_LE(prev, w.crash_time);  // sorted
     }
     prev = w.crash_time;
-    EXPECT_TRUE(s.down_at(w.pid, w.crash_time));
-    EXPECT_FALSE(s.down_at(w.pid, w.recover_time));
   }
 }
 
@@ -86,8 +92,9 @@ TEST(ChurnSchedule, MaxDownCapsSimultaneousCrashes) {
   for (std::size_t i = 0; i < w.size(); ++i) {
     for (std::size_t j = i + 1; j < w.size(); ++j) {
       EXPECT_FALSE(overlap(w[i], w[j]))
-          << "windows " << i << " and " << j << " overlap in\n"
-          << s.to_string();
+          << "p" << w[i].pid << " [" << w[i].crash_time << ", "
+          << w[i].recover_time << ") overlaps p" << w[j].pid << " ["
+          << w[j].crash_time << ", " << w[j].recover_time << ")";
     }
   }
 }
@@ -123,8 +130,8 @@ TEST(ChurnSchedule, FaultConfigChurnStreamIsDisjointFromMessageFaults) {
   FaultConfig noisy = quiet;
   noisy.drop_p = 0.5;
   noisy.dup_p = 0.5;
-  EXPECT_EQ(make_churn_schedule(quiet, 4).to_string(),
-            make_churn_schedule(noisy, 4).to_string());
+  EXPECT_TRUE(
+      same_windows(make_churn_schedule(quiet, 4), make_churn_schedule(noisy, 4)));
   EXPECT_FALSE(make_churn_schedule(quiet, 4).empty());
   // No churn knobs -> no windows.
   FaultConfig plain;

@@ -14,6 +14,12 @@
 namespace linbound {
 namespace {
 
+std::string script_text(const FaultScript& script) {
+  std::ostringstream os;
+  write_fault_script(os, script);
+  return os.str();
+}
+
 TEST(FaultScriptIo, RoundTripsDecisions) {
   FaultScript script;
   script.decisions.push_back({3, FaultDecision{true, 0, 0}});
@@ -21,16 +27,16 @@ TEST(FaultScriptIo, RoundTripsDecisions) {
   script.decisions.push_back({42, FaultDecision{false, 0, 350}});
   script.decisions.push_back({99, FaultDecision{true, 1, 80}});
 
-  const std::string text = fault_script_to_string(script);
+  const std::string text = script_text(script);
   std::string error;
   const auto parsed = fault_script_from_string(text, &error);
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_TRUE(*parsed == script);
-  EXPECT_EQ(fault_script_to_string(*parsed), text);
+  EXPECT_EQ(script_text(*parsed), text);
 }
 
 TEST(FaultScriptIo, EmptyScriptRoundTrips) {
-  const std::string text = fault_script_to_string(FaultScript{});
+  const std::string text = script_text(FaultScript{});
   const auto parsed = fault_script_from_string(text);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->empty());

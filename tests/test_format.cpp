@@ -13,14 +13,7 @@ TEST(Format, Ticks) {
 
 TEST(Format, Padding) {
   EXPECT_EQ(pad_right("ab", 4), "ab  ");
-  EXPECT_EQ(pad_left("ab", 4), "  ab");
   EXPECT_EQ(pad_right("abcd", 2), "abcd");
-}
-
-TEST(Format, Join) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(join({"x"}, ","), "x");
 }
 
 TEST(TextTable, RendersAlignedColumns) {

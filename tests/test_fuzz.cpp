@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "array_ops.h"
 #include "chaos/chaos.h"
 #include "checker/brute_checker.h"
 #include "checker/lin_checker.h"

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 
 #include "chaos/chaos.h"
 #include "core/driver.h"
@@ -234,9 +235,10 @@ TEST(ModeSwitching, VariantNamesRoundTripThroughRepro) {
     bundle.spec.n = 3;
     bundle.spec.timing = kTiming;
     bundle.spec.variant = v;
-    const std::string text = repro_bundle_to_string(bundle);
+    std::stringstream text;
+    write_repro_bundle(text, bundle);
     std::string error;
-    const auto parsed = repro_bundle_from_string(text, &error);
+    const auto parsed = read_repro_bundle(text, &error);
     ASSERT_TRUE(parsed.has_value()) << error;
     EXPECT_EQ(parsed->spec.variant, v);
   }
@@ -247,7 +249,7 @@ TEST(ModeSwitching, RejectsMeaninglessBaseOptions) {
   DegradeOptions opt;
   opt.base.n = 3;
   opt.base.timing = kTiming;
-  opt.base.give_up_after = 100;  // centralized/TOB knob, meaningless here
+  opt.base.recoverable = RecoverableParams{};  // Algorithm 1 only
   EXPECT_THROW(DegradeSystem(model, opt), std::invalid_argument);
 }
 

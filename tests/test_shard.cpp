@@ -156,7 +156,8 @@ TEST(Shard, OpCapacityIsTheShardsOwnOpCount) {
           sim.loads()[i] + static_cast<std::size_t>(o.sync_epochs);
       EXPECT_EQ(report.shards[i].ops, ops) << "shard " << s;
       EXPECT_EQ(sim.trace(s).ops.capacity(), ops)
-          << "shard " << s << " (" << shard_variant_name(o.variant) << ")";
+          << "shard " << s << " (variant " << static_cast<int>(o.variant)
+          << ")";
     }
   }
 }

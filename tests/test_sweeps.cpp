@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "array_ops.h"
 #include "harness/experiment.h"
 #include "spec/composite.h"
 #include "types/array_type.h"

@@ -60,7 +60,6 @@ struct WatchedRun {
 };
 
 WatchedRun run_watched(const SystemOptions& options, bool with_monitor,
-                       MonitorOptions mopt = {},
                        const FaultConfig* faults = nullptr, int ops = 6,
                        Tick think_time = 0) {
   auto model = std::make_shared<RegisterModel>();
@@ -73,7 +72,7 @@ WatchedRun run_watched(const SystemOptions& options, bool with_monitor,
   std::unique_ptr<SynchronyMonitor> monitor;
   SignalLog log;
   if (with_monitor) {
-    monitor = std::make_unique<SynchronyMonitor>(system.sim(), mopt);
+    monitor = std::make_unique<SynchronyMonitor>(system.sim());
     monitor->add_target(0, &log);
     monitor->arm();
   }
@@ -107,8 +106,8 @@ TEST(SynchronyMonitor, SpikesPastEnvelopeDowngrade) {
   faults.spike_p = 0.5;
   faults.spike_max = 4 * kTiming.d;  // far outside [d-u, d]
   faults.seed = 9;
-  const WatchedRun run = run_watched(stock_options(3), true, MonitorOptions{},
-                                     &faults, /*ops=*/8);
+  const WatchedRun run =
+      run_watched(stock_options(3), true, &faults, /*ops=*/8);
   EXPECT_GT(run.violations, 0);
   EXPECT_GE(run.downgrades, 1);
   ASSERT_FALSE(run.signals.empty());
@@ -116,19 +115,18 @@ TEST(SynchronyMonitor, SpikesPastEnvelopeDowngrade) {
 }
 
 TEST(SynchronyMonitor, HealedStormUpgradesBack) {
-  // An early healed partition makes messages overdue (violations), then the
-  // long tail of the workload runs clean past the clean window -> upgrade.
+  // An early healed partition makes messages overdue (at least
+  // kDowngradeAfter violations), then the long tail of the workload runs
+  // clean past the clean window -> upgrade.
   FaultConfig faults;
   faults.seed = 13;
   PartitionWindow w;
   w.from = 1500;
-  w.until = w.from + 4 * kTiming.d;
+  w.until = w.from + 8 * kTiming.d;
   w.component_of = {1, 0, 0};
   faults.partitions.push_back(w);
-  MonitorOptions mopt;
-  mopt.downgrade_after = 1;
   const WatchedRun run =
-      run_watched(stock_options(5), true, mopt, &faults, /*ops=*/14,
+      run_watched(stock_options(5), true, &faults, /*ops=*/14,
                   /*think_time=*/2 * kTiming.d);
   EXPECT_GE(run.downgrades, 1);
   EXPECT_GE(run.upgrades, 1);
@@ -139,17 +137,40 @@ TEST(SynchronyMonitor, HealedStormUpgradesBack) {
   }
 }
 
+/// Spikes exactly the first `count` messages by d/2: each then arrives in
+/// (d, 1.5d], one envelope violation apiece, and never overdue (2d).
+class SpikeFirstMessages final : public FaultPolicy {
+ public:
+  explicit SpikeFirstMessages(std::int64_t count) : left_(count) {}
+  FaultDecision on_send(ProcessId, ProcessId, Tick, std::int64_t) override {
+    FaultDecision out;
+    if (left_ > 0) {
+      --left_;
+      out.delay_boost = kTiming.d / 2;
+    }
+    return out;
+  }
+
+ private:
+  std::int64_t left_;
+};
+
 TEST(SynchronyMonitor, HysteresisHoldsBackSingleBlips) {
-  FaultConfig faults;
-  faults.spike_p = 0.02;  // a rare blip
-  faults.spike_max = 2 * kTiming.d;
-  faults.seed = 17;
-  MonitorOptions mopt;
-  mopt.downgrade_after = 1000;  // effectively never
-  const WatchedRun run =
-      run_watched(stock_options(7), true, mopt, &faults, /*ops=*/6);
-  EXPECT_EQ(run.downgrades, 0);
-  EXPECT_TRUE(run.signals.empty());
+  // A storm one violation short of the threshold never downgrades; one more
+  // violation does.
+  for (const std::int64_t storm : {SynchronyMonitor::kDowngradeAfter - 1,
+                                   SynchronyMonitor::kDowngradeAfter}) {
+    SystemOptions sys = stock_options(7);
+    sys.faults = std::make_shared<SpikeFirstMessages>(storm);
+    const WatchedRun run = run_watched(sys, true);
+    EXPECT_EQ(run.violations, storm);
+    if (storm < SynchronyMonitor::kDowngradeAfter) {
+      EXPECT_EQ(run.downgrades, 0);
+      EXPECT_TRUE(run.signals.empty());
+    } else {
+      EXPECT_GE(run.downgrades, 1);
+    }
+  }
 }
 
 TEST(SynchronyMonitor, StaticSkewPastEpsIsPermanent) {
@@ -161,48 +182,13 @@ TEST(SynchronyMonitor, StaticSkewPastEpsIsPermanent) {
   EXPECT_EQ(run.upgrades, 0);  // permanent: never upgrades back
 }
 
-TEST(SynchronyMonitor, PercentilesAndValidation) {
-  auto model = std::make_shared<RegisterModel>();
-  SystemOptions sys = stock_options(3);
-  ReplicaSystem system(model, sys);
-  WorkloadDriver driver(system.sim(), scripts_for(sys.n, 5, 77, 0));
-  driver.arm();
-  SynchronyMonitor monitor(system.sim(), MonitorOptions{});
-  monitor.arm();
-  (void)system.run_with_outcome();
-
-  // Somebody talked to somebody: at least one directed link has samples,
-  // and its percentiles are ordered and inside the envelope (clean run).
-  bool saw_link = false;
-  for (ProcessId from = 0; from < 3; ++from) {
-    for (ProcessId to = 0; to < 3; ++to) {
-      if (monitor.link_sample_count(from, to) == 0) {
-        EXPECT_EQ(monitor.link_delay_percentile(from, to, 50.0), kNoTime);
-        continue;
-      }
-      saw_link = true;
-      const Tick p50 = monitor.link_delay_percentile(from, to, 50.0);
-      const Tick p100 = monitor.link_delay_percentile(from, to, 100.0);
-      EXPECT_LE(p50, p100);
-      EXPECT_GE(p50, kTiming.d - kTiming.u);
-      EXPECT_LE(p100, kTiming.d);
-    }
-  }
-  EXPECT_TRUE(saw_link);
-  EXPECT_THROW(monitor.link_delay_percentile(0, 1, 0.0), std::invalid_argument);
-  EXPECT_THROW(monitor.link_delay_percentile(0, 1, 101.0),
-               std::invalid_argument);
-  // Registration after arm() is a programming error.
-  SignalLog log;
-  EXPECT_THROW(monitor.add_target(0, &log), std::logic_error);
-}
-
-TEST(SynchronyMonitor, RejectsInvalidOptions) {
+TEST(SynchronyMonitor, RegistrationAfterArmThrows) {
   auto model = std::make_shared<RegisterModel>();
   ReplicaSystem system(model, stock_options(3));
-  MonitorOptions bad;
-  bad.downgrade_after = 0;
-  EXPECT_THROW(SynchronyMonitor(system.sim(), bad), std::invalid_argument);
+  SynchronyMonitor monitor(system.sim());
+  monitor.arm();
+  SignalLog log;
+  EXPECT_THROW(monitor.add_target(0, &log), std::logic_error);
 }
 
 }  // namespace
