@@ -52,11 +52,6 @@ CheckResult check_linearizable_with_pending(
   return check(model, history, /*real_time_order=*/true, pending, limits);
 }
 
-CheckResult check_linearizable(const ObjectModel& model, const History& history,
-                               const CheckOptions& options) {
-  return check_linearizable(model, history, options.limits);
-}
-
 CheckResult check_linearizable_with_pending(
     const ObjectModel& model, const History& history,
     const std::vector<PendingInvocation>& pending, const CheckOptions& options) {

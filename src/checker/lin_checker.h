@@ -125,9 +125,7 @@ CheckResult check_linearizable_with_pending(
     const ObjectModel& model, const History& history,
     const std::vector<PendingInvocation>& pending, const CheckLimits& limits = {});
 
-/// The same checks under CheckOptions (only `limits` applies offline).
-CheckResult check_linearizable(const ObjectModel& model, const History& history,
-                               const CheckOptions& options);
+/// The same check under CheckOptions (only `limits` applies offline).
 CheckResult check_linearizable_with_pending(
     const ObjectModel& model, const History& history,
     const std::vector<PendingInvocation>& pending, const CheckOptions& options);

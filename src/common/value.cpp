@@ -92,28 +92,6 @@ bool operator==(const Value& a, const Value& b) {
   }
 }
 
-bool operator<(const Value& a, const Value& b) {
-  if (a.v_.index() != b.v_.index()) return a.v_.index() < b.v_.index();
-  switch (a.v_.index()) {
-    case 0:
-      return false;
-    case 1:
-      return std::get<std::int64_t>(a.v_) < std::get<std::int64_t>(b.v_);
-    case 2:
-      return std::get<bool>(a.v_) < std::get<bool>(b.v_);
-    case 3: {
-      const auto& pa = std::get<Value::StrPtr>(a.v_);
-      const auto& pb = std::get<Value::StrPtr>(b.v_);
-      return pa != pb && *pa < *pb;
-    }
-    default: {
-      const auto& pa = std::get<Value::ListPtr>(a.v_);
-      const auto& pb = std::get<Value::ListPtr>(b.v_);
-      return pa != pb && *pa < *pb;
-    }
-  }
-}
-
 std::string Value::to_string() const {
   if (is_unit()) return "()";
   if (is_int()) return std::to_string(as_int());

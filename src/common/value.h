@@ -87,7 +87,6 @@ class Value {
   std::uint64_t hash() const;
 
   friend bool operator==(const Value& a, const Value& b);
-  friend bool operator<(const Value& a, const Value& b);
 
  private:
   using StrPtr = std::shared_ptr<const std::string>;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
-#include <stdexcept>
 
 namespace linbound {
 
@@ -176,11 +175,6 @@ const OperationRecord OpLog::operator[](std::size_t i) const {
     rec.op.code = slot.code;
   }
   return rec;
-}
-
-const OperationRecord OpLog::at(std::size_t i) const {
-  if (i >= slots_.size()) throw std::out_of_range("OpLog::at");
-  return (*this)[i];
 }
 
 FaultsByMessage::FaultsByMessage(const std::vector<FaultEvent>& faults)

@@ -122,11 +122,10 @@ class OpLog {
   const_iterator begin() const { return {this, 0}; }
   const_iterator end() const { return {this, slots_.size()}; }
 
-  /// The record at index `i`, materialised.  at() throws std::out_of_range.
-  /// The copy is const, so a write through it (`ops[i].ret = v`) does not
-  /// compile instead of silently changing nothing.
+  /// The record at index `i`, materialised.  The copy is const, so a write
+  /// through it (`ops[i].ret = v`) does not compile instead of silently
+  /// changing nothing.
   const OperationRecord operator[](std::size_t i) const;
-  const OperationRecord at(std::size_t i) const;
 
   /// Single fields, without materialising the record.
   std::int64_t token(std::size_t i) const;
@@ -252,7 +251,9 @@ class FaultsByMessage {
   void for_each(MessageId msg, Fn fn) const {
     auto it = std::lower_bound(index_.begin(), index_.end(),
                                std::pair<MessageId, std::size_t>{msg, 0});
-    for (; it != index_.end() && it->first == msg; ++it) fn(faults_[it->second]);
+    for (; it != index_.end() && it->first == msg; ++it) {
+      fn(faults_[it->second]);
+    }
   }
 
  private:

@@ -349,8 +349,7 @@ TEST_P(PlantedMutantTest, FoundShrunkAndReplayedExactly) {
   bundle.expected_verdict = replayed.verdict;
   bundle.expected_hash = replayed.trace_hash;
   std::string error;
-  const auto loaded =
-      parse_bundle(bundle_text(bundle), &error);
+  const auto loaded = parse_bundle(bundle_text(bundle), &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   const ReplayOutcome outcome = replay_bundle(*loaded);
   EXPECT_TRUE(outcome.verdict_matches)
@@ -374,9 +373,7 @@ INSTANTIATE_TEST_SUITE_P(Mutants, PlantedMutantTest,
 TEST(ReproBundleIo, RejectsMalformedBundles) {
   EXPECT_FALSE(parse_bundle("not a bundle").has_value());
   std::string error;
-  EXPECT_FALSE(
-      parse_bundle("chaosrepro v1\nbogus line\n", &error)
-          .has_value());
+  EXPECT_FALSE(parse_bundle("chaosrepro v1\nbogus line\n", &error).has_value());
   EXPECT_FALSE(error.empty());
   // A spec section without its faultscript is incomplete.
   ReproBundle bundle;
@@ -403,8 +400,7 @@ TEST(ReproBundleIo, RoundTripsAFullSpec) {
   bundle.expected_hash = 0xfeedface;
 
   std::string error;
-  const auto loaded =
-      parse_bundle(bundle_text(bundle), &error);
+  const auto loaded = parse_bundle(bundle_text(bundle), &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(loaded->spec.variant, ChaosVariant::kHardened);
   EXPECT_EQ(loaded->spec.faults.drop_p, 0.125);

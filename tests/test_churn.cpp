@@ -130,8 +130,8 @@ TEST(ChurnSchedule, FaultConfigChurnStreamIsDisjointFromMessageFaults) {
   FaultConfig noisy = quiet;
   noisy.drop_p = 0.5;
   noisy.dup_p = 0.5;
-  EXPECT_TRUE(
-      same_windows(make_churn_schedule(quiet, 4), make_churn_schedule(noisy, 4)));
+  EXPECT_TRUE(same_windows(make_churn_schedule(quiet, 4),
+                           make_churn_schedule(noisy, 4)));
   EXPECT_FALSE(make_churn_schedule(quiet, 4).empty());
   // No churn knobs -> no windows.
   FaultConfig plain;

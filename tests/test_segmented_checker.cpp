@@ -266,19 +266,16 @@ History wide_frontier_history(int width) {
 TEST(SearchCore, StateBudgetIsOneCounterPerCall) {
   QueueModel model;
   const History h = wide_frontier_history(6);
-  for (const int jobs : {1, 4}) {
-    CheckOptions options;
-    options.jobs = jobs;
-    options.limits.max_states = 50;
-    try {
-      check_linearizable(model, h, options);
-      FAIL() << "expected the state budget to trip at jobs=" << jobs;
-    } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("state budget"), std::string::npos) << what;
-      EXPECT_NE(what.find("max_states=50"), std::string::npos) << what;
-      EXPECT_NE(what.find("segment"), std::string::npos) << what;
-    }
+  CheckLimits limits;
+  limits.max_states = 50;
+  try {
+    check_linearizable(model, h, limits);
+    FAIL() << "expected the state budget to trip";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("state budget"), std::string::npos) << what;
+    EXPECT_NE(what.find("max_states=50"), std::string::npos) << what;
+    EXPECT_NE(what.find("segment"), std::string::npos) << what;
   }
 }
 

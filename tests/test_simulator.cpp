@@ -151,7 +151,8 @@ TEST(Simulator, InvokeProducesOperationRecord) {
   const std::int64_t token = sim.invoke_at(123, 0, Operation{0, {}});
   sim.start();
   EXPECT_TRUE(sim.run());
-  const OperationRecord& rec = sim.trace().ops.at(static_cast<std::size_t>(token));
+  ASSERT_LT(static_cast<std::size_t>(token), sim.trace().ops.size());
+  const OperationRecord rec = sim.trace().ops[static_cast<std::size_t>(token)];
   EXPECT_EQ(rec.invoke_time, 123);
   EXPECT_EQ(rec.response_time, 123);  // ProbeProcess responds immediately
   EXPECT_EQ(rec.ret, Value(0));

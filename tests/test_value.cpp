@@ -78,12 +78,6 @@ TEST(Value, HashOfNestedLists) {
   EXPECT_NE(a.hash(), c.hash());
 }
 
-TEST(Value, OrderingIsTotal) {
-  EXPECT_LT(Value(1), Value(2));
-  EXPECT_FALSE(Value(2) < Value(1));
-  EXPECT_FALSE(Value(1) < Value(1));
-}
-
 // --- parse() / to_string() round-trip -------------------------------------
 
 void expect_round_trip(const Value& v) {
